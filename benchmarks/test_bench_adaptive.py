@@ -183,7 +183,6 @@ def test_adaptive_allocation_saves_pairs_at_matched_halfwidth(benchmark):
         replicates=MAX_TRIALS,
         workers=1,
         base_seed=SEED,
-        fused=True,
         backend="numpy",
     )
 

@@ -4,10 +4,11 @@ Times the Figure 6(a) sweep grid (tree, hypercube, XOR at ``d = 10``;
 ``q × replicate`` cells per geometry, 2000 pairs per cell) through three
 implementations:
 
-* the **fused** dispatch (``SweepRunner(fused=True)``): all cells sharing an
+* the **fused** (grouped) dispatch of ``SweepRunner``: all cells sharing an
   overlay advance in one stacked-mask kernel invocation;
-* the current **per-cell** dispatch (``SweepRunner(fused=False)``), which
-  shares the rewritten prepare/step kernels with the fused path;
+* the **per-cell reference** (``repro.sim.conformance._per_cell_reference``):
+  each cell routed alone through ``route_pairs``, sharing the rewritten
+  prepare/step kernels with the fused path;
 * the **PR-1 per-cell engine**, vendored below verbatim (original kernels,
   original hop loop, original list-based pair sampling) as the pinned
   speedup reference, so the recorded win measures this PR's change and not
@@ -36,6 +37,7 @@ import numpy as np
 
 from repro.dht import OVERLAY_CLASSES
 from repro.dht.failures import survival_mask
+from repro.sim.conformance import _per_cell_reference
 from repro.sim.engine import (
     _OVERLAY_CACHE,
     BatchRouteOutcome,
@@ -180,17 +182,30 @@ def _pr1_run_grid(geometries, d, failure_probabilities):
 # --------------------------------------------------------------------- #
 # the benchmark
 # --------------------------------------------------------------------- #
-def _timed_runner_grid(fused, failure_probabilities):
-    # Clear the shared overlay cache so every contender pays its own builds.
-    # Pinned to the numpy backend: this benchmark tracks the fused-dispatch
-    # win over the PR-1 engine; the JIT backend has its own benchmark
-    # (test_bench_backends.py).
+# Each contender clears the shared overlay cache so it pays its own builds.
+# Pinned to the numpy backend: this benchmark tracks the fused-dispatch win
+# over the PR-1 engine; the JIT backend has its own benchmark
+# (test_bench_backends.py).
+def _timed_runner_grid(failure_probabilities):
     _OVERLAY_CACHE.clear()
     runner = SweepRunner(
-        pairs=PAIRS, replicates=TRIALS, workers=1, base_seed=SEED, fused=fused, backend="numpy"
+        pairs=PAIRS, replicates=TRIALS, workers=1, base_seed=SEED, backend="numpy"
     )
     started = time.perf_counter()
     results = runner.run(list(BENCH_GEOMETRIES), SWEEP_D, failure_probabilities)
+    return results, time.perf_counter() - started
+
+
+def _timed_reference_grid(failure_probabilities):
+    _OVERLAY_CACHE.clear()
+    cells = [
+        SweepCell(geometry=geometry, d=SWEEP_D, q=q, replicate=replicate)
+        for geometry in BENCH_GEOMETRIES
+        for replicate in range(TRIALS)
+        for q in failure_probabilities
+    ]
+    started = time.perf_counter()
+    results = _per_cell_reference(cells, pairs=PAIRS, base_seed=SEED, backend="numpy")
     return results, time.perf_counter() - started
 
 
@@ -215,15 +230,15 @@ def test_fused_sweep_speedup_on_fig6a_grid(benchmark):
         pr1_seconds = min(pr1_seconds, time.perf_counter() - started)
     per_cell_seconds = math.inf
     for _ in range(3):
-        per_cell_results, elapsed = _timed_runner_grid(False, failure_probabilities)
+        per_cell_results, elapsed = _timed_reference_grid(failure_probabilities)
         per_cell_seconds = min(per_cell_seconds, elapsed)
     # One of the fused repetitions doubles as the pytest-benchmark stats row,
     # so the harness records the fused path without an extra grid execution.
     fused_results, fused_seconds = benchmark.pedantic(
-        lambda: _timed_runner_grid(True, failure_probabilities), rounds=1, iterations=1
+        lambda: _timed_runner_grid(failure_probabilities), rounds=1, iterations=1
     )
     for _ in range(2):
-        fused_results, elapsed = _timed_runner_grid(True, failure_probabilities)
+        fused_results, elapsed = _timed_runner_grid(failure_probabilities)
         fused_seconds = min(fused_seconds, elapsed)
 
     # Identical per-cell seed streams: all three implementations must measure

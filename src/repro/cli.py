@@ -20,10 +20,8 @@ Subcommands
     auto|numpy|numba`` picks the kernel backend (``auto`` selects the
     fastest available — the JIT backend when the ``fast`` extra is
     installed); ``--workers N`` fans the sweep across worker processes,
-    ``--batch-size`` bounds the engine's per-batch memory, and ``--fused``
-    / ``--per-cell`` toggle between fusing all cells that share an overlay
-    into one kernel invocation (default) and the one-task-per-cell
-    dispatch.  All combinations measure bit-identical metrics.
+    and ``--batch-size`` bounds the engine's per-batch memory.  All
+    combinations measure bit-identical metrics.
     ``--profile`` additionally prints the per-phase wall-time breakdown
     (overlay build, mask generation, kernel hops, reduction), and ``--json
     PATH`` writes rows + profile + backend metadata to a strictly valid
@@ -406,23 +404,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="pairs routed per engine batch (default: all at once; lower it to bound memory)",
     )
-    dispatch = parser.add_mutually_exclusive_group()
-    dispatch.add_argument(
-        "--fused",
-        dest="fused",
-        action="store_true",
-        default=True,
-        help=(
-            "fuse every sweep cell sharing an overlay into one stacked-mask kernel "
-            "invocation (default; results are bit-identical to --per-cell)"
-        ),
-    )
-    dispatch.add_argument(
-        "--per-cell",
-        dest="fused",
-        action="store_false",
-        help="dispatch one engine task per (q, replicate) cell instead of fusing",
-    )
 
 
 def _command_list() -> str:
@@ -440,7 +421,6 @@ def _command_run(arguments: argparse.Namespace) -> str:
         workers=arguments.workers,
         engine=arguments.engine,
         backend=arguments.backend,
-        fused=arguments.fused,
         batch_size=arguments.batch_size,
     )
     result = run_experiment(arguments.experiment_id, config)
@@ -629,7 +609,7 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
     adaptive_config, replay_ledger = _adaptive_arguments(arguments)
     # The batch engine always sweeps through the SweepRunner (not the
     # sequential-stream driver) so the printed numbers are identical for
-    # every --workers value and both --fused/--per-cell dispatch modes.
+    # every --workers value.
     profile = None
     adaptive_report = None
     if arguments.engine == "batch":
@@ -644,7 +624,6 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
             workers=arguments.workers,
             batch_size=arguments.batch_size,
             base_seed=arguments.seed,
-            fused=arguments.fused,
             backend=arguments.backend,
             cell_store=cell_store,
         ) as runner:
@@ -734,7 +713,6 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
             "engine": arguments.engine,
             "backend": sweep.backend_name,
             "workers": arguments.workers,
-            "fused": arguments.fused,
             "rows": rows,
             "profile": profile,
         }

@@ -9,8 +9,9 @@ Figure 7 (``d = 100`` and beyond).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from ...validation import check_identifier_length
 
@@ -20,8 +21,13 @@ __all__ = ["log_binomial_distance_distribution", "binomial_distance_distribution
 def log_binomial_distance_distribution(d: int) -> np.ndarray:
     """``log C(d, h)`` for ``h = 1 .. d``."""
     d = check_identifier_length(d)
-    h = np.arange(1, d + 1, dtype=float)
-    return gammaln(d + 1.0) - gammaln(h + 1.0) - gammaln(d - h + 1.0)
+    log_d_factorial = math.lgamma(d + 1.0)
+    return np.array(
+        [
+            log_d_factorial - math.lgamma(h + 1.0) - math.lgamma(d - h + 1.0)
+            for h in range(1, d + 1)
+        ]
+    )
 
 
 def binomial_distance_distribution(d: int) -> np.ndarray:

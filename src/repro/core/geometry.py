@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..exceptions import InvalidParameterError, UnknownGeometryError
 from ..validation import (
@@ -197,7 +196,7 @@ class RoutingGeometry(abc.ABC):
         return math.exp(self.log_expected_reachable_component(d, q))
 
     def log_expected_reachable_component(self, d: int, q: float) -> float:
-        """``log E[S]``, evaluated stably via ``logsumexp`` over distances."""
+        """``log E[S]``, evaluated stably as a max-shifted log-sum-exp over distances."""
         d = check_identifier_length(d)
         q = check_failure_probability(q)
         log_n = self.log_distance_distribution(d)
@@ -207,7 +206,8 @@ class RoutingGeometry(abc.ABC):
         combined = log_n + log_p
         if np.all(np.isneginf(combined)):
             return float("-inf")
-        return float(logsumexp(combined))
+        peak = combined.max()
+        return float(np.log(np.sum(np.exp(combined - peak))) + peak)
 
     def routability(self, q: float, *, d: Optional[int] = None, n_nodes: Optional[int] = None) -> float:
         """``r(N, q)`` — the paper's routability (Eq. 1 / Eq. 3).

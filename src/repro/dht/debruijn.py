@@ -7,7 +7,7 @@ geometry lives here — the scalar :meth:`DeBruijnOverlay.route` oracle, the
 once, and both registrations.  Importing :mod:`repro.dht` wires the
 geometry through ``route_pairs``/``route_pairs_stacked``, every kernel
 backend, the :class:`~repro.sim.engine.SweepRunner` grid (all failure
-models, fused and per-cell, any worker count), ``rcm simulate`` and the
+models, any worker count), ``rcm simulate`` and the
 conformance harness, with no other file changed.
 
 Topology: node ``x`` links to its two de Bruijn shuffle successors

@@ -67,7 +67,6 @@ class AdaptiveSampling(Experiment):
             batch_size=config.batch_size,
             backend=config.backend if config.engine == "batch" else None,
             base_seed=workload.derived_seed("adaptive-sampling"),
-            fused=config.fused,
         ) as runner:
             for geometry in ADAPTIVE_GEOMETRIES:
                 uniform = runner.sweep(geometry, d, failure_probabilities)
@@ -127,7 +126,6 @@ class AdaptiveSampling(Experiment):
                 "fast": config.fast,
                 "engine": config.engine,
                 "backend": config.backend,
-                "fused": config.fused,
                 "workers": config.workers,
             },
             tables={

@@ -47,11 +47,6 @@ class ExperimentConfig:
         fastest available), ``"numpy"``, or ``"numba"`` (JIT, requires the
         ``fast`` extra; falls back to numpy with a warning when absent).
         Backends measure bit-identical metrics.
-    fused:
-        Sweep dispatch mode for the batch engine: ``True`` (default) fuses
-        every cell sharing an overlay build into one stacked kernel
-        invocation; ``False`` dispatches one engine task per ``(q,
-        replicate)`` cell.  Results are bit-identical either way.
     batch_size:
         Optional pair-chunk size for the batch engine (bounds peak memory).
     """
@@ -62,7 +57,6 @@ class ExperimentConfig:
     workers: int = 1
     engine: str = "batch"
     backend: str = "auto"
-    fused: bool = True
     batch_size: Optional[int] = None
 
     def resolved_simulation_d(self, *, full_default: int, fast_default: int) -> int:

@@ -20,7 +20,7 @@ resilient, tree most fragile — survive when failures stop being uniform?
 Every cell of the (geometry × model × severity × replicate) grid runs
 through the fused batch engine (:class:`repro.sim.engine.SweepRunner`), so
 all models measure at the same vectorized speed and with the same
-bit-identity guarantees across engines, dispatch modes and worker counts.
+bit-identity guarantees across engines and worker counts.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ class FailureModeComparison(Experiment):
                     batch_size=config.batch_size,
                     backend=config.backend,
                     base_seed=workload.derived_seed("failmodes"),
-                    fused=config.fused,
                 )
                 # One dispatch over the whole (geometry x model x severity x
                 # replicate) grid: cells of different models share overlay
@@ -152,7 +151,6 @@ class FailureModeComparison(Experiment):
                 "fast": config.fast,
                 "engine": config.engine,
                 "backend": config.backend,
-                "fused": config.fused,
                 "workers": config.workers,
             },
             tables=tables,

@@ -58,7 +58,6 @@ class Fig6aStaticResilience(Experiment):
                     batch_size=config.batch_size,
                     backend=config.backend,
                     base_seed=workload.derived_seed("fig6a-sim"),
-                    fused=config.fused,
                 )
                 # Fan the whole (geometry x q x replicate) grid out at once so the
                 # worker pool parallelises across geometries too; the per-geometry
@@ -100,7 +99,6 @@ class Fig6aStaticResilience(Experiment):
                 "fast": config.fast,
                 "engine": config.engine,
                 "backend": config.backend,
-                "fused": config.fused,
                 "workers": config.workers,
             },
             tables={"fig6a_failed_path_percent": rows},

@@ -50,7 +50,6 @@ class Fig6bRingBound(Experiment):
                 batch_size=config.batch_size,
                 backend=config.backend,
                 base_seed=workload.derived_seed("fig6b-ring"),
-                fused=config.fused,
             ) as runner:
                 sweep = runner.sweep("ring", simulation_d, failure_probabilities)
         else:
@@ -94,7 +93,6 @@ class Fig6bRingBound(Experiment):
                 "fast": config.fast,
                 "engine": config.engine,
                 "backend": config.backend,
-                "fused": config.fused,
                 "workers": config.workers,
             },
             tables={"fig6b_failed_path_percent": rows},

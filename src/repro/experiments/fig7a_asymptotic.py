@@ -88,7 +88,6 @@ class Fig7aAsymptoticLimit(Experiment):
                     batch_size=config.batch_size,
                     backend=config.backend,
                     base_seed=workload.derived_seed("fig7a-sim"),
-                    fused=config.fused,
                 )
                 runner.run(list(PAPER_GEOMETRIES), validation_d, failure_probabilities)
             for geometry in PAPER_GEOMETRIES:
@@ -126,7 +125,6 @@ class Fig7aAsymptoticLimit(Experiment):
                 "fast": config.fast,
                 "engine": config.engine,
                 "backend": config.backend,
-                "fused": config.fused,
                 "workers": config.workers,
             },
             tables={

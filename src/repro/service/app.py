@@ -66,7 +66,7 @@ class ServiceConfig:
     ``pairs``/``trials``/``seed`` are the *defaults* a submission inherits
     when it omits them; a request may override any of the three (each
     distinct combination gets its own runner and persistent-store key
-    space).  ``workers``, ``backend``, ``batch_size`` and ``fused`` are
+    space).  ``workers``, ``backend`` and ``batch_size`` are
     execution-shape knobs: they tune throughput but can never change a
     measured number.
 
@@ -90,7 +90,6 @@ class ServiceConfig:
     workers: int = 1
     backend: Optional[str] = None
     batch_size: Optional[int] = None
-    fused: bool = True
     max_jobs: int = 2
     max_queued: int = 16
     rate_limit: Optional[float] = None
@@ -132,7 +131,6 @@ class SweepService:
             workers=config.workers,
             backend=config.backend,
             batch_size=config.batch_size,
-            fused=config.fused,
             max_jobs=config.max_jobs,
             max_queued=config.max_queued,
             rate_limit=config.rate_limit,

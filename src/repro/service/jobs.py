@@ -530,7 +530,6 @@ class JobManager:
         workers: int = 1,
         backend: Optional[str] = None,
         batch_size: Optional[int] = None,
-        fused: bool = True,
         max_jobs: int = 2,
         max_runners: int = 4,
         max_queued: int = 16,
@@ -549,7 +548,6 @@ class JobManager:
         self._workers = workers
         self._backend = backend
         self._batch_size = batch_size
-        self._fused = fused
         self._max_runners = max_runners
         self._max_queued = max(0, int(max_queued))
         self._rate = float(rate_limit) if rate_limit else None
@@ -761,7 +759,6 @@ class JobManager:
                     workers=self._workers,
                     backend=self._backend,
                     batch_size=self._batch_size,
-                    fused=self._fused,
                     cell_store=self._store,
                 )
                 self._runners[key] = runner

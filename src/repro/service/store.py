@@ -14,7 +14,7 @@ an identical cell is never simulated twice, no matter which process,
 request or CLI invocation asks for it.
 
 What is deliberately **not** part of the key: the kernel backend, the
-fused/per-cell dispatch mode, the worker count and the batch size.  All of
+worker count and the batch size.  All of
 those are property-tested to produce bit-identical metrics (the two-copy
 oracle/KernelSpec invariant, see ``docs/architecture.md``), so results
 cached under one execution shape are valid for every other.
@@ -73,8 +73,8 @@ def cell_store_key(
     Mirrors the engine's per-cell entropy key: the cell coordinates
     ``(geometry, d, q, replicate, model)`` plus every parameter that feeds
     the cell's random streams (``pairs``, ``base_seed``, sorted overlay
-    options).  Execution-shape parameters (backend, fused, workers,
-    batch_size) are excluded on purpose — they cannot change a measured
+    options).  Execution-shape parameters (backend, workers, batch_size)
+    are excluded on purpose — they cannot change a measured
     number.  The key is a canonical JSON string, stable across platforms
     and interpreter versions.
     """

@@ -16,8 +16,8 @@ The allocator preserves the repo's determinism discipline end to end:
   has run exactly the cells ``replicate = 0 .. k-1`` of the uniform grid, so
   each cell keeps its PR-1 ``(geometry, d, replicate, q[, model])`` entropy
   key and its result is byte-equal to the same cell of a uniform sweep
-  (tests/test_adaptive.py property-tests this across worker counts and both
-  dispatch modes).  Result-store hits therefore pool into the CI like fresh
+  (tests/test_adaptive.py property-tests this across worker counts and
+  against the per-cell reference).  Result-store hits therefore pool into the CI like fresh
   computations — a fully cached point freezes after its first round without
   routing a single pair.
 * **The schedule is recorded.**  Every adaptive run produces an

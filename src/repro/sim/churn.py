@@ -62,7 +62,6 @@ are unchanged by this refactor (property-tested in ``tests/test_churn.py``).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, MutableMapping, Optional, Tuple
 
@@ -74,7 +73,7 @@ from ..exceptions import InvalidParameterError
 from ..validation import check_positive_int, check_probability
 from ..workloads.traces import ChurnTrace
 from .backends import resolve_backend
-from .engine import BackendLike, check_engine, route_pairs
+from .engine import BackendLike, _PhaseClock, check_engine, route_pairs
 from .sampling import sample_survivor_pair_arrays
 
 __all__ = [
@@ -245,24 +244,6 @@ class ChurnSimulationResult:
         ]
 
 
-class _ChurnClock:
-    """Tiny phase accumulator for the churn loop (the PR-3 profiler shape)."""
-
-    def __init__(self, sink: Optional[MutableMapping[str, float]]) -> None:
-        self._sink = sink
-        self._mark = 0.0
-
-    def start(self) -> None:
-        if self._sink is not None:
-            self._mark = time.perf_counter()
-
-    def stop(self, phase: str) -> None:
-        if self._sink is not None:
-            now = time.perf_counter()
-            self._sink[phase] = self._sink.get(phase, 0.0) + (now - self._mark)
-            self._mark = now
-
-
 def simulate_churn(
     overlay: Overlay,
     config: ChurnConfig,
@@ -316,7 +297,7 @@ def simulate_churn(
         )
     generator = make_rng(rng, seed)
     resolved = resolve_backend(backend) if engine == "batch" else None
-    clock = _ChurnClock(profile if engine == "batch" else None)
+    clock = _PhaseClock(profile)
     online = np.ones(n, dtype=bool)  # state at the initial repair epoch
     online_at_repair = online.copy()
     pairs_per_step = config.pairs_per_step
@@ -348,13 +329,14 @@ def simulate_churn(
                 usable, pairs_per_step, generator
             )
             if engine == "batch":
-                clock.start()
+                clock.start("mask_delta")
                 if routing_state is None or state_mode == "rebuild":
                     joined = left = None
                 else:
                     joined = np.flatnonzero(usable & ~state_mask)
                     left = np.flatnonzero(state_mask & ~usable)
-                clock.stop("mask_delta")
+                clock.stop()
+                clock.start("state_update")
                 if joined is None:
                     routing_state = resolved.prepare(overlay, usable)
                 else:
@@ -362,7 +344,8 @@ def simulate_churn(
                         overlay, routing_state, usable, joined, left
                     )
                 state_mask = usable
-                clock.stop("state_update")
+                clock.stop()
+                clock.start("kernel_hops")
                 outcome = route_pairs(
                     overlay,
                     sources,
@@ -372,9 +355,10 @@ def simulate_churn(
                     backend=resolved,
                     prepared_state=routing_state,
                 )
-                clock.stop("kernel_hops")
+                clock.stop()
+                clock.start("reduction")
                 metrics = outcome.to_metrics()
-                clock.stop("reduction")
+                clock.stop()
             else:
                 metrics = summarize_routes(
                     overlay.route(int(source), int(destination), usable)

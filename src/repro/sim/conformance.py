@@ -20,7 +20,8 @@ the oracle across every execution shape the generic drivers derive:
   failure-model kind, severities down *and* up so unmasking is exercised)
   must route byte-identically to a from-scratch prepare after every delta;
 * **worker counts** — :class:`~repro.sim.engine.SweepRunner` grids over
-  all registered geometries, fused and per-cell, pooled vs in-process.
+  all registered geometries, pooled vs in-process, and the runner's
+  grouped dispatch vs the per-cell reference (:func:`_per_cell_reference`).
 
 ``tests/test_kernelspec.py`` drives these checks through pytest;
 ``python -m repro.sim.conformance`` runs the full battery standalone (the
@@ -37,9 +38,19 @@ import numpy as np
 
 from ..dht import OVERLAY_CLASSES, Overlay
 from ..dht.failures import FAILURE_MODEL_KINDS, make_failure_model, survival_mask
+from ..dht.metrics import summarize_routes
 from ..exceptions import UnknownGeometryError
 from .backends import NUMBA_AVAILABLE, python_loop_backend, resolve_backend
-from .engine import BackendLike, SweepRunner, route_pairs, route_pairs_stacked
+from .engine import (
+    BackendLike,
+    SweepCell,
+    SweepCellResult,
+    SweepRunner,
+    _cached_overlay,
+    _sample_cell,
+    route_pairs,
+    route_pairs_stacked,
+)
 from .kernelspec import registered_geometries
 from .sampling import sample_survivor_pair_arrays
 from .static_resilience import measure_routability
@@ -56,6 +67,7 @@ __all__ = [
     "assert_failure_model_parity",
     "assert_incremental_parity",
     "assert_worker_parity",
+    "assert_reference_parity",
     "run_conformance",
     "main",
 ]
@@ -274,14 +286,18 @@ def assert_failure_model_parity(
         for engine in ("batch", "scalar")
     }
     batch, scalar = results["batch"].metrics, results["scalar"].metrics
-    context = (overlay.geometry_name, kind)
-    assert batch.attempts == scalar.attempts, context
-    assert batch.successes == scalar.successes, context
-    assert batch.failure_reasons == scalar.failure_reasons, context
-    for field in ("mean_hops_successful", "mean_hops_failed"):
-        a, b = getattr(batch, field), getattr(scalar, field)
-        assert a == b or (np.isnan(a) and np.isnan(b)), (*context, field)
+    _assert_metrics_equal(batch, scalar, (overlay.geometry_name, kind))
     return batch.attempts
+
+
+def _assert_metrics_equal(measured, expected, context: Tuple) -> None:
+    """Field-wise metrics equality; ``nan`` means (no such attempts) match ``nan``."""
+    assert measured.attempts == expected.attempts, context
+    assert measured.successes == expected.successes, context
+    assert measured.failure_reasons == expected.failure_reasons, context
+    for field in ("mean_hops_successful", "mean_hops_failed"):
+        a, b = getattr(measured, field), getattr(expected, field)
+        assert a == b or (np.isnan(a) and np.isnan(b)), (*context, field)
 
 
 def assert_incremental_parity(
@@ -355,7 +371,6 @@ def assert_worker_parity(
     pairs: int = 40,
     replicates: int = 2,
     base_seed: int = 321,
-    fused: bool = True,
 ) -> int:
     """SweepRunner grids over ``geometries`` are identical for every worker count."""
     grids: Dict[int, Dict] = {}
@@ -366,19 +381,65 @@ def assert_worker_parity(
             workers=count,
             base_seed=base_seed,
             backend=backend,
-            fused=fused,
         ) as runner:
             grids[count] = runner.run(list(geometries), d, list(qs))
     reference = grids[workers[0]]
     for count, grid in grids.items():
         assert grid.keys() == reference.keys(), count
         for cell, expected in reference.items():
-            measured = grid[cell].metrics
-            context = (count, cell)
-            assert measured.attempts == expected.metrics.attempts, context
-            assert measured.successes == expected.metrics.successes, context
-            assert measured.failure_reasons == expected.metrics.failure_reasons, context
+            _assert_metrics_equal(grid[cell].metrics, expected.metrics, (count, cell))
     return len(reference) * len(grids)
+
+
+def _per_cell_reference(
+    cells: Sequence[SweepCell], *, pairs: int, base_seed: int, backend: BackendLike = None
+) -> Dict[SweepCell, SweepCellResult]:
+    """Every grid cell measured alone, in process: the reference for grouped dispatch.
+
+    Each cell gets its overlay build (:func:`~repro.sim.engine._cached_overlay`),
+    its own entropy stream (:func:`~repro.sim.engine._sample_cell`) and one
+    single-mask :func:`route_pairs` call — no grouping, stacking or worker
+    pool — so :class:`SweepRunner` results can be checked against it.
+    """
+    results: Dict[SweepCell, SweepCellResult] = {}
+    for cell in cells:
+        overlay = _cached_overlay(cell.geometry, cell.d, cell.replicate, base_seed, ())
+        sampled = _sample_cell(overlay, cell, pairs, base_seed)
+        if sampled is None:
+            metrics, degenerate = summarize_routes([]), True
+        else:
+            alive, sources, destinations = sampled
+            outcome = route_pairs(overlay, sources, destinations, alive, backend=backend)
+            metrics, degenerate = outcome.to_metrics(), False
+        results[cell] = SweepCellResult(
+            cell=cell, pairs=pairs, metrics=metrics, degenerate=degenerate
+        )
+    return results
+
+
+def assert_reference_parity(
+    geometries: Sequence[str],
+    backend: BackendLike,
+    *,
+    d: int = CONFORMANCE_D,
+    qs: Sequence[float] = (0.1, 0.5, 1.0),
+    pairs: int = 40,
+    replicates: int = 2,
+    base_seed: int = 321,
+) -> int:
+    """A SweepRunner grid equals the per-cell reference, cell for cell.
+
+    ``q = 1.0`` kills every node, so degenerate cells are compared too.
+    """
+    with SweepRunner(
+        pairs=pairs, replicates=replicates, base_seed=base_seed, backend=backend
+    ) as runner:
+        grid = runner.run(list(geometries), d, list(qs))
+    reference = _per_cell_reference(list(grid), pairs=pairs, base_seed=base_seed, backend=backend)
+    for cell, expected in reference.items():
+        assert grid[cell].degenerate == expected.degenerate, cell
+        _assert_metrics_equal(grid[cell].metrics, expected.metrics, (cell,))
+    return len(reference)
 
 
 def _require_assertions() -> None:
@@ -445,17 +506,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for label, backend in conformance_backends():
         if label == "python-loop":
             continue  # uncompiled loops are far too slow for pooled grids
-        for fused in (True, False):
-            mode = "fused" if fused else "per-cell"
+        for check, name, scope in (
+            (assert_worker_parity, "workers", f"across workers {WORKER_COUNTS}"),
+            (assert_reference_parity, "reference", "vs the per-cell reference"),
+        ):
             try:
-                cells = assert_worker_parity(geometries, backend, fused=fused)
+                cells = check(geometries, backend)
             except AssertionError as error:  # pragma: no cover - only on violation
                 failures += 1
-                print(f"  workers[{label},{mode}]: FAILED {error}")
+                print(f"  {name}[{label}]: FAILED {error}")
                 continue
-            print(
-                f"  workers[{label},{mode}]: OK ({cells} cells across workers {WORKER_COUNTS})"
-            )
+            print(f"  {name}[{label}]: OK ({cells} cells {scope})")
     if failures:
         print(f"conformance: {failures} geometry/dispatch group(s) FAILED")
         return 1

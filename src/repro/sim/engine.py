@@ -43,10 +43,13 @@ Layered on top:
   the scenario library in :mod:`repro.dht.failures` (uniform, targeted,
   regional, subtree, composite), and mask generation is held to the same
   bit-identity invariant as routing: every model produces the same masks on
-  the scalar, batch and fused paths.  In fused mode (the default) cells that share an overlay build are
+  the scalar and batch paths.  Cells that share an overlay build are
   dispatched as one task, and the overlay's routing tables are published to
   the workers once via ``multiprocessing.shared_memory`` instead of being
   rebuilt per process.
+* :func:`_route_cell_groups` — the one cell-group executor behind every
+  static-failure driver: already-sampled cells of one overlay in, one
+  stacked routing call, per-cell metrics out.
 """
 
 from __future__ import annotations
@@ -57,13 +60,13 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..dht import OVERLAY_CLASSES, Overlay
 from ..dht.failures import check_failure_model_kind, make_failure_model
-from ..dht.metrics import RoutingMetrics
+from ..dht.metrics import RoutingMetrics, summarize_routes
 from ..dht.routing import FAILURE_CODES, FailureReason, failure_reason_from_code
 from ..exceptions import InvalidParameterError, RoutingError, UnknownGeometryError
 from ..validation import check_failure_probability, check_non_negative_int, check_positive_int
@@ -182,17 +185,6 @@ class BatchRouteOutcome:
             hops=self.hops[start:stop],
             failure_codes=self.failure_codes[start:stop],
         )
-
-
-def _empty_outcome() -> BatchRouteOutcome:
-    """A zero-pair outcome (degenerate cells contribute no routing attempts)."""
-    return BatchRouteOutcome(
-        sources=np.empty(0, dtype=np.int64),
-        destinations=np.empty(0, dtype=np.int64),
-        succeeded=np.empty(0, dtype=bool),
-        hops=np.empty(0, dtype=np.int64),
-        failure_codes=np.empty(0, dtype=np.int8),
-    )
 
 
 def _wrap_outcome(
@@ -744,7 +736,7 @@ def _attached_overlay_view(ref: _SharedTableRef) -> _SharedOverlayView:
 
 
 def _cell_routing_rng(base_seed: int, cell: SweepCell) -> np.random.Generator:
-    """The per-cell routing stream; identical for the fused and per-cell paths.
+    """The per-cell routing stream every grid driver samples a cell from.
 
     Uniform cells keep the original ``(geometry, d, replicate, q)`` entropy
     key so their streams — and every benchmark reference vendored against
@@ -815,16 +807,17 @@ PROFILE_PHASES = (
 
 
 class _PhaseClock:
-    """Accumulates wall time per named phase.
+    """Accumulates wall time per named phase into ``timings``.
 
-    The bracketing is two ``perf_counter`` calls per phase per cell —
-    harmless next to the work being timed — and the timings ride back to the
-    :class:`SweepRunner` in each task's (picklable) return value, so the
-    profile covers worker processes as well as in-process dispatch.
+    The bracketing is two ``perf_counter`` calls per phase — harmless next
+    to the work being timed.  Sweep tasks return their (picklable) timings
+    to the :class:`SweepRunner`, so its profile covers worker processes as
+    well as in-process dispatch; the churn loop passes its caller's
+    ``profile`` mapping in as ``timings``.
     """
 
-    def __init__(self) -> None:
-        self.timings: Dict[str, float] = {}
+    def __init__(self, timings: Optional[MutableMapping[str, float]] = None) -> None:
+        self.timings = {} if timings is None else timings
         self._phase: Optional[str] = None
         self._started = 0.0
 
@@ -841,41 +834,79 @@ class _PhaseClock:
         self.timings[phase] = self.timings.get(phase, 0.0) + seconds
 
 
-def _run_sweep_cell(spec: Tuple) -> Tuple[SweepCellResult, Dict[str, float]]:
-    """Worker entry point: route one cell of the sweep grid (top-level for pickling)."""
-    cell, pairs, base_seed, batch_size, overlay_options, backend_name = spec
-    clock = _PhaseClock()
-    clock.start("overlay_build")
-    overlay = _cached_overlay(cell.geometry, cell.d, cell.replicate, base_seed, overlay_options)
-    clock.stop()
-    clock.start("mask_generation")
-    sampled = _sample_cell(overlay, cell, pairs, base_seed)
-    clock.stop()
-    if sampled is None:
-        result = SweepCellResult(
-            cell=cell, pairs=pairs, metrics=_empty_outcome().to_metrics(), degenerate=True
-        )
-        return result, clock.timings
-    alive, sources, destinations = sampled
+def _route_cell_groups(
+    overlay,
+    groups: Sequence[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    *,
+    batch_size: Optional[int] = None,
+    backend: BackendLike = None,
+    clock: Optional[_PhaseClock] = None,
+) -> List[Optional[RoutingMetrics]]:
+    """Route already-sampled cells of one overlay; per-cell metrics in order.
+
+    Each group is one cell's ``(mask, sources, destinations)``, or ``None``
+    for a degenerate cell (which maps to ``None``).  Every other cell is
+    routed in a single :func:`route_pairs_stacked` call whose outcome is
+    sliced back per cell; the stacked kernels are row-independent, so each
+    cell's metrics are bit-identical to routing it alone.  ``clock``
+    optionally accumulates the ``kernel_hops`` and ``reduction`` phases.
+    """
+    clock = _PhaseClock() if clock is None else clock
+    metrics: List[Optional[RoutingMetrics]] = [None] * len(groups)
+    routed = [index for index, group in enumerate(groups) if group is not None]
+    if not routed:
+        return metrics
+    masks, sources, destinations = zip(*(groups[index] for index in routed))
+    counts = [cell_sources.size for cell_sources in sources]
     clock.start("kernel_hops")
-    outcome = route_pairs(
-        overlay, sources, destinations, alive, batch_size=batch_size, backend=backend_name
+    outcome = route_pairs_stacked(
+        overlay,
+        np.concatenate(sources),
+        np.concatenate(destinations),
+        np.stack(masks),
+        np.repeat(np.arange(len(routed), dtype=np.int64), counts),
+        batch_size=batch_size,
+        backend=backend,
     )
     clock.stop()
     clock.start("reduction")
-    result = SweepCellResult(cell=cell, pairs=pairs, metrics=outcome.to_metrics())
+    stop = 0
+    for index, count in zip(routed, counts):
+        start, stop = stop, stop + count
+        metrics[index] = outcome.sliced(start, stop).to_metrics()
     clock.stop()
-    return result, clock.timings
+    return metrics
 
 
-def _run_fused_group(spec: Tuple) -> Tuple[List[SweepCellResult], Dict[str, float]]:
-    """Worker entry point: route every cell sharing one overlay in a single fused batch.
+def _measure_cells(
+    overlay,
+    cells: Sequence[SweepCell],
+    pairs: int,
+    base_seed: int,
+    *,
+    batch_size: Optional[int] = None,
+    backend: BackendLike = None,
+    clock: Optional[_PhaseClock] = None,
+) -> List[SweepCellResult]:
+    """Sample each cell of one overlay from its own stream, then route them as one group."""
+    clock = _PhaseClock() if clock is None else clock
+    clock.start("mask_generation")
+    groups = [_sample_cell(overlay, cell, pairs, base_seed) for cell in cells]
+    clock.stop()
+    metrics = _route_cell_groups(
+        overlay, groups, batch_size=batch_size, backend=backend, clock=clock
+    )
+    return [
+        SweepCellResult(cell=cell, pairs=pairs, metrics=summarize_routes([]), degenerate=True)
+        if cell_metrics is None
+        else SweepCellResult(cell=cell, pairs=pairs, metrics=cell_metrics)
+        for cell, cell_metrics in zip(cells, metrics)
+    ]
 
-    The per-cell seed streams are the ones :func:`_run_sweep_cell` consumes,
-    and the stacked kernels are row-independent, so each cell's metrics are
-    bit-identical to the per-cell dispatch path.
-    """
-    cells, pairs, base_seed, batch_size, overlay_options, table_ref, backend_name = spec
+
+def _run_group(spec: Tuple) -> Tuple[List[SweepCellResult], Dict[str, float]]:
+    """Worker entry point: measure every cell sharing one overlay build (top-level for pickling)."""
+    cells, table_ref, pairs, base_seed, batch_size, overlay_options, backend_name = spec
     clock = _PhaseClock()
     clock.start("overlay_build")
     if table_ref is not None:
@@ -886,45 +917,10 @@ def _run_fused_group(spec: Tuple) -> Tuple[List[SweepCellResult], Dict[str, floa
             first.geometry, first.d, first.replicate, base_seed, overlay_options
         )
     clock.stop()
-    results: Dict[SweepCell, SweepCellResult] = {}
-    masks: List[np.ndarray] = []
-    sources: List[np.ndarray] = []
-    destinations: List[np.ndarray] = []
-    routed: List[SweepCell] = []
-    clock.start("mask_generation")
-    for cell in cells:
-        sampled = _sample_cell(overlay, cell, pairs, base_seed)
-        if sampled is None:
-            results[cell] = SweepCellResult(
-                cell=cell, pairs=pairs, metrics=_empty_outcome().to_metrics(), degenerate=True
-            )
-            continue
-        alive, cell_sources, cell_destinations = sampled
-        masks.append(alive)
-        sources.append(cell_sources)
-        destinations.append(cell_destinations)
-        routed.append(cell)
-    clock.stop()
-    if routed:
-        clock.start("kernel_hops")
-        outcome = route_pairs_stacked(
-            overlay,
-            np.concatenate(sources),
-            np.concatenate(destinations),
-            np.stack(masks),
-            np.repeat(np.arange(len(routed), dtype=np.int64), pairs),
-            batch_size=batch_size,
-            backend=backend_name,
-        )
-        clock.stop()
-        clock.start("reduction")
-        for index, cell in enumerate(routed):
-            cell_outcome = outcome.sliced(index * pairs, (index + 1) * pairs)
-            results[cell] = SweepCellResult(
-                cell=cell, pairs=pairs, metrics=cell_outcome.to_metrics()
-            )
-        clock.stop()
-    return [results[cell] for cell in cells], clock.timings
+    results = _measure_cells(
+        overlay, cells, pairs, base_seed, batch_size=batch_size, backend=backend_name, clock=clock
+    )
+    return results, clock.timings
 
 
 class SweepRunner:
@@ -933,19 +929,16 @@ class SweepRunner:
 
     Every cell of the grid is seeded independently from ``base_seed`` (see
     :class:`SweepCell`), so the measured metrics are identical for any
-    ``workers`` setting, any execution order, and both dispatch modes —
-    ``workers`` and ``fused`` only change wall-clock time.  Completed cells
-    are memoized on the runner; re-running an overlapping grid only computes
-    the missing cells.
+    ``workers`` setting and any execution order — ``workers`` only changes
+    wall-clock time.  Completed cells are memoized on the runner; re-running
+    an overlapping grid only computes the missing cells.
 
-    In fused mode (the default) all pending cells that share an overlay
-    build — every ``q`` of one ``(geometry, replicate)`` — are dispatched as
-    **one** task routed through :func:`route_pairs_stacked`, and with
+    All pending cells that share an overlay build — every ``q`` of one
+    ``(geometry, replicate)`` — are dispatched as **one** task routed by
+    the cell-group executor (:func:`_route_cell_groups`), and with
     ``workers > 1`` each overlay's routing tables are published once via
     ``multiprocessing.shared_memory`` so the persistent worker pool maps
-    them zero-copy instead of rebuilding per process.  ``fused=False``
-    restores the PR-1 one-task-per-cell dispatch (useful for benchmarking
-    the fused win and as a second implementation to cross-check).
+    them zero-copy instead of rebuilding per process.
 
     Parameters
     ----------
@@ -961,9 +954,6 @@ class SweepRunner:
         releases it.
     batch_size:
         Optional chunk size forwarded to the routing engine.
-    fused:
-        ``True`` (default) dispatches one fused task per overlay build;
-        ``False`` dispatches one task per cell.
     backend:
         Kernel backend for the routing hops (name or
         :class:`~repro.sim.backends.KernelBackend`); ``"auto"`` (default)
@@ -993,7 +983,6 @@ class SweepRunner:
         workers: int = 1,
         batch_size: Optional[int] = None,
         base_seed: int = 20060328,
-        fused: bool = True,
         backend: BackendLike = None,
         overlay_options: Optional[Mapping[str, object]] = None,
         cell_store=None,
@@ -1007,7 +996,6 @@ class SweepRunner:
         # Seed 0 is valid (np.random accepts it, and PairWorkload.derived_seed
         # can produce it), so only negatives are rejected.
         self._base_seed = check_non_negative_int(base_seed, "base_seed")
-        self._fused = bool(fused)
         # Resolve once so "auto" (and a numba request without Numba) pins to
         # a concrete backend that every dispatch — in-process or pooled —
         # routes through.  Task specs carry the registry *name* when the
@@ -1034,11 +1022,6 @@ class SweepRunner:
     def completed_cells(self) -> int:
         """Number of distinct cells memoized so far."""
         return len(self._completed)
-
-    @property
-    def fused(self) -> bool:
-        """Whether pending cells are dispatched fused by overlay build."""
-        return self._fused
 
     @property
     def backend_name(self) -> str:
@@ -1182,7 +1165,7 @@ class SweepRunner:
         This is the one execution path behind :meth:`run` (which expands a
         rectangular grid into it) and the adaptive allocator (which submits
         exactly the cells each round's schedule calls for): memo lookup,
-        persistent-store recall, fused/per-cell dispatch, store write-back
+        persistent-store recall, grouped dispatch, store write-back
         and :attr:`last_run_stats` accounting all live here.  Duplicate
         cells in ``cells`` are computed once and reported once in the
         stats.
@@ -1203,10 +1186,7 @@ class SweepRunner:
             store_hits = len(recalled)
             pending = [cell for cell in pending if cell not in self._completed]
         if pending:
-            if self._fused:
-                results = self._run_fused(pending)
-            else:
-                results = self._run_per_cell(pending)
+            results = self._run_groups(pending)
             for result in results:
                 self._completed[result.cell] = result
             if self._cell_store is not None:
@@ -1224,33 +1204,8 @@ class SweepRunner:
         )
         return {cell: self._completed[cell] for cell in requested}
 
-    def _run_per_cell(self, pending: List[SweepCell]) -> List[SweepCellResult]:
-        """PR-1 dispatch: one engine task per cell."""
-        specs = [
-            (
-                cell,
-                self._pairs,
-                self._base_seed,
-                self._batch_size,
-                self._overlay_options,
-                self._spec_backend,
-            )
-            for cell in pending
-        ]
-        if self._workers > 1 and len(specs) > 1:
-            # Chunk by (geometry, replicate) ordering so each worker reuses
-            # its cached overlay across the q values it is handed.
-            outcomes = self._ensure_pool(len(specs)).map(_run_sweep_cell, specs)
-        else:
-            outcomes = [_run_sweep_cell(spec) for spec in specs]
-        results = []
-        for result, timings in outcomes:
-            self._absorb_timings(timings)
-            results.append(result)
-        return results
-
-    def _run_fused(self, pending: List[SweepCell]) -> List[SweepCellResult]:
-        """Fused dispatch: one task per overlay build, routed as a stacked batch.
+    def _run_groups(self, pending: List[SweepCell]) -> List[SweepCellResult]:
+        """The one dispatch: one task per overlay build, routed as a stacked batch.
 
         With a worker pool, each group's overlay is built once in the parent
         and its routing tables are published to shared memory; the segments
@@ -1262,6 +1217,10 @@ class SweepRunner:
         for cell in pending:
             groups.setdefault((cell.geometry, cell.d, cell.replicate), []).append(cell)
         use_pool = self._workers > 1 and len(groups) > 1
+        # Every task spec is (cells, table_ref) + these runner parameters.
+        shared = (
+            self._pairs, self._base_seed, self._batch_size, self._overlay_options, self._spec_backend
+        )
         published: List[shared_memory.SharedMemory] = []
         try:
             if use_pool:
@@ -1284,32 +1243,11 @@ class SweepRunner:
                         }
                     )
                     published.append(segment)
-                    spec = (
-                        tuple(cells),
-                        self._pairs,
-                        self._base_seed,
-                        self._batch_size,
-                        self._overlay_options,
-                        table_ref,
-                        self._spec_backend,
-                    )
-                    dispatched.append(pool.apply_async(_run_fused_group, (spec,)))
+                    spec = (tuple(cells), table_ref) + shared
+                    dispatched.append(pool.apply_async(_run_group, (spec,)))
                 grouped = [task.get() for task in dispatched]
             else:
-                grouped = [
-                    _run_fused_group(
-                        (
-                            tuple(cells),
-                            self._pairs,
-                            self._base_seed,
-                            self._batch_size,
-                            self._overlay_options,
-                            None,
-                            self._spec_backend,
-                        )
-                    )
-                    for cells in groups.values()
-                ]
+                grouped = [_run_group((tuple(cells), None) + shared) for cells in groups.values()]
         finally:
             for segment in published:
                 try:
@@ -1349,9 +1287,6 @@ class SweepRunner:
         reproducing the adaptive run's rows bit-identically.  With neither,
         behaviour (and every measured byte) is unchanged.
         """
-        # Imported here: static_resilience imports this module at load time.
-        from .static_resilience import ResilienceSweepResult, StaticResilienceResult
-
         failure_model = check_failure_model_kind(failure_model)
         if adaptive is not None or replay_allocation is not None:
             return self._sweep_adaptive(
@@ -1359,49 +1294,21 @@ class SweepRunner:
             )
         self._last_adaptive_report = None
         cell_results = self.run([geometry], d, failure_probabilities, [failure_model])
-        overlay_cls = OVERLAY_CLASSES[geometry]
-        point_results = []
-        for q in failure_probabilities:
-            pooled: Optional[RoutingMetrics] = None
-            degenerate = 0
-            for replicate in range(self._replicates):
-                result = cell_results[
-                    SweepCell(
-                        geometry=geometry, d=d, q=q, replicate=replicate, model=failure_model
-                    )
-                ]
-                if result.degenerate:
-                    degenerate += 1
-                    continue
-                pooled = result.metrics if pooled is None else pooled.merged_with(result.metrics)
-            if pooled is None:
-                pooled = RoutingMetrics(
-                    attempts=0,
-                    successes=0,
-                    mean_hops_successful=float("nan"),
-                    mean_hops_failed=float("nan"),
-                    failure_reasons={},
-                )
-            point_results.append(
-                StaticResilienceResult(
-                    geometry=geometry,
-                    system=overlay_cls.system_name,
-                    d=d,
-                    q=q,
-                    trials=self._replicates,
-                    pairs_per_trial=self._pairs,
-                    metrics=pooled,
-                    degenerate_trials=degenerate,
-                    failure_model=failure_model,
-                )
-            )
-        return ResilienceSweepResult(
-            geometry=geometry,
-            system=overlay_cls.system_name,
-            d=d,
-            results=tuple(point_results),
-            backend_name=self._backend_name,
-            failure_model=failure_model,
+        replicates = range(self._replicates)
+        points = [
+            (q, [cell_results[SweepCell(geometry, d, q, r, failure_model)] for r in replicates])
+            for q in failure_probabilities
+        ]
+        return self._pooled(geometry, d, points, failure_model)
+
+    def _pooled(self, geometry: str, d: int, points, failure_model: str) -> "ResilienceSweepResult":
+        """Pool ``(q, cell results)`` points with this runner's pairs and backend."""
+        # Imported here: static_resilience imports this module at load time.
+        from .static_resilience import _pool_sweep
+
+        return _pool_sweep(
+            geometry, OVERLAY_CLASSES[geometry].system_name, d, points,
+            pairs=self._pairs, backend_name=self._backend_name, failure_model=failure_model,
         )
 
     def _sweep_adaptive(
@@ -1416,7 +1323,6 @@ class SweepRunner:
         """The adaptive/replayed branch of :meth:`sweep` (arguments validated
         here; the uniform branch stays byte-for-byte untouched)."""
         from .adaptive import AdaptiveConfig, AllocationLedger, SweepPoint, run_allocation
-        from .static_resilience import ResilienceSweepResult, StaticResilienceResult
 
         if not len(failure_probabilities):
             raise InvalidParameterError("failure_probabilities must not be empty")
@@ -1474,42 +1380,4 @@ class SweepRunner:
         results, report = run_allocation(points, run_round, config, replay=replay_allocation)
         self._last_run_stats = SweepRunStats(**totals)
         self._last_adaptive_report = report
-        overlay_cls = OVERLAY_CLASSES[geometry]
-        point_results = []
-        for point, allocation in zip(points, report.allocations):
-            pooled: Optional[RoutingMetrics] = None
-            degenerate = 0
-            for result in results[point]:
-                if result.degenerate:
-                    degenerate += 1
-                    continue
-                pooled = result.metrics if pooled is None else pooled.merged_with(result.metrics)
-            if pooled is None:
-                pooled = RoutingMetrics(
-                    attempts=0,
-                    successes=0,
-                    mean_hops_successful=float("nan"),
-                    mean_hops_failed=float("nan"),
-                    failure_reasons={},
-                )
-            point_results.append(
-                StaticResilienceResult(
-                    geometry=geometry,
-                    system=overlay_cls.system_name,
-                    d=d,
-                    q=point.q,
-                    trials=allocation.trials,
-                    pairs_per_trial=self._pairs,
-                    metrics=pooled,
-                    degenerate_trials=degenerate,
-                    failure_model=failure_model,
-                )
-            )
-        return ResilienceSweepResult(
-            geometry=geometry,
-            system=overlay_cls.system_name,
-            d=d,
-            results=tuple(point_results),
-            backend_name=self._backend_name,
-            failure_model=failure_model,
-        )
+        return self._pooled(geometry, d, [(point.q, results[point]) for point in points], failure_model)

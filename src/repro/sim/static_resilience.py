@@ -26,6 +26,7 @@ path is the oracle), so the choice only affects speed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
@@ -49,13 +50,11 @@ from ..validation import (
 from .engine import (
     ROUTING_ENGINES,
     BackendLike,
-    SweepCell,
     SweepCellResult,
-    _empty_outcome,
-    _sample_cell,
+    _measure_cells,
+    _route_cell_groups,
     check_engine,
     resolve_backend,
-    route_pairs_stacked,
 )
 from .sampling import sample_survivor_pair_arrays
 
@@ -180,6 +179,42 @@ class ResilienceSweepResult:
         ]
 
 
+def _pooled_result(
+    geometry: str, system: str, d: int, q: float,
+    trial_metrics: Sequence[Optional[RoutingMetrics]], *, pairs: int, failure_model: str,
+) -> StaticResilienceResult:
+    """Pool per-trial metrics in trial order; ``None`` marks a degenerate trial."""
+    measured = [metrics for metrics in trial_metrics if metrics is not None]
+    pooled = functools.reduce(RoutingMetrics.merged_with, measured) if measured else summarize_routes([])
+    return StaticResilienceResult(
+        geometry=geometry, system=system, d=d, q=q, trials=len(trial_metrics), pairs_per_trial=pairs,
+        metrics=pooled, degenerate_trials=len(trial_metrics) - len(measured), failure_model=failure_model,
+    )
+
+
+def _pool_sweep(
+    geometry: str, system: str, d: int, points: Sequence[Tuple[float, Sequence[SweepCellResult]]],
+    *, pairs: int, backend_name: Optional[str], failure_model: str,
+) -> ResilienceSweepResult:
+    """Pool each ``(q, cell results in replicate order)`` point into a sweep result.
+
+    The one pooling step of the grid-driven sweeps: :meth:`SweepRunner.sweep
+    <repro.sim.engine.SweepRunner.sweep>` (uniform and adaptive) and the
+    adaptive branch of :func:`sweep_failure_probabilities`.
+    """
+    results = tuple(
+        _pooled_result(
+            geometry, system, d, q, [None if cell.degenerate else cell.metrics for cell in cells],
+            pairs=pairs, failure_model=failure_model,
+        )
+        for q, cells in points
+    )
+    return ResilienceSweepResult(
+        geometry=geometry, system=system, d=d, results=results,
+        backend_name=backend_name, failure_model=failure_model,
+    )
+
+
 def build_overlay(
     geometry: str,
     d: int,
@@ -261,8 +296,6 @@ def measure_routability(
     model_label = "uniform" if failure_model is None else failure_model.description
     model = model.bind(overlay)
 
-    pooled: Optional[RoutingMetrics] = None
-    degenerate = 0
     # Mask generation is one vectorized sample_batch call — property-tested
     # stream-identical to sampling the masks one trial at a time — while
     # pair sampling stays a sequential per-trial loop.  Both engines share
@@ -270,56 +303,33 @@ def measure_routability(
     # draw and measure bit-identical metrics.  Note the draw *order* is
     # masks-then-pairs since PR 4 (previously mask and pair draws
     # interleaved per trial), so seeded multi-trial numbers differ from
-    # pre-PR-4 releases; the cross-engine/dispatch/backend invariants are
-    # unaffected.  Under the batch engine the routing itself is deferred
-    # and fused across trials, which consumes no randomness.
-    all_masks = model.sample_batch(overlay.n_nodes, trials, generator)
-    trial_masks: List[np.ndarray] = []
-    trial_sources: List[np.ndarray] = []
-    trial_destinations: List[np.ndarray] = []
-    for alive in all_masks:
+    # pre-PR-4 releases; the cross-engine/backend invariants are
+    # unaffected.  Routing is deferred until every trial is sampled, which
+    # consumes no randomness.
+    groups = []
+    for alive in model.sample_batch(overlay.n_nodes, trials, generator):
         if int(alive.sum()) < 2:
-            degenerate += 1
+            groups.append(None)
             continue
         sources, destinations = sample_survivor_pair_arrays(alive, pairs, generator)
-        if engine == "batch":
-            trial_masks.append(alive)
-            trial_sources.append(sources)
-            trial_destinations.append(destinations)
-            continue
-        results = [
-            overlay.route(int(source), int(destination), alive)
-            for source, destination in zip(sources.tolist(), destinations.tolist())
-        ]
-        metrics = summarize_routes(results)
-        pooled = metrics if pooled is None else pooled.merged_with(metrics)
-    if trial_masks:
-        outcome = route_pairs_stacked(
-            overlay,
-            np.concatenate(trial_sources),
-            np.concatenate(trial_destinations),
-            np.stack(trial_masks),
-            np.repeat(np.arange(len(trial_masks), dtype=np.int64), pairs),
-            batch_size=batch_size,
-            backend=backend,
+        groups.append((alive, sources, destinations))
+    if engine == "batch":
+        trial_metrics = _route_cell_groups(
+            overlay, groups, batch_size=batch_size, backend=backend
         )
-        # Per-trial metrics merged in trial order: bit-identical to pooling
-        # one route_pairs call per trial.
-        for index in range(len(trial_masks)):
-            metrics = outcome.sliced(index * pairs, (index + 1) * pairs).to_metrics()
-            pooled = metrics if pooled is None else pooled.merged_with(metrics)
-    if pooled is None:
-        pooled = summarize_routes([])
-    return StaticResilienceResult(
-        geometry=overlay.geometry_name,
-        system=overlay.system_name,
-        d=overlay.d,
-        q=q,
-        trials=trials,
-        pairs_per_trial=pairs,
-        metrics=pooled,
-        degenerate_trials=degenerate,
-        failure_model=model_label,
+    else:
+        trial_metrics = [
+            None
+            if group is None
+            else summarize_routes(
+                overlay.route(int(source), int(destination), group[0])
+                for source, destination in zip(group[1].tolist(), group[2].tolist())
+            )
+            for group in groups
+        ]
+    return _pooled_result(
+        overlay.geometry_name, overlay.system_name, overlay.d, q, trial_metrics,
+        pairs=pairs, failure_model=model_label,
     )
 
 
@@ -505,75 +515,18 @@ def _adaptive_sweep(
     ]
 
     def run_round(batch):
-        # Mirror the engine's fused group: sample every cell's mask/pairs
-        # from its own stream, then route all non-degenerate cells in one
-        # stacked kernel invocation.
-        results: Dict[SweepCell, SweepCellResult] = {}
-        masks: List[np.ndarray] = []
-        sources: List[np.ndarray] = []
-        destinations: List[np.ndarray] = []
-        routed: List[SweepCell] = []
-        for cell in batch:
-            sampled = _sample_cell(overlay, cell, pairs, base_seed)
-            if sampled is None:
-                results[cell] = SweepCellResult(
-                    cell=cell, pairs=pairs, metrics=_empty_outcome().to_metrics(), degenerate=True
-                )
-                continue
-            alive, cell_sources, cell_destinations = sampled
-            masks.append(alive)
-            sources.append(cell_sources)
-            destinations.append(cell_destinations)
-            routed.append(cell)
-        if routed:
-            outcome = route_pairs_stacked(
-                overlay,
-                np.concatenate(sources),
-                np.concatenate(destinations),
-                np.stack(masks),
-                np.repeat(np.arange(len(routed), dtype=np.int64), pairs),
-                batch_size=batch_size,
-                backend=resolved_backend,
-            )
-            for index, cell in enumerate(routed):
-                cell_outcome = outcome.sliced(index * pairs, (index + 1) * pairs)
-                results[cell] = SweepCellResult(
-                    cell=cell, pairs=pairs, metrics=cell_outcome.to_metrics()
-                )
-        return results
-
-    results, report = run_allocation(points, run_round, config)
-    point_results = []
-    for point, allocation in zip(points, report.allocations):
-        pooled: Optional[RoutingMetrics] = None
-        degenerate = 0
-        for result in results[point]:
-            if result.degenerate:
-                degenerate += 1
-                continue
-            pooled = result.metrics if pooled is None else pooled.merged_with(result.metrics)
-        if pooled is None:
-            pooled = summarize_routes([])
-        point_results.append(
-            StaticResilienceResult(
-                geometry=overlay.geometry_name,
-                system=overlay.system_name,
-                d=overlay.d,
-                q=point.q,
-                trials=allocation.trials,
-                pairs_per_trial=pairs,
-                metrics=pooled,
-                degenerate_trials=degenerate,
-                failure_model=model_kind,
-            )
+        # Every cell samples from its own stream, and the round's cells are
+        # routed as one group on the overlay, like one runner task.
+        measured = _measure_cells(
+            overlay, batch, pairs, base_seed, batch_size=batch_size, backend=resolved_backend
         )
-    return ResilienceSweepResult(
-        geometry=overlay.geometry_name,
-        system=overlay.system_name,
-        d=overlay.d,
-        results=tuple(point_results),
-        backend_name=resolved_backend.name,
-        failure_model=model_kind,
+        return dict(zip(batch, measured))
+
+    results, _ = run_allocation(points, run_round, config)
+    return _pool_sweep(
+        overlay.geometry_name, overlay.system_name, overlay.d,
+        [(point.q, results[point]) for point in points],
+        pairs=pairs, backend_name=resolved_backend.name, failure_model=model_kind,
     )
 
 

@@ -7,7 +7,7 @@ The allocator's whole value rests on two properties this file pins down:
   inequality), so freezing on its half-width means what the docs say.
 * **Determinism**: adaptive rounds are replicate indices of the uniform
   grid, so every adaptive row pools exactly the uniform sweep's first-``k``
-  cells — across worker counts, both dispatch modes, and result-store hits
+  cells — across worker counts, the per-cell reference, and result-store hits
   — and a recorded ledger replays bit-identically.
 """
 
@@ -31,6 +31,7 @@ from repro.sim.adaptive import (
     wilson_halfwidth,
     wilson_interval,
 )
+from repro.sim.conformance import _per_cell_reference
 from repro.sim.engine import SweepCell, SweepCellResult, SweepRunner
 from repro.dht.metrics import RoutingMetrics
 
@@ -384,30 +385,28 @@ def _pool_prefix(cell_results, q, k, model="uniform"):
 
 class TestEngineStreamDiscipline:
     @pytest.mark.parametrize("workers", [1, 3, 4])
-    @pytest.mark.parametrize("fused", [True, False])
-    def test_adaptive_rows_pool_the_uniform_prefix(self, workers, fused):
+    def test_adaptive_rows_pool_the_uniform_prefix(self, workers):
         # The adaptive sweep's every point must pool exactly the uniform
-        # grid's first-k cells — for any worker count and both dispatch
-        # modes, because rounds are replicate indices, not fresh draws.
-        with SweepRunner(
-            pairs=PAIRS, replicates=MAX_TRIALS, workers=workers, fused=fused
-        ) as runner:
+        # grid's first-k cells — as the runner computes them at any worker
+        # count and as the per-cell reference does — because rounds are
+        # replicate indices, not fresh draws.
+        with SweepRunner(pairs=PAIRS, replicates=MAX_TRIALS, workers=workers) as runner:
             uniform_cells = runner.run([GEOMETRY], D, QS)
             adaptive = runner.sweep(GEOMETRY, D, QS, adaptive=CONFIG)
             report = runner.last_adaptive_report
+        reference = _per_cell_reference(list(uniform_cells), pairs=PAIRS, base_seed=20060328)
         assert report is not None and not report.replayed
         for result, allocation in zip(adaptive.results, report.allocations):
-            attempts, successes = _pool_prefix(uniform_cells, result.q, allocation.trials)
-            assert result.metrics.attempts == attempts == allocation.attempts
-            assert result.metrics.successes == successes == allocation.successes
+            for cells in (uniform_cells, reference):
+                attempts, successes = _pool_prefix(cells, result.q, allocation.trials)
+                assert result.metrics.attempts == attempts == allocation.attempts
+                assert result.metrics.successes == successes == allocation.successes
             assert result.trials == allocation.trials
 
-    def test_identical_rows_across_workers_and_dispatch_modes(self):
+    def test_identical_rows_across_worker_counts(self):
         reference = None
-        for workers, fused in [(1, True), (3, True), (4, False)]:
-            with SweepRunner(
-                pairs=PAIRS, replicates=MAX_TRIALS, workers=workers, fused=fused
-            ) as runner:
+        for workers in (1, 3, 4):
+            with SweepRunner(pairs=PAIRS, replicates=MAX_TRIALS, workers=workers) as runner:
                 rows = runner.sweep(GEOMETRY, D, QS, adaptive=CONFIG).as_rows()
                 schedule = runner.last_adaptive_report.as_rows()
             if reference is None:

@@ -31,22 +31,18 @@ class TestParser:
         )
         assert arguments.q == [0.1, 0.3]
 
-    def test_fused_dispatch_is_the_default(self):
-        arguments = build_parser().parse_args(
-            ["simulate", "--geometry", "ring", "--q", "0.1", "--d", "8"]
-        )
-        assert arguments.fused is True
-
-    def test_per_cell_flag_disables_fusing(self):
-        for command in (["simulate", "--geometry", "ring", "--q", "0.1"], ["run", "FIG6A"]):
-            arguments = build_parser().parse_args([*command, "--per-cell"])
-            assert arguments.fused is False
-
-    def test_fused_and_per_cell_are_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["simulate", "--geometry", "ring", "--q", "0.1", "--fused", "--per-cell"]
-            )
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["simulate", "--geometry", "ring", "--q", "0.1"], "--per-cell"),
+            (["run", "FIG6A"], "--fused"),
+        ],
+    )
+    def test_removed_dispatch_flags_exit_2(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([*command, flag])
+        assert raised.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestCommands:
@@ -94,17 +90,6 @@ class TestCommands:
         assert "routability" in output
         assert "hypercube" in output
 
-    def test_simulate_per_cell_matches_fused(self, capsys):
-        command = [
-            "simulate", "--geometry", "xor", "--d", "7",
-            "--q", "0.2", "0.5", "--pairs", "80", "--trials", "2",
-        ]
-        assert main(command) == 0
-        fused_output = capsys.readouterr().out
-        assert main([*command, "--per-cell"]) == 0
-        per_cell_output = capsys.readouterr().out
-        assert fused_output == per_cell_output
-
     def test_run_experiment_command(self, capsys):
         assert main(
             ["run", "TAB-SCAL", "--pairs", "50", "--trials", "1"]
@@ -144,17 +129,6 @@ class TestFailureModelOption:
         ) == 0
         output = capsys.readouterr().out
         assert model in output  # the table title names the model
-
-    def test_per_cell_matches_fused_for_nonuniform_model(self, capsys):
-        command = [
-            "simulate", "--geometry", "ring", "--d", "6",
-            "--q", "0.2", "0.5", "--pairs", "60", "--trials", "2",
-            "--failure-model", "regional",
-        ]
-        assert main(command) == 0
-        fused_output = capsys.readouterr().out
-        assert main([*command, "--per-cell"]) == 0
-        assert fused_output == capsys.readouterr().out
 
 
 class TestChurnTraceOption:

@@ -4,8 +4,9 @@ The fused path is a third implementation of the routing rules, bound by the
 same invariant chain as the batch kernels: ``route_pairs_stacked`` must agree
 pair-for-pair with per-cell :func:`route_pairs` (which is itself
 property-tested against the scalar ``Overlay.route`` oracle), and
-``SweepRunner``'s fused dispatch must produce bit-identical cell results to
-the per-cell dispatch for any worker count.
+``SweepRunner``'s grouped dispatch must produce bit-identical cell results
+to the per-cell reference (``repro.sim.conformance._per_cell_reference``)
+for any worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import pytest
 from repro.dht.failures import survival_mask
 from repro.exceptions import InvalidParameterError, RoutingError
 from repro.sim.churn import ChurnConfig, simulate_churn
-from repro.sim.engine import SweepRunner, route_pairs, route_pairs_stacked
+from repro.sim.conformance import _per_cell_reference
+from repro.sim.engine import SweepCell, SweepRunner, route_pairs, route_pairs_stacked
 from repro.sim.sampling import sample_survivor_pair_arrays
 from repro.sim.static_resilience import build_overlay
 
@@ -195,7 +197,7 @@ class TestStackedRouting:
 
 
 class TestFusedSweepRunner:
-    """Fused dispatch is bit-identical to per-cell dispatch for any worker count."""
+    """Grouped dispatch is bit-identical to the per-cell reference for any worker count."""
 
     GEOMETRIES = ("tree", "hypercube", "xor", "ring", "smallworld")
     # q = 1.0 kills every node, so the grid includes degenerate cells.
@@ -203,14 +205,10 @@ class TestFusedSweepRunner:
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_fused_matches_per_cell(self, workers):
-        reference = SweepRunner(
-            pairs=80, replicates=2, workers=1, base_seed=606, fused=False
-        ).run(list(self.GEOMETRIES), SMALL_D, list(self.QS))
-        with SweepRunner(
-            pairs=80, replicates=2, workers=workers, base_seed=606, fused=True
-        ) as runner:
+        with SweepRunner(pairs=80, replicates=2, workers=workers, base_seed=606) as runner:
             fused = runner.run(list(self.GEOMETRIES), SMALL_D, list(self.QS))
-        assert fused.keys() == reference.keys()
+        reference = _per_cell_reference(list(fused), pairs=80, base_seed=606)
+        assert len(fused) == len(self.GEOMETRIES) * 2 * len(self.QS)
         for cell, expected in reference.items():
             assert fused[cell].degenerate == expected.degenerate, cell
             assert fused[cell].pairs == expected.pairs, cell
@@ -220,16 +218,13 @@ class TestFusedSweepRunner:
     def test_fused_matches_per_cell_odd_workers_nondefault_batch(self, geometry):
         # An odd worker count (pool size != task-count divisors) combined
         # with a non-default batch size exercises the chunked hop loop under
-        # pooled fused dispatch; metrics must stay bit-identical to the
+        # pooled grouped dispatch; metrics must stay bit-identical to the
         # unchunked single-process per-cell reference.
-        reference = SweepRunner(
-            pairs=70, replicates=2, workers=1, base_seed=404, fused=False
-        ).run([geometry], SMALL_D, list(self.QS))
         with SweepRunner(
-            pairs=70, replicates=2, workers=3, batch_size=17, base_seed=404, fused=True
+            pairs=70, replicates=2, workers=3, batch_size=17, base_seed=404
         ) as runner:
             fused = runner.run([geometry], SMALL_D, list(self.QS))
-        assert fused.keys() == reference.keys()
+        reference = _per_cell_reference(list(fused), pairs=70, base_seed=404)
         for cell, expected in reference.items():
             assert fused[cell].degenerate == expected.degenerate, cell
             assert_metrics_equal(fused[cell].metrics, expected.metrics)
@@ -255,21 +250,18 @@ class TestFusedSweepRunner:
             assert_metrics_equal(fused_step.metrics, scalar_step.metrics)
 
     def test_per_cell_workers_match_fused_pool(self):
-        # Cross mode *and* worker count in one comparison.
-        per_cell = SweepRunner(
-            pairs=60, replicates=2, workers=4, base_seed=99, fused=False
-        )
-        fused = SweepRunner(pairs=60, replicates=2, workers=4, base_seed=99, fused=True)
-        with per_cell, fused:
-            a = per_cell.sweep("xor", SMALL_D, [0.1, 0.6])
-            b = fused.sweep("xor", SMALL_D, [0.1, 0.6])
-        assert a.routabilities == b.routabilities
-        for left, right in zip(a.results, b.results):
-            assert_metrics_equal(left.metrics, right.metrics)
+        # Worker dispatch *and* pooling in one comparison: each pooled point
+        # merges the reference's replicate cells in replicate order.
+        with SweepRunner(pairs=60, replicates=2, workers=4, base_seed=99) as runner:
+            sweep = runner.sweep("xor", SMALL_D, [0.1, 0.6])
+        cells = [SweepCell("xor", SMALL_D, q, r) for q in (0.1, 0.6) for r in range(2)]
+        reference = _per_cell_reference(cells, pairs=60, base_seed=99)
+        for result in sweep.results:
+            first, second = (reference[SweepCell("xor", SMALL_D, result.q, r)] for r in range(2))
+            assert_metrics_equal(result.metrics, first.metrics.merged_with(second.metrics))
 
     def test_fused_memoization_only_adds_missing_cells(self):
         with SweepRunner(pairs=40, replicates=1, workers=1, base_seed=11) as runner:
-            assert runner.fused
             runner.sweep("ring", SMALL_D, [0.1])
             assert runner.completed_cells == 1
             runner.sweep("ring", SMALL_D, [0.1, 0.4])
@@ -306,8 +298,9 @@ class TestFusedSweepRunner:
 
 
 class TestFailureModelGrid:
-    """The (geometry x model x severity x replicate) grid keeps the fused /
-    per-cell / worker bit-identity invariant for every failure model."""
+    """The (geometry x model x severity x replicate) grid keeps the
+    grouped-vs-reference and worker bit-identity invariants for every
+    failure model."""
 
     MODELS = ("uniform", "targeted", "regional", "subtree", "uniform+regional")
     QS = (0.15, 0.45, 1.0)  # includes all-degenerate cells at severity 1.0
@@ -315,14 +308,9 @@ class TestFailureModelGrid:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_fused_matches_per_cell_across_models(self, workers):
         geometries = ["tree", "ring", "smallworld"]
-        reference = SweepRunner(
-            pairs=60, replicates=2, workers=1, base_seed=777, fused=False
-        ).run(geometries, SMALL_D, list(self.QS), list(self.MODELS))
-        with SweepRunner(
-            pairs=60, replicates=2, workers=workers, base_seed=777, fused=True
-        ) as runner:
+        with SweepRunner(pairs=60, replicates=2, workers=workers, base_seed=777) as runner:
             fused = runner.run(geometries, SMALL_D, list(self.QS), list(self.MODELS))
-        assert fused.keys() == reference.keys()
+        reference = _per_cell_reference(list(fused), pairs=60, base_seed=777)
         assert {cell.model for cell in fused} == set(self.MODELS)
         for cell, expected in reference.items():
             assert fused[cell].degenerate == expected.degenerate, cell
@@ -357,12 +345,10 @@ class TestFailureModelGrid:
         # Worker processes resolve the in-degree ranking from the published
         # shared-memory table; the ranking (and hence every mask) must match
         # the in-process build exactly.
-        serial = SweepRunner(
-            pairs=60, replicates=2, workers=1, base_seed=55, fused=True
-        ).run(["smallworld"], SMALL_D, [0.3, 0.6], ["targeted"])
-        with SweepRunner(
-            pairs=60, replicates=2, workers=4, base_seed=55, fused=True
-        ) as runner:
+        serial = SweepRunner(pairs=60, replicates=2, workers=1, base_seed=55).run(
+            ["smallworld"], SMALL_D, [0.3, 0.6], ["targeted"]
+        )
+        with SweepRunner(pairs=60, replicates=2, workers=4, base_seed=55) as runner:
             pooled = runner.run(["smallworld"], SMALL_D, [0.3, 0.6], ["targeted"])
         for cell, expected in serial.items():
             assert_metrics_equal(pooled[cell].metrics, expected.metrics)

@@ -24,6 +24,7 @@ from repro.sim.conformance import (
     assert_hop_limit_parity,
     assert_incremental_parity,
     assert_oracle_parity,
+    assert_reference_parity,
     assert_stacked_parity,
     assert_worker_parity,
     conformance_backends,
@@ -241,9 +242,13 @@ class TestReverseNeighborIndex:
 
 
 class TestWorkerParity:
-    """SweepRunner grids over every registered geometry are worker-invariant."""
+    """SweepRunner grids over every registered geometry are worker-invariant
+    and equal to the per-cell reference."""
 
-    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "per-cell"])
-    def test_all_geometries_all_worker_counts(self, fused):
-        cells = assert_worker_parity(conformance_geometries(), "numpy", fused=fused)
+    def test_all_geometries_all_worker_counts(self):
+        cells = assert_worker_parity(conformance_geometries(), "numpy")
         assert cells == len(conformance_geometries()) * 2 * 2 * len(WORKER_COUNTS)
+
+    def test_all_geometries_match_the_per_cell_reference(self):
+        cells = assert_reference_parity(conformance_geometries(), "numpy")
+        assert cells == len(conformance_geometries()) * 3 * 2

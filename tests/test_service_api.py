@@ -188,8 +188,7 @@ class TestCacheSemantics:
         def _no_kernels(self, pending):
             raise AssertionError(f"kernel execution attempted for {len(pending)} cells")
 
-        monkeypatch.setattr(SweepRunner, "_run_fused", _no_kernels)
-        monkeypatch.setattr(SweepRunner, "_run_per_cell", _no_kernels)
+        monkeypatch.setattr(SweepRunner, "_run_groups", _no_kernels)
 
         with SweepService(_config(store_path)) as service:
             job = service.jobs.submit(GRID)
