@@ -1,11 +1,14 @@
-"""Benchmark ENGINE: vectorized batch routing vs the scalar oracle path.
+"""Benchmark ENGINE: vectorized batch routing vs the scalar oracle reference.
 
 Times the Figure 6(a) simulation sweep (tree, hypercube, XOR at ``d = 10``)
-through both routing engines and records the result to ``BENCH_engine.json``
-(path overridable via ``RCM_BENCH_ENGINE_JSON``) so CI can upload it as the
-perf-trajectory artifact.  Because both engines consume the random stream
-identically, the sweep results must agree exactly — the timing comparison
-doubles as an end-to-end correctness check.
+through the engine (:func:`~repro.sim.static_resilience.sweep_failure_probabilities`)
+and through the conformance harness's scalar-oracle sweep reference, which
+routes the very trials the engine samples pair by pair through
+``Overlay.route``.  The result goes to ``BENCH_engine.json`` (path
+overridable via ``RCM_BENCH_ENGINE_JSON``) so CI can upload it as the
+perf-trajectory artifact.  Both paths consume the random stream
+identically, so the sweep results must agree exactly — the timing
+comparison doubles as an end-to-end correctness check.
 
 The acceptance floor is a ≥10x speedup for the batch engine on the sweep.
 The floor compares two code paths on the same interpreter and machine, so
@@ -19,7 +22,10 @@ import os
 import platform
 import time
 
+import numpy as np
+
 from repro.sim.backends import default_backend_name
+from repro.sim.conformance import _oracle_measure_routability
 from repro.sim.static_resilience import build_overlay, sweep_failure_probabilities
 from repro.workloads.generators import paper_failure_probabilities
 
@@ -29,16 +35,28 @@ ENGINE_D = 10
 PAIRS = 2000
 TRIALS = 3
 SEED = 20060328
-#: Required aggregate speedup of the batch engine over the scalar path.
+#: Required aggregate speedup of the batch engine over the scalar reference.
 SPEEDUP_FLOOR = float(os.environ.get("RCM_BENCH_SPEEDUP_FLOOR", "10"))
 
 
-def _timed_sweep(overlay, failure_probabilities, engine: str):
+def _timed_sweep(overlay, failure_probabilities):
+    """The engine's sweep and its seconds."""
     started = time.perf_counter()
     sweep = sweep_failure_probabilities(
-        overlay, failure_probabilities, pairs=PAIRS, trials=TRIALS, seed=SEED, engine=engine
+        overlay, failure_probabilities, pairs=PAIRS, trials=TRIALS, seed=SEED
     )
-    return sweep, time.perf_counter() - started
+    return sweep.routabilities, time.perf_counter() - started
+
+
+def _timed_oracle_sweep(overlay, failure_probabilities):
+    """The scalar-oracle reference over the same sequential stream, and its seconds."""
+    started = time.perf_counter()
+    generator = np.random.default_rng(SEED)
+    routabilities = tuple(
+        _oracle_measure_routability(overlay, q, pairs=PAIRS, trials=TRIALS, rng=generator).routability
+        for q in failure_probabilities
+    )
+    return routabilities, time.perf_counter() - started
 
 
 def test_engine_speedup_on_fig6a_sweep(benchmark):
@@ -53,10 +71,10 @@ def test_engine_speedup_on_fig6a_sweep(benchmark):
     total_scalar = 0.0
     total_batch = 0.0
     for geometry, overlay in overlays.items():
-        scalar_sweep, scalar_seconds = _timed_sweep(overlay, failure_probabilities, "scalar")
-        batch_sweep, batch_seconds = _timed_sweep(overlay, failure_probabilities, "batch")
-        # Same seed, same stream: the engines must measure identical curves.
-        assert batch_sweep.routabilities == scalar_sweep.routabilities, geometry
+        scalar_routabilities, scalar_seconds = _timed_oracle_sweep(overlay, failure_probabilities)
+        batch_routabilities, batch_seconds = _timed_sweep(overlay, failure_probabilities)
+        # Same seed, same stream: engine and reference must measure identical curves.
+        assert batch_routabilities == scalar_routabilities, geometry
         total_scalar += scalar_seconds
         total_batch += batch_seconds
         per_geometry[geometry] = {
@@ -67,9 +85,7 @@ def test_engine_speedup_on_fig6a_sweep(benchmark):
 
     # Record the batch path in the pytest-benchmark stats as well.
     benchmark.pedantic(
-        lambda: [
-            _timed_sweep(overlay, failure_probabilities, "batch") for overlay in overlays.values()
-        ],
+        lambda: [_timed_sweep(overlay, failure_probabilities) for overlay in overlays.values()],
         rounds=1,
         iterations=1,
     )

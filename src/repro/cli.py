@@ -12,11 +12,10 @@ Subcommands
     Print the Section 5 scalability classification.
 ``rcm simulate --geometry ring --d 10 --q 0.1 0.3 --pairs 1000``
     Run the Monte-Carlo overlay simulator and print measured routability.
-    ``--engine batch|scalar`` selects the vectorized batch engine (default)
-    or the scalar oracle path; ``--failure-model`` swaps the paper's
-    uniform failure model for one of the adversarial/correlated scenarios
-    (degree-targeted, regional, subtree, uniform+regional — the ``--q``
-    values are then the model's severities); ``--backend
+    ``--failure-model`` swaps the paper's uniform failure model for one of
+    the adversarial/correlated scenarios (degree-targeted, regional,
+    subtree, uniform+regional — the ``--q`` values are then the model's
+    severities); ``--backend
     auto|numpy|numba`` picks the kernel backend (``auto`` selects the
     fastest available — the JIT backend when the ``fast`` extra is
     installed); ``--workers N`` fans the sweep across worker processes,
@@ -75,7 +74,6 @@ from .experiments import ExperimentConfig, list_experiments, run_experiment
 from .report.tables import render_table
 from .sim.backends import BACKEND_CHOICES, available_backends
 from .sim.engine import PROFILE_PHASES, SweepRunner
-from .sim.static_resilience import simulate_geometry
 from .workloads.generators import PairWorkload
 
 __all__ = ["build_parser", "main"]
@@ -172,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "print the per-phase wall-time breakdown (overlay build, mask generation, "
-            "kernel hops, reduction) after the results table (batch engine only)"
+            "kernel hops, reduction) after the results table"
         ),
     )
     simulate_parser.add_argument(
@@ -186,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "persistent result store (SQLite file): cells cached there by any earlier "
             "run or a running service are recalled without simulation, fresh cells are "
-            "written back (batch engine only; results are bit-identical either way)"
+            "written back (results are bit-identical either way)"
         ),
     )
     simulate_parser.add_argument(
@@ -196,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
             "variance-adaptive trial allocation: run the sweep in rounds, freeze each "
             "q point once its pooled routability CI half-width reaches --ci-target, "
             "and spend the saved trials nowhere — --trials becomes the per-point cap "
-            "(batch engine only; frozen points are bit-identical to a uniform sweep's "
-            "first rounds)"
+            "(frozen points are bit-identical to a uniform sweep's first rounds)"
         ),
     )
     simulate_parser.add_argument(
@@ -376,17 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     """Engine-related options shared by the simulation-backed subcommands."""
     parser.add_argument(
-        "--engine",
-        choices=("batch", "scalar"),
-        default="batch",
-        help="route pairs through the vectorized batch engine (default) or the scalar oracle path",
-    )
-    parser.add_argument(
         "--backend",
         choices=BACKEND_CHOICES,
         default="auto",
         help=(
-            "kernel backend for the batch engine: auto picks the fastest available; "
+            "kernel backend: auto picks the fastest available; "
             f"available in this environment: {', '.join(available_backends())} "
             "(choices come from the live backend registry; results are bit-identical "
             "for every backend)"
@@ -396,7 +387,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for sweep fan-out (batch engine only; results are identical for any value)",
+        help="worker processes for sweep fan-out (results are identical for any value)",
     )
     parser.add_argument(
         "--batch-size",
@@ -419,7 +410,6 @@ def _command_run(arguments: argparse.Namespace) -> str:
         fast=not arguments.full,
         workload=PairWorkload(pairs=arguments.pairs, trials=arguments.trials, seed=arguments.seed),
         workers=arguments.workers,
-        engine=arguments.engine,
         backend=arguments.backend,
         batch_size=arguments.batch_size,
     )
@@ -481,8 +471,8 @@ def _simulate_churn_trace(arguments: argparse.Namespace) -> str:
     """``rcm simulate --churn-trace``: replay a recorded churn trace.
 
     The trace dictates the join/leave events; ``--pairs`` pairs are routed
-    among usable nodes each step (batch engine: one routing state carried
-    across steps and delta-patched with each step's events).  ``--profile``
+    among usable nodes each step (one routing state carried across steps and
+    delta-patched with each step's events).  ``--profile``
     prints the churn phase breakdown (:data:`CHURN_PROFILE_PHASES`).
     """
     from .exceptions import InvalidParameterError
@@ -503,12 +493,11 @@ def _simulate_churn_trace(arguments: argparse.Namespace) -> str:
         trace=trace,
         repair_every=arguments.churn_repair_every,
     )
-    profile = {} if arguments.profile and arguments.engine == "batch" else None
+    profile = {} if arguments.profile else None
     result = simulate_churn(
         overlay,
         config,
         seed=arguments.seed,
-        engine=arguments.engine,
         batch_size=arguments.batch_size,
         backend=arguments.backend,
         profile=profile,
@@ -523,18 +512,14 @@ def _simulate_churn_trace(arguments: argparse.Namespace) -> str:
             ),
         )
     ]
-    if arguments.profile:
-        if profile:
-            sections.append("")
-            sections.append(
-                render_table(
-                    _profile_rows(profile, known=CHURN_PROFILE_PHASES),
-                    title="[profile] per-phase wall time",
-                )
+    if profile:
+        sections.append("")
+        sections.append(
+            render_table(
+                _profile_rows(profile, known=CHURN_PROFILE_PHASES),
+                title="[profile] per-phase wall time",
             )
-        else:
-            sections.append("")
-            sections.append("note: --profile requires the batch engine; no phases were timed")
+        )
     if arguments.json:
         import json
 
@@ -543,7 +528,6 @@ def _simulate_churn_trace(arguments: argparse.Namespace) -> str:
             "d": arguments.d,
             "churn_trace": arguments.churn_trace,
             "repair_every": arguments.churn_repair_every,
-            "engine": arguments.engine,
             "backend": arguments.backend,
             "rows": rows,
             "profile": profile,
@@ -570,11 +554,6 @@ def _adaptive_arguments(arguments: argparse.Namespace):
                 "--allocation-out requires --adaptive or --replay-allocation"
             )
         return None, None
-    if arguments.engine != "batch":
-        raise InvalidParameterError(
-            "--adaptive/--replay-allocation require the batch engine (per-cell "
-            "entropy streams); drop --engine scalar"
-        )
     if replay_path:
         if adaptive or arguments.ci_target is not None:
             raise InvalidParameterError(
@@ -607,71 +586,54 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
     if arguments.churn_trace:
         return _simulate_churn_trace(arguments)
     adaptive_config, replay_ledger = _adaptive_arguments(arguments)
-    # The batch engine always sweeps through the SweepRunner (not the
-    # sequential-stream driver) so the printed numbers are identical for
-    # every --workers value.
-    profile = None
-    adaptive_report = None
-    if arguments.engine == "batch":
-        cell_store = None
-        if getattr(arguments, "store", None):
-            from .service.store import ResultStore
+    # The sweep always runs through the SweepRunner (not the sequential-stream
+    # driver) so the printed numbers are identical for every --workers value.
+    cell_store = None
+    if getattr(arguments, "store", None):
+        from .service.store import ResultStore
 
-            cell_store = ResultStore.open(arguments.store)
-        with SweepRunner(
-            pairs=arguments.pairs,
-            replicates=arguments.trials,
-            workers=arguments.workers,
-            batch_size=arguments.batch_size,
-            base_seed=arguments.seed,
-            backend=arguments.backend,
-            cell_store=cell_store,
-        ) as runner:
-            sweep = runner.sweep(
-                arguments.geometry,
-                arguments.d,
-                arguments.q,
-                failure_model=arguments.failure_model,
-                adaptive=adaptive_config,
-                replay_allocation=replay_ledger,
-            )
-            profile = runner.profile
-            adaptive_report = runner.last_adaptive_report
-            if adaptive_report is not None:
-                mode = "replayed" if adaptive_report.replayed else "adaptive"
-                print(
-                    f"[{mode}] {adaptive_report.trials_allocated} of "
-                    f"{adaptive_report.trials_uniform} uniform trials allocated over "
-                    f"{adaptive_report.rounds} round(s); {adaptive_report.trials_saved} saved",
-                    file=sys.stderr,
-                )
-                if arguments.allocation_out:
-                    runner.last_allocation_ledger().save(arguments.allocation_out)
-                    print(
-                        f"[{mode}] allocation ledger written to {arguments.allocation_out}",
-                        file=sys.stderr,
-                    )
-            if cell_store is not None:
-                stats = runner.last_run_stats
-                print(
-                    f"[store] {stats.cached} of {stats.requested} cells served from "
-                    f"{arguments.store} ({stats.computed} computed)",
-                    file=sys.stderr,
-                )
-                cell_store.close()
-    else:
-        sweep = simulate_geometry(
+        cell_store = ResultStore.open(arguments.store)
+    with SweepRunner(
+        pairs=arguments.pairs,
+        replicates=arguments.trials,
+        workers=arguments.workers,
+        batch_size=arguments.batch_size,
+        base_seed=arguments.seed,
+        backend=arguments.backend,
+        cell_store=cell_store,
+    ) as runner:
+        sweep = runner.sweep(
             arguments.geometry,
             arguments.d,
             arguments.q,
-            pairs=arguments.pairs,
-            trials=arguments.trials,
-            seed=arguments.seed,
-            failure_models=arguments.failure_model,
-            engine=arguments.engine,
-            batch_size=arguments.batch_size,
-            backend=arguments.backend,
+            failure_model=arguments.failure_model,
+            adaptive=adaptive_config,
+            replay_allocation=replay_ledger,
         )
+        profile = runner.profile
+        adaptive_report = runner.last_adaptive_report
+        if adaptive_report is not None:
+            mode = "replayed" if adaptive_report.replayed else "adaptive"
+            print(
+                f"[{mode}] {adaptive_report.trials_allocated} of "
+                f"{adaptive_report.trials_uniform} uniform trials allocated over "
+                f"{adaptive_report.rounds} round(s); {adaptive_report.trials_saved} saved",
+                file=sys.stderr,
+            )
+            if arguments.allocation_out:
+                runner.last_allocation_ledger().save(arguments.allocation_out)
+                print(
+                    f"[{mode}] allocation ledger written to {arguments.allocation_out}",
+                    file=sys.stderr,
+                )
+        if cell_store is not None:
+            stats = runner.last_run_stats
+            print(
+                f"[store] {stats.cached} of {stats.requested} cells served from "
+                f"{arguments.store} ({stats.computed} computed)",
+                file=sys.stderr,
+            )
+            cell_store.close()
     rows = sweep.as_rows()
     sections = [
         render_table(
@@ -694,15 +656,9 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
                 ),
             )
         )
-    if arguments.profile:
-        if profile:
-            sections.append("")
-            sections.append(
-                render_table(_profile_rows(profile), title="[profile] per-phase wall time")
-            )
-        else:
-            sections.append("")
-            sections.append("note: --profile requires the batch engine; no phases were timed")
+    if arguments.profile and profile:
+        sections.append("")
+        sections.append(render_table(_profile_rows(profile), title="[profile] per-phase wall time"))
     if arguments.json:
         import json
 
@@ -710,7 +666,6 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
             "geometry": arguments.geometry,
             "d": arguments.d,
             "failure_model": arguments.failure_model,
-            "engine": arguments.engine,
             "backend": sweep.backend_name,
             "workers": arguments.workers,
             "rows": rows,

@@ -65,7 +65,7 @@ class AdaptiveSampling(Experiment):
             replicates=trials,
             workers=config.workers,
             batch_size=config.batch_size,
-            backend=config.backend if config.engine == "batch" else None,
+            backend=config.backend,
             base_seed=workload.derived_seed("adaptive-sampling"),
         ) as runner:
             for geometry in ADAPTIVE_GEOMETRIES:
@@ -124,7 +124,6 @@ class AdaptiveSampling(Experiment):
                 "min_trials": adaptive.min_trials,
                 "confidence": adaptive.confidence,
                 "fast": config.fast,
-                "engine": config.engine,
                 "backend": config.backend,
                 "workers": config.workers,
             },

@@ -39,23 +39,19 @@ class ExperimentConfig:
     workers:
         Worker processes for simulation sweeps (``repro.sim.engine.SweepRunner``
         fan-out); ``1`` runs in-process.  Results are identical for any value.
-    engine:
-        Routing engine for simulation-backed experiments: ``"batch"``
-        (vectorized, the default) or ``"scalar"`` (the per-pair oracle path).
     backend:
-        Kernel backend for the batch engine: ``"auto"`` (default — the
+        Kernel backend for the simulation engine: ``"auto"`` (default — the
         fastest available), ``"numpy"``, or ``"numba"`` (JIT, requires the
         ``fast`` extra; falls back to numpy with a warning when absent).
         Backends measure bit-identical metrics.
     batch_size:
-        Optional pair-chunk size for the batch engine (bounds peak memory).
+        Optional pair-chunk size for the simulation engine (bounds peak memory).
     """
 
     fast: bool = True
     simulation_d: Optional[int] = None
     workload: PairWorkload = field(default_factory=PairWorkload)
     workers: int = 1
-    engine: str = "batch"
     backend: str = "auto"
     batch_size: Optional[int] = None
 

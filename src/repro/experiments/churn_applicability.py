@@ -60,7 +60,6 @@ class ChurnApplicability(Experiment):
                 overlay,
                 churn_config,
                 seed=workload.derived_seed(f"churn-run-{geometry_name}"),
-                engine=config.engine,
                 batch_size=config.batch_size,
                 backend=config.backend,
             )
@@ -94,7 +93,6 @@ class ChurnApplicability(Experiment):
                 "steps_per_epoch": churn_config.steps_per_epoch,
                 "pairs_per_step": churn_config.pairs_per_step,
                 "fast": config.fast,
-                "engine": config.engine,
                 "backend": config.backend,
             },
             tables={
@@ -105,9 +103,9 @@ class ChurnApplicability(Experiment):
                 "Between repairs the effective failure probability grows with time; evaluating the "
                 "static RCM expression at q_eff(t) tracks the measured routability throughout the "
                 "epoch, supporting the transfer of the paper's static conclusions to churn.",
-                "Under the batch engine the routing state is carried across steps and "
-                "delta-patched with each step's join/leave events (the KernelSpec update "
-                "hooks); metrics are bit-identical to rebuilding the state every step, "
-                "which the conformance harness's incremental-parity axis enforces.",
+                "The routing state is carried across steps and delta-patched with each "
+                "step's join/leave events (the KernelSpec update hooks); metrics are "
+                "bit-identical to rebuilding the state every step, which the conformance "
+                "harness's incremental-parity axis enforces.",
             ),
         )

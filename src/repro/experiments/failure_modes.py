@@ -20,7 +20,7 @@ resilient, tree most fragile — survive when failures stop being uniform?
 Every cell of the (geometry × model × severity × replicate) grid runs
 through the fused batch engine (:class:`repro.sim.engine.SweepRunner`), so
 all models measure at the same vectorized speed and with the same
-bit-identity guarantees across engines and worker counts.
+bit-identity guarantees across backends and worker counts.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from ..dht import OVERLAY_CLASSES
 from ..sim.engine import SweepRunner
-from ..sim.static_resilience import ResilienceSweepResult, simulate_geometry
+from ..sim.static_resilience import ResilienceSweepResult
 from ..workloads.generators import paper_failure_probabilities
 from .base import Experiment, ExperimentConfig, ExperimentResult
 
@@ -64,47 +64,24 @@ class FailureModeComparison(Experiment):
         severities = paper_failure_probabilities(fast=config.fast)
 
         sweeps: Dict[str, Dict[str, ResilienceSweepResult]] = {}
-        runner: Optional[SweepRunner] = None
-        try:
-            if config.engine == "batch":
-                runner = SweepRunner(
-                    pairs=workload.pairs,
-                    replicates=workload.trials,
-                    workers=config.workers,
-                    batch_size=config.batch_size,
-                    backend=config.backend,
-                    base_seed=workload.derived_seed("failmodes"),
-                )
-                # One dispatch over the whole (geometry x model x severity x
-                # replicate) grid: cells of different models share overlay
-                # builds, so the fused groups span the model axis too.  The
-                # per-(model, geometry) sweeps below are served from the memo.
-                runner.run(
-                    list(FAILMODE_GEOMETRIES), d, severities, list(FAILMODE_MODELS)
-                )
+        with SweepRunner(
+            pairs=workload.pairs,
+            replicates=workload.trials,
+            workers=config.workers,
+            batch_size=config.batch_size,
+            backend=config.backend,
+            base_seed=workload.derived_seed("failmodes"),
+        ) as runner:
+            # One dispatch over the whole (geometry x model x severity x
+            # replicate) grid: cells of different models share overlay
+            # builds, so the fused groups span the model axis too.  The
+            # per-(model, geometry) sweeps below are served from the memo.
+            runner.run(list(FAILMODE_GEOMETRIES), d, severities, list(FAILMODE_MODELS))
             for model in FAILMODE_MODELS:
-                sweeps[model] = {}
-                for geometry in FAILMODE_GEOMETRIES:
-                    if runner is not None:
-                        sweeps[model][geometry] = runner.sweep(
-                            geometry, d, severities, failure_model=model
-                        )
-                    else:
-                        sweeps[model][geometry] = simulate_geometry(
-                            geometry,
-                            d,
-                            severities,
-                            pairs=workload.pairs,
-                            trials=workload.trials,
-                            seed=workload.derived_seed(f"failmodes-{model}-{geometry}"),
-                            failure_models=model,
-                            engine=config.engine,
-                            batch_size=config.batch_size,
-                            backend=config.backend,
-                        )
-        finally:
-            if runner is not None:
-                runner.close()
+                sweeps[model] = {
+                    geometry: runner.sweep(geometry, d, severities, failure_model=model)
+                    for geometry in FAILMODE_GEOMETRIES
+                }
 
         tables: Dict[str, List[Dict[str, object]]] = {}
         for model in FAILMODE_MODELS:
@@ -149,7 +126,6 @@ class FailureModeComparison(Experiment):
                 "reference_severity": severities[reference_index],
                 "failure_models": FAILMODE_MODELS,
                 "fast": config.fast,
-                "engine": config.engine,
                 "backend": config.backend,
                 "workers": config.workers,
             },

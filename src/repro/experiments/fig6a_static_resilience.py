@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 
 from ..core.routability import failed_path_curve
 from ..sim.engine import SweepRunner
-from ..sim.static_resilience import simulate_geometry
 from ..workloads.generators import paper_failure_probabilities
 from .base import Experiment, ExperimentConfig, ExperimentResult
 
@@ -48,47 +47,27 @@ class Fig6aStaticResilience(Experiment):
         # q = 1 - epsilon regions are uninformative and q values beyond 0.9 can
         # leave too few survivors to sample pairs from; the paper stops at 90%.
 
-        runner: Optional[SweepRunner] = None
-        try:
-            if config.engine == "batch":
-                runner = SweepRunner(
-                    pairs=workload.pairs,
-                    replicates=workload.trials,
-                    workers=config.workers,
-                    batch_size=config.batch_size,
-                    backend=config.backend,
-                    base_seed=workload.derived_seed("fig6a-sim"),
-                )
-                # Fan the whole (geometry x q x replicate) grid out at once so the
-                # worker pool parallelises across geometries too; the per-geometry
-                # sweeps below are then served from the runner's memo.
-                runner.run(list(FIG6A_GEOMETRIES), simulation_d, failure_probabilities)
-
+        with SweepRunner(
+            pairs=workload.pairs,
+            replicates=workload.trials,
+            workers=config.workers,
+            batch_size=config.batch_size,
+            backend=config.backend,
+            base_seed=workload.derived_seed("fig6a-sim"),
+        ) as runner:
+            # Fan the whole (geometry x q x replicate) grid out at once so the
+            # worker pool parallelises across geometries too; the per-geometry
+            # sweeps below are then served from the runner's memo.
+            runner.run(list(FIG6A_GEOMETRIES), simulation_d, failure_probabilities)
             rows: List[Dict[str, object]] = [dict(q=q) for q in failure_probabilities]
             for geometry in FIG6A_GEOMETRIES:
                 analytical = failed_path_curve(geometry, failure_probabilities, d=ANALYTICAL_D)
-                if runner is not None:
-                    sweep = runner.sweep(geometry, simulation_d, failure_probabilities)
-                else:
-                    sweep = simulate_geometry(
-                        geometry,
-                        simulation_d,
-                        failure_probabilities,
-                        pairs=workload.pairs,
-                        trials=workload.trials,
-                        seed=workload.derived_seed(f"fig6a-{geometry}"),
-                        engine=config.engine,
-                        batch_size=config.batch_size,
-                        backend=config.backend,
-                    )
+                sweep = runner.sweep(geometry, simulation_d, failure_probabilities)
                 for row, analytical_value, simulated_value in zip(
                     rows, analytical.y_values, sweep.failed_path_percentages
                 ):
                     row[f"{geometry}_analytical"] = analytical_value
                     row[f"{geometry}_simulated"] = simulated_value
-        finally:
-            if runner is not None:
-                runner.close()
 
         return self._result(
             parameters={
@@ -97,7 +76,6 @@ class Fig6aStaticResilience(Experiment):
                 "pairs": workload.pairs,
                 "trials": workload.trials,
                 "fast": config.fast,
-                "engine": config.engine,
                 "backend": config.backend,
                 "workers": config.workers,
             },

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 
 from ..core.routability import failed_path_curve
 from ..sim.engine import SweepRunner
-from ..sim.static_resilience import simulate_geometry
 from ..workloads.generators import paper_failure_probabilities
 from .base import Experiment, ExperimentConfig, ExperimentResult
 
@@ -42,28 +41,15 @@ class Fig6bRingBound(Experiment):
         failure_probabilities = paper_failure_probabilities(fast=config.fast)
 
         analytical = failed_path_curve("ring", failure_probabilities, d=ANALYTICAL_D)
-        if config.engine == "batch":
-            with SweepRunner(
-                pairs=workload.pairs,
-                replicates=workload.trials,
-                workers=config.workers,
-                batch_size=config.batch_size,
-                backend=config.backend,
-                base_seed=workload.derived_seed("fig6b-ring"),
-            ) as runner:
-                sweep = runner.sweep("ring", simulation_d, failure_probabilities)
-        else:
-            sweep = simulate_geometry(
-                "ring",
-                simulation_d,
-                failure_probabilities,
-                pairs=workload.pairs,
-                trials=workload.trials,
-                seed=workload.derived_seed("fig6b-ring"),
-                engine=config.engine,
-                batch_size=config.batch_size,
-                backend=config.backend,
-            )
+        with SweepRunner(
+            pairs=workload.pairs,
+            replicates=workload.trials,
+            workers=config.workers,
+            batch_size=config.batch_size,
+            backend=config.backend,
+            base_seed=workload.derived_seed("fig6b-ring"),
+        ) as runner:
+            sweep = runner.sweep("ring", simulation_d, failure_probabilities)
         rows: List[Dict[str, object]] = []
         for q, analytical_value, simulated_value in zip(
             failure_probabilities, analytical.y_values, sweep.failed_path_percentages
@@ -91,7 +77,6 @@ class Fig6bRingBound(Experiment):
                 "pairs": workload.pairs,
                 "trials": workload.trials,
                 "fast": config.fast,
-                "engine": config.engine,
                 "backend": config.backend,
                 "workers": config.workers,
             },

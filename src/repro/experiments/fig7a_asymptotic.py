@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 from ..core.geometries import PAPER_GEOMETRIES
 from ..core.routability import failed_path_curve
 from ..sim.engine import SweepRunner
-from ..sim.static_resilience import simulate_geometry
 from ..workloads.generators import paper_failure_probabilities
 from .base import Experiment, ExperimentConfig, ExperimentResult
 
@@ -77,43 +76,24 @@ class Fig7aAsymptoticLimit(Experiment):
             )
 
         # Finite-size anchor: measure the same curves at a simulable size.
-        runner: Optional[SweepRunner] = None
         validation_rows: List[Dict[str, object]] = [dict(q=q) for q in failure_probabilities]
-        try:
-            if config.engine == "batch":
-                runner = SweepRunner(
-                    pairs=workload.pairs,
-                    replicates=workload.trials,
-                    workers=config.workers,
-                    batch_size=config.batch_size,
-                    backend=config.backend,
-                    base_seed=workload.derived_seed("fig7a-sim"),
-                )
-                runner.run(list(PAPER_GEOMETRIES), validation_d, failure_probabilities)
+        with SweepRunner(
+            pairs=workload.pairs,
+            replicates=workload.trials,
+            workers=config.workers,
+            batch_size=config.batch_size,
+            backend=config.backend,
+            base_seed=workload.derived_seed("fig7a-sim"),
+        ) as runner:
+            runner.run(list(PAPER_GEOMETRIES), validation_d, failure_probabilities)
             for geometry in PAPER_GEOMETRIES:
                 analytical_at_d = failed_path_curve(geometry, failure_probabilities, d=validation_d)
-                if runner is not None:
-                    sweep = runner.sweep(geometry, validation_d, failure_probabilities)
-                else:
-                    sweep = simulate_geometry(
-                        geometry,
-                        validation_d,
-                        failure_probabilities,
-                        pairs=workload.pairs,
-                        trials=workload.trials,
-                        seed=workload.derived_seed(f"fig7a-{geometry}"),
-                        engine=config.engine,
-                        batch_size=config.batch_size,
-                        backend=config.backend,
-                    )
+                sweep = runner.sweep(geometry, validation_d, failure_probabilities)
                 for row, analytical_value, simulated_value in zip(
                     validation_rows, analytical_at_d.y_values, sweep.failed_path_percentages
                 ):
                     row[f"{geometry}_analytical"] = analytical_value
                     row[f"{geometry}_simulated"] = simulated_value
-        finally:
-            if runner is not None:
-                runner.close()
 
         return self._result(
             parameters={
@@ -123,7 +103,6 @@ class Fig7aAsymptoticLimit(Experiment):
                 "symphony_near_neighbors": 1,
                 "symphony_shortcuts": 1,
                 "fast": config.fast,
-                "engine": config.engine,
                 "backend": config.backend,
                 "workers": config.workers,
             },

@@ -85,7 +85,6 @@ class TraceChurn(Experiment):
                     overlay,
                     churn_config,
                     seed=workload.derived_seed(f"trace-run-{geometry_name}-{trace_name}"),
-                    engine=config.engine,
                     batch_size=config.batch_size,
                     backend=config.backend,
                 )
@@ -126,7 +125,6 @@ class TraceChurn(Experiment):
                 "markov": MARKOV_RATES,
                 "pareto": PARETO_SESSIONS,
                 "fast": config.fast,
-                "engine": config.engine,
                 "backend": config.backend,
             },
             tables={

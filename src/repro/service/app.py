@@ -142,7 +142,7 @@ class SweepService:
             faults=faults,
         )
         self.routes = build_routes(self)
-        self._started = time.time()
+        self._started = time.monotonic()
 
     # ------------------------------------------------------------------ #
     # introspection payloads (healthz / metrics handlers)
@@ -154,7 +154,7 @@ class SweepService:
             "version": __version__,
             "store": dict(self.store.describe()),
             "jobs": self.jobs.state_counts(),
-            "uptime_seconds": time.time() - self._started,
+            "uptime_seconds": time.monotonic() - self._started,
         }
 
     def metrics_text(self) -> str:
@@ -207,7 +207,7 @@ class SweepService:
         lines += [
             "# HELP rcm_uptime_seconds Seconds since this instance started.",
             "# TYPE rcm_uptime_seconds gauge",
-            f"rcm_uptime_seconds {time.time() - self._started:.3f}",
+            f"rcm_uptime_seconds {time.monotonic() - self._started:.3f}",
         ]
         return "\n".join(lines) + "\n"
 

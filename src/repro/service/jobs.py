@@ -289,9 +289,13 @@ class SweepJob:
         self._store_hits = 0
         self._adaptive_trials_saved = 0
         self._retries = 0
+        # Wall-clock stamps feed the status payload; durations and TTLs use
+        # the monotonic stamps, which a wall-clock step (NTP, DST) cannot move.
         self._created = time.time()
+        self._created_monotonic = time.monotonic()
         self._started: Optional[float] = None
         self._finished: Optional[float] = None
+        self._finished_monotonic: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     # lifecycle transitions (called by the manager's worker thread)
@@ -361,7 +365,11 @@ class SweepJob:
             else:
                 self._state = "done_with_errors"
                 self._error = f"{failed} of {total} shard(s) failed"
-            self._finished = time.time()
+            self._stamp_finished_locked()
+
+    def _stamp_finished_locked(self) -> None:
+        self._finished = time.time()
+        self._finished_monotonic = time.monotonic()
 
     def _force_failed(self, error: str) -> None:
         """Fail the whole job (infrastructure fault outside any shard)."""
@@ -370,7 +378,7 @@ class SweepJob:
                 return
             self._state = "failed"
             self._error = error
-            self._finished = time.time()
+            self._stamp_finished_locked()
             for shard in self._shards:
                 if shard.state in ("pending", "running"):
                     shard.state = "cancelled"
@@ -391,7 +399,7 @@ class SweepJob:
                     shard.state = "cancelled"
                 self._state = "cancelled"
                 self._error = "cancelled before start"
-                self._finished = time.time()
+                self._stamp_finished_locked()
             return True
 
     @property
@@ -412,17 +420,17 @@ class SweepJob:
         with self._lock:
             return self._state
 
-    def finished_at(self) -> Optional[float]:
-        """Unix time the job reached a terminal state, or ``None``."""
+    def finished_monotonic(self) -> Optional[float]:
+        """``time.monotonic()`` reading when the job reached a terminal state, or ``None``."""
         with self._lock:
-            return self._finished
+            return self._finished_monotonic
 
     def duration(self) -> Optional[float]:
         """Seconds from acceptance to the terminal state, or ``None``."""
         with self._lock:
-            if self._finished is None:
+            if self._finished_monotonic is None:
                 return None
-            return self._finished - self._created
+            return self._finished_monotonic - self._created_monotonic
 
     def _shards_payload_locked(self) -> Dict[str, object]:
         return {
@@ -599,15 +607,15 @@ class JobManager:
 
     def _evict_expired_jobs(self) -> None:
         """Drop terminal jobs past their TTL and cap the retained set."""
-        now = time.time()
+        now = time.monotonic()
         with self._jobs_lock:
             if self._job_ttl is not None:
                 expired = [
                     job_id
                     for job_id, job in self._jobs.items()
                     if job.state in TERMINAL_STATES
-                    and job.finished_at() is not None
-                    and now - job.finished_at() > self._job_ttl
+                    and job.finished_monotonic() is not None
+                    and now - job.finished_monotonic() > self._job_ttl
                 ]
                 for job_id in expired:
                     del self._jobs[job_id]
@@ -790,8 +798,8 @@ class JobManager:
         fan out and no cell cache to consult — the trace is regenerated
         deterministically from the request seed, so reruns are free to
         reproduce the rows bit-identically anyway.  The routing state is
-        carried across steps and delta-patched (``state_mode="incremental"``,
-        the default), so a shard costs O(events) state work per step.
+        carried across steps and delta-patched, so a shard costs O(events)
+        state work per step.
         """
         from ..sim.churn import ChurnConfig, simulate_churn
         from ..sim.static_resilience import build_overlay

@@ -52,7 +52,6 @@ _EXPORTS = {
     "sample_survivor_pair_arrays": "sampling",
     "sample_survivor_pairs": "sampling",
     # static resilience
-    "ROUTING_ENGINES": "static_resilience",
     "ResilienceSweepResult": "static_resilience",
     "StaticResilienceResult": "static_resilience",
     "build_overlay": "static_resilience",

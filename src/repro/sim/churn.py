@@ -34,18 +34,18 @@ carry into dynamic settings; EXT-TRACE runs the trace-driven variants.
 Incremental prepare-state
 -------------------------
 The batch engine's mask-dependent routing state (sentinel-masked tables,
-aliveness bitsets) used to be rebuilt from scratch at every churn step —
-O(nodes × degree) work even when a single node changed.  The loop now
-carries one backend state across steps and delta-patches it through the
-backend's ``update`` hook (see :attr:`repro.sim.kernelspec.KernelSpec.update`):
-O(events × degree) per step.  ``state_mode="rebuild"`` keeps the
-rebuild-every-step behaviour for verification; both modes are byte-identical
-by the conformance harness's incremental-parity axis, and the speedup is
-gated in ``benchmarks/test_bench_churn.py``.
+aliveness bitsets) is prepared once and carried across steps: each step
+delta-patches it through the backend's ``update`` hook (see
+:attr:`repro.sim.kernelspec.KernelSpec.update`), O(events × degree) work
+instead of an O(nodes × degree) rebuild.  A patched state routes
+byte-identically to a fresh prepare (the conformance harness's
+incremental-parity axis), and ``benchmarks/test_bench_churn.py`` gates the
+speedup against a vendored rebuild-every-step reference.
 
-RNG discipline (the contract this refactor must not move)
----------------------------------------------------------
-Per step the generator is consumed in exactly this order and nothing else:
+RNG discipline (the contract state maintenance must not move)
+-------------------------------------------------------------
+Per step the generator is consumed in exactly this order and nothing else
+(:func:`_churn_trajectory` is the one place that draws):
 
 1. **one** uniform vector ``generator.random(n_nodes)`` driving the inline
    Markov chain — skipped entirely in trace mode (replay consumes no
@@ -54,16 +54,17 @@ Per step the generator is consumed in exactly this order and nothing else:
    :func:`repro.sim.sampling.sample_survivor_pair_arrays`, consumed only
    when the step samples pairs (at least two usable nodes).
 
-Routing itself consumes no randomness, and ``state_mode`` only changes *how*
-the routing state is produced — so incremental and rebuild runs (and batch
-and scalar engines) consume identical RNG streams and seeded churn numbers
-are unchanged by this refactor (property-tested in ``tests/test_churn.py``).
+Routing itself consumes no randomness, so how the routing state is produced
+never moves the stream: the conformance harness's scalar-oracle churn run
+over the same trajectory leaves the generator where :func:`simulate_churn`
+does and measures identical rows (property-tested in ``tests/test_churn.py``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, MutableMapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, MutableMapping, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +74,7 @@ from ..exceptions import InvalidParameterError
 from ..validation import check_positive_int, check_probability
 from ..workloads.traces import ChurnTrace
 from .backends import resolve_backend
-from .engine import BackendLike, _PhaseClock, check_engine, route_pairs
+from .engine import BackendLike, _PhaseClock, route_pairs
 from .sampling import sample_survivor_pair_arrays
 
 __all__ = [
@@ -81,22 +82,15 @@ __all__ = [
     "ChurnStepResult",
     "ChurnSimulationResult",
     "CHURN_PROFILE_PHASES",
-    "STATE_MODES",
     "effective_failure_probability",
     "simulate_churn",
 ]
 
 #: Wall-clock phases of one churn run, in reporting order (the churn
 #: counterpart of ``repro.sim.engine.PROFILE_PHASES``): computing the
-#: join/leave delta, delta-patching (or rebuilding) the routing state,
+#: join/leave delta, preparing or delta-patching the routing state,
 #: advancing the hop kernels, and reducing per-pair outcomes to metrics.
 CHURN_PROFILE_PHASES = ("mask_delta", "state_update", "kernel_hops", "reduction")
-
-#: How the per-step routing state is produced: ``"incremental"`` carries one
-#: backend state across steps and delta-patches it; ``"rebuild"`` prepares
-#: from scratch at every sampled step (the pre-refactor behaviour, kept for
-#: verification).  Byte-identical by construction.
-STATE_MODES = ("incremental", "rebuild")
 
 
 @dataclass(frozen=True)
@@ -244,67 +238,27 @@ class ChurnSimulationResult:
         ]
 
 
-def simulate_churn(
-    overlay: Overlay,
-    config: ChurnConfig,
-    *,
-    rng: Optional[np.random.Generator] = None,
-    seed: Optional[int] = None,
-    engine: str = "batch",
-    batch_size: Optional[int] = None,
-    backend: BackendLike = None,
-    state_mode: str = "incremental",
-    profile: Optional[MutableMapping[str, float]] = None,
-) -> ChurnSimulationResult:
-    """Simulate churn on ``overlay`` and measure routability per step.
+def _churn_trajectory(
+    overlay: Overlay, config: ChurnConfig, generator: np.random.Generator
+) -> Iterator[Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]], Callable]]:
+    """Yield each churn step's ``(usable, pairs, finish)``, drawing the RNG in the documented order.
 
-    The run starts with every node online and the routing tables fresh (a
-    repair has just completed).  At each subsequent step nodes leave and
-    rejoin — drawn from the two-state chain, or replayed from
-    ``config.trace`` when one is set; a routing-table entry is usable only
-    if its node was online at the last repair *and* is online now, so the
-    usable set shrinks between repairs exactly as the static model's
-    ``q_eff(t)`` predicts.  Source/destination pairs are sampled among
-    usable nodes.  ``config.repair_every`` periodically re-establishes the
-    tables to the currently-online set.
-
-    ``engine`` selects how the sampled pairs are routed: ``"batch"`` (the
-    default) routes each step's pairs through the kernel backend selected by
-    ``backend``, carrying **one prepared routing state across steps** and
-    delta-patching it with each step's join/leave delta (``state_mode=
-    "incremental"``; ``"rebuild"`` prepares from scratch each sampled step —
-    byte-identical, kept for verification and benchmarking).  ``"scalar"``
-    routes one pair at a time through the scalar oracle.  Routing consumes
-    no randomness and all paths are bit-identical, so engine, backend and
-    ``state_mode`` never change the measured numbers — see the module
-    docstring for the exact per-step RNG contract.
-
-    ``profile`` optionally accumulates per-phase wall-clock seconds
-    (:data:`CHURN_PROFILE_PHASES`) into the given mapping, batch engine
-    only — the churn counterpart of the sweep profiler behind
-    ``rcm simulate --profile``.
+    ``usable`` is the step's usable-node mask, ``pairs`` its sampled
+    ``(sources, destinations)`` — ``None`` when fewer than two nodes are
+    usable — and ``finish(metrics=...)`` builds the step's
+    :class:`ChurnStepResult`.  :func:`simulate_churn` routes the pairs on
+    the batch engine; the conformance harness routes the same trajectory
+    through the scalar oracle.
     """
-    engine = check_engine(engine)
-    if state_mode not in STATE_MODES:
-        raise InvalidParameterError(
-            f"unknown state_mode {state_mode!r}; expected one of {STATE_MODES}"
-        )
     trace = config.trace
     n = overlay.n_nodes
     if trace is not None and trace.n_nodes != n:
         raise InvalidParameterError(
             f"trace covers {trace.n_nodes} nodes but the overlay has {n}"
         )
-    generator = make_rng(rng, seed)
-    resolved = resolve_backend(backend) if engine == "batch" else None
-    clock = _PhaseClock(profile)
     online = np.ones(n, dtype=bool)  # state at the initial repair epoch
     online_at_repair = online.copy()
-    pairs_per_step = config.pairs_per_step
-    routing_state = None
-    state_mask: Optional[np.ndarray] = None  # the mask routing_state was built for
     steps_since_repair = 0
-    steps: List[ChurnStepResult] = []
     for step in range(1, config.total_steps + 1):
         if config.repair_every is not None and steps_since_repair >= config.repair_every:
             online_at_repair = online.copy()
@@ -322,63 +276,91 @@ def simulate_churn(
                 online[event_nodes[event_joins]] = True
         steps_since_repair += 1
         usable = online_at_repair & online
-        usable_fraction = float(usable.mean())
-        metrics: Optional[RoutingMetrics] = None
+        pairs = None
         if int(usable.sum()) >= 2:
-            sources, destinations = sample_survivor_pair_arrays(
-                usable, pairs_per_step, generator
-            )
-            if engine == "batch":
-                clock.start("mask_delta")
-                if routing_state is None or state_mode == "rebuild":
-                    joined = left = None
-                else:
-                    joined = np.flatnonzero(usable & ~state_mask)
-                    left = np.flatnonzero(state_mask & ~usable)
-                clock.stop()
-                clock.start("state_update")
-                if joined is None:
-                    routing_state = resolved.prepare(overlay, usable)
-                else:
-                    routing_state = resolved.update(
-                        overlay, routing_state, usable, joined, left
-                    )
-                state_mask = usable
-                clock.stop()
-                clock.start("kernel_hops")
-                outcome = route_pairs(
-                    overlay,
-                    sources,
-                    destinations,
-                    usable,
-                    batch_size=batch_size,
-                    backend=resolved,
-                    prepared_state=routing_state,
-                )
-                clock.stop()
-                clock.start("reduction")
-                metrics = outcome.to_metrics()
-                clock.stop()
-            else:
-                metrics = summarize_routes(
-                    overlay.route(int(source), int(destination), usable)
-                    for source, destination in zip(sources.tolist(), destinations.tolist())
-                )
-        else:
-            metrics = summarize_routes([])
-        steps.append(
-            ChurnStepResult(
-                step=step,
-                effective_q=(
-                    effective_failure_probability(config, steps_since_repair)
-                    if trace is None
-                    else None
-                ),
-                online_fraction=float(online.mean()),
-                usable_fraction=usable_fraction,
-                metrics=metrics,
-            )
+            pairs = sample_survivor_pair_arrays(usable, config.pairs_per_step, generator)
+        yield usable, pairs, functools.partial(
+            ChurnStepResult,
+            step=step,
+            effective_q=(
+                effective_failure_probability(config, steps_since_repair)
+                if trace is None
+                else None
+            ),
+            online_fraction=float(online.mean()),
+            usable_fraction=float(usable.mean()),
         )
+
+
+def simulate_churn(
+    overlay: Overlay,
+    config: ChurnConfig,
+    *,
+    rng: Optional[np.random.Generator] = None,
+    seed: Optional[int] = None,
+    batch_size: Optional[int] = None,
+    backend: BackendLike = None,
+    profile: Optional[MutableMapping[str, float]] = None,
+) -> ChurnSimulationResult:
+    """Simulate churn on ``overlay`` and measure routability per step.
+
+    The run starts with every node online and the routing tables fresh (a
+    repair has just completed).  At each subsequent step nodes leave and
+    rejoin — drawn from the two-state chain, or replayed from
+    ``config.trace`` when one is set; a routing-table entry is usable only
+    if its node was online at the last repair *and* is online now, so the
+    usable set shrinks between repairs exactly as the static model's
+    ``q_eff(t)`` predicts.  Source/destination pairs are sampled among
+    usable nodes.  ``config.repair_every`` periodically re-establishes the
+    tables to the currently-online set.
+
+    Each step's pairs are routed through the kernel backend selected by
+    ``backend``, carrying **one prepared routing state across steps** and
+    delta-patching it with each step's join/leave delta.  Routing consumes
+    no randomness and backends are bit-identical, so ``backend`` and
+    ``batch_size`` never change the measured numbers — see the module
+    docstring for the exact per-step RNG contract.
+
+    ``profile`` optionally accumulates per-phase wall-clock seconds
+    (:data:`CHURN_PROFILE_PHASES`) into the given mapping — the churn
+    counterpart of the sweep profiler behind ``rcm simulate --profile``.
+    """
+    generator = make_rng(rng, seed)
+    resolved = resolve_backend(backend)
+    clock = _PhaseClock(profile)
+    routing_state = None
+    state_mask: Optional[np.ndarray] = None  # the mask routing_state was built for
+    steps: List[ChurnStepResult] = []
+    for usable, pairs, finish in _churn_trajectory(overlay, config, generator):
+        if pairs is None:
+            steps.append(finish(metrics=summarize_routes([])))
+            continue
+        clock.start("mask_delta")
+        if routing_state is not None:
+            joined = np.flatnonzero(usable & ~state_mask)
+            left = np.flatnonzero(state_mask & ~usable)
+        clock.stop()
+        clock.start("state_update")
+        if routing_state is None:
+            routing_state = resolved.prepare(overlay, usable)
+        else:
+            routing_state = resolved.update(overlay, routing_state, usable, joined, left)
+        state_mask = usable
+        clock.stop()
+        clock.start("kernel_hops")
+        outcome = route_pairs(
+            overlay,
+            *pairs,
+            usable,
+            batch_size=batch_size,
+            backend=resolved,
+            prepared_state=routing_state,
+        )
+        clock.stop()
+        clock.start("reduction")
+        metrics = outcome.to_metrics()
+        clock.stop()
+        steps.append(finish(metrics=metrics))
     return ChurnSimulationResult(
         geometry=overlay.geometry_name,
         d=overlay.d,

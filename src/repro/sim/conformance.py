@@ -13,8 +13,12 @@ the oracle across every execution shape the generic drivers derive:
 * **dispatch modes** — single-mask, stacked disjoint-union batches
   (contiguous and shuffled cell indices), and ``batch_size`` chunking;
 * **failure models** — every registry kind in
-  :data:`repro.dht.failures.FAILURE_MODEL_KINDS`, batch engine vs the
-  scalar engine;
+  :data:`repro.dht.failures.FAILURE_MODEL_KINDS`,
+  :func:`~repro.sim.static_resilience.measure_routability` vs the sweep
+  reference (:func:`_oracle_measure_routability`);
+* **churn** — :func:`~repro.sim.churn.simulate_churn` (one routing state
+  carried and delta-patched across steps) vs the churn reference
+  (:func:`_oracle_churn`), per-step metrics and final RNG position alike;
 * **incremental prepare-state** — a prepared routing state delta-patched
   through the backend's ``update`` hook across a sequence of masks (each
   failure-model kind, severities down *and* up so unmasking is exercised)
@@ -22,6 +26,13 @@ the oracle across every execution shape the generic drivers derive:
 * **worker counts** — :class:`~repro.sim.engine.SweepRunner` grids over
   all registered geometries, pooled vs in-process, and the runner's
   grouped dispatch vs the per-cell reference (:func:`_per_cell_reference`).
+
+The two scalar-oracle references route what the public paths sample —
+neither copies a sampling loop.  The sweep reference routes the trials
+:func:`~repro.sim.static_resilience._sample_trials` draws for
+``measure_routability``; the churn reference routes the step trajectory
+:func:`~repro.sim.churn._churn_trajectory` yields for ``simulate_churn``.
+They are the only scalar-oracle measurement paths in the package.
 
 ``tests/test_kernelspec.py`` drives these checks through pytest;
 ``python -m repro.sim.conformance`` runs the full battery standalone (the
@@ -36,11 +47,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..dht import OVERLAY_CLASSES, Overlay
-from ..dht.failures import FAILURE_MODEL_KINDS, make_failure_model, survival_mask
-from ..dht.metrics import summarize_routes
+from ..dht import OVERLAY_CLASSES, Overlay, make_rng
+from ..dht.failures import FAILURE_MODEL_KINDS, FailureModel, make_failure_model, survival_mask
+from ..dht.metrics import RoutingMetrics, summarize_routes
 from ..exceptions import UnknownGeometryError
 from .backends import NUMBA_AVAILABLE, python_loop_backend, resolve_backend
+from .churn import ChurnConfig, ChurnSimulationResult, _churn_trajectory, simulate_churn
 from .engine import (
     BackendLike,
     SweepCell,
@@ -53,7 +65,7 @@ from .engine import (
 )
 from .kernelspec import registered_geometries
 from .sampling import sample_survivor_pair_arrays
-from .static_resilience import measure_routability
+from .static_resilience import StaticResilienceResult, _sample_trials, measure_routability
 
 __all__ = [
     "CONFORMANCE_D",
@@ -65,6 +77,7 @@ __all__ = [
     "assert_stacked_parity",
     "assert_hop_limit_parity",
     "assert_failure_model_parity",
+    "assert_churn_parity",
     "assert_incremental_parity",
     "assert_worker_parity",
     "assert_reference_parity",
@@ -261,6 +274,64 @@ def assert_hop_limit_parity(
     return int(sources.size)
 
 
+def _oracle_metrics(
+    overlay: Overlay, alive: np.ndarray, sources: np.ndarray, destinations: np.ndarray
+) -> RoutingMetrics:
+    """Route sampled pairs one at a time through the scalar ``Overlay.route`` oracle."""
+    return summarize_routes(
+        overlay.route(source, destination, alive)
+        for source, destination in zip(sources.tolist(), destinations.tolist())
+    )
+
+
+def _oracle_measure_routability(
+    overlay: Overlay,
+    q: float,
+    *,
+    pairs: int,
+    trials: int,
+    rng: Optional[np.random.Generator] = None,
+    seed: Optional[int] = None,
+    failure_model: Optional[FailureModel] = None,
+) -> StaticResilienceResult:
+    """The sweep reference: ``measure_routability``'s own trials, routed by the oracle.
+
+    The trial groups are the ones the engine's cell-group executor
+    (:func:`~repro.sim.engine._route_cell_groups`) takes — same sampler,
+    same stream — so for equal arguments the result must equal
+    :func:`~repro.sim.static_resilience.measure_routability`'s.
+    """
+    groups, pool = _sample_trials(
+        overlay, q, pairs=pairs, trials=trials, rng=rng, seed=seed, failure_model=failure_model
+    )
+    return pool([None if group is None else _oracle_metrics(overlay, *group) for group in groups])
+
+
+def _oracle_churn(
+    overlay: Overlay,
+    config: ChurnConfig,
+    *,
+    rng: Optional[np.random.Generator] = None,
+    seed: Optional[int] = None,
+) -> ChurnSimulationResult:
+    """The churn reference: ``simulate_churn``'s step trajectory, routed by the oracle.
+
+    No routing state is prepared or carried, so this is also the
+    rebuild-every-step reference for the incremental state; for equal
+    arguments the rows — and the generator's final position — must equal
+    :func:`~repro.sim.churn.simulate_churn`'s.
+    """
+    steps = tuple(
+        finish(
+            metrics=summarize_routes([]) if pairs is None else _oracle_metrics(overlay, usable, *pairs)
+        )
+        for usable, pairs, finish in _churn_trajectory(overlay, config, make_rng(rng, seed))
+    )
+    return ChurnSimulationResult(
+        geometry=overlay.geometry_name, d=overlay.d, config=config, steps=steps
+    )
+
+
 def assert_failure_model_parity(
     overlay: Overlay,
     backend: BackendLike,
@@ -271,23 +342,48 @@ def assert_failure_model_parity(
     trials: int = 2,
     seed: int = 29,
 ) -> int:
-    """Batch metrics equal scalar-engine metrics under one failure-model kind."""
-    results = {
-        engine: measure_routability(
-            overlay,
-            severity,
-            pairs=pairs,
-            trials=trials,
-            seed=seed,
-            failure_model=make_failure_model(kind, severity),
-            engine=engine,
-            backend=backend if engine == "batch" else None,
-        )
-        for engine in ("batch", "scalar")
-    }
-    batch, scalar = results["batch"].metrics, results["scalar"].metrics
-    _assert_metrics_equal(batch, scalar, (overlay.geometry_name, kind))
-    return batch.attempts
+    """Engine metrics equal the sweep reference's under one failure-model kind."""
+    sampling = dict(
+        pairs=pairs, trials=trials, seed=seed, failure_model=make_failure_model(kind, severity)
+    )
+    measured = measure_routability(overlay, severity, backend=backend, **sampling)
+    expected = _oracle_measure_routability(overlay, severity, **sampling)
+    context = (overlay.geometry_name, kind)
+    assert measured.degenerate_trials == expected.degenerate_trials, context
+    _assert_metrics_equal(measured.metrics, expected.metrics, context)
+    return measured.metrics.attempts
+
+
+def assert_churn_parity(
+    overlay: Overlay,
+    backend: BackendLike,
+    *,
+    steps: int = 6,
+    pairs: int = 40,
+    seed: Optional[int] = None,
+) -> int:
+    """``simulate_churn`` per-step metrics and RNG consumption equal the churn reference's.
+
+    Heavy leave/rejoin rates and a repair every third step move the usable
+    mask in both directions, so the carried state's update hook sees joins
+    and leaves.
+    """
+    if seed is None:
+        seed = _deterministic_seed(f"churn-{overlay.geometry_name}")
+    config = ChurnConfig(
+        leave_probability=0.15, rejoin_probability=0.1,
+        steps_per_epoch=steps, pairs_per_step=pairs, repair_every=3,
+    )
+    generators = [np.random.default_rng(seed) for _ in range(2)]
+    measured = simulate_churn(overlay, config, rng=generators[0], backend=backend)
+    expected = _oracle_churn(overlay, config, rng=generators[1])
+    context = (overlay.geometry_name, "churn")
+    assert len(measured.steps) == len(expected.steps), context
+    for step, reference in zip(measured.steps, expected.steps):
+        _assert_metrics_equal(step.metrics, reference.metrics, (*context, step.step))
+    # Routing consumes no randomness: both runs leave the stream in one place.
+    assert generators[0].random() == generators[1].random(), context
+    return sum(step.metrics.attempts for step in measured.steps)
 
 
 def _assert_metrics_equal(measured, expected, context: Tuple) -> None:
@@ -484,6 +580,7 @@ def run_conformance(
         checked[f"model[{kind}]"] = assert_failure_model_parity(
             overlay, "numpy", kind=kind
         )
+    checked["churn"] = assert_churn_parity(overlay, "numpy")
     return checked
 
 

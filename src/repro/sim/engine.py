@@ -83,8 +83,6 @@ __all__ = [
     "BatchRouteOutcome",
     "route_pairs",
     "route_pairs_stacked",
-    "ROUTING_ENGINES",
-    "check_engine",
     "BACKEND_CHOICES",
     "KernelBackend",
     "available_backends",
@@ -102,20 +100,7 @@ __all__ = [
 #: (same as "auto").
 BackendLike = Union[str, KernelBackend, None]
 
-#: Valid values of the ``engine`` argument of the measurement APIs.
-ROUTING_ENGINES = ("batch", "scalar")
-
-
-def check_engine(engine: str) -> str:
-    """Validate a routing-engine name shared by every measurement entry point."""
-    if engine not in ROUTING_ENGINES:
-        raise InvalidParameterError(
-            f"unknown routing engine {engine!r}; expected one of {ROUTING_ENGINES}"
-        )
-    return engine
-
 _SUCCESS_CODE = FAILURE_CODES[FailureReason.NONE]
-
 
 
 @dataclass(frozen=True)

@@ -16,19 +16,19 @@ The module exposes three levels of API:
 * :func:`simulate_geometry` — convenience wrapper that builds the overlay
   from a geometry name.
 
-Routing runs on the vectorized batch engine (:mod:`repro.sim.engine`) by
-default, with all trials of a measurement fused into one stacked-mask
-kernel invocation; pass ``engine="scalar"`` to route pairs one at a time
-through the overlays' ``route`` methods instead.  The two paths are
-property-tested to produce identical outcomes pair-for-pair (the scalar
-path is the oracle), so the choice only affects speed.
+Routing runs on the vectorized batch engine (:mod:`repro.sim.engine`), with
+all trials of a measurement fused into one stacked-mask kernel invocation.
+The scalar ``Overlay.route`` oracle is not a mode of this API: the
+conformance harness (:mod:`repro.sim.conformance`) routes the very trials
+:func:`measure_routability` samples through the oracle and checks that the
+metrics match.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -48,12 +48,10 @@ from ..validation import (
     check_positive_int,
 )
 from .engine import (
-    ROUTING_ENGINES,
     BackendLike,
     SweepCellResult,
     _measure_cells,
     _route_cell_groups,
-    check_engine,
     resolve_backend,
 )
 from .sampling import sample_survivor_pair_arrays
@@ -65,7 +63,6 @@ __all__ = [
     "sweep_failure_probabilities",
     "simulate_geometry",
     "build_overlay",
-    "ROUTING_ENGINES",
 ]
 
 
@@ -240,6 +237,51 @@ def build_overlay(
     return overlay_cls.build(d, seed=seed, rng=rng, **overlay_options)
 
 
+def _sample_trials(
+    overlay: Overlay,
+    q: float,
+    *,
+    pairs: int,
+    trials: int,
+    rng: Optional[np.random.Generator],
+    seed: Optional[int],
+    failure_model: Optional[FailureModel],
+) -> Tuple[List[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]], Callable]:
+    """Sample every trial of one measurement: ``(groups, pool)``.
+
+    ``groups`` holds each trial's ``(mask, sources, destinations)``, or
+    ``None`` for a degenerate trial; ``pool`` turns the per-trial metrics
+    (in trial order, ``None`` for degenerate) into the
+    :class:`StaticResilienceResult`.  :func:`measure_routability` routes the
+    groups on the batch engine; the conformance harness routes the same
+    groups through the scalar oracle.
+
+    Mask generation is one vectorized ``sample_batch`` call — property-tested
+    stream-identical to sampling the masks one trial at a time — followed by
+    a sequential per-trial pair-sampling loop.  The draw *order* is
+    masks-then-pairs (older releases interleaved mask and pair draws per
+    trial, so their seeded multi-trial numbers differ).
+    """
+    q = check_failure_probability(q)
+    pairs = check_positive_int(pairs, "pairs")
+    trials = check_positive_int(trials, "trials")
+    generator = make_rng(rng, seed)
+    model = failure_model if failure_model is not None else UniformNodeFailure(q)
+    model_label = "uniform" if failure_model is None else failure_model.description
+    groups = []
+    for alive in model.bind(overlay).sample_batch(overlay.n_nodes, trials, generator):
+        if int(alive.sum()) < 2:
+            groups.append(None)
+            continue
+        sources, destinations = sample_survivor_pair_arrays(alive, pairs, generator)
+        groups.append((alive, sources, destinations))
+    pool = functools.partial(
+        _pooled_result, overlay.geometry_name, overlay.system_name, overlay.d, q,
+        pairs=pairs, failure_model=model_label,
+    )
+    return groups, pool
+
+
 def measure_routability(
     overlay: Overlay,
     q: float,
@@ -249,11 +291,14 @@ def measure_routability(
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
     failure_model: Optional[FailureModel] = None,
-    engine: str = "batch",
     batch_size: Optional[int] = None,
     backend: BackendLike = None,
 ) -> StaticResilienceResult:
     """Estimate the routability of ``overlay`` at failure probability ``q``.
+
+    All trials' survival masks are stacked and every sampled pair of the
+    measurement is routed in one fused engine invocation
+    (:func:`repro.sim.engine.route_pairs_stacked`).
 
     Parameters
     ----------
@@ -274,63 +319,17 @@ def measure_routability(
         so overlay-dependent models such as
         :class:`~repro.dht.failures.DegreeTargetedFailure` can be passed
         directly.
-    engine:
-        ``"batch"`` stacks all trials' survival masks and routes every
-        sampled pair of the measurement in one fused engine invocation
-        (:func:`repro.sim.engine.route_pairs_stacked`); ``"scalar"`` routes
-        pairs one at a time through ``overlay.route``.  Both consume the
-        random stream identically and produce identical metrics.
     batch_size:
-        Optional chunk size for the batch engine (bounds peak memory).
+        Optional chunk size for the engine (bounds peak memory).
     backend:
-        Kernel backend for the batch engine (name or instance; ``"auto"``
-        picks the fastest available).  Backends are bit-identical, so the
-        choice only affects speed.
+        Kernel backend (name or instance; ``"auto"`` picks the fastest
+        available).  Backends are bit-identical, so the choice only affects
+        speed.
     """
-    q = check_failure_probability(q)
-    pairs = check_positive_int(pairs, "pairs")
-    trials = check_positive_int(trials, "trials")
-    engine = check_engine(engine)
-    generator = make_rng(rng, seed)
-    model = failure_model if failure_model is not None else UniformNodeFailure(q)
-    model_label = "uniform" if failure_model is None else failure_model.description
-    model = model.bind(overlay)
-
-    # Mask generation is one vectorized sample_batch call — property-tested
-    # stream-identical to sampling the masks one trial at a time — while
-    # pair sampling stays a sequential per-trial loop.  Both engines share
-    # this sampling code, so batch and scalar consume the stream draw for
-    # draw and measure bit-identical metrics.  Note the draw *order* is
-    # masks-then-pairs since PR 4 (previously mask and pair draws
-    # interleaved per trial), so seeded multi-trial numbers differ from
-    # pre-PR-4 releases; the cross-engine/backend invariants are
-    # unaffected.  Routing is deferred until every trial is sampled, which
-    # consumes no randomness.
-    groups = []
-    for alive in model.sample_batch(overlay.n_nodes, trials, generator):
-        if int(alive.sum()) < 2:
-            groups.append(None)
-            continue
-        sources, destinations = sample_survivor_pair_arrays(alive, pairs, generator)
-        groups.append((alive, sources, destinations))
-    if engine == "batch":
-        trial_metrics = _route_cell_groups(
-            overlay, groups, batch_size=batch_size, backend=backend
-        )
-    else:
-        trial_metrics = [
-            None
-            if group is None
-            else summarize_routes(
-                overlay.route(int(source), int(destination), group[0])
-                for source, destination in zip(group[1].tolist(), group[2].tolist())
-            )
-            for group in groups
-        ]
-    return _pooled_result(
-        overlay.geometry_name, overlay.system_name, overlay.d, q, trial_metrics,
-        pairs=pairs, failure_model=model_label,
+    groups, pool = _sample_trials(
+        overlay, q, pairs=pairs, trials=trials, rng=rng, seed=seed, failure_model=failure_model
     )
+    return pool(_route_cell_groups(overlay, groups, batch_size=batch_size, backend=backend))
 
 
 FailureModelsLike = Union[str, FailureModel, Sequence[Optional[FailureModel]], None]
@@ -382,7 +381,6 @@ def sweep_failure_probabilities(
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
     failure_models: FailureModelsLike = None,
-    engine: str = "batch",
     batch_size: Optional[int] = None,
     backend: BackendLike = None,
     adaptive=None,
@@ -401,12 +399,11 @@ def sweep_failure_probabilities(
     is grid replicate ``k``), so a point that consumed ``k`` trials is
     byte-equal to the first ``k`` replicates of a
     :class:`~repro.sim.engine.SweepRunner` sweep on the same overlay build;
-    it requires the batch engine, an integer ``seed`` (not an ``rng``
-    stream) and a registry failure-model kind.
+    it requires an integer ``seed`` (not an ``rng`` stream) and a registry
+    failure-model kind.
     """
     if len(failure_probabilities) == 0:
         raise InvalidParameterError("failure_probabilities must not be empty")
-    engine = check_engine(engine)
     if adaptive is not None:
         return _adaptive_sweep(
             overlay,
@@ -416,16 +413,12 @@ def sweep_failure_probabilities(
             rng=rng,
             seed=seed,
             failure_models=failure_models,
-            engine=engine,
             batch_size=batch_size,
             backend=backend,
             adaptive=adaptive,
         )
     models, model_label = _resolve_sweep_models(failure_probabilities, failure_models)
-    # The scalar oracle path routes through Overlay.route and uses no kernel
-    # backend at all; resolving one there would only emit a misleading
-    # fallback warning (and record a backend that produced nothing).
-    resolved_backend = resolve_backend(backend) if engine == "batch" else None
+    resolved_backend = resolve_backend(backend)
     generator = make_rng(rng, seed)
     results = tuple(
         measure_routability(
@@ -435,7 +428,6 @@ def sweep_failure_probabilities(
             trials=trials,
             rng=generator,
             failure_model=model,
-            engine=engine,
             batch_size=batch_size,
             backend=resolved_backend,
         )
@@ -446,7 +438,7 @@ def sweep_failure_probabilities(
         system=overlay.system_name,
         d=overlay.d,
         results=results,
-        backend_name=resolved_backend.name if resolved_backend is not None else None,
+        backend_name=resolved_backend.name,
         failure_model=model_label,
     )
 
@@ -460,7 +452,6 @@ def _adaptive_sweep(
     rng: Optional[np.random.Generator],
     seed: Optional[int],
     failure_models: FailureModelsLike,
-    engine: str,
     batch_size: Optional[int],
     backend: BackendLike,
     adaptive,
@@ -478,11 +469,6 @@ def _adaptive_sweep(
     if not isinstance(adaptive, AdaptiveConfig):
         raise InvalidParameterError(
             f"adaptive must be an AdaptiveConfig (got {type(adaptive).__name__})"
-        )
-    if engine != "batch":
-        raise InvalidParameterError(
-            "adaptive allocation requires the batch engine (per-cell entropy "
-            "streams); the scalar oracle path only supports uniform sweeps"
         )
     if rng is not None:
         raise InvalidParameterError(
@@ -539,7 +525,6 @@ def simulate_geometry(
     trials: int = 3,
     seed: Optional[int] = None,
     failure_models: FailureModelsLike = None,
-    engine: str = "batch",
     batch_size: Optional[int] = None,
     backend: BackendLike = None,
     adaptive=None,
@@ -561,7 +546,6 @@ def simulate_geometry(
             trials=trials,
             seed=seed,
             failure_models=failure_models,
-            engine=engine,
             batch_size=batch_size,
             backend=backend,
             adaptive=adaptive,
@@ -573,7 +557,6 @@ def simulate_geometry(
         trials=trials,
         rng=generator,
         failure_models=failure_models,
-        engine=engine,
         batch_size=batch_size,
         backend=backend,
     )

@@ -526,15 +526,10 @@ class TestOverlayLevelAdaptive:
         for uniform_result, adaptive_result in zip(uniform.results, adaptive.results):
             assert adaptive_result.metrics.attempts <= uniform_result.metrics.attempts
 
-    def test_overlay_level_adaptive_requires_batch_engine_and_integer_seed(self):
+    def test_overlay_level_adaptive_requires_an_integer_seed(self):
         from repro.sim.static_resilience import build_overlay, sweep_failure_probabilities
 
         overlay = build_overlay(GEOMETRY, D, seed=5)
-        with pytest.raises(InvalidParameterError, match="batch engine"):
-            sweep_failure_probabilities(
-                overlay, QS, pairs=PAIRS, trials=MAX_TRIALS, engine="scalar",
-                adaptive=CONFIG,
-            )
         with pytest.raises(InvalidParameterError, match="integer seed"):
             sweep_failure_probabilities(
                 overlay, QS, pairs=PAIRS, trials=MAX_TRIALS,

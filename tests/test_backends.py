@@ -77,21 +77,6 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError):
             check_backend("scalar")
 
-    def test_scalar_engine_ignores_the_backend_without_warning(self, small_overlays):
-        # The scalar oracle path uses no kernel backend; a pinned backend
-        # must neither warn (numba absent) nor be recorded as the producer.
-        import warnings
-
-        from repro.sim.static_resilience import sweep_failure_probabilities
-
-        overlay = small_overlays["xor"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sweep = sweep_failure_probabilities(
-                overlay, [0.2], pairs=20, trials=1, seed=3, engine="scalar", backend="numba"
-            )
-        assert sweep.backend_name is None
-
     def test_backends_are_kernel_backends(self):
         for backend in all_backends():
             assert isinstance(backend, KernelBackend)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -10,12 +11,14 @@ import pytest
 from repro.core.geometry import get_geometry
 from repro.dht import HypercubeOverlay, KademliaOverlay
 from repro.exceptions import InvalidParameterError
+from repro.sim.backends import KernelBackend, NumpyBackend, python_loop_backend
 from repro.sim.churn import (
     CHURN_PROFILE_PHASES,
     ChurnConfig,
     effective_failure_probability,
     simulate_churn,
 )
+from repro.sim.conformance import _oracle_churn
 from repro.workloads import ChurnTrace, markov_trace
 
 
@@ -132,8 +135,14 @@ class TestSimulateChurn:
             assert step.measured_routability == pytest.approx(predicted, abs=0.08)
 
 
-class TestStateModes:
-    """``state_mode`` changes how the state is produced, never what is measured."""
+class RebuildingBackend(NumpyBackend):
+    """The NumPy backend with the base class's update — a fresh prepare every step."""
+
+    update = KernelBackend.update
+
+
+class TestChurnReferences:
+    """The carried routing state changes how a step is routed, never what is measured."""
 
     @pytest.fixture(scope="class")
     def config(self):
@@ -146,39 +155,38 @@ class TestStateModes:
         )
 
     def test_incremental_matches_rebuild_bit_for_bit(self, overlay, config):
-        incremental = simulate_churn(overlay, config, seed=11, state_mode="incremental")
-        rebuild = simulate_churn(overlay, config, seed=11, state_mode="rebuild")
+        incremental = simulate_churn(overlay, config, seed=11)
+        rebuild = simulate_churn(overlay, config, seed=11, backend=RebuildingBackend())
         assert incremental.as_rows() == rebuild.as_rows()
 
-    def test_batch_matches_scalar_engine(self, overlay, config):
-        batch = simulate_churn(overlay, config, seed=11)
-        scalar = simulate_churn(overlay, config, seed=11, engine="scalar")
-        assert batch.as_rows() == scalar.as_rows()
+    def test_matches_the_scalar_oracle_reference(self, overlay, config):
+        measured = simulate_churn(overlay, config, seed=11)
+        expected = _oracle_churn(overlay, config, seed=11)
+        assert measured.as_rows() == expected.as_rows()
 
-    def test_rng_stream_is_identical_across_state_modes(self, overlay, config):
+    def test_rng_stream_matches_the_churn_reference(self, overlay, config):
         # The RNG-discipline contract: per step, the generator is consumed
         # only by the churn draw and by pair sampling — state maintenance
-        # draws nothing.  So after two runs differing only in state_mode the
-        # generator must sit at the same point of its stream, which we
-        # observe through the numbers it yields next.
+        # draws nothing.  So after simulate_churn and the oracle reference
+        # (which carries no state) the generator must sit at the same point
+        # of its stream, which we observe through the numbers it yields next.
         leftovers = []
-        for state_mode in ("incremental", "rebuild"):
+        for run in (simulate_churn, _oracle_churn):
             generator = np.random.default_rng(77)
-            simulate_churn(overlay, config, rng=generator, state_mode=state_mode)
+            run(overlay, config, rng=generator)
             leftovers.append(generator.integers(0, 2**63, size=8).tolist())
         assert leftovers[0] == leftovers[1]
 
-    def test_rng_stream_is_identical_across_engines(self, overlay, config):
+    def test_rng_stream_is_independent_of_the_execution_shape(self, overlay, config):
         leftovers = []
-        for engine in ("batch", "scalar"):
+        for run in (
+            functools.partial(simulate_churn, batch_size=17, backend=python_loop_backend()),
+            _oracle_churn,
+        ):
             generator = np.random.default_rng(78)
-            simulate_churn(overlay, config, rng=generator, engine=engine)
+            run(overlay, config, rng=generator)
             leftovers.append(generator.integers(0, 2**63, size=8).tolist())
         assert leftovers[0] == leftovers[1]
-
-    def test_unknown_state_mode_rejected(self, overlay):
-        with pytest.raises(InvalidParameterError, match="state_mode"):
-            simulate_churn(overlay, ChurnConfig(), seed=1, state_mode="lazy")
 
 
 class TestTraceDrivenChurn:
@@ -214,12 +222,12 @@ class TestTraceDrivenChurn:
         result = simulate_churn(overlay, config, seed=3)
         assert all(row["effective_q"] is None for row in result.as_rows())
 
-    def test_state_modes_and_engines_agree_under_a_trace(self, overlay, trace):
+    def test_references_agree_under_a_trace(self, overlay, trace):
         config = ChurnConfig(pairs_per_step=80, trace=trace, repair_every=2)
         rows = [
-            simulate_churn(overlay, config, seed=7, state_mode="incremental").as_rows(),
-            simulate_churn(overlay, config, seed=7, state_mode="rebuild").as_rows(),
-            simulate_churn(overlay, config, seed=7, engine="scalar").as_rows(),
+            simulate_churn(overlay, config, seed=7).as_rows(),
+            simulate_churn(overlay, config, seed=7, backend=RebuildingBackend()).as_rows(),
+            _oracle_churn(overlay, config, seed=7).as_rows(),
         ]
         assert rows[0] == rows[1] == rows[2]
 
@@ -262,12 +270,6 @@ class TestChurnProfile:
         plain = simulate_churn(overlay, config, seed=4)
         profiled = simulate_churn(overlay, config, seed=4, profile={})
         assert plain.as_rows() == profiled.as_rows()
-
-    def test_scalar_engine_leaves_the_profile_untouched(self, overlay):
-        profile = {}
-        config = ChurnConfig(steps_per_epoch=2, pairs_per_step=20)
-        simulate_churn(overlay, config, seed=4, engine="scalar", profile=profile)
-        assert profile == {}
 
 
 class TestChurnRows:

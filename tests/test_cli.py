@@ -36,6 +36,8 @@ class TestParser:
         [
             (["simulate", "--geometry", "ring", "--q", "0.1"], "--per-cell"),
             (["run", "FIG6A"], "--fused"),
+            (["simulate", "--geometry", "ring", "--q", "0.1"], "--engine"),
+            (["run", "FIG6A"], "--engine"),
         ],
     )
     def test_removed_dispatch_flags_exit_2(self, command, flag, capsys):
@@ -213,14 +215,13 @@ class TestJsonExport:
         capsys.readouterr()
         return path.read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("extra", [(), ("--engine", "scalar")])
-    def test_degenerate_sweep_exports_strict_json(self, tmp_path, capsys, extra):
+    def test_degenerate_sweep_exports_strict_json(self, tmp_path, capsys):
         # Regression: at q=0.97 on a 4-node ring every trial is degenerate and
         # the routability is undefined; the export used to contain the literal
         # NaN, which jq/JSON.parse reject.
         import json
 
-        text = self._export(tmp_path, capsys, *extra)
+        text = self._export(tmp_path, capsys)
         assert "NaN" not in text
 
         def reject_constant(name):  # json.loads only calls this for NaN/Infinity
@@ -340,12 +341,6 @@ class TestAdaptiveOption:
     def test_ci_target_requires_adaptive(self, capsys):
         assert main(self._simulate("--ci-target", "0.05")) == 2
         assert "--adaptive" in capsys.readouterr().err
-
-    def test_adaptive_rejects_the_scalar_engine(self, capsys):
-        assert main(
-            self._simulate("--adaptive", "--ci-target", "0.05", "--engine", "scalar")
-        ) == 2
-        assert "batch engine" in capsys.readouterr().err
 
     def test_allocation_out_requires_adaptive_mode(self, capsys):
         assert main(self._simulate("--allocation-out", "ledger.txt")) == 2

@@ -20,6 +20,7 @@ from repro.dht.metrics import summarize_routes
 from repro.dht.routing import FAILURE_CODES, FailureReason, failure_reason_from_code
 from repro.exceptions import InvalidParameterError, RoutingError
 from repro.sim.churn import ChurnConfig, simulate_churn
+from repro.sim.conformance import _oracle_churn, _oracle_measure_routability
 from repro.sim.engine import SweepCell, SweepRunner, route_pairs
 from repro.sim.static_resilience import measure_routability
 from repro.sim.sampling import sample_survivor_pairs
@@ -101,32 +102,24 @@ class TestOracleAgreement:
         assert outcome.failure_reason_counts() == {}
 
 
-class TestMeasurementEngines:
-    """The batch and scalar engines are interchangeable in the measurement APIs."""
+class TestOracleReferences:
+    """The measurement APIs equal the conformance harness's scalar-oracle references."""
 
     @pytest.mark.parametrize("q", [0.1, 0.4, 0.7])
-    def test_measure_routability_identical_across_engines(self, small_overlays, geometry_name, q):
+    def test_measure_routability_matches_the_sweep_reference(self, small_overlays, geometry_name, q):
         overlay = small_overlays[geometry_name]
-        batch = measure_routability(overlay, q, pairs=150, trials=2, seed=21, engine="batch")
-        scalar = measure_routability(overlay, q, pairs=150, trials=2, seed=21, engine="scalar")
-        assert_metrics_equal(batch.metrics, scalar.metrics)
-        assert batch.degenerate_trials == scalar.degenerate_trials
+        measured = measure_routability(overlay, q, pairs=150, trials=2, seed=21)
+        expected = _oracle_measure_routability(overlay, q, pairs=150, trials=2, seed=21)
+        assert_metrics_equal(measured.metrics, expected.metrics)
+        assert measured.degenerate_trials == expected.degenerate_trials
 
-    def test_unknown_engine_rejected(self, small_overlays):
-        with pytest.raises(InvalidParameterError):
-            measure_routability(small_overlays["xor"], 0.2, pairs=10, trials=1, seed=1, engine="warp")
-
-    def test_churn_identical_across_engines(self, small_overlays):
+    def test_churn_matches_the_churn_reference(self, small_overlays):
         overlay = small_overlays["xor"]
         config = ChurnConfig(steps_per_epoch=5, pairs_per_step=120)
-        batch = simulate_churn(overlay, config, seed=6, engine="batch")
-        scalar = simulate_churn(overlay, config, seed=6, engine="scalar")
-        for batch_step, scalar_step in zip(batch.steps, scalar.steps):
-            assert_metrics_equal(batch_step.metrics, scalar_step.metrics)
-
-    def test_churn_unknown_engine_rejected(self, small_overlays):
-        with pytest.raises(InvalidParameterError):
-            simulate_churn(small_overlays["xor"], ChurnConfig(), seed=1, engine="warp")
+        measured = simulate_churn(overlay, config, seed=6)
+        expected = _oracle_churn(overlay, config, seed=6)
+        for measured_step, expected_step in zip(measured.steps, expected.steps):
+            assert_metrics_equal(measured_step.metrics, expected_step.metrics)
 
 
 class TestBatchValidation:

@@ -19,7 +19,7 @@ import pytest
 from repro.dht.failures import survival_mask
 from repro.exceptions import InvalidParameterError, RoutingError
 from repro.sim.churn import ChurnConfig, simulate_churn
-from repro.sim.conformance import _per_cell_reference
+from repro.sim.conformance import _oracle_churn, _per_cell_reference
 from repro.sim.engine import SweepCell, SweepRunner, route_pairs, route_pairs_stacked
 from repro.sim.sampling import sample_survivor_pair_arrays
 from repro.sim.static_resilience import build_overlay
@@ -231,9 +231,9 @@ class TestFusedSweepRunner:
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_churn_fused_epoch_matches_scalar_with_nondefault_batch(self, geometry):
-        # The churn driver fuses every step's usable mask into one stacked
-        # batch; with a non-default batch size it must still match the
-        # scalar oracle path step for step, on every geometry.
+        # The churn driver carries one routing state across steps; with a
+        # non-default batch size it must still match the scalar-oracle churn
+        # reference step for step, on every geometry.
         config = ChurnConfig(
             leave_probability=0.08,
             rejoin_probability=0.05,
@@ -241,8 +241,8 @@ class TestFusedSweepRunner:
             pairs_per_step=60,
         )
         overlay = build_overlay(geometry, SMALL_D, seed=1234)
-        batch = simulate_churn(overlay, config, seed=88, engine="batch", batch_size=23)
-        scalar = simulate_churn(overlay, config, seed=88, engine="scalar")
+        batch = simulate_churn(overlay, config, seed=88, batch_size=23)
+        scalar = _oracle_churn(overlay, config, seed=88)
         assert len(batch.steps) == len(scalar.steps)
         for fused_step, scalar_step in zip(batch.steps, scalar.steps):
             assert fused_step.step == scalar_step.step

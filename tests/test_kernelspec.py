@@ -20,6 +20,7 @@ from repro.exceptions import InvalidParameterError, UnknownGeometryError
 from repro.sim.conformance import (
     PARITY_SEVERITIES,
     WORKER_COUNTS,
+    assert_churn_parity,
     assert_failure_model_parity,
     assert_hop_limit_parity,
     assert_incremental_parity,
@@ -144,7 +145,7 @@ class TestOracleParity:
 
 
 class TestFailureModelParity:
-    """Every failure-model kind measures identically on batch and scalar engines."""
+    """Every failure-model kind measures identically on the engine and the sweep reference."""
 
     @pytest.mark.parametrize("kind", FAILURE_MODEL_KINDS)
     def test_model_parity(self, small_overlays, geometry_name, kind):
@@ -155,9 +156,16 @@ class TestFailureModelParity:
 
     @pytest.mark.parametrize("kind", ("uniform", "targeted"))
     def test_model_parity_on_per_pair_loops(self, small_overlays, kind):
-        # Cross-engine parity through the uncompiled numba loops too (one
+        # Reference parity through the uncompiled numba loops too (one
         # geometry suffices; routing parity per geometry is covered above).
         assert_failure_model_parity(small_overlays["debruijn"], _backend("python-loop"), kind=kind)
+
+
+class TestChurnParity:
+    """simulate_churn's carried state measures what the scalar-oracle churn reference does."""
+
+    def test_churn_matches_the_churn_reference(self, small_overlays, geometry_name, backend_label):
+        assert assert_churn_parity(small_overlays[geometry_name], _backend(backend_label)) > 0
 
 
 class TestIncrementalParity:

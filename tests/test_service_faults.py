@@ -666,6 +666,25 @@ class TestBackpressureExceptionTypes:
             jobs.submit(GRID)  # eviction runs on the submission path
             assert jobs.get(job.job_id) is None
 
+    def test_wall_clock_stepping_back_moves_neither_durations_nor_ttl(
+        self, tmp_path, monkeypatch
+    ):
+        # Every time.time() reading lands an hour before the previous one,
+        # so the wall clock runs backwards between acceptance, finish and
+        # eviction; durations and TTLs must follow the monotonic clock.
+        readings = iter(range(1, 10**6))
+        wall = time.time()
+        monkeypatch.setattr(time, "time", lambda: wall - 3600.0 * next(readings))
+        with manager(tmp_path, job_ttl=0.5) as jobs:
+            job = jobs.submit(GRID)
+            wait_terminal(job)
+            assert job.duration() >= 0.0
+            jobs.submit(GRID)  # eviction runs on the submission path
+            assert jobs.get(job.job_id) is job  # not yet past its TTL
+            time.sleep(0.6)
+            jobs.submit(GRID)
+            assert jobs.get(job.job_id) is None
+
     def test_max_retained_jobs_caps_the_table(self, tmp_path):
         with manager(tmp_path, max_retained_jobs=2, job_ttl=None) as jobs:
             finished = [jobs.submit(GRID) for _ in range(3)]

@@ -8,6 +8,7 @@ import pytest
 
 from repro.dht.failures import FAILURE_MODEL_KINDS, RegionalFailure, make_failure_model
 from repro.exceptions import InvalidParameterError, UnknownGeometryError
+from repro.sim.conformance import _oracle_measure_routability
 from repro.sim.static_resilience import (
     build_overlay,
     measure_routability,
@@ -108,30 +109,26 @@ class TestSweeps:
 
 class TestFailureModelSweeps:
     """Non-uniform failure models ride the same measurement stack with the
-    same scalar/batch bit-identity guarantees as the uniform model."""
+    same bit-identity to the scalar-oracle reference as the uniform model."""
 
     SEVERITY = 0.3
 
     @pytest.mark.parametrize("kind", FAILURE_MODEL_KINDS)
-    def test_batch_matches_scalar_for_every_model_and_geometry(
+    def test_engine_matches_the_sweep_reference_for_every_model_and_geometry(
         self, small_overlays, geometry_name, kind
     ):
         overlay = small_overlays[geometry_name]
-        model = make_failure_model(kind, self.SEVERITY)
-        batch = measure_routability(
-            overlay, self.SEVERITY, pairs=120, trials=2, seed=17,
-            failure_model=model, engine="batch",
+        sampling = dict(
+            pairs=120, trials=2, seed=17, failure_model=make_failure_model(kind, self.SEVERITY)
         )
-        scalar = measure_routability(
-            overlay, self.SEVERITY, pairs=120, trials=2, seed=17,
-            failure_model=model, engine="scalar",
-        )
-        assert batch.metrics.attempts == scalar.metrics.attempts
-        assert batch.metrics.successes == scalar.metrics.successes
-        assert batch.metrics.failure_reasons == scalar.metrics.failure_reasons
-        assert batch.degenerate_trials == scalar.degenerate_trials
+        measured = measure_routability(overlay, self.SEVERITY, **sampling)
+        expected = _oracle_measure_routability(overlay, self.SEVERITY, **sampling)
+        assert measured.metrics.attempts == expected.metrics.attempts
+        assert measured.metrics.successes == expected.metrics.successes
+        assert measured.metrics.failure_reasons == expected.metrics.failure_reasons
+        assert measured.degenerate_trials == expected.degenerate_trials
         for field in ("mean_hops_successful", "mean_hops_failed"):
-            a, b = getattr(batch.metrics, field), getattr(scalar.metrics, field)
+            a, b = getattr(measured.metrics, field), getattr(expected.metrics, field)
             assert a == b or (math.isnan(a) and math.isnan(b)), field
 
     def test_result_records_the_model_description(self, small_overlays):
