@@ -70,7 +70,6 @@ from .core.scalability import scalability_report
 from .dht import OVERLAY_CLASSES
 from .dht.failures import FAILURE_MODEL_KINDS
 from .exceptions import InvalidParameterError, ResultStoreError
-from .experiments import ExperimentConfig, list_experiments, run_experiment
 from .report.tables import render_table
 from .sim.backends import BACKEND_CHOICES, available_backends
 from .sim.engine import PROFILE_PHASES, SweepRunner
@@ -398,6 +397,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _command_list() -> str:
+    from .experiments import list_experiments
+
     rows = [
         {"experiment": experiment_id, "title": title, "reproduces": reference}
         for experiment_id, title, reference in list_experiments()
@@ -406,6 +407,8 @@ def _command_list() -> str:
 
 
 def _command_run(arguments: argparse.Namespace) -> str:
+    from .experiments import ExperimentConfig, run_experiment
+
     config = ExperimentConfig(
         fast=not arguments.full,
         workload=PairWorkload(pairs=arguments.pairs, trials=arguments.trials, seed=arguments.seed),

@@ -18,7 +18,6 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional, Tuple, Type
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import RoutingError, TopologyError
@@ -211,35 +210,6 @@ class Overlay(abc.ABC):
             "mean": float(degrees.mean()),
             "max": float(degrees.max()),
         }
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export the pristine overlay as a directed :class:`networkx.DiGraph`.
-
-        Used by the percolation substrate for connected-component analysis
-        and by tests that verify structural properties of the overlays.
-        """
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._space.identifiers())
-        for node in self._space.identifiers():
-            for neighbor in self.neighbors(node):
-                graph.add_edge(node, neighbor)
-        return graph
-
-    def surviving_subgraph(self, alive: np.ndarray) -> nx.DiGraph:
-        """Export the overlay restricted to surviving nodes as a directed graph."""
-        alive = np.asarray(alive, dtype=bool)
-        if alive.shape != (self.n_nodes,):
-            raise TopologyError(
-                f"survival mask has shape {alive.shape}, expected ({self.n_nodes},)"
-            )
-        graph = nx.DiGraph()
-        survivors = [int(i) for i in np.flatnonzero(alive)]
-        graph.add_nodes_from(survivors)
-        for node in survivors:
-            for neighbor in self.neighbors(node):
-                if alive[neighbor]:
-                    graph.add_edge(node, neighbor)
-        return graph
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

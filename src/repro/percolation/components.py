@@ -11,14 +11,20 @@ The reachable component is always a subset of the connected component; the
 gap between the two is what makes routability a different quantity from
 plain percolation connectivity, and this module lets experiments and tests
 measure both on the same failed overlay.
+
+Both graph quantities are computed with numpy over the overlay's cached
+routing table (:meth:`~repro.dht.network.Overlay.neighbor_array`)
+restricted to the survival mask: the connected component is a frontier
+breadth-first search along surviving links, and the weak components come
+from min-label propagation over the surviving links taken in both
+directions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
-import networkx as nx
 import numpy as np
 
 from ..dht.network import Overlay
@@ -93,27 +99,68 @@ def reachable_component(overlay: Overlay, root: int, alive: np.ndarray) -> Froze
 def connected_component(overlay: Overlay, root: int, alive: np.ndarray) -> FrozenSet[int]:
     """The surviving nodes reachable from ``root`` along *any* path of surviving overlay links.
 
-    Computed as graph descendants of ``root`` in the surviving directed
-    overlay graph; the reachable component of the same root is always a
-    subset of this set.
+    A breadth-first search of the surviving directed overlay graph; the root
+    itself is excluded even when a cycle leads back to it.  The reachable
+    component of the same root is always a subset of this set.
     """
     alive = _validated_mask(overlay, alive)
     root = overlay.space.validate(root)
     if not alive[root]:
         raise InvalidParameterError(f"root node {root} did not survive")
-    graph = overlay.surviving_subgraph(alive)
-    descendants = nx.descendants(graph, root)
-    return frozenset(int(v) for v in descendants)
+    table = overlay.neighbor_array()
+    seen = np.zeros(overlay.n_nodes, dtype=bool)
+    seen[root] = True
+    frontier = np.array([root])
+    while frontier.size:
+        candidates = table[frontier].ravel()
+        candidates = candidates[alive[candidates] & ~seen[candidates]]
+        seen[candidates] = True
+        frontier = candidates
+    seen[root] = False
+    return frozenset(np.flatnonzero(seen).tolist())
+
+
+def _weak_component_labels(overlay: Overlay, alive: np.ndarray) -> np.ndarray:
+    """Per-survivor component label: the smallest survivor of its weak component.
+
+    Min-label propagation over the surviving links in both directions: each
+    round hooks the larger label of every link whose ends disagree onto the
+    smaller one, then pointer-jumps every label to its root, until the two
+    ends of every link agree.
+    """
+    table = overlay.neighbor_array()
+    survivors = np.flatnonzero(alive)
+    sources = np.repeat(survivors, table.shape[1])
+    targets = table[survivors].ravel()
+    keep = alive[targets]
+    sources, targets = sources[keep], targets[keep]
+    labels = np.arange(overlay.n_nodes)
+    while True:
+        source_labels, target_labels = labels[sources], labels[targets]
+        differ = source_labels != target_labels
+        if not differ.any():
+            return labels[survivors]
+        source_labels, target_labels = source_labels[differ], target_labels[differ]
+        np.minimum.at(
+            labels,
+            np.maximum(source_labels, target_labels),
+            np.minimum(source_labels, target_labels),
+        )
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
 def component_size_distribution(overlay: Overlay, alive: np.ndarray) -> ComponentSummary:
     """Weakly-connected component sizes of the surviving overlay graph."""
     alive = _validated_mask(overlay, alive)
-    graph = overlay.surviving_subgraph(alive)
-    survivor_count = graph.number_of_nodes()
+    survivor_count = int(alive.sum())
     if survivor_count == 0:
         return ComponentSummary(survivor_count=0, largest_component=0, component_sizes=())
-    sizes = sorted((len(c) for c in nx.weakly_connected_components(graph)), reverse=True)
+    counts = np.bincount(_weak_component_labels(overlay, alive))
+    sizes = sorted(counts[counts > 0].tolist(), reverse=True)
     return ComponentSummary(
         survivor_count=survivor_count,
         largest_component=sizes[0],

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,38 @@ SMALL_D = 6
 #: plus extensions such as debruijn).  Auto-discovered so new geometries get
 #: the whole parametrised suite for free.
 ALL_GEOMETRIES = tuple(OVERLAY_CLASSES)
+
+#: Script prelude for subprocess tests: a meta-path finder that makes the
+#: packages the runtime must not need (``scipy``, ``networkx``) unimportable,
+#: even when the test environment has them installed.
+BLOCK_UNDECLARED_IMPORTS = """
+import importlib.abc, sys
+
+class BlockUndeclared(importlib.abc.MetaPathFinder):
+    BLOCKED = ("scipy", "networkx")
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in self.BLOCKED:
+            raise ModuleNotFoundError(f"No module named {name!r} (blocked)")
+        return None
+
+sys.meta_path.insert(0, BlockUndeclared())
+"""
+
+
+def run_with_undeclared_imports_blocked(script: str, stdin: str = "") -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter (``src`` on the path) with scipy and networkx blocked."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", BLOCK_UNDECLARED_IMPORTS + script],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
 
 
 @pytest.fixture

@@ -4,22 +4,20 @@
 distance distributions, a max-shifted log-sum-exp).  ``PINS`` fixes both for
 every registered analytic geometry at d in {10, 16, 100} to 1e-12 relative,
 so a change to those numerics shows up here.  The subprocess test evaluates
-the pins again with ``scipy`` made unimportable: the analytic core must not
-need it, since ``pyproject.toml`` does not declare it.
+the pins again with ``scipy`` (and ``networkx``) made unimportable: the
+analytic core must not need them, since ``pyproject.toml`` declares neither.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.core.geometry import get_geometry, list_geometries
 from repro.core.routability import routability
+
+from conftest import run_with_undeclared_imports_blocked
 
 #: ``(geometry, d, q, routability, log E[S])``.
 PINS = [
@@ -100,15 +98,7 @@ PINS = [
 RELATIVE = 1e-12
 
 _SCIPY_BLOCKED = """
-import importlib.abc, json, sys
-
-class BlockScipy(importlib.abc.MetaPathFinder):
-    def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ModuleNotFoundError(f"No module named {name!r} (blocked)")
-        return None
-
-sys.meta_path.insert(0, BlockScipy())
+import json
 import repro
 from repro.core.geometry import get_geometry
 from repro.core.routability import routability
@@ -142,17 +132,7 @@ def test_pinned_values(geometry):
 
 
 def test_pins_hold_with_scipy_blocked():
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    completed = subprocess.run(
-        [sys.executable, "-c", _SCIPY_BLOCKED],
-        input=json.dumps(PINS),
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    completed = run_with_undeclared_imports_blocked(_SCIPY_BLOCKED, json.dumps(PINS))
     assert completed.returncode == 0, completed.stderr
     values = json.loads(completed.stdout)
     assert len(values) == len(PINS)

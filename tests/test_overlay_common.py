@@ -53,20 +53,6 @@ class TestStructure:
         assert stats["min"] >= 1
         assert stats["min"] <= stats["mean"] <= stats["max"]
 
-    def test_to_networkx_has_all_nodes(self, small_overlays, geometry_name):
-        overlay = small_overlays[geometry_name]
-        graph = overlay.to_networkx()
-        assert graph.number_of_nodes() == overlay.n_nodes
-        assert graph.number_of_edges() > 0
-
-    def test_surviving_subgraph_excludes_dead_nodes(self, small_overlays, geometry_name):
-        overlay = small_overlays[geometry_name]
-        alive = all_alive(overlay)
-        alive[:8] = False
-        graph = overlay.surviving_subgraph(alive)
-        assert graph.number_of_nodes() == overlay.n_nodes - 8
-        assert all(node >= 8 for node in graph.nodes)
-
 
 class TestRoutingWithoutFailures:
     def test_every_sampled_pair_routes(self, small_overlays, geometry_name, rng):

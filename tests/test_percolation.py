@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.dht import HypercubeOverlay, PlaxtonOverlay
+from repro.dht import OVERLAY_CLASSES, HypercubeOverlay, PlaxtonOverlay
 from repro.exceptions import InvalidParameterError
 from repro.percolation import (
     component_size_distribution,
@@ -31,6 +33,83 @@ def tree_overlay():
 
 def all_alive(overlay):
     return np.ones(overlay.n_nodes, dtype=bool)
+
+
+def reference_descendants(overlay, root, alive):
+    """Pure-Python depth-first search over ``overlay.neighbors``; the root is never included."""
+    seen = set()
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for neighbor in overlay.neighbors(node):
+            if alive[neighbor] and neighbor not in seen:
+                seen.add(neighbor)
+                stack.append(neighbor)
+    seen.discard(root)
+    return frozenset(seen)
+
+
+def reference_component_sizes(overlay, alive):
+    """Pure-Python union-find over the surviving links, ignoring their direction."""
+    survivors = [int(v) for v in np.flatnonzero(alive)]
+    parent = {v: v for v in survivors}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for node in survivors:
+        for neighbor in overlay.neighbors(node):
+            if alive[neighbor]:
+                parent[find(node)] = find(neighbor)
+    return tuple(sorted(Counter(find(v) for v in survivors).values(), reverse=True))
+
+
+class TestNumpyReachabilityMatchesReference:
+    @pytest.mark.parametrize("d", [6, 7, 8])
+    @pytest.mark.parametrize("geometry", sorted(OVERLAY_CLASSES))
+    def test_every_geometry_under_failures(self, geometry, d):
+        overlay = OVERLAY_CLASSES[geometry].build(d, seed=d)
+        for q in (0.0, 0.3, 0.6, 0.95):
+            for seed in range(3):
+                alive = np.random.default_rng(seed).random(overlay.n_nodes) >= q
+                expected = reference_component_sizes(overlay, alive)
+                summary = component_size_distribution(overlay, alive)
+                assert summary.component_sizes == expected, (q, seed)
+                assert summary.survivor_count == int(alive.sum())
+                assert summary.largest_component == (expected[0] if expected else 0)
+                for root in np.flatnonzero(alive)[:4].tolist():
+                    component = connected_component(overlay, root, alive)
+                    assert component == reference_descendants(overlay, root, alive), (q, seed, root)
+                    assert all(isinstance(node, int) for node in component)
+
+    def test_root_excluded_when_a_cycle_leads_back(self, cube):
+        # Every hypercube link is bidirectional, so the root is its own descendant.
+        alive = all_alive(cube)
+        assert 1 in cube.neighbors(0) and 0 in cube.neighbors(1)
+        assert connected_component(cube, 0, alive) == frozenset(range(1, cube.n_nodes))
+
+    def test_root_without_surviving_links_reaches_nobody(self, cube):
+        alive = all_alive(cube)
+        alive[list(cube.neighbors(0))] = False
+        assert connected_component(cube, 0, alive) == frozenset()
+        summary = component_size_distribution(cube, alive)
+        assert summary.component_sizes == (cube.n_nodes - 1 - cube.d, 1)
+
+    def test_dead_root_rejected(self, cube):
+        alive = all_alive(cube)
+        alive[3] = False
+        with pytest.raises(InvalidParameterError):
+            connected_component(cube, 3, alive)
+
+    def test_all_dead_mask(self, cube):
+        alive = np.zeros(cube.n_nodes, dtype=bool)
+        with pytest.raises(InvalidParameterError):
+            connected_component(cube, 0, alive)
+        summary = component_size_distribution(cube, alive)
+        assert (summary.survivor_count, summary.largest_component, summary.component_sizes) == (0, 0, ())
 
 
 class TestReachableComponent:

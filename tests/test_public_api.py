@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,14 @@ SUBPACKAGES = [
 class TestPackageSurface:
     def test_version_is_exposed(self):
         assert repro.__version__
+
+    def test_pyproject_takes_the_version_from_the_package(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "repro.__version__"}
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
