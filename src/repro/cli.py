@@ -29,10 +29,10 @@ Subcommands
     any earlier run or a running service) are recalled without simulation,
     and fresh cells are written back.  ``--churn-trace PATH`` switches to
     trace-driven churn replay (``--q`` becomes optional): the recorded
-    join/leave events drive per-step routability measurements, the routing
-    state is delta-patched between steps, ``--churn-repair-every`` sets the
+    join/leave events drive per-step routability measurements, one routing
+    state is carried across steps, ``--churn-repair-every`` sets the
     repair period, and ``--profile`` then prints the churn phase breakdown
-    (mask delta, state update, kernel hops, reduction).  ``--adaptive
+    (state update, kernel hops, reduction).  ``--adaptive
     --ci-target H`` switches to variance-adaptive trial allocation: the
     sweep runs in rounds and each ``q`` point freezes once its pooled
     routability CI half-width reaches ``H`` (``--trials`` becomes the
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
             "replay a recorded churn trace (rcm-churn-trace v1 file) instead of "
             "sweeping static failure probabilities: nodes join and leave as the "
             "trace dictates, --pairs pairs are routed among usable nodes each "
-            "step, and the routing state is delta-patched between steps"
+            "step, and one routing state is carried across steps"
         ),
     )
     simulate_parser.add_argument(
@@ -475,7 +475,7 @@ def _simulate_churn_trace(arguments: argparse.Namespace) -> str:
 
     The trace dictates the join/leave events; ``--pairs`` pairs are routed
     among usable nodes each step (one routing state carried across steps and
-    delta-patched with each step's events).  ``--profile``
+    rebound to each step's usable mask).  ``--profile``
     prints the churn phase breakdown (:data:`CHURN_PROFILE_PHASES`).
     """
     from .exceptions import InvalidParameterError

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..sim.kernelspec import KernelSpec, SpecState, register_kernel_spec
+from ..sim.kernelspec import KernelSpec, register_kernel_spec
 from ..validation import check_identifier_length
 from .identifiers import IdentifierSpace
 from .network import Overlay, make_rng, register_overlay
@@ -120,65 +120,33 @@ class HypercubeOverlay(Overlay):
 # --------------------------------------------------------------------- #
 # kernel spec — the one batch declaration of the hypercube routing rule
 # --------------------------------------------------------------------- #
-def _hypercube_prepare(view, alive: np.ndarray) -> SpecState:
-    """Pack each node's alive neighbours into a bitset (bit ``j`` iff ``alive[x ^ 2^j]``).
-
-    The hypercube wiring is deterministic, so no table is needed at all:
-    the per-hop step is pure flat bit arithmetic over the bitset.  On a
-    disjoint-union view the XOR with ``2^j`` (``j < d``) stays inside the
-    cell, so the same packing covers the fused path unchanged.
+def _hypercube_neighbor_bits(ops):
+    """A neighbour's flipped bit, ``neighbor ^ cur``: the driver ORs these over
+    the masked row into the alive-neighbour bitset (bit ``j`` set iff
+    ``cur ^ 2^j`` is alive).  A dead neighbour arrives as ``cur`` and adds
+    nothing; on a disjoint-union view the cell base cancels in the XOR.
     """
-    d = view.d
-    n = alive.size
-    dtype = np.int32 if n <= np.iinfo(np.int32).max // 2 else np.int64
-    identifiers = np.arange(n, dtype=dtype)
-    alive_bits = np.zeros(n, dtype=dtype)
-    for j in range(d):
-        alive_bits |= alive[identifiers ^ dtype(1 << j)].astype(dtype) << dtype(j)
-    alive_bits.setflags(write=False)
-    return SpecState(table=None, consts=(d,), arrays=(alive_bits,))
 
+    def neighbor_bits(consts, neighbor, cur):
+        return neighbor ^ cur
 
-def _hypercube_update(view, state, alive, joined, left):
-    """Patch the aliveness bitset in place: one bit per (changed node, dimension).
-
-    A churn event at node ``x`` flips bit ``j`` of exactly the ``d``
-    neighbour rows ``x ^ 2^j`` — O(events × d) scatter writes instead of the
-    full O(n × d) rebuild.  Rows are maintained for dead nodes too (a row
-    tracks its *neighbours'* aliveness, not its own), exactly as
-    :func:`_hypercube_prepare` computes them, so a later rejoin needs no
-    row reconstruction.  Within one dimension the patched indices are
-    distinct (``x ^ 2^j`` is injective in ``x``), so the fancy-indexed
-    ``|=`` / ``&=`` never collide.
-    """
-    (d,) = state.consts
-    (alive_bits,) = state.arrays
-    dtype = alive_bits.dtype
-    alive_bits.setflags(write=True)
-    for j in range(d):
-        if left.size:
-            alive_bits[left ^ (1 << j)] &= dtype.type(~(1 << j))
-        if joined.size:
-            alive_bits[joined ^ (1 << j)] |= dtype.type(1 << j)
-    alive_bits.setflags(write=False)
-    return state
+    return neighbor_bits
 
 
 def _hypercube_advance(ops):
     """Greedy bit correction: the scalar min-identifier rule as bit arithmetic.
 
-    Among the differing bits whose neighbour is alive, clear the highest set
-    bit of ``cur`` (the largest decrease) or, when none is set, set the
-    lowest clear bit (the smallest increase) — exactly the scalar
-    min-identifier choice.
+    Among the differing bits whose neighbour is alive (``row``, the
+    alive-neighbour bitset), clear the highest set bit of ``cur`` (the
+    largest decrease) or, when none is set, set the lowest clear bit (the
+    smallest increase) — exactly the scalar min-identifier choice.
     """
 
     highest_set_bit = ops.highest_set_bit
     where = ops.where
 
-    def advance(consts, arrays, alive, cur, dst):
-        alive_bits = arrays[0]
-        usable = alive_bits[cur] & (cur ^ dst)
+    def advance(consts, table, alive, cur, dst, row):
+        usable = row & (cur ^ dst)
         decreasing = usable & cur
         clear_highest = highest_set_bit(decreasing)  # undefined at 0; masked below
         increasing = usable & ~cur
@@ -195,8 +163,7 @@ register_kernel_spec(
         geometry=HypercubeOverlay.geometry_name,
         kind="direct",
         fail_code=FAILURE_CODES[FailureReason.DEAD_END],
-        prepare=_hypercube_prepare,
         advance=_hypercube_advance,
-        update=_hypercube_update,
+        neighbor_bits=_hypercube_neighbor_bits,
     )
 )

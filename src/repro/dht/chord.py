@@ -22,14 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..exceptions import TopologyError
-from ..sim.kernelspec import (
-    KernelSpec,
-    SpecState,
-    referencing_positions,
-    register_kernel_spec,
-    reverse_neighbor_index,
-    ring_modulus,
-)
+from ..sim.kernelspec import KernelSpec, register_kernel_spec
 from ..validation import check_identifier_length
 from .identifiers import IdentifierSpace, ring_distance
 from .network import Overlay, make_rng, register_overlay
@@ -141,51 +134,12 @@ class ChordOverlay(Overlay):
 # shared by every ring-flavoured geometry (Chord here, Symphony in
 # symphony.py) via :func:`make_ring_spec`.
 # --------------------------------------------------------------------- #
-def _ring_prepare(view, alive: np.ndarray) -> SpecState:
-    """Rewrite dead table entries to the node itself (clockwise progress zero).
-
-    Zero progress is the one value the scalar rule already excludes, so the
-    per-hop scan needs no aliveness gather at all.
-    """
-    tables = view.neighbor_array()
-    self_column = np.arange(alive.size, dtype=tables.dtype)[:, None]
-    masked = np.where(alive[tables], tables, self_column)
-    masked.setflags(write=False)
-    return SpecState(table=masked, consts=(ring_modulus(view),), arrays=())
-
-
-def _ring_update(view, state, alive, joined, left):
-    """Patch exactly the masked-table entries referencing the changed nodes.
-
-    Mirror image of the XOR delta (see ``kademlia._xor_update``) with the
-    ring's mask value: a leaver's referencing positions are rewritten to
-    their own *row* identifier — ``position // degree``, the zero-progress
-    self entry :func:`_ring_prepare` uses — and a rejoiner's back to the
-    node itself (the pristine value at any position referencing ``x`` is
-    ``x``).  The reverse-neighbour index is built on the first delta and
-    carried in the ``arrays`` scratch that scan executors never read.
-    """
-    if state.arrays:
-        starts, order = state.arrays
-    else:
-        starts, order = reverse_neighbor_index(view)
-    table = state.table
-    table.setflags(write=True)
-    flat = table.reshape(-1)
-    if left.size:
-        positions, _ = referencing_positions(starts, order, left)
-        flat[positions] = (positions // table.shape[1]).astype(table.dtype, copy=False)
-    if joined.size:
-        positions, counts = referencing_positions(starts, order, joined)
-        flat[positions] = np.repeat(joined, counts).astype(table.dtype, copy=False)
-    table.setflags(write=False)
-    return SpecState(table=table, consts=state.consts, arrays=(starts, order))
-
-
 def _ring_key(ops):
     """Remaining clockwise distance after the hop; unusable candidates map to
-    the modulus, which every real key (``<= modulus - 2``) undercuts.
+    the modulus ``2^d``, which every real key (``<= modulus - 2``) undercuts.
 
+    The modulus is a power of two, so ``x mod 2^d`` is ``x & (2^d - 1)``
+    (two's complement makes that hold for negative differences too).
     Same-cell differences stay inside ``(-modulus, modulus)`` on a
     disjoint-union view, so the physical modulus recovers the clockwise
     distances.  Ties in the remaining distance imply the same neighbour
@@ -196,13 +150,13 @@ def _ring_key(ops):
     where = ops.where
 
     def key(consts, neighbor, cur, dst):
-        modulus = consts[0]
+        mask = consts[1]
         # Real neighbours have progress >= 1 (overlays never list a node as
-        # its own neighbour); dead ones were rewritten to progress == 0.
-        progress = (neighbor - cur) % modulus
-        remaining = (dst - cur) % modulus
+        # its own neighbour); dead ones arrive as cur itself, progress == 0.
+        progress = (neighbor - cur) & mask
+        remaining = (dst - cur) & mask
         usable = (progress != 0) & (progress <= remaining)
-        return where(usable, remaining - progress, modulus)
+        return where(usable, remaining - progress, mask + 1)
 
     return key
 
@@ -211,7 +165,7 @@ def _ring_accept(ops):
     """Some usable neighbour existed iff the winning key beat the modulus."""
 
     def accept(consts, best_key, cur, dst):
-        return best_key < consts[0]
+        return best_key <= consts[1]
 
     return accept
 
@@ -222,10 +176,8 @@ def make_ring_spec(geometry: str) -> KernelSpec:
         geometry=geometry,
         kind="scan",
         fail_code=FAILURE_CODES[FailureReason.DEAD_END],
-        prepare=_ring_prepare,
         key=_ring_key,
         accept=_ring_accept,
-        update=_ring_update,
     )
 
 

@@ -36,7 +36,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..sim.kernelspec import KernelSpec, SpecState, identity_update, register_kernel_spec
+from ..sim.kernelspec import KernelSpec, register_kernel_spec
 from ..validation import check_identifier_length
 from .identifiers import IdentifierSpace
 from .network import Overlay, make_rng, register_overlay
@@ -143,25 +143,6 @@ class DeBruijnOverlay(Overlay):
 # --------------------------------------------------------------------- #
 # kernel spec — the one batch declaration of the de Bruijn routing rule
 # --------------------------------------------------------------------- #
-def _debruijn_prepare(view, alive: np.ndarray) -> SpecState:
-    """The step is pure bit arithmetic; only ``d`` and the local-id mask matter.
-
-    On a disjoint-union view the cell offset lives in bits above the
-    physical space, so the step masks down to local identifiers, shifts
-    there, and adds the offset back — no table is ever gathered.  The one
-    state array is a single-element dtype witness: per-pair executors read
-    their routing-state dtype (int32 for any realistic space) from
-    ``arrays[0]`` without this spec paying a per-batch table copy.  The
-    state is mask-independent, so its incremental update is
-    :func:`identity_update`.
-    """
-    d = view.d
-    dtype = np.int32 if alive.size <= np.iinfo(np.int32).max // 2 else np.int64
-    witness = np.zeros(1, dtype=dtype)
-    witness.setflags(write=False)
-    return SpecState(table=None, consts=(d, (1 << d) - 1), arrays=(witness,))
-
-
 def _debruijn_advance(ops):
     """Shift in the destination bit extending the suffix-prefix overlap.
 
@@ -173,7 +154,7 @@ def _debruijn_advance(ops):
     where = ops.where
     alive_at = ops.alive
 
-    def advance(consts, arrays, alive, cur, dst):
+    def advance(consts, table, alive, cur, dst, row):
         d = consts[0]
         mask = consts[1]
         local_cur = cur & mask
@@ -195,8 +176,6 @@ register_kernel_spec(
         geometry=DeBruijnOverlay.geometry_name,
         kind="direct",
         fail_code=FAILURE_CODES[FailureReason.REQUIRED_NEIGHBOR_FAILED],
-        prepare=_debruijn_prepare,
         advance=_debruijn_advance,
-        update=identity_update,
     )
 )

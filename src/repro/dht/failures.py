@@ -35,6 +35,7 @@ Two invariants every model must honour:
 from __future__ import annotations
 
 import abc
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -243,6 +244,17 @@ class TargetedNodeFailure(FailureModel):
         object.__setattr__(self, "_ranking_array", array)
         object.__setattr__(self, "_ranking_max", int(array.max()))
 
+    def with_fraction(self, fraction: float) -> "TargetedNodeFailure":
+        """The same, already validated ranking at another ``fraction``.
+
+        Skips re-validating and re-converting the ranking, which costs
+        O(n log n) per call; :meth:`DegreeTargetedFailure.bind` uses it so an
+        overlay's ranking is validated once for all severities.
+        """
+        model = copy.copy(self)
+        object.__setattr__(model, "fraction", check_failure_probability(fraction))
+        return model
+
     def sample(self, n_nodes: int, rng: np.random.Generator) -> np.ndarray:
         """Fail the top ``fraction`` of ranked nodes; deterministic, consumes no randomness."""
         n_nodes = check_node_count(n_nodes)
@@ -292,10 +304,21 @@ class DegreeTargetedFailure(FailureModel):
         object.__setattr__(self, "fraction", check_failure_probability(self.fraction))
 
     def bind(self, overlay) -> FailureModel:
-        """Derive the concrete ranking from ``overlay``'s per-node in-degrees."""
-        return TargetedNodeFailure(
-            fraction=self.fraction, ranking=overlay_in_degree_ranking(overlay)
-        )
+        """Derive the concrete ranking from ``overlay``'s per-node in-degrees.
+
+        The ranking is validated and converted once per overlay (cached on
+        it, like the ranking itself); every severity reuses it.
+        """
+        validated = getattr(overlay, "_targeted_failure_cache", None)
+        if validated is None:
+            validated = TargetedNodeFailure(
+                fraction=self.fraction, ranking=overlay_in_degree_ranking(overlay)
+            )
+            try:
+                overlay._targeted_failure_cache = validated
+            except AttributeError:  # pragma: no cover - read-only view objects
+                pass
+        return validated.with_fraction(self.fraction)
 
     def sample(self, n_nodes: int, rng: np.random.Generator) -> np.ndarray:
         """Unbound models cannot sample — :meth:`bind` an overlay first."""

@@ -21,14 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..exceptions import TopologyError
-from ..sim.kernelspec import (
-    KernelSpec,
-    SpecState,
-    distance_sentinel,
-    referencing_positions,
-    register_kernel_spec,
-    reverse_neighbor_index,
-)
+from ..sim.kernelspec import KernelSpec, register_kernel_spec
 from ..validation import check_identifier_length
 from .identifiers import IdentifierSpace, xor_distance
 from .network import Overlay, make_rng, register_overlay
@@ -127,53 +120,11 @@ class KademliaOverlay(Overlay):
 # --------------------------------------------------------------------- #
 # kernel spec — the one batch declaration of the XOR routing rule
 # --------------------------------------------------------------------- #
-def _xor_prepare(view, alive: np.ndarray) -> SpecState:
-    """Rewrite dead table entries to a sentinel beyond the identifier space.
-
-    A dead neighbour's XOR distance (``>= alive.size``) can never win the
-    scan against an alive one (``< 2^d``), so the per-hop step needs
-    neither an aliveness gather nor a masking pass.
-    """
-    tables = view.neighbor_array()
-    sentinel = distance_sentinel(alive.size, tables.dtype)
-    masked = np.where(alive[tables], tables, tables.dtype.type(sentinel))
-    masked.setflags(write=False)
-    return SpecState(table=masked, consts=(sentinel,), arrays=())
-
-
-def _xor_update(view, state, alive, joined, left):
-    """Patch exactly the masked-table entries referencing the changed nodes.
-
-    A reverse-neighbour index (built on the first delta, carried in the
-    state's ``arrays`` scratch — scan executors never read it) lists every
-    flat table position referencing a node, so a churn event costs
-    O(in-degree) scatter writes: a leaver's positions are rewritten to the
-    sentinel, a rejoiner's back to the node itself — by construction the
-    pristine value at any position referencing ``x`` *is* ``x``, so no
-    pristine-table read is needed.  Dead rows are patched too, keeping every
-    row consistent with the current mask exactly as a full
-    :func:`_xor_prepare` would.
-    """
-    if state.arrays:
-        starts, order = state.arrays
-    else:
-        starts, order = reverse_neighbor_index(view)
-    table = state.table
-    table.setflags(write=True)
-    flat = table.reshape(-1)
-    if left.size:
-        positions, _ = referencing_positions(starts, order, left)
-        flat[positions] = table.dtype.type(state.consts[0])
-    if joined.size:
-        positions, counts = referencing_positions(starts, order, joined)
-        flat[positions] = np.repeat(joined, counts).astype(table.dtype, copy=False)
-    table.setflags(write=False)
-    return SpecState(table=table, consts=state.consts, arrays=(starts, order))
-
-
 def _xor_key(ops):
     """XOR distance to the destination; distinct across distinct neighbours,
-    so equal keys imply the same (duplicated) table entry."""
+    so equal keys imply the same (duplicated) table entry.  A dead
+    neighbour arrives as ``cur``, whose key ``cur ^ dst`` the accept rule
+    rejects and every usable neighbour undercuts."""
 
     def key(consts, neighbor, cur, dst):
         return neighbor ^ dst
@@ -195,9 +146,7 @@ register_kernel_spec(
         geometry=KademliaOverlay.geometry_name,
         kind="scan",
         fail_code=FAILURE_CODES[FailureReason.DEAD_END],
-        prepare=_xor_prepare,
         key=_xor_key,
         accept=_xor_accept,
-        update=_xor_update,
     )
 )

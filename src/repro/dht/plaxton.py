@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..exceptions import TopologyError
-from ..sim.kernelspec import KernelSpec, SpecState, identity_update, register_kernel_spec
+from ..sim.kernelspec import KernelSpec, register_kernel_spec
 from ..validation import check_identifier_length
 from .identifiers import IdentifierSpace, highest_differing_bit
 from .network import Overlay, make_rng, register_overlay
@@ -142,18 +142,6 @@ class PlaxtonOverlay(Overlay):
 # --------------------------------------------------------------------- #
 # kernel spec — the one batch declaration of the tree routing rule
 # --------------------------------------------------------------------- #
-def _tree_prepare(view, alive: np.ndarray) -> SpecState:
-    """Tree routing needs only the bit-indexed tables and the identifier length.
-
-    The state is mask-independent (aliveness is looked up per hop via
-    ``ops.alive``), so its incremental update is :func:`identity_update` —
-    a churn delta costs nothing beyond the executor refreshing its own
-    aliveness handle.  The pristine table is *not* owned by the state and
-    must never be patched.
-    """
-    return SpecState(table=None, consts=(view.d,), arrays=(view.neighbor_array(),))
-
-
 def _tree_advance(ops):
     """Forward to the single neighbour correcting the leftmost differing bit."""
     # Primitives become plain closure variables: both executors resolve them
@@ -161,13 +149,12 @@ def _tree_advance(ops):
     bit_length = ops.bit_length
     alive_at = ops.alive
 
-    def advance(consts, arrays, alive, cur, dst):
-        d = consts[0]
-        tables = arrays[0]
+    def advance(consts, table, alive, cur, dst, row):
+        local = cur & consts[1]
         # Column of the highest-order differing bit: position - 1 =
         # d - bit_length(cur ^ dst); bit_length >= 1 while routing.
         position = bit_length(cur ^ dst)
-        next_hop = tables[cur, d - position]
+        next_hop = table[local, consts[0] - position] + (cur - local)
         return next_hop, alive_at(alive, next_hop)
 
     return advance
@@ -178,8 +165,6 @@ register_kernel_spec(
         geometry=PlaxtonOverlay.geometry_name,
         kind="direct",
         fail_code=FAILURE_CODES[FailureReason.REQUIRED_NEIGHBOR_FAILED],
-        prepare=_tree_prepare,
         advance=_tree_advance,
-        update=identity_update,
     )
 )

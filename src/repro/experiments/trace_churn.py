@@ -13,9 +13,8 @@ event traces** through the same measurement loop
   memoryless chain cannot express.
 
 Periodic repairs (``repair_every``) re-establish routing tables mid-run, so
-the usable set repeatedly collapses and recovers — the regime where the
-incremental prepare-state path (KernelSpec ``update`` hooks) does O(events)
-work per step instead of a full table rebuild.
+the usable set repeatedly collapses and recovers; the kernels mask only the
+table rows a step's pairs visit, so no step pays for a full table rebuild.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Each performance PR in this repository left behind a benchmark artifact — a
 JSON report written by its ``benchmarks/test_bench_*.py`` gate (batch engine
 vs scalar oracle, fused vs per-cell dispatch, kernel backends, the unified
-KernelSpec driver, incremental churn state, adaptive trial allocation).
+KernelSpec driver, adaptive trial allocation).
 Individually each artifact proves its own PR's claim; collectively they are
 the repo's performance trajectory, and a regression in any one of them
 should be as visible as a failing test.
@@ -74,9 +74,6 @@ GATE_REGISTRY: Dict[str, Tuple[BenchGate, ...]] = {
     ),
     "failure-model-sweep-dispatch": (
         BenchGate("speedup_fused_vs_per_cell", "speedup_floor"),
-    ),
-    "churn-incremental-prepare-state": (
-        BenchGate("speedup_incremental_vs_rebuild", "speedup_floor"),
     ),
     "adaptive-trial-allocation": (BenchGate("pairs_saved_ratio", "ratio_floor"),),
 }

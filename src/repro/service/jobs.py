@@ -798,8 +798,8 @@ class JobManager:
         fan out and no cell cache to consult — the trace is regenerated
         deterministically from the request seed, so reruns are free to
         reproduce the rows bit-identically anyway.  The routing state is
-        carried across steps and delta-patched, so a shard costs O(events)
-        state work per step.
+        carried across steps and rebound to each step's mask; the kernels
+        mask only the rows a step's pairs visit.
         """
         from ..sim.churn import ChurnConfig, simulate_churn
         from ..sim.static_resilience import build_overlay

@@ -67,8 +67,8 @@ SWEEP_REQUEST_SCHEMA: Dict = {
             "description": (
                 "Trace-driven churn instead of a static q sweep: each geometry "
                 "becomes one churn shard replaying a deterministically generated "
-                "join/leave trace (seeded from the request seed), with the routing "
-                "state delta-patched between steps; 'q' and 'failure_models' are "
+                "join/leave trace (seeded from the request seed), with one routing "
+                "state carried across steps; 'q' and 'failure_models' are "
                 "ignored when this is set."
             ),
             "properties": {

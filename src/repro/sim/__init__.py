@@ -22,7 +22,6 @@ from typing import Tuple
 _EXPORTS = {
     # kernel specs (the single-declaration routing layer)
     "KernelSpec": "kernelspec",
-    "SpecState": "kernelspec",
     "KERNEL_SPECS": "kernelspec",
     "register_kernel_spec": "kernelspec",
     "get_kernel_spec": "kernelspec",

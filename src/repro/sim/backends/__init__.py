@@ -28,7 +28,7 @@ import warnings
 from typing import Callable, Dict, Tuple, Union
 
 from ...exceptions import InvalidParameterError
-from .base import KernelBackend, pack_alive_words, ring_modulus
+from .base import KernelBackend, pack_alive_words
 from .numba_backend import NUMBA_AVAILABLE, NumbaBackend, python_loop_backend
 from .numpy_backend import NumpyBackend
 
@@ -44,7 +44,6 @@ __all__ = [
     "resolve_backend",
     "python_loop_backend",
     "pack_alive_words",
-    "ring_modulus",
 ]
 
 _NUMPY_BACKEND = NumpyBackend()

@@ -30,7 +30,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ...dht.routing import FAILURE_CODES, FailureReason
-from ..kernelspec import ring_modulus
 
 __all__ = [
     "SUCCESS_CODE",
@@ -38,7 +37,6 @@ __all__ = [
     "REQUIRED_FAILED_CODE",
     "HOP_LIMIT_CODE",
     "KernelBackend",
-    "ring_modulus",
     "pack_alive_words",
 ]
 
@@ -76,9 +74,10 @@ def pack_alive_words(alive: np.ndarray) -> np.ndarray:
 class KernelBackend(abc.ABC):
     """One implementation of the per-hop routing kernels.
 
-    Subclasses implement :meth:`prepare` (one mask-dependent precomputation
-    per routed batch) and :meth:`run` (route one chunk of pairs to
-    termination).  :meth:`route` adds the shared ``batch_size`` chunking —
+    Subclasses implement :meth:`prepare` (bind one survival vector for a
+    routed batch) and :meth:`run` (route one chunk of pairs to termination),
+    and may override :meth:`update` (rebind a prepared state to another
+    vector).  :meth:`route` adds the shared ``batch_size`` chunking —
     chunking bounds the per-hop working set and cannot change any outcome
     because pairs are routed independently.
     """
@@ -88,10 +87,12 @@ class KernelBackend(abc.ABC):
 
     @abc.abstractmethod
     def prepare(self, overlay, alive: np.ndarray):
-        """Precompute the mask-dependent routing state for one batch.
+        """Bind the routing state for one batch.
 
         Called once per ``(overlay view, survival vector)`` batch; the
-        returned opaque state is threaded into every :meth:`run` chunk.
+        returned opaque state is threaded into every :meth:`run` chunk, so
+        anything it builds lazily (the NumPy backend's full masked table) is
+        shared by every chunk.
         """
 
     @abc.abstractmethod
@@ -107,18 +108,12 @@ class KernelBackend(abc.ABC):
         :data:`repro.dht.routing.FAILURE_CODES` encoding.
         """
 
-    def update(self, overlay, state, alive: np.ndarray, joined: np.ndarray, left: np.ndarray):
-        """Delta-update a prepared state for a slightly different survival vector.
+    def update(self, overlay, state, alive: np.ndarray):
+        """Rebind a state from :meth:`prepare` on this view to another survival vector.
 
-        ``state`` is a state previously returned by :meth:`prepare` (or by
-        an earlier :meth:`update`) on the same overlay view; ``alive`` is
-        the new full survival vector and ``joined`` / ``left`` index the
-        nodes that changed relative to the vector the state was built for
-        (the :attr:`repro.sim.kernelspec.KernelSpec.update` contract).  The
-        input state is consumed — its arrays may be patched in place — and
-        the returned state must route byte-identically to a fresh
-        :meth:`prepare` under ``alive``.  The base implementation *is* a
-        fresh prepare; backends whose specs carry update hooks override it.
+        Specs hold no mask-dependent state, so rebinding does no table work;
+        the returned state routes exactly as a fresh :meth:`prepare` under
+        ``alive``, which is what this base implementation returns.
         """
         return self.prepare(overlay, alive)
 
@@ -134,11 +129,10 @@ class KernelBackend(abc.ABC):
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Route every pair of one batch, optionally in ``batch_size`` chunks.
 
-        ``state`` optionally supplies a prepared (or delta-updated) state
-        for ``alive`` — built by this backend's :meth:`prepare` /
-        :meth:`update` on this overlay view — skipping the per-call
-        prepare.  The caller owns the consistency of ``state`` with
-        ``alive``; the incremental churn loop is the intended user.
+        ``state`` optionally supplies a state for ``alive`` — built by this
+        backend's :meth:`prepare` / :meth:`update` on this overlay view —
+        skipping the per-call prepare.  The caller owns the consistency of
+        ``state`` with ``alive``; the churn loop is the intended user.
         """
         if state is None:
             state = self.prepare(overlay, alive)

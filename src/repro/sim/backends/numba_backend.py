@@ -6,12 +6,14 @@ logic**.  Each geometry's rule lives in its registered
 :class:`~repro.sim.kernelspec.KernelSpec`; this executor instantiates the
 spec's element-wise functions with the *scalar* primitive set
 (:data:`repro.sim.kernelspec.SCALAR_OPS`), wraps them in the generic
-per-pair hop loops (:func:`~repro.sim.kernelspec.make_direct_pair_loop` /
-:func:`~repro.sim.kernelspec.make_scan_pair_loop`), and — when Numba is
+per-pair step and hop loop (:func:`~repro.sim.kernelspec.scalar_step`,
+:func:`~repro.sim.kernelspec.make_pair_loop`), and — when Numba is
 importable — compiles the whole chain with ``@njit``.  Each pair is then
-routed from source to termination inside one compiled loop over int32
-routing state, with aliveness looked up in bit-packed uint64 words: no
-per-hop Python dispatch, no ``(batch, degree)`` temporaries.
+routed from source to termination inside one compiled loop over the int32
+physical table, with aliveness looked up in bit-packed uint64 words: no
+per-hop Python dispatch, no ``(batch, degree)`` temporaries.  The loop
+masks each candidate as it reads it (and computes the hypercube's row bits
+at each hop), so it never builds a masked table at all.
 
 Numba is an optional extra, and the loops are deliberately buildable
 without it: ``python_loop_backend()`` returns the *same* spec functions and
@@ -38,11 +40,10 @@ from ..kernelspec import (
     SCALAR_OPS,
     KernelSpec,
     Ops,
-    SpecState,
     get_kernel_spec,
-    make_direct_pair_loop,
-    make_scan_pair_loop,
-    scalar_functions,
+    make_pair_loop,
+    routing_consts,
+    scalar_step,
 )
 from .base import (
     HOP_LIMIT_CODE,
@@ -86,47 +87,32 @@ def _njit_ops() -> Ops:  # pragma: no cover - exercised only on the Numba CI leg
 
 def _build_pair_loop(spec: KernelSpec, jit: bool):
     """The per-pair loop for ``spec``: the generic driver closed over the
-    spec's scalar functions, compiled when ``jit`` is set."""
+    spec's scalar step, compiled when ``jit`` is set."""
     if not jit:
-        if spec.kind == "direct":
-            (advance,) = scalar_functions(spec)
-            return make_direct_pair_loop(advance, HOP_LIMIT_CODE, spec.fail_code)
-        key, accept = scalar_functions(spec)
-        return make_scan_pair_loop(key, accept, HOP_LIMIT_CODE, spec.fail_code)
-    # pragma-style note: the JIT branch only runs where Numba is installed.
+        return make_pair_loop(scalar_step(spec), HOP_LIMIT_CODE, spec.fail_code)
     import numba  # pragma: no cover - exercised only on the Numba CI leg
 
-    ops = _njit_ops()
-    inline = numba.njit(inline="always")
-    if spec.kind == "direct":
-        advance = inline(spec.advance(ops))
-        loop = make_direct_pair_loop(advance, HOP_LIMIT_CODE, spec.fail_code)
-    else:
-        key = inline(spec.key(ops))
-        accept = inline(spec.accept(ops))
-        loop = make_scan_pair_loop(key, accept, HOP_LIMIT_CODE, spec.fail_code)
-    return numba.njit(nogil=True)(loop)
+    step = scalar_step(spec, _njit_ops(), numba.njit(inline="always"))
+    return numba.njit(nogil=True)(make_pair_loop(step, HOP_LIMIT_CODE, spec.fail_code))
 
 
-def _narrowed(array: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Contiguous copy of an integer state array, narrowed to int32 where safe.
+def _narrowed(table: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Contiguous copy of the neighbour table, narrowed to int32 where safe.
 
-    Every realistic identifier space fits 32 bits (the fused union tables
-    already are int32), so the compiled loops touch half the memory the
-    int64 tables would cost.  The ``// 2`` head-room covers spec sentinels,
-    which sit at most one power of two above the identifier space.
+    Every realistic identifier space fits 32 bits (the fused union view's
+    table already is int32), so the compiled loops touch half the memory
+    the int64 table would cost.
     """
-    if array.dtype.kind in "iu" and array.dtype.itemsize > 4:
-        if n_nodes <= np.iinfo(np.int32).max // 2:
-            return np.ascontiguousarray(array, dtype=np.int32)
-    return np.ascontiguousarray(array)
+    if table.dtype.itemsize > 4 and n_nodes <= np.iinfo(np.int32).max:
+        return np.ascontiguousarray(table, dtype=np.int32)
+    return np.ascontiguousarray(table)
 
 
 class NumbaBackend(KernelBackend):
-    """Per-pair hop loops over int32 state and uint64 aliveness words.
+    """Per-pair hop loops over the int32 neighbour table and uint64 aliveness words.
 
     ``prepare`` resolves the geometry's spec, builds (and memoizes) its
-    compiled loop, narrows the spec's state arrays to int32 and packs the
+    compiled loop, narrows the neighbour table to int32 and packs the
     survival vector into uint64 words; ``run`` hands whole chunks to one
     loop call — the only Python-level work per chunk is the call itself.
     """
@@ -158,59 +144,28 @@ class NumbaBackend(KernelBackend):
         return loop
 
     def prepare(self, overlay, alive: np.ndarray):
-        """Resolve the spec, build its loop, and pack the bit-packed aliveness words.
-
-        The last state element is the *narrowed* :class:`SpecState` — the
-        exact arrays the loop reads — so :meth:`update` can hand it to the
-        spec's delta hook and have in-place patches land where the loop
-        will see them.
-        """
+        """Resolve the spec, build its loop, narrow the table and pack the aliveness words."""
         spec = get_kernel_spec(overlay.geometry_name)
-        loop = self._loop_for(spec)
-        state = spec.prepare(overlay, alive)
-        n = alive.size
-        table = None if state.table is None else _narrowed(state.table, n)
-        arrays = tuple(_narrowed(array, n) for array in state.arrays)
-        words = pack_alive_words(alive)
-        narrowed = SpecState(table=table, consts=state.consts, arrays=arrays)
-        return spec, loop, table, state.consts, arrays, words, narrowed
+        table = _narrowed(overlay.neighbor_array(), alive.size)
+        consts = routing_consts(overlay)
+        return spec, self._loop_for(spec), consts, table, pack_alive_words(alive)
 
-    def update(self, overlay, state, alive: np.ndarray, joined: np.ndarray, left: np.ndarray):
-        """Delta-patch the narrowed spec state and repack the aliveness words.
-
-        The spec's hook patches the loop's own (already narrowed) arrays in
-        place, so no re-narrowing pass is needed; specs without a hook fall
-        back to this backend's full :meth:`prepare` (keeping the narrowing
-        discipline).  Scratch arrays a hook adds to its state (e.g. a
-        reverse-neighbour index) ride along un-narrowed — the loops never
-        read them (scan loops take only ``table``/``consts``).
-        """
-        spec, loop = state[0], state[1]
-        if spec.update is None:
-            return self.prepare(overlay, alive)
-        narrowed = spec.update(overlay, state[6], alive, joined, left)
-        words = pack_alive_words(alive)
-        return spec, loop, narrowed.table, narrowed.consts, narrowed.arrays, words, narrowed
+    def update(self, overlay, state, alive: np.ndarray):
+        """Rebind a prepared state to another mask: only the aliveness words change."""
+        return (*state[:4], pack_alive_words(alive))
 
     def run(
         self, overlay, state, sources: np.ndarray, destinations: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Route all pairs through the compiled (or plain-Python) per-pair hop loop."""
-        spec, loop, table, consts, arrays, words = state[:6]
-        pair_dtype = table.dtype if table is not None else (
-            arrays[0].dtype if arrays else np.int64
-        )
-        sources = np.ascontiguousarray(sources, dtype=pair_dtype)
-        destinations = np.ascontiguousarray(destinations, dtype=pair_dtype)
+        _, loop, consts, table, words = state
+        sources = np.ascontiguousarray(sources, dtype=table.dtype)
+        destinations = np.ascontiguousarray(destinations, dtype=table.dtype)
         n_pairs = sources.size
         succeeded = np.zeros(n_pairs, dtype=bool)
         hops = np.zeros(n_pairs, dtype=np.int64)
         codes = np.full(n_pairs, SUCCESS_CODE, dtype=np.int8)
-        hop_limit = overlay.hop_limit()
-        if spec.kind == "scan":
-            loop(table, consts, sources, destinations, hop_limit, succeeded, hops, codes)
-        else:
-            loop(consts, arrays, words, sources, destinations, hop_limit, succeeded, hops, codes)
+        loop(consts, table, words, sources, destinations, overlay.hop_limit(), succeeded, hops, codes)
         return succeeded, hops, codes
 
 

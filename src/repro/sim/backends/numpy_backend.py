@@ -3,29 +3,40 @@
 This backend contains **no per-geometry routing logic**.  Every routing
 rule lives in its geometry's :class:`~repro.sim.kernelspec.KernelSpec`
 (registered next to the scalar oracle in :mod:`repro.dht`); this module
-merely executes specs vectorized: :meth:`NumpyBackend.prepare` asks the
-spec for its mask-dependent state and assembles the per-hop step via
-:func:`repro.sim.kernelspec.vector_step`, and :meth:`NumpyBackend.run`
-iterates that step over the active pair set one hop at a time.
+merely executes specs vectorized: :meth:`NumpyBackend.prepare` binds the
+spec's masked-row and per-hop functions
+(:func:`~repro.sim.kernelspec.vector_rows`,
+:func:`~repro.sim.kernelspec.vector_step`) to one survival vector, and
+:meth:`NumpyBackend.run` iterates the step over the active pair set one hop
+at a time.
+
+Masking costs what routing visits.  Each hop masks only the rows it
+gathers; once the rows gathered so far plus the next hop's active set would
+reach the table's row count, the prepared state builds the whole masked
+table once and every later hop — of this chunk and of every later chunk
+routed under the same state — gathers from it instead.  That crossover is
+the observed break-even of the two forms, not a tuned constant: a sparse
+batch (a churn step, a large sweep group) never pays for rows it does not
+visit, and a dense one (small overlays, many pairs) pays for each row once.
+Both forms apply the same row function, so the choice cannot change any
+outcome.
 
 Every step routes under one flat survival vector, indexed by the same
-identifiers the routing tables hold.  The fused multi-cell path reuses the
-executor unchanged by routing over a *disjoint union* of the overlay's
-cells (see ``repro.sim.engine._UnionOverlayView``): virtual identifier
-``cell * n_nodes + node``, a flattened mask stack, and offset-shifted
-tables.  Specs are written to be union-transparent (bitwise geometries'
-cell offsets cancel; ring geometries read their physical modulus via
-:func:`~repro.sim.kernelspec.ring_modulus`; de Bruijn masks down to local
-identifiers), so a single mask is simply a stack of one.
+identifiers the pairs carry.  The fused multi-cell path reuses the executor
+unchanged by routing over a *disjoint union* of the overlay's cells (see
+``repro.sim.engine._UnionOverlayView``): virtual identifier
+``cell * n_nodes + node`` and a flattened mask stack; specs read the
+physical table at ``cur & (2^d - 1)`` and add the cell base back, so a
+single mask is simply a stack of one.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..kernelspec import get_kernel_spec, update_spec_state, vector_step
+from ..kernelspec import KernelSpec, get_kernel_spec, vector_rows, vector_step
 from .base import HOP_LIMIT_CODE, SUCCESS_CODE, KernelBackend
 
 __all__ = ["NumpyBackend", "KERNEL_BLOCK"]
@@ -39,17 +50,62 @@ __all__ = ["NumpyBackend", "KERNEL_BLOCK"]
 KERNEL_BLOCK = 2048
 
 
-def _step_blocked(step, cur: np.ndarray, dst: np.ndarray):
+def _masked_table(rows: Callable, n_rows: int, dtype) -> np.ndarray:
+    """Every identifier's masked row, built once in cache-sized blocks."""
+    ids = np.arange(n_rows, dtype=dtype)
+    first = rows(ids[:KERNEL_BLOCK])
+    table = np.empty((n_rows,) + first.shape[1:], dtype=first.dtype)
+    table[:KERNEL_BLOCK] = first
+    for start in range(KERNEL_BLOCK, n_rows, KERNEL_BLOCK):
+        table[start : start + KERNEL_BLOCK] = rows(ids[start : start + KERNEL_BLOCK])
+    # Shared by every later hop and chunk: a buggy kernel must fault loudly
+    # rather than silently corrupt it.
+    table.setflags(write=False)
+    return table
+
+
+class _PreparedMask:
+    """One survival vector's step function plus its masked rows, computed on demand."""
+
+    def __init__(self, spec: KernelSpec, overlay, alive: np.ndarray) -> None:
+        self.spec = spec
+        self.step = vector_step(spec, overlay, alive)
+        self._rows = vector_rows(spec, overlay, alive)
+        self._dtype = overlay.neighbor_array().dtype
+        self._n_rows = alive.size
+        self._gathered = 0
+        self._table: Optional[np.ndarray] = None
+
+    def rows_for_hop(self, n_active: int) -> Optional[Callable]:
+        """The masked-row function the next hop over ``n_active`` pairs reads.
+
+        Masks the gathered rows until they, plus this hop, would reach the
+        row count; from then on, a gather from the full masked table.
+        """
+        if self._rows is None:
+            return None
+        if self._table is None:
+            if self._gathered + n_active < self._n_rows:
+                self._gathered += n_active
+                return self._rows
+            self._table = _masked_table(self._rows, self._n_rows, self._dtype)
+        return self._table.__getitem__
+
+
+def _step_blocked(step, rows, cur: np.ndarray, dst: np.ndarray):
     """Run one hop's step over cache-sized blocks of the active set."""
     size = cur.size
     if size <= KERNEL_BLOCK:
-        return step(cur, dst)
+        return step(cur, dst, None if rows is None else rows(cur))
     next_hop = np.empty(size, dtype=cur.dtype)
     ok = np.empty(size, dtype=bool)
     fail_code = SUCCESS_CODE
     for start in range(0, size, KERNEL_BLOCK):
         stop = start + KERNEL_BLOCK
-        block_next, block_ok, fail_code = step(cur[start:stop], dst[start:stop])
+        block = cur[start:stop]
+        block_next, block_ok, fail_code = step(
+            block, dst[start:stop], None if rows is None else rows(block)
+        )
         next_hop[start:stop] = block_next
         ok[start:stop] = block_ok
     return next_hop, ok, fail_code
@@ -68,22 +124,17 @@ class NumpyBackend(KernelBackend):
     name = "numpy"
 
     def prepare(self, overlay, alive: np.ndarray):
-        """Build the spec's state and vectorized step function for this mask."""
-        spec = get_kernel_spec(overlay.geometry_name)
-        spec_state = spec.prepare(overlay, alive)
-        return spec, spec_state, alive, vector_step(spec, spec_state, alive)
+        """Bind the spec's step and masked rows to this mask; no table work yet."""
+        return _PreparedMask(get_kernel_spec(overlay.geometry_name), overlay, alive)
 
-    def update(self, overlay, state, alive: np.ndarray, joined: np.ndarray, left: np.ndarray):
-        """Delta-update the spec state and rebuild the step closure over the new mask."""
-        spec, spec_state, _, _ = state
-        spec_state = update_spec_state(spec, overlay, spec_state, alive, joined, left)
-        return spec, spec_state, alive, vector_step(spec, spec_state, alive)
+    def update(self, overlay, state, alive: np.ndarray):
+        """Rebind a prepared state to another mask (masking happens per hop)."""
+        return _PreparedMask(state.spec, overlay, alive)
 
     def run(
         self, overlay, state, sources: np.ndarray, destinations: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every pair one hop per vectorized step until all terminate."""
-        step = state[3]
         n_pairs = sources.size
         hop_limit = overlay.hop_limit()
         current = sources.copy()
@@ -101,7 +152,12 @@ class NumpyBackend(KernelBackend):
                 codes[active] = HOP_LIMIT_CODE
                 hops[active] = iteration
                 break
-            next_hop, ok, fail_code = _step_blocked(step, current[active], destinations[active])
+            next_hop, ok, fail_code = _step_blocked(
+                state.step,
+                state.rows_for_hop(active.size),
+                current[active],
+                destinations[active],
+            )
             if not ok.all():
                 dropped = active[~ok]
                 codes[dropped] = fail_code

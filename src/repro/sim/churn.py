@@ -31,16 +31,15 @@ overlay under this process and compares it against the static RCM prediction
 evaluated at ``q_eff(t)`` — quantifying how far the paper's static results
 carry into dynamic settings; EXT-TRACE runs the trace-driven variants.
 
-Incremental prepare-state
--------------------------
-The batch engine's mask-dependent routing state (sentinel-masked tables,
-aliveness bitsets) is prepared once and carried across steps: each step
-delta-patches it through the backend's ``update`` hook (see
-:attr:`repro.sim.kernelspec.KernelSpec.update`), O(events × degree) work
-instead of an O(nodes × degree) rebuild.  A patched state routes
-byte-identically to a fresh prepare (the conformance harness's
-incremental-parity axis), and ``benchmarks/test_bench_churn.py`` gates the
-speedup against a vendored rebuild-every-step reference.
+Routing state across steps
+--------------------------
+The kernels mask only the table rows a hop visits (see
+:mod:`repro.sim.backends.numpy_backend`), so a step's cost follows its
+pairs, not the overlay size: one prepared state is carried across steps and
+rebound to each step's usable mask through the backend's ``update``, which
+does no table work.  A rebound state routes byte-identically to a fresh
+``route_pairs`` call (``tests/test_churn.py`` and the conformance harness
+check it).
 
 RNG discipline (the contract state maintenance must not move)
 -------------------------------------------------------------
@@ -87,10 +86,10 @@ __all__ = [
 ]
 
 #: Wall-clock phases of one churn run, in reporting order (the churn
-#: counterpart of ``repro.sim.engine.PROFILE_PHASES``): computing the
-#: join/leave delta, preparing or delta-patching the routing state,
-#: advancing the hop kernels, and reducing per-pair outcomes to metrics.
-CHURN_PROFILE_PHASES = ("mask_delta", "state_update", "kernel_hops", "reduction")
+#: counterpart of ``repro.sim.engine.PROFILE_PHASES``): preparing or
+#: rebinding the routing state, advancing the hop kernels, and reducing
+#: per-pair outcomes to metrics.
+CHURN_PROFILE_PHASES = ("state_update", "kernel_hops", "reduction")
 
 
 @dataclass(frozen=True)
@@ -316,7 +315,7 @@ def simulate_churn(
 
     Each step's pairs are routed through the kernel backend selected by
     ``backend``, carrying **one prepared routing state across steps** and
-    delta-patching it with each step's join/leave delta.  Routing consumes
+    rebinding it to each step's usable mask.  Routing consumes
     no randomness and backends are bit-identical, so ``backend`` and
     ``batch_size`` never change the measured numbers — see the module
     docstring for the exact per-step RNG contract.
@@ -329,23 +328,16 @@ def simulate_churn(
     resolved = resolve_backend(backend)
     clock = _PhaseClock(profile)
     routing_state = None
-    state_mask: Optional[np.ndarray] = None  # the mask routing_state was built for
     steps: List[ChurnStepResult] = []
     for usable, pairs, finish in _churn_trajectory(overlay, config, generator):
         if pairs is None:
             steps.append(finish(metrics=summarize_routes([])))
             continue
-        clock.start("mask_delta")
-        if routing_state is not None:
-            joined = np.flatnonzero(usable & ~state_mask)
-            left = np.flatnonzero(state_mask & ~usable)
-        clock.stop()
         clock.start("state_update")
         if routing_state is None:
             routing_state = resolved.prepare(overlay, usable)
         else:
-            routing_state = resolved.update(overlay, routing_state, usable, joined, left)
-        state_mask = usable
+            routing_state = resolved.update(overlay, routing_state, usable)
         clock.stop()
         clock.start("kernel_hops")
         outcome = route_pairs(

@@ -16,13 +16,14 @@ the oracle across every execution shape the generic drivers derive:
   :data:`repro.dht.failures.FAILURE_MODEL_KINDS`,
   :func:`~repro.sim.static_resilience.measure_routability` vs the sweep
   reference (:func:`_oracle_measure_routability`);
+* **masking crossover** — three stacked batches per geometry and backend
+  (:data:`CROSSOVER_BATCHES`): one that never reaches the NumPy
+  executor's full-masked-table crossover, one past it from hop 0, and one
+  that crosses it mid-route, each equal to the oracle pair for pair;
 * **churn** — :func:`~repro.sim.churn.simulate_churn` (one routing state
-  carried and delta-patched across steps) vs the churn reference
-  (:func:`_oracle_churn`), per-step metrics and final RNG position alike;
-* **incremental prepare-state** — a prepared routing state delta-patched
-  through the backend's ``update`` hook across a sequence of masks (each
-  failure-model kind, severities down *and* up so unmasking is exercised)
-  must route byte-identically to a from-scratch prepare after every delta;
+  carried across steps and rebound to each step's mask) vs the churn
+  reference (:func:`_oracle_churn`), per-step metrics and final RNG
+  position alike;
 * **worker counts** — :class:`~repro.sim.engine.SweepRunner` grids over
   all registered geometries, pooled vs in-process, and the runner's
   grouped dispatch vs the per-cell reference (:func:`_per_cell_reference`).
@@ -52,6 +53,7 @@ from ..dht.failures import FAILURE_MODEL_KINDS, FailureModel, make_failure_model
 from ..dht.metrics import RoutingMetrics, summarize_routes
 from ..exceptions import UnknownGeometryError
 from .backends import NUMBA_AVAILABLE, python_loop_backend, resolve_backend
+from .backends.base import HOP_LIMIT_CODE
 from .churn import ChurnConfig, ChurnSimulationResult, _churn_trajectory, simulate_churn
 from .engine import (
     BackendLike,
@@ -76,9 +78,10 @@ __all__ = [
     "assert_oracle_parity",
     "assert_stacked_parity",
     "assert_hop_limit_parity",
+    "crossover_batch",
+    "assert_crossover_parity",
     "assert_failure_model_parity",
     "assert_churn_parity",
-    "assert_incremental_parity",
     "assert_worker_parity",
     "assert_reference_parity",
     "run_conformance",
@@ -159,13 +162,22 @@ def assert_oracle_parity(
         return 0
     alive, sources, destinations = sampled
     outcome = route_pairs(overlay, sources, destinations, alive, backend=backend)
-    for i in range(outcome.n_pairs):
-        oracle = overlay.route(int(sources[i]), int(destinations[i]), alive)
-        context = (overlay.geometry_name, q, i, int(sources[i]), int(destinations[i]))
-        assert bool(outcome.succeeded[i]) == oracle.succeeded, context
-        assert int(outcome.hops[i]) == oracle.hops, context
-        assert outcome.failure_reason(i) is oracle.failure_reason, context
+    cells = np.zeros(outcome.n_pairs, dtype=np.int64)
+    _assert_pairs_match_oracle(overlay, outcome, alive[np.newaxis], cells, (overlay.geometry_name, q))
     return outcome.n_pairs
+
+
+def _assert_pairs_match_oracle(
+    overlay: Overlay, outcome, alive_stack: np.ndarray, cells: np.ndarray, context: Tuple
+) -> None:
+    """Every pair of ``outcome`` equals ``overlay.route`` under its own cell's mask."""
+    for i in range(outcome.n_pairs):
+        source, destination = int(outcome.sources[i]), int(outcome.destinations[i])
+        oracle = overlay.route(source, destination, alive_stack[cells[i]])
+        pair = (*context, i, source, destination)
+        assert bool(outcome.succeeded[i]) == oracle.succeeded, pair
+        assert int(outcome.hops[i]) == oracle.hops, pair
+        assert outcome.failure_reason(i) is oracle.failure_reason, pair
 
 
 def assert_stacked_parity(
@@ -255,8 +267,6 @@ def assert_hop_limit_parity(
     executor — itself oracle-parity-tested above — on a wrapped overlay
     whose budget is small enough to bite.
     """
-    from .backends.base import HOP_LIMIT_CODE
-
     limited = _HopLimited(overlay, hop_limit)
     alive = np.ones(overlay.n_nodes, dtype=bool)
     sources = np.arange(0, min(pairs, overlay.n_nodes // 2), dtype=np.int64)
@@ -272,6 +282,53 @@ def assert_hop_limit_parity(
     # The tiny budget must actually bite, or the branch went unexercised.
     assert (reference.failure_codes == HOP_LIMIT_CODE).any(), context
     return int(sources.size)
+
+
+#: The three masking-crossover batches: ``(side, cells, pairs per cell)``.
+#: The NumPy executor masks the rows each hop gathers until the rows gathered
+#: so far plus the next hop's active set would reach the stack's row count
+#: (``cells * 2^d``), then builds the full masked table once.  ``below`` never
+#: gets there, ``above`` is there from hop 0 (pairs >= rows) and
+#: ``mid-route`` crosses after hop 0 (pairs < rows <= rows visited).
+CROSSOVER_BATCHES = (("below", 16, 1), ("above", 2, 80), ("mid-route", 2, 48))
+
+
+def crossover_batch(overlay: Overlay, side: str):
+    """One :data:`CROSSOVER_BATCHES` stack at ``q = 0.3``:
+    ``(alive_stack, sources, destinations, cells)``."""
+    _, n_cells, per_cell = next(batch for batch in CROSSOVER_BATCHES if batch[0] == side)
+    rng = np.random.default_rng(_deterministic_seed(f"crossover-{overlay.geometry_name}-{side}"))
+    masks, sources, destinations = [], [], []
+    while len(masks) < n_cells:
+        alive = survival_mask(overlay.n_nodes, 0.3, rng)
+        if int(alive.sum()) >= 2:
+            src, dst = sample_survivor_pair_arrays(alive, per_cell, rng)
+            masks.append(alive)
+            sources.append(src)
+            destinations.append(dst)
+    cells = np.repeat(np.arange(n_cells, dtype=np.int64), per_cell)
+    return np.stack(masks), np.concatenate(sources), np.concatenate(destinations), cells
+
+
+def _rows_visited(outcome) -> int:
+    """Rows a per-hop driver gathers routing ``outcome``'s batch: one per pair
+    per hop it is active — a dropped pair's failed hop included."""
+    dropped = ~outcome.succeeded & (outcome.failure_codes != HOP_LIMIT_CODE)
+    return int(outcome.hops.sum()) + int(dropped.sum())
+
+
+def assert_crossover_parity(overlay: Overlay, backend: BackendLike) -> int:
+    """Each crossover batch equals the oracle pair for pair and lies on its side."""
+    checked = 0
+    for side, _, _ in CROSSOVER_BATCHES:
+        stack, sources, destinations, cells = crossover_batch(overlay, side)
+        outcome = route_pairs_stacked(overlay, sources, destinations, stack, cells, backend=backend)
+        _assert_pairs_match_oracle(overlay, outcome, stack, cells, (overlay.geometry_name, side))
+        rows, visited = stack.size, _rows_visited(outcome)
+        landed = "above" if sources.size >= rows else "below" if visited < rows else "mid-route"
+        assert landed == side, (overlay.geometry_name, side, sources.size, visited, rows)
+        checked += outcome.n_pairs
+    return checked
 
 
 def _oracle_metrics(
@@ -316,9 +373,8 @@ def _oracle_churn(
 ) -> ChurnSimulationResult:
     """The churn reference: ``simulate_churn``'s step trajectory, routed by the oracle.
 
-    No routing state is prepared or carried, so this is also the
-    rebuild-every-step reference for the incremental state; for equal
-    arguments the rows — and the generator's final position — must equal
+    No routing state is prepared or carried; for equal arguments the rows
+    — and the generator's final position — must equal
     :func:`~repro.sim.churn.simulate_churn`'s.
     """
     steps = tuple(
@@ -365,7 +421,7 @@ def assert_churn_parity(
     """``simulate_churn`` per-step metrics and RNG consumption equal the churn reference's.
 
     Heavy leave/rejoin rates and a repair every third step move the usable
-    mask in both directions, so the carried state's update hook sees joins
+    mask in both directions, so the carried state is rebound across joins
     and leaves.
     """
     if seed is None:
@@ -394,67 +450,6 @@ def _assert_metrics_equal(measured, expected, context: Tuple) -> None:
     for field in ("mean_hops_successful", "mean_hops_failed"):
         a, b = getattr(measured, field), getattr(expected, field)
         assert a == b or (np.isnan(a) and np.isnan(b)), (*context, field)
-
-
-def assert_incremental_parity(
-    overlay: Overlay,
-    backend: BackendLike,
-    *,
-    kind: str = "uniform",
-    severities: Sequence[float] = (0.15, 0.4, 0.6, 0.25, 0.0),
-    pairs: int = 60,
-    seed: Optional[int] = None,
-) -> int:
-    """Delta-updated routing state routes byte-identically to a fresh prepare.
-
-    Walks one prepared state through a chained sequence of failure masks
-    drawn from ``kind``'s model — severities rising *and* falling (plus a
-    fully-alive mask), so both the masking (leave) and unmasking (rejoin)
-    directions of every :attr:`~repro.sim.kernelspec.KernelSpec.update`
-    hook are exercised — and after every delta routes a deterministic pair
-    batch twice: once through the carried state, once with a from-scratch
-    prepare.  The two outcomes must be byte-identical in ``succeeded``,
-    ``hops`` and ``failure_codes``.  Specs without an update hook fall back
-    to a full prepare inside the backend, so the axis is auto-discovered:
-    a new geometry is covered (and a new hook verified) the moment it
-    registers.
-    """
-    if seed is None:
-        seed = _deterministic_seed(f"incremental-{overlay.geometry_name}-{kind}")
-    resolved = resolve_backend(backend)
-    rng = np.random.default_rng(seed)
-    masks: List[np.ndarray] = []
-    for severity in severities:
-        if severity == 0.0:
-            mask = np.ones(overlay.n_nodes, dtype=bool)
-        else:
-            mask = make_failure_model(kind, severity).bind(overlay).sample(
-                overlay.n_nodes, rng
-            )
-        if int(mask.sum()) >= 2:
-            masks.append(mask)
-    if len(masks) < 2:
-        return 0
-    state = resolved.prepare(overlay, masks[0])
-    previous = masks[0]
-    compared = 0
-    for mask in masks[1:]:
-        joined = np.flatnonzero(mask & ~previous)
-        left = np.flatnonzero(previous & ~mask)
-        state = resolved.update(overlay, state, mask, joined, left)
-        previous = mask
-        pair_rng = np.random.default_rng(seed + compared + 1)
-        sources, destinations = sample_survivor_pair_arrays(mask, pairs, pair_rng)
-        incremental = route_pairs(
-            overlay, sources, destinations, mask, backend=resolved, prepared_state=state
-        )
-        fresh = route_pairs(overlay, sources, destinations, mask, backend=resolved)
-        context = (overlay.geometry_name, kind, compared)
-        assert np.array_equal(incremental.succeeded, fresh.succeeded), context
-        assert np.array_equal(incremental.hops, fresh.hops), context
-        assert np.array_equal(incremental.failure_codes, fresh.failure_codes), context
-        compared += sources.size
-    return compared
 
 
 def assert_worker_parity(
@@ -567,13 +562,7 @@ def run_conformance(
             checked[f"oracle[{label},q={q}]"] = assert_oracle_parity(overlay, backend, q=q)
         checked[f"stacked[{label}]"] = assert_stacked_parity(overlay, backend)
         checked[f"hop-limit[{label}]"] = assert_hop_limit_parity(overlay, backend)
-        # Incremental-vs-rebuild byte-identity per backend × failure model:
-        # the mask sequences of every kind (uniform, targeted, correlated)
-        # exercise each update hook's masking and unmasking directions.
-        for kind in failure_model_kinds:
-            checked[f"incremental[{label},{kind}]"] = assert_incremental_parity(
-                overlay, backend, kind=kind
-            )
+        checked[f"crossover[{label}]"] = assert_crossover_parity(overlay, backend)
     # Failure-model parity is mask-generation + routing; one backend suffices
     # per kind (cross-backend routing parity is covered above).
     for kind in failure_model_kinds:

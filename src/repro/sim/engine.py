@@ -283,12 +283,11 @@ def route_pairs(
     bit-identical outcomes, so the choice only affects speed.
 
     ``prepared_state`` optionally supplies a routing state previously built
-    by the *resolved backend's* ``prepare`` (or delta-patched by its
-    ``update``) for exactly this ``(overlay, alive)``, skipping the per-call
-    prepare — the incremental churn loop
-    (:func:`repro.sim.churn.simulate_churn`) threads its carried state
-    through here.  The caller owns the state/mask consistency; states never
-    transfer between backends.
+    by the *resolved backend's* ``prepare`` (or rebound by its ``update``)
+    for exactly this ``(overlay, alive)``, skipping the per-call prepare —
+    the churn loop (:func:`repro.sim.churn.simulate_churn`) threads its
+    carried state through here.  The caller owns the state/mask
+    consistency; states never transfer between backends.
 
     A single mask is a stack of one: this entry point only validates its
     arguments and hands the mask to the same :func:`_dispatch_stack` driver
@@ -317,10 +316,11 @@ def route_pairs(
     )
 
 
-#: Upper bound on union-table entries (~32 MB at int32, ~64 MB at int64,
-#: counted twice where a kernel factory builds a masked copy).  Stacks whose
-#: union table would exceed it are routed as bounded-width sub-unions, so
-#: fused peak memory stays capped no matter how many cells are fused.
+#: Upper bound on the entries of one batch's full masked table (~32 MB at
+#: int32).  The NumPy backend builds that table only when a batch would visit
+#: as many rows as it has (see ``repro.sim.backends.numpy_backend``); stacks
+#: whose table could exceed the bound are routed as bounded-width sub-unions,
+#: so fused peak memory stays capped no matter how many cells are fused.
 _MAX_UNION_TABLE_ELEMENTS = 1 << 23
 
 
@@ -329,37 +329,30 @@ class _UnionOverlayView:
 
     Cell ``c``'s copy of node ``v`` gets the virtual identifier
     ``c * n_nodes + v``.  Because ``n_nodes = 2^d``, the cell offset lives in
-    bits above the identifier space: it cancels in every same-cell XOR (tree,
-    hypercube and XOR distance arithmetic are untouched) and drops out of
-    same-cell differences (ring progress uses the physical modulus, exposed
-    as :attr:`ring_modulus`).  Routing a pair on the union with the flattened
-    mask stack as its survival vector therefore follows exactly the
-    trajectory the pair would take on the physical overlay under its own
-    cell's mask — which is what makes the fused path bit-identical — while
-    every hop keeps the cheap flat-array indexing of the per-cell kernels.
-
-    The expanded table costs ``n_cells ×`` the physical table's memory; it is
-    built once per fused batch and released with the view.
+    bits above the identifier space: specs read the physical table at
+    ``cur & (2^d - 1)`` and add the cell base ``cur - local`` back, and the
+    offset cancels in every same-cell XOR and drops out of every same-cell
+    difference.  Routing a pair on the union with the flattened mask stack
+    as its survival vector therefore follows exactly the trajectory the pair
+    would take on the physical overlay under its own cell's mask — which is
+    what makes the fused path bit-identical — while every hop keeps the
+    cheap flat-array indexing of the per-cell kernels.  No per-cell table
+    copy is made.
     """
 
     def __init__(self, overlay, n_cells: int) -> None:
         self.geometry_name = overlay.geometry_name
         self.system_name = overlay.system_name
         self.d = overlay.d
-        self.ring_modulus = overlay.n_nodes
         self.n_nodes = n_cells * overlay.n_nodes
         self._hop_limit = overlay.hop_limit()
-        table = overlay.neighbor_array()
         # Virtual identifiers fit 32 bits for any realistic sweep; 32-bit
         # routing state halves the memory traffic of every gather and
         # temporary in the hop kernels.
         dtype = np.int32 if self.n_nodes <= np.iinfo(np.int32).max else np.int64
-        offsets = np.arange(n_cells, dtype=dtype) * dtype(overlay.n_nodes)
-        self._table = (table.astype(dtype)[None, :, :] + offsets[:, None, None]).reshape(
-            self.n_nodes, table.shape[1]
-        )
+        self._table = overlay.neighbor_array().astype(dtype)
         # Shared across every hop of the fused batch: a buggy kernel must
-        # fault loudly rather than silently corrupt the union table.
+        # fault loudly rather than silently corrupt the table.
         self._table.setflags(write=False)
 
     def neighbor_array(self) -> np.ndarray:
@@ -393,7 +386,7 @@ def route_pairs_stacked(
     simply ignored.
 
     Memory is bounded on both axes: ``batch_size`` chunks the pair batches
-    (the per-hop working set), and union tables are capped at
+    (the per-hop working set), and a full masked table is capped at
     :data:`_MAX_UNION_TABLE_ELEMENTS` entries — wider stacks are routed as
     bounded-width sub-unions, which cannot change any outcome.
 
@@ -428,10 +421,9 @@ def _dispatch_stack(
     """The one routing driver behind :func:`route_pairs` and
     :func:`route_pairs_stacked` (arguments already validated).
 
-    A stack of one routes under its mask directly (no union arithmetic);
-    wider stacks route over the disjoint-union view, split into
-    bounded-width sub-unions when the union table would exceed the memory
-    cap.  Either way the kernels themselves only ever see one overlay view,
+    A stack of one routes under its mask directly; wider stacks route over
+    the disjoint-union view, split into bounded-width sub-unions when a full
+    masked table could exceed the memory cap.  Either way the kernels themselves only ever see one overlay view,
     one flat survival vector and one batch of pairs — the execution shapes
     differ, the code path does not.  A caller-prepared ``state`` is only
     meaningful for a stack of one (it was built against the physical

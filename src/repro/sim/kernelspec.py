@@ -13,22 +13,31 @@ collapses the batch side of that invariant to a single declaration:
   arrays (the vectorized executor) and must treat them uniformly —
   arithmetic, bit operations, comparisons, and the :class:`Ops` primitives
   only; no data-dependent ``if``/``while``.
-* A spec's :attr:`~KernelSpec.prepare` factory runs once per
-  ``(overlay view, survival mask)`` batch and returns a :class:`SpecState`
-  of mask-dependent tables (sentinel-masked copies, aliveness bitsets) that
-  every executor shares.  An optional :attr:`~KernelSpec.update` hook
-  delta-patches an existing state when only a few nodes changed (churn):
-  O(events × degree) work instead of a full rebuild, with byte-identical
-  routed outcomes enforced by the conformance harness (see
-  :func:`update_spec_state`).
+* Specs hold no mask-dependent state; the **drivers own aliveness**.  A
+  driver reads a row's neighbours with each dead one replaced by the row's
+  own identifier (:func:`dead_to_self`), so a spec sees a dead neighbour
+  only as ``cur`` itself: every scan ``accept`` rejects that candidate and
+  it never beats a usable one, and a direct spec's per-neighbour
+  ``neighbor_bits`` (the hypercube's alive-neighbour bitset) gets nothing
+  from it.  Direct specs whose single next hop is looked up (tree, de
+  Bruijn) read aliveness through ``ops.alive`` instead.  These *masked
+  rows* are row-independent: a vectorized executor may compute them for
+  the rows a hop gathers, or for every row at once — the same functions
+  either way, so the two forms cannot disagree.
+* Every driver receives the same two constants, :func:`routing_consts`
+  ``(d, 2^d - 1)``, and the physical neighbour table.  On the fused
+  disjoint-union view (virtual identifier ``cell * 2^d + node``) a row is
+  looked up at ``local = cur & (2^d - 1)`` and shifted by the cell base
+  ``cur - local``, so no offset table is needed to route many cells at
+  once.
 * The generic drivers in this module derive **every execution shape** from
-  the one declaration: :func:`vector_step` builds the vectorized per-hop
-  step the NumPy backend iterates (single-mask and stacked disjoint-union
-  batches alike — a single mask is just a stack of one), and
-  :func:`make_direct_pair_loop` / :func:`make_scan_pair_loop` build the
-  per-pair source-to-termination loops the Numba backend ``@njit``-compiles
-  — and which remain callable as plain Python, so the exact code Numba
-  compiles is property-tested on every CI leg.
+  the one declaration: :func:`vector_rows` / :func:`vector_step` build the
+  vectorized masked-row and per-hop functions the NumPy backend iterates
+  (single-mask and stacked batches alike — a single mask is just a stack of
+  one), and :func:`scalar_step` / :func:`make_pair_loop` build the per-pair
+  source-to-termination loop the Numba backend ``@njit``-compiles — and
+  which remains callable as plain Python, so the exact code Numba compiles
+  is property-tested on every CI leg.
 
 Two rule shapes cover every geometry the paper analyses (and the de Bruijn
 extension):
@@ -37,16 +46,18 @@ extension):
     The next hop is computed directly from ``(current, destination)`` —
     tree (correct the leftmost differing bit), hypercube (bitset
     arithmetic), de Bruijn (shift in the next destination bit).  The spec
-    supplies ``advance(consts, arrays, alive, cur, dst) -> (next, ok)``.
+    supplies ``advance(consts, table, alive, cur, dst, row) -> (next, ok)``
+    and optionally ``neighbor_bits(consts, neighbor, cur)``, which the
+    driver ORs over the masked row into the ``row`` value.
 
 ``kind="scan"``
     The next hop minimises a per-neighbour key over the routing table —
     XOR distance (Kademlia), clockwise remaining distance (Chord,
     Symphony).  The spec supplies an element-wise ``key`` and an ``accept``
-    predicate; the *drivers* own the scan itself (vectorized ``argmin``
-    over the gathered table rows, or a running first-minimum in the
-    per-pair loop — both keep the first minimum, so tie-breaking is
-    identical by construction).
+    predicate; the *drivers* own the masked gather and the scan itself
+    (vectorized ``argmin`` over the gathered rows, or a running
+    first-minimum in the per-pair loop — both keep the first minimum, so
+    tie-breaking is identical by construction).
 
 With this layer in place the routing invariant has exactly **two** copies
 per geometry — the scalar oracle and the spec — property-tested against
@@ -69,29 +80,24 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..exceptions import InvalidParameterError, RoutingError, UnknownGeometryError
+from ..exceptions import InvalidParameterError, UnknownGeometryError
 
 __all__ = [
     "Ops",
     "VECTOR_OPS",
     "SCALAR_OPS",
-    "SpecState",
     "KernelSpec",
     "KERNEL_SPECS",
     "register_kernel_spec",
     "get_kernel_spec",
     "has_kernel_spec",
     "registered_geometries",
+    "routing_consts",
+    "dead_to_self",
+    "vector_rows",
     "vector_step",
-    "make_direct_pair_loop",
-    "make_scan_pair_loop",
-    "scalar_functions",
-    "ring_modulus",
-    "distance_sentinel",
-    "update_spec_state",
-    "identity_update",
-    "reverse_neighbor_index",
-    "referencing_positions",
+    "scalar_step",
+    "make_pair_loop",
     "FAR_KEY",
 ]
 
@@ -101,26 +107,15 @@ __all__ = [
 FAR_KEY = 1 << 62
 
 
-def ring_modulus(overlay) -> int:
-    """Modulus of clockwise identifier arithmetic (physical space size).
+def routing_consts(view) -> Tuple[int, int]:
+    """The constants every spec function receives: ``(d, 2^d - 1)``.
 
-    The fused disjoint-union view exposes the *physical* modulus via a
-    ``ring_modulus`` attribute; plain overlays use their node count.
+    ``2^d - 1`` masks a (possibly disjoint-union) identifier down to its
+    physical node; ``2^d`` is also the ring modulus, since every overlay
+    fully populates its ``d``-bit space.
     """
-    return int(getattr(overlay, "ring_modulus", overlay.n_nodes))
-
-
-def distance_sentinel(n_nodes: int, dtype) -> int:
-    """An identifier whose XOR distance to any real identifier beats nothing.
-
-    The sentinel's set bit lies strictly above every routable identifier
-    (``n_nodes - 1``), so ``sentinel ^ dst >= n_nodes`` exceeds every real
-    same-cell distance (``< 2^d <= n_nodes``) for any destination.
-    """
-    sentinel = 1 << int(n_nodes - 1).bit_length()
-    if sentinel > np.iinfo(dtype).max // 2:  # pragma: no cover - absurdly large space
-        raise RoutingError(f"identifier space too large for a {np.dtype(dtype)} sentinel")
-    return sentinel
+    d = int(view.d)
+    return d, (1 << d) - 1
 
 
 # --------------------------------------------------------------------- #
@@ -223,28 +218,37 @@ SCALAR_OPS = Ops(
 )
 
 
+def dead_to_self(ops: Ops) -> Callable:
+    """The drivers' one aliveness rule for scan candidates.
+
+    ``substitute(alive, neighbor, cur)`` keeps an alive neighbour and
+    replaces a dead one by the row's own identifier ``cur``: every scan
+    ``accept`` rejects that candidate, and it never beats a usable one, so
+    no spec sees a dead neighbour any other way.  The per-hop gather, the
+    full masked table and the per-pair loops all apply this function.
+    """
+    where = ops.where
+    alive_at = ops.alive
+
+    def substitute(alive, neighbor, cur):
+        return where(alive_at(alive, neighbor), neighbor, cur)
+
+    return substitute
+
+
 # --------------------------------------------------------------------- #
 # spec + registry
 # --------------------------------------------------------------------- #
-class SpecState(NamedTuple):
-    """The mask-dependent routing state one :attr:`KernelSpec.prepare` builds.
-
-    ``table`` is the neighbour table a scan-kind spec minimises over (with
-    dead entries already rewritten so no per-hop aliveness pass is needed);
-    direct-kind specs set it to ``None`` and carry any tables in ``arrays``.
-    ``consts`` is a tuple of plain ints and ``arrays`` a tuple of ndarrays;
-    both are forwarded verbatim to the spec's element-wise functions, which
-    index them positionally (a shape Numba compiles without boxing).
-    """
-
-    table: Optional[np.ndarray]
-    consts: Tuple[int, ...]
-    arrays: Tuple[np.ndarray, ...]
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """One geometry's batch routing rule, declared once and executed everywhere.
+
+    Every function field is a *factory*: called with an :class:`Ops`
+    instance, it returns the element-wise function for that executor.
+    ``consts`` is :func:`routing_consts` of the routed view and ``table``
+    its physical ``(2^d, degree)`` neighbour table; identifiers may be
+    disjoint-union identifiers, so a table row is read at ``cur & consts[1]``
+    and shifted by the cell base.
 
     Attributes
     ----------
@@ -258,53 +262,36 @@ class KernelSpec:
         hop cannot advance (``DEAD_END`` for scans with no usable
         neighbour, ``REQUIRED_NEIGHBOR_FAILED`` for direct rules whose
         single required neighbour is dead).
-    prepare:
-        ``prepare(overlay_view, alive) -> SpecState`` — the once-per-batch
-        factory.  ``overlay_view`` is anything exposing ``geometry_name``,
-        ``d``, ``n_nodes``, ``neighbor_array()`` and ``hop_limit()`` (a
-        physical overlay, a shared-memory view, or the fused disjoint-union
-        view); ``alive`` is the flat survival vector.  Derived tables must
-        be marked read-only (``setflags(write=False)``).
     advance:
-        Direct kind only: ``advance(ops) -> fn(consts, arrays, alive, cur,
-        dst) -> (next, ok)``, element-wise.
+        Direct kind only: ``advance(ops) -> fn(consts, table, alive, cur,
+        dst, row) -> (next, ok)``, element-wise.  ``row`` is the OR of
+        :attr:`neighbor_bits` over ``cur``'s masked row (unused when the
+        spec declares none).
+    neighbor_bits:
+        Direct kind, optional: ``neighbor_bits(ops) -> fn(consts, neighbor,
+        cur) -> bits``, one masked neighbour's contribution to ``row``; a
+        dead neighbour arrives as ``cur`` and must contribute ``0``.
+        Drivers evaluate the row for the rows a hop visits or, past the
+        crossover, for every row once.
     key:
         Scan kind only: ``key(ops) -> fn(consts, neighbor, cur, dst) ->
-        key``, element-wise; smaller is better, unusable candidates must
-        map to a key the ``accept`` predicate rejects.  Tie-breaking is
-        owned by the drivers (first minimum) and must therefore be
+        key``, element-wise; smaller is better.  A dead neighbour arrives
+        as ``cur`` itself (:func:`dead_to_self`), and unusable candidates
+        must map to a key the ``accept`` predicate rejects.  Tie-breaking
+        is owned by the drivers (first minimum) and must therefore be
         immaterial: equal keys must imply the same neighbour identifier.
     accept:
         Scan kind only: ``accept(ops) -> fn(consts, best_key, cur, dst) ->
         ok``, element-wise verdict on the winning candidate.
-    update:
-        Optional delta variant of :attr:`prepare`:
-        ``update(overlay_view, state, alive, joined, left) -> SpecState``.
-        ``state`` is a :class:`SpecState` previously returned by
-        :attr:`prepare` (or by an earlier ``update``) for some survival
-        vector; ``alive`` is the *new* full survival vector, and ``joined``
-        / ``left`` are the flat index arrays of nodes that became alive /
-        dead relative to the vector the state was last built for.  The hook
-        must return a state equivalent to ``prepare(overlay_view, alive)``
-        in every observable (the conformance harness enforces byte-identical
-        routed outcomes).  Ownership contract: the hook *consumes* ``state``
-        — it may patch the state's own derived arrays in place (temporarily
-        re-enabling writes, then re-freezing) and may stash reusable scratch
-        (e.g. a reverse-neighbour index) in the returned ``arrays`` tuple;
-        callers must not use the old state afterwards.  Arrays the spec does
-        not own (e.g. ``view.neighbor_array()`` itself) must never be
-        written.  When the hook is ``None`` the executors fall back to a
-        full :attr:`prepare` (see :func:`update_spec_state`).
     """
 
     geometry: str
     kind: str
     fail_code: int
-    prepare: Callable
     advance: Optional[Callable] = None
+    neighbor_bits: Optional[Callable] = None
     key: Optional[Callable] = None
     accept: Optional[Callable] = None
-    update: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if not self.geometry:
@@ -317,6 +304,11 @@ class KernelSpec:
             raise InvalidParameterError(f"direct spec {self.geometry!r} must define advance")
         if self.kind == "scan" and (self.key is None or self.accept is None):
             raise InvalidParameterError(f"scan spec {self.geometry!r} must define key and accept")
+        if self.kind == "scan" and self.neighbor_bits is not None:
+            raise InvalidParameterError(
+                f"scan spec {self.geometry!r} cannot define neighbor_bits: "
+                "its row is the masked neighbour list itself"
+            )
 
 
 #: Registered specs, keyed by geometry label.  Populated by the overlay
@@ -355,163 +347,152 @@ def registered_geometries() -> Tuple[str, ...]:
 
 
 # --------------------------------------------------------------------- #
-# incremental prepare-state
-# --------------------------------------------------------------------- #
-def update_spec_state(
-    spec: KernelSpec,
-    view,
-    state: SpecState,
-    alive: np.ndarray,
-    joined: np.ndarray,
-    left: np.ndarray,
-) -> SpecState:
-    """Delta-update ``state`` to match ``alive``, or rebuild when the spec has no hook.
-
-    The one executor-facing entry point of the update protocol: backends
-    call this instead of dispatching on ``spec.update`` themselves, so the
-    fallback (a full :attr:`KernelSpec.prepare`) lives in exactly one place.
-    ``joined`` / ``left`` follow the :attr:`KernelSpec.update` contract —
-    indices relative to the survival vector ``state`` was last built for.
-    The input ``state`` is consumed (it may be patched in place).
-    """
-    if spec.update is None:
-        return spec.prepare(view, alive)
-    return spec.update(view, state, alive, joined, left)
-
-
-def identity_update(view, state: SpecState, alive, joined, left) -> SpecState:
-    """The update hook of mask-independent prepare-states.
-
-    Geometries whose :attr:`KernelSpec.prepare` derives nothing from the
-    survival vector (tree, de Bruijn — aliveness is looked up at hop time
-    via ``ops.alive``) are incrementally updated by doing nothing: the
-    executors refresh their own aliveness handle, the spec state is already
-    correct for any mask.
-    """
-    return state
-
-
-def reverse_neighbor_index(view) -> Tuple[np.ndarray, np.ndarray]:
-    """CSR index of the positions where each node appears in the neighbour table.
-
-    Returns ``(starts, order)`` over the *pristine* ``view.neighbor_array()``:
-    ``order[starts[x]:starts[x + 1]]`` lists every flat position ``p`` with
-    ``table.ravel()[p] == x``.  Scan-kind update hooks use it to patch
-    exactly the sentinel-masked entries referencing a changed node —
-    O(degree) positions per churn event instead of an O(nodes × degree)
-    remask.  Built once per state (on the first delta) and carried in the
-    state's ``arrays`` scratch; the executors never read a scan spec's
-    ``arrays``, so the slot is free.
-
-    Order *within* a bucket is unspecified: every update writes one value
-    per bucket (a sentinel, a rejoined id, a row id), so only the grouping
-    matters — which frees this to use the cheapest grouping sort available
-    (radix on a 16-bit key when the identifier space fits, introsort
-    otherwise) rather than a stable mergesort on the full-width table.
-    """
-    flat = np.ascontiguousarray(view.neighbor_array()).reshape(-1)
-    counts = np.bincount(flat, minlength=view.n_nodes)
-    starts = np.zeros(view.n_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    if view.n_nodes <= 1 << 16:
-        order = np.argsort(flat.astype(np.uint16), kind="stable")
-    else:
-        order = np.argsort(flat)
-    return starts, order.astype(np.int64, copy=False)
-
-
-def referencing_positions(
-    starts: np.ndarray, order: np.ndarray, nodes: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat table positions referencing ``nodes``, from a :func:`reverse_neighbor_index`.
-
-    Returns ``(positions, counts)``: ``positions`` concatenates each node's
-    position block in the order the nodes are given (so per-node fill
-    values align via ``np.repeat(nodes, counts)``), and ``counts[i]`` is
-    node ``i``'s block length.  Fully vectorized ragged gather — no Python
-    loop over nodes.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    counts = starts[nodes + 1] - starts[nodes]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), counts
-    ends = np.cumsum(counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return order[np.repeat(starts[nodes], counts) + offsets], counts
-
-
-# --------------------------------------------------------------------- #
 # derived execution shapes
 # --------------------------------------------------------------------- #
 @lru_cache(maxsize=None)
 def _vector_functions(spec: KernelSpec):
     """The spec's element-wise functions instantiated with the array primitives."""
     if spec.kind == "direct":
-        return (spec.advance(VECTOR_OPS),)
-    return (spec.key(VECTOR_OPS), spec.accept(VECTOR_OPS))
+        bits = spec.neighbor_bits
+        return spec.advance(VECTOR_OPS), None if bits is None else bits(VECTOR_OPS)
+    return spec.key(VECTOR_OPS), spec.accept(VECTOR_OPS)
 
 
-@lru_cache(maxsize=None)
-def scalar_functions(spec: KernelSpec):
-    """The spec's element-wise functions instantiated with the scalar primitives.
+_VECTOR_DEAD_TO_SELF = dead_to_self(VECTOR_OPS)
 
-    Returns ``(advance,)`` for direct specs and ``(key, accept)`` for scan
-    specs — the exact function objects a Numba executor compiles, kept
-    callable as plain Python for the uncompiled parity legs.
+
+def vector_rows(spec: KernelSpec, view, alive: np.ndarray) -> Optional[Callable]:
+    """The vectorized masked-row function ``rows(ids)``, or ``None``.
+
+    The masked row of an identifier is its neighbour list, read cell-locally
+    from the physical table, with dead entries replaced by the identifier
+    itself.  Scan specs scan that ``(ids, degree)`` matrix; direct specs
+    with :attr:`~KernelSpec.neighbor_bits` read its OR-reduction; other
+    direct specs read no rows (``None``).  ``rows`` is row-independent, so
+    the NumPy backend may call it on a hop's active rows or on every
+    identifier of ``alive`` at once.
     """
-    if spec.kind == "direct":
-        return (spec.advance(SCALAR_OPS),)
-    return (spec.key(SCALAR_OPS), spec.accept(SCALAR_OPS))
+    if spec.kind == "direct" and spec.neighbor_bits is None:
+        return None
+    consts = routing_consts(view)
+    table = view.neighbor_array()
+    local_mask = consts[1]
+
+    def masked(ids: np.ndarray) -> np.ndarray:
+        local = ids & local_mask
+        neighbors = table[local]
+        neighbors += (ids - local)[:, None]
+        return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids[:, None])
+
+    if spec.kind == "scan":
+        return masked
+    neighbor_bits = _vector_functions(spec)[1]
+
+    def rows(ids: np.ndarray) -> np.ndarray:
+        bits = neighbor_bits(consts, masked(ids), ids[:, None])
+        return np.bitwise_or.reduce(bits, axis=1)
+
+    return rows
 
 
-def vector_step(spec: KernelSpec, state: SpecState, alive: np.ndarray):
-    """The vectorized per-hop step ``(cur, dst) -> (next, ok, fail_code)``.
+def vector_step(spec: KernelSpec, view, alive: np.ndarray) -> Callable:
+    """The vectorized per-hop step ``(cur, dst, rows) -> (next, ok, fail_code)``.
 
-    This is the one assembly point for the NumPy executor: direct specs run
-    their ``advance`` body element-wise over the active batch; scan specs
-    gather their (mask-rewritten) table rows, evaluate the key over the
-    ``(batch, degree)`` candidate matrix by broadcasting, and take the
-    per-row ``argmin`` (first minimum — the same tie-break as the per-pair
-    loops' running minimum).
+    ``rows`` is the masked-row value of ``cur`` (see :func:`vector_rows`).
+    Direct specs run their ``advance`` body element-wise over the active
+    batch; scan specs evaluate the key over the ``(batch, degree)``
+    candidate matrix by broadcasting and take the per-row ``argmin`` (first
+    minimum — the same tie-break as the per-pair loops' running minimum).
     """
+    consts = routing_consts(view)
     if spec.kind == "direct":
-        (advance,) = _vector_functions(spec)
-        consts, arrays = state.consts, state.arrays
+        advance = _vector_functions(spec)[0]
+        table = view.neighbor_array()
 
-        def step(cur: np.ndarray, dst: np.ndarray):
-            next_hop, ok = advance(consts, arrays, alive, cur, dst)
+        def step(cur: np.ndarray, dst: np.ndarray, rows):
+            next_hop, ok = advance(consts, table, alive, cur, dst, rows)
             return next_hop, ok, spec.fail_code
 
         return step
 
     key, accept = _vector_functions(spec)
-    table = state.table
-    consts = state.consts
 
-    def step(cur: np.ndarray, dst: np.ndarray):
-        neighbors = table[cur]  # (batch, degree)
+    def step(cur: np.ndarray, dst: np.ndarray, neighbors: np.ndarray):
         keys = key(consts, neighbors, cur[:, None], dst[:, None])
         best = keys.argmin(axis=1)
-        rows = np.arange(cur.size)
-        ok = accept(consts, keys[rows, best], cur, dst)
-        return neighbors[rows, best], ok, spec.fail_code
+        positions = np.arange(cur.size)
+        ok = accept(consts, keys[positions, best], cur, dst)
+        return neighbors[positions, best], ok, spec.fail_code
 
     return step
 
 
-def make_direct_pair_loop(advance, hop_limit_code: int, fail_code: int):
-    """The per-pair hop loop for a direct-kind spec.
+def scalar_step(spec: KernelSpec, ops: Ops = SCALAR_OPS, wrap: Callable = lambda f: f):
+    """The per-pair step ``(consts, table, alive, cur, dst) -> (next, ok)``.
+
+    Built from the spec's functions instantiated with ``ops``; ``wrap``
+    wraps every function (Numba passes an inlining ``njit``, the parity legs
+    the identity).  The step reads ``cur``'s masked row one neighbour at a
+    time at every hop — the per-pair executors never build a full masked
+    table.  The scan keeps a running strict minimum over the row — the
+    first minimum, matching the vectorized driver's ``argmin`` — so both
+    executors make the identical choice even among equal keys (which specs
+    guarantee name the same neighbour).
+    """
+    substitute = wrap(dead_to_self(ops))
+
+    def masked(consts, table, alive, cur, column):
+        local = cur & consts[1]
+        return substitute(alive, table[local, column] + (cur - local), cur)
+
+    masked = wrap(masked)
+    if spec.kind == "direct":
+        advance = wrap(spec.advance(ops))
+        if spec.neighbor_bits is None:
+
+            def direct_step(consts, table, alive, cur, dst):
+                return advance(consts, table, alive, cur, dst, 0)
+
+            return wrap(direct_step)
+        neighbor_bits = wrap(spec.neighbor_bits(ops))
+
+        def row_step(consts, table, alive, cur, dst):
+            row = cur & 0
+            for column in range(table.shape[1]):
+                row |= neighbor_bits(consts, masked(consts, table, alive, cur, column), cur)
+            return advance(consts, table, alive, cur, dst, row)
+
+        return wrap(row_step)
+
+    key = wrap(spec.key(ops))
+    accept = wrap(spec.accept(ops))
+
+    def scan_step(consts, table, alive, cur, dst):
+        best_key = FAR_KEY
+        best_neighbor = cur
+        for column in range(table.shape[1]):
+            neighbor = masked(consts, table, alive, cur, column)
+            candidate = key(consts, neighbor, cur, dst)
+            if candidate < best_key:
+                best_key = candidate
+                best_neighbor = neighbor
+        return best_neighbor, accept(consts, best_key, cur, dst)
+
+    return wrap(scan_step)
+
+
+def make_pair_loop(step, hop_limit_code: int, fail_code: int):
+    """The per-pair hop loop around one :func:`scalar_step`.
 
     Routes every pair from source to termination with the exact scalar-
     oracle bookkeeping: ``hops`` counts forwarding steps actually taken
     (the failed hop of a dropped message is not counted) and the hop budget
     is checked before every forwarding step.  The returned function is
-    plain Python; a Numba executor compiles it (with ``advance`` already
+    plain Python; a Numba executor compiles it (with ``step`` already
     compiled), the parity harness calls it directly.
     """
 
-    def pair_loop(consts, arrays, alive, sources, destinations, hop_limit, succeeded, hops, codes):
+    def pair_loop(consts, table, alive, sources, destinations, hop_limit, succeeded, hops, codes):
         for p in range(sources.shape[0]):
             cur = sources[p]
             dst = destinations[p]
@@ -521,54 +502,12 @@ def make_direct_pair_loop(advance, hop_limit_code: int, fail_code: int):
                     codes[p] = hop_limit_code
                     hops[p] = hop
                     break
-                next_hop, ok = advance(consts, arrays, alive, cur, dst)
+                next_hop, ok = step(consts, table, alive, cur, dst)
                 if not ok:
                     codes[p] = fail_code
                     hops[p] = hop  # the failed hop is not counted
                     break
                 cur = next_hop
-                if cur == dst:
-                    succeeded[p] = True
-                    hops[p] = hop + 1
-                    break
-                hop += 1
-
-    return pair_loop
-
-
-def make_scan_pair_loop(key, accept, hop_limit_code: int, fail_code: int):
-    """The per-pair hop loop for a scan-kind spec.
-
-    The inner neighbour scan keeps a running strict minimum — the first
-    minimum, matching the vectorized driver's ``argmin`` — so both
-    executors make the identical choice even among equal keys (which specs
-    guarantee name the same neighbour).
-    """
-
-    def pair_loop(table, consts, sources, destinations, hop_limit, succeeded, hops, codes):
-        degree = table.shape[1]
-        for p in range(sources.shape[0]):
-            cur = sources[p]
-            dst = destinations[p]
-            hop = 0
-            while True:
-                if hop >= hop_limit:
-                    codes[p] = hop_limit_code
-                    hops[p] = hop
-                    break
-                best_key = FAR_KEY
-                best_neighbor = cur
-                for column in range(degree):
-                    neighbor = table[cur, column]
-                    candidate = key(consts, neighbor, cur, dst)
-                    if candidate < best_key:
-                        best_key = candidate
-                        best_neighbor = neighbor
-                if not accept(consts, best_key, cur, dst):
-                    codes[p] = fail_code
-                    hops[p] = hop  # the failed hop is not counted
-                    break
-                cur = best_neighbor
                 if cur == dst:
                     succeeded[p] = True
                     hops[p] = hop + 1

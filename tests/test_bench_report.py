@@ -123,10 +123,10 @@ class TestEvaluateReportsAndSummary:
         )
         failing = _write(
             tmp_path,
-            "BENCH_churn_incremental.json",
+            "BENCH_failmodes.json",
             {
-                "benchmark": "churn-incremental-prepare-state",
-                "speedup_incremental_vs_rebuild": 2.0,
+                "benchmark": "failure-model-sweep-dispatch",
+                "speedup_fused_vs_per_cell": 2.0,
                 "speedup_floor": 3.0,
             },
         )
@@ -134,13 +134,13 @@ class TestEvaluateReportsAndSummary:
         assert summary["report"] == "rcm-bench-trajectory"
         assert summary["artifacts"] == [
             "BENCH_adaptive.json",
-            "BENCH_churn_incremental.json",
+            "BENCH_failmodes.json",
         ]
         assert summary["gates_total"] == 2
         assert summary["gates_failed"] == 1
         assert summary["all_pass"] is False
         (failure,) = summary["failures"]
-        assert failure["benchmark"] == "churn-incremental-prepare-state"
+        assert failure["benchmark"] == "failure-model-sweep-dispatch"
         assert failure["value"] == 2.0
 
     def test_summary_is_json_serializable(self, tmp_path):

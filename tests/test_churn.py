@@ -258,7 +258,7 @@ class TestTraceDrivenChurn:
 
 
 class TestChurnProfile:
-    def test_profile_collects_the_four_phases(self, overlay):
+    def test_profile_collects_every_phase(self, overlay):
         profile = {}
         config = ChurnConfig(steps_per_epoch=3, pairs_per_step=40)
         simulate_churn(overlay, config, seed=4, profile=profile)

@@ -169,7 +169,7 @@ class TestChurnTraceOption:
             ]
         ) == 0
         output = capsys.readouterr().out
-        for phase in ("mask_delta", "state_update", "kernel_hops", "reduction"):
+        for phase in ("state_update", "kernel_hops", "reduction"):
             assert phase in output
 
     def test_trace_json_export(self, trace_path, tmp_path, capsys):

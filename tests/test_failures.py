@@ -192,6 +192,36 @@ class TestDegreeTargetedFailure:
         assert in_degrees[~mask].min() >= in_degrees[mask].max()
         assert int((~mask).sum()) == round(0.25 * overlay.n_nodes)
 
+    def test_two_severities_on_one_overlay_validate_the_ranking_once(self, monkeypatch):
+        from repro.dht import OVERLAY_CLASSES
+
+        overlay = OVERLAY_CLASSES["xor"].build(7, seed=11)  # fresh: nothing cached yet
+        validations = []
+        validate = TargetedNodeFailure.__post_init__
+
+        def counting(model):
+            validations.append(model.fraction)
+            validate(model)
+
+        monkeypatch.setattr(TargetedNodeFailure, "__post_init__", counting)
+        bound = {q: DegreeTargetedFailure(fraction=q).bind(overlay) for q in (0.1, 0.4)}
+        assert len(validations) == 1
+        for q, model in bound.items():
+            # What binding built before the ranking was cached per overlay.
+            expected = TargetedNodeFailure(fraction=q, ranking=overlay.in_degree_ranking())
+            assert model == expected
+            np.testing.assert_array_equal(
+                model.sample(overlay.n_nodes, np.random.default_rng(0)),
+                expected.sample(overlay.n_nodes, np.random.default_rng(0)),
+            )
+
+    def test_with_fraction_validates_the_new_fraction(self):
+        model = TargetedNodeFailure(fraction=0.1, ranking=[2, 0, 1])
+        assert model.with_fraction(0.5).fraction == 0.5
+        assert model.fraction == 0.1
+        with pytest.raises(InvalidParameterError):
+            model.with_fraction(1.5)
+
     def test_sample_without_bind_is_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
             DegreeTargetedFailure(fraction=0.2).sample(64, rng)

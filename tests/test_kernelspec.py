@@ -11,39 +11,42 @@ free, with zero test edits (that is the refactor's acceptance property).
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.dht import OVERLAY_CLASSES
-from repro.dht.failures import FAILURE_MODEL_KINDS
+from repro.dht.failures import FAILURE_MODEL_KINDS, make_failure_model
 from repro.exceptions import InvalidParameterError, UnknownGeometryError
+from repro.sim.backends import numpy_backend, resolve_backend
 from repro.sim.conformance import (
+    CROSSOVER_BATCHES,
     PARITY_SEVERITIES,
     WORKER_COUNTS,
     assert_churn_parity,
+    assert_crossover_parity,
     assert_failure_model_parity,
     assert_hop_limit_parity,
-    assert_incremental_parity,
     assert_oracle_parity,
     assert_reference_parity,
     assert_stacked_parity,
     assert_worker_parity,
     conformance_backends,
     conformance_geometries,
+    crossover_batch,
 )
+from repro.sim.engine import route_pairs, route_pairs_stacked
 from repro.sim.kernelspec import (
     KERNEL_SPECS,
     KernelSpec,
-    SpecState,
     get_kernel_spec,
     has_kernel_spec,
-    identity_update,
-    referencing_positions,
     registered_geometries,
-    reverse_neighbor_index,
-    scalar_functions,
-    update_spec_state,
+    scalar_step,
+    vector_rows,
 )
+from repro.sim.sampling import sample_survivor_pair_arrays
 
 BACKENDS = conformance_backends()
 BACKEND_IDS = [label for label, _ in BACKENDS]
@@ -79,16 +82,24 @@ class TestRegistry:
             register_kernel_spec(KERNEL_SPECS["tree"])
 
     def test_spec_shape_validation(self):
+        advance = KERNEL_SPECS["tree"].advance
         with pytest.raises(InvalidParameterError):
-            KernelSpec(geometry="", kind="direct", fail_code=1, prepare=lambda v, a: None)
+            KernelSpec(geometry="", kind="direct", fail_code=1, advance=advance)
         with pytest.raises(InvalidParameterError):
-            KernelSpec(geometry="x", kind="warp", fail_code=1, prepare=lambda v, a: None)
+            KernelSpec(geometry="x", kind="warp", fail_code=1, advance=advance)
         with pytest.raises(InvalidParameterError):
             # direct without advance
-            KernelSpec(geometry="x", kind="direct", fail_code=1, prepare=lambda v, a: None)
+            KernelSpec(geometry="x", kind="direct", fail_code=1)
         with pytest.raises(InvalidParameterError):
             # scan without key/accept
-            KernelSpec(geometry="x", kind="scan", fail_code=1, prepare=lambda v, a: None)
+            KernelSpec(geometry="x", kind="scan", fail_code=1)
+        with pytest.raises(InvalidParameterError, match="neighbor_bits"):
+            # a scan's row is the masked neighbour list itself
+            xor = KERNEL_SPECS["xor"]
+            KernelSpec(
+                geometry="x", kind="scan", fail_code=1, key=xor.key, accept=xor.accept,
+                neighbor_bits=KERNEL_SPECS["hypercube"].neighbor_bits,
+            )
 
     def test_spec_kinds_are_consistent(self, geometry_name):
         spec = get_kernel_spec(geometry_name)
@@ -97,29 +108,63 @@ class TestRegistry:
             assert spec.advance is not None
         else:
             assert spec.key is not None and spec.accept is not None
-        # The scalar instantiation (what Numba compiles) is buildable and
-        # memoized everywhere, numba installed or not.
-        assert scalar_functions(spec) is scalar_functions(spec)
+        # The scalar step (what Numba compiles) is buildable everywhere,
+        # numba installed or not.
+        assert callable(scalar_step(spec))
 
 
-class TestPreparedStateDiscipline:
-    """Spec-prepared tables must be frozen: a buggy step faults, never corrupts."""
+def _masked_rows_geometries():
+    """Geometries whose routing reads mask-derived rows (tree and de Bruijn
+    look up their single next hop and have no table to build)."""
+    specs = (get_kernel_spec(g) for g in registered_geometries())
+    return [spec.geometry for spec in specs if spec.kind == "scan" or spec.neighbor_bits]
 
-    def test_prepared_tables_are_read_only(self, small_overlays, geometry_name):
-        from repro.dht.failures import survival_mask
 
+class TestMaskedRows:
+    """The NumPy executor builds the full masked table only past the crossover."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = numpy_backend._masked_table
+
+        def counting(rows, n_rows, dtype):
+            calls.append(n_rows)
+            return original(rows, n_rows, dtype)
+
+        monkeypatch.setattr(numpy_backend, "_masked_table", counting)
+        return calls
+
+    def test_only_tree_and_debruijn_have_no_masked_rows(self):
+        assert set(registered_geometries()) - set(_masked_rows_geometries()) == {
+            "tree", "debruijn"
+        }
+
+    @pytest.mark.parametrize("side, expected", [("below", 0), ("above", 1), ("mid-route", 1)])
+    def test_full_table_builds_follow_the_crossover(
+        self, small_overlays, geometry_name, builds, side, expected
+    ):
+        # Count-based, no timing: a sparse batch never builds the table, a
+        # dense one builds it exactly once across all of its batch_size
+        # chunks (the state, and so the table, is shared by every chunk).
         overlay = small_overlays[geometry_name]
-        alive = survival_mask(overlay.n_nodes, 0.3, np.random.default_rng(5))
-        state = get_kernel_spec(geometry_name).prepare(overlay, alive)
-        assert isinstance(state, SpecState)
-        frozen = [array for array in ((state.table,) + state.arrays) if array is not None]
-        assert frozen, "expected the prepare factory to produce state arrays"
-        for array in frozen:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array.reshape(-1)[:1] = 0
-        for value in state.consts:
-            assert isinstance(value, int)
+        stack, sources, destinations, cells = crossover_batch(overlay, side)
+        route_pairs_stacked(
+            overlay, sources, destinations, stack, cells, backend="numpy", batch_size=29
+        )
+        has_rows = geometry_name in _masked_rows_geometries()
+        assert builds == ([stack.size] * expected if has_rows else [])
+
+    @pytest.mark.parametrize("geometry", _masked_rows_geometries())
+    def test_full_table_is_read_only(self, small_overlays, geometry):
+        # Shared by every later hop and chunk: a buggy step must fault, never corrupt.
+        overlay = small_overlays[geometry]
+        alive = np.ones(overlay.n_nodes, dtype=bool)
+        rows = vector_rows(get_kernel_spec(geometry), overlay, alive)
+        table = numpy_backend._masked_table(rows, overlay.n_nodes, np.int64)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table.reshape(-1)[:1] = 0
 
 
 class TestOracleParity:
@@ -142,6 +187,14 @@ class TestOracleParity:
     def test_hop_limit_exhaustion_is_identical(self, small_overlays, geometry_name, backend_label):
         checked = assert_hop_limit_parity(small_overlays[geometry_name], _backend(backend_label))
         assert checked > 0
+
+    def test_both_sides_of_the_masking_crossover_match_the_oracle(
+        self, small_overlays, geometry_name, backend_label
+    ):
+        # Below the crossover, above it from hop 0, and crossing it
+        # mid-route: per-hop masking and the full masked table agree.
+        checked = assert_crossover_parity(small_overlays[geometry_name], _backend(backend_label))
+        assert checked == sum(cells * pairs for _, cells, pairs in CROSSOVER_BATCHES)
 
 
 class TestFailureModelParity:
@@ -168,85 +221,48 @@ class TestChurnParity:
         assert assert_churn_parity(small_overlays[geometry_name], _backend(backend_label)) > 0
 
 
-class TestIncrementalParity:
-    """Delta-updated prepare-state routes byte-identically to a fresh prepare."""
+class TestUpdateParity:
+    """A state rebound by ``backend.update`` routes byte-identically to a fresh prepare."""
 
     @pytest.mark.parametrize("kind", FAILURE_MODEL_KINDS)
-    def test_update_hooks_match_fresh_prepare(
+    def test_update_matches_fresh_prepare(
         self, small_overlays, geometry_name, backend_label, kind
     ):
         # Walks one state through rising *and* falling severities of every
-        # failure-model kind, so both the leave and rejoin directions of the
-        # geometry's update hook are exercised on every backend.
-        checked = assert_incremental_parity(
-            small_overlays[geometry_name], _backend(backend_label), kind=kind
-        )
-        assert checked > 0
-
-    def test_missing_hook_falls_back_to_a_full_prepare(self, small_overlays):
-        import dataclasses
-
-        from repro.dht.failures import survival_mask
-
-        overlay = small_overlays["xor"]
-        spec = get_kernel_spec("xor")
-        rng = np.random.default_rng(31)
-        first = survival_mask(overlay.n_nodes, 0.2, rng)
-        second = survival_mask(overlay.n_nodes, 0.4, rng)
-        hookless = dataclasses.replace(spec, update=None)
-        state = hookless.prepare(overlay, first)
-        joined = np.flatnonzero(second & ~first)
-        left = np.flatnonzero(first & ~second)
-        updated = update_spec_state(hookless, overlay, state, second, joined, left)
-        fresh = spec.prepare(overlay, second)
-        assert np.array_equal(updated.table, fresh.table)
-        assert updated.consts == fresh.consts
-
-    def test_identity_update_returns_the_state_unchanged(self, small_overlays):
-        from repro.dht.failures import survival_mask
-
-        overlay = small_overlays["tree"]
-        spec = get_kernel_spec("tree")
-        alive = survival_mask(overlay.n_nodes, 0.3, np.random.default_rng(7))
-        state = spec.prepare(overlay, alive)
-        empty = np.empty(0, dtype=np.int64)
-        assert identity_update(overlay, state, alive, empty, empty) is state
-
-
-class TestReverseNeighborIndex:
-    """The CSR reverse index behind the scan-kind update hooks."""
-
-    def test_every_bucket_lists_exactly_its_referencing_positions(
-        self, small_overlays, geometry_name
-    ):
+        # failure-model kind (and a fully-alive mask).  Each state is routed
+        # before it is rebound, so a full masked table built under the
+        # previous mask (60 pairs on 64 nodes cross the crossover) must not
+        # leak into the next one.
         overlay = small_overlays[geometry_name]
-        flat = overlay.neighbor_array().reshape(-1)
-        starts, order = reverse_neighbor_index(overlay)
-        assert starts[0] == 0 and starts[-1] == flat.size
-        assert sorted(order.tolist()) == list(range(flat.size))
-        for node in (0, 1, overlay.n_nodes // 2, overlay.n_nodes - 1):
-            block = order[starts[node] : starts[node + 1]]
-            assert block.size == int((flat == node).sum())
-            assert np.all(flat[block] == node)
-
-    def test_referencing_positions_align_with_repeated_fill_values(self, small_overlays):
-        overlay = small_overlays["xor"]
-        flat = overlay.neighbor_array().reshape(-1)
-        starts, order = reverse_neighbor_index(overlay)
-        nodes = np.array([5, 0, overlay.n_nodes - 1], dtype=np.int64)
-        positions, counts = referencing_positions(starts, order, nodes)
-        assert positions.size == int(counts.sum())
-        # The documented alignment contract: per-node fill values line up
-        # with the concatenated position blocks via np.repeat.
-        np.testing.assert_array_equal(flat[positions], np.repeat(nodes, counts))
-
-    def test_referencing_positions_handle_an_empty_delta(self, small_overlays):
-        overlay = small_overlays["ring"]
-        starts, order = reverse_neighbor_index(overlay)
-        positions, counts = referencing_positions(
-            starts, order, np.empty(0, dtype=np.int64)
-        )
-        assert positions.size == 0 and counts.size == 0
+        backend = resolve_backend(_backend(backend_label))
+        rng = np.random.default_rng(zlib.crc32(f"update-{geometry_name}-{kind}".encode()))
+        masks = []
+        for severity in (0.15, 0.4, 0.6, 0.25, 0.0):
+            if severity == 0.0:
+                mask = np.ones(overlay.n_nodes, dtype=bool)
+            else:
+                mask = make_failure_model(kind, severity).bind(overlay).sample(
+                    overlay.n_nodes, rng
+                )
+            if int(mask.sum()) >= 2:
+                masks.append(mask)
+        assert len(masks) >= 2
+        state = backend.prepare(overlay, masks[0])
+        compared = 0
+        for step, mask in enumerate(masks):
+            if step:
+                state = backend.update(overlay, state, mask)
+            sources, destinations = sample_survivor_pair_arrays(mask, 60, rng)
+            carried = route_pairs(
+                overlay, sources, destinations, mask, backend=backend, prepared_state=state
+            )
+            fresh = route_pairs(overlay, sources, destinations, mask, backend=backend)
+            context = (geometry_name, kind, step)
+            assert np.array_equal(carried.succeeded, fresh.succeeded), context
+            assert np.array_equal(carried.hops, fresh.hops), context
+            assert np.array_equal(carried.failure_codes, fresh.failure_codes), context
+            compared += sources.size
+        assert compared > 0
 
 
 class TestWorkerParity:
