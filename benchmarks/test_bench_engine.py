@@ -3,12 +3,13 @@
 Times the Figure 6(a) simulation sweep (tree, hypercube, XOR at ``d = 10``)
 through the engine (:func:`~repro.sim.static_resilience.sweep_failure_probabilities`)
 and through the conformance harness's scalar-oracle sweep reference, which
-routes the very trials the engine samples pair by pair through
+routes the very per-cell groups the engine samples (trial ``k`` of a point
+is replicate ``k``, drawn from that cell's own stream) pair by pair through
 ``Overlay.route``.  The result goes to ``BENCH_engine.json`` (path
 overridable via ``RCM_BENCH_ENGINE_JSON``) so CI can upload it as the
-perf-trajectory artifact.  Both paths consume the random stream
-identically, so the sweep results must agree exactly — the timing
-comparison doubles as an end-to-end correctness check.
+perf-trajectory artifact.  Both paths route the same samples, so the sweep
+results must agree exactly — the timing comparison doubles as an
+end-to-end correctness check.
 
 The acceptance floor is a ≥10x speedup for the batch engine on the sweep.
 The floor compares two code paths on the same interpreter and machine, so
@@ -21,8 +22,6 @@ import json
 import os
 import platform
 import time
-
-import numpy as np
 
 from repro.sim.backends import default_backend_name
 from repro.sim.conformance import _oracle_measure_routability
@@ -49,11 +48,10 @@ def _timed_sweep(overlay, failure_probabilities):
 
 
 def _timed_oracle_sweep(overlay, failure_probabilities):
-    """The scalar-oracle reference over the same sequential stream, and its seconds."""
+    """The scalar-oracle reference over the same per-cell groups, and its seconds."""
     started = time.perf_counter()
-    generator = np.random.default_rng(SEED)
     routabilities = tuple(
-        _oracle_measure_routability(overlay, q, pairs=PAIRS, trials=TRIALS, rng=generator).routability
+        _oracle_measure_routability(overlay, q, pairs=PAIRS, trials=TRIALS, seed=SEED).routability
         for q in failure_probabilities
     )
     return routabilities, time.perf_counter() - started
@@ -73,7 +71,7 @@ def test_engine_speedup_on_fig6a_sweep(benchmark):
     for geometry, overlay in overlays.items():
         scalar_routabilities, scalar_seconds = _timed_oracle_sweep(overlay, failure_probabilities)
         batch_routabilities, batch_seconds = _timed_sweep(overlay, failure_probabilities)
-        # Same seed, same stream: engine and reference must measure identical curves.
+        # Same seed, same cells: engine and reference must measure identical curves.
         assert batch_routabilities == scalar_routabilities, geometry
         total_scalar += scalar_seconds
         total_batch += batch_seconds

@@ -589,8 +589,8 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
     if arguments.churn_trace:
         return _simulate_churn_trace(arguments)
     adaptive_config, replay_ledger = _adaptive_arguments(arguments)
-    # The sweep always runs through the SweepRunner (not the sequential-stream
-    # driver) so the printed numbers are identical for every --workers value.
+    # Each cell samples from its own stream, so the printed numbers are
+    # identical for every --workers value and equal simulate_geometry's rows.
     cell_store = None
     if getattr(arguments, "store", None):
         from .service.store import ResultStore

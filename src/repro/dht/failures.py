@@ -20,12 +20,10 @@ uniform vs targeted vs regional failure; run it with
 
 Two invariants every model must honour:
 
-* ``sample`` is the scalar reference for mask generation, exactly as
-  ``Overlay.route`` is for routing; ``sample_batch`` may vectorize across
-  trials but must consume the random stream **identically** to calling
-  ``sample`` once per trial, so scalar, batch and fused measurements stay
-  bit-identical (``tests/test_failures.py`` property-tests this for every
-  model).
+* ``sample`` is the only mask generator: a static sweep draws each
+  trial's mask with one ``sample`` call on that trial's own random stream
+  (:func:`repro.sim.engine._sample_cell`), so a mask must be a pure
+  function of the bound model and the stream.
 * Models are plain picklable values; anything overlay-dependent (e.g. the
   in-degree ranking behind the targeted model) is resolved by
   :meth:`FailureModel.bind`, which the measurement drivers call once per
@@ -43,7 +41,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from ..validation import check_failure_probability, check_node_count, check_positive_int
+from ..validation import check_failure_probability, check_node_count
 
 __all__ = [
     "FailureModel",
@@ -137,24 +135,9 @@ class FailureModel(abc.ABC):
     def sample(self, n_nodes: int, rng: np.random.Generator) -> np.ndarray:
         """Return a boolean survival mask of length ``n_nodes``.
 
-        This is the scalar reference implementation of the model; any
-        vectorized path (:meth:`sample_batch`) must reproduce its masks
-        bit-for-bit from the same random stream.
+        Called once per trial, on that trial's own stream; the mask must be
+        a pure function of the model and ``rng``.
         """
-
-    def sample_batch(self, n_nodes: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-        """Return a ``(trials, n_nodes)`` boolean mask stack for ``trials`` patterns.
-
-        The contract: the returned stack must equal — and consume the random
-        stream identically to — calling :meth:`sample` once per trial in
-        order.  The base implementation is that loop; subclasses override it
-        with a genuinely vectorized draw only where NumPy's array sampling
-        is stream-identical to the per-trial scalar draws (verified by
-        property tests), so the choice of path can never change a measured
-        number.
-        """
-        trials = check_positive_int(trials, "trials")
-        return np.stack([self.sample(n_nodes, rng) for _ in range(trials)])
 
     def bind(self, overlay) -> "FailureModel":
         """Resolve overlay-dependent inputs, returning a ready-to-sample model.
@@ -185,17 +168,6 @@ class UniformNodeFailure(FailureModel):
     def sample(self, n_nodes: int, rng: np.random.Generator) -> np.ndarray:
         """One survival mask: each node survives independently with probability ``1 - q``."""
         return survival_mask(n_nodes, self.q, rng)
-
-    def sample_batch(self, n_nodes: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized trials: one ``(trials, n)`` uniform draw.
-
-        Filling the buffer in C order yields the same doubles, in the same
-        order, as ``trials`` successive ``rng.random(n)`` calls, so this is
-        stream-identical to the scalar per-trial loop.
-        """
-        n_nodes = check_node_count(n_nodes)
-        trials = check_positive_int(trials, "trials")
-        return rng.random((trials, n_nodes)) >= self.q
 
     @property
     def description(self) -> str:
@@ -271,14 +243,6 @@ class TargetedNodeFailure(FailureModel):
         to_fail = int(round(self.fraction * n_nodes))
         mask[ranking[:to_fail]] = False
         return mask
-
-    def sample_batch(self, n_nodes: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized trials: every trial fails the same nodes, no randomness consumed.
-
-        Exactly like the per-trial loop, hence trivially stream-identical.
-        """
-        trials = check_positive_int(trials, "trials")
-        return np.tile(self.sample(n_nodes, rng), (trials, 1))
 
     @property
     def description(self) -> str:
@@ -362,25 +326,6 @@ class RegionalFailure(FailureModel):
         mask[indices] = False
         return mask
 
-    def sample_batch(self, n_nodes: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized trials: one sized ``rng.integers`` draw of the region starts.
-
-        ``rng.integers`` fills its output element-by-element from the same
-        bit stream as successive scalar draws, so one sized draw is
-        stream-identical to the per-trial loop (and, like the loop, a
-        zero-size region consumes no randomness at all).
-        """
-        n_nodes = check_node_count(n_nodes)
-        trials = check_positive_int(trials, "trials")
-        region = self._region_size(n_nodes)
-        masks = np.ones((trials, n_nodes), dtype=bool)
-        if region == 0:
-            return masks
-        starts = rng.integers(0, n_nodes, size=trials)
-        indices = (starts[:, None] + np.arange(region)[None, :]) % n_nodes
-        masks[np.arange(trials)[:, None], indices] = False
-        return masks
-
     @property
     def description(self) -> str:
         """Report label: contiguous identifier-region outage."""
@@ -421,19 +366,6 @@ class PrefixSubtreeFailure(FailureModel):
         mask[block * size : (block + 1) * size] = False
         return mask
 
-    def sample_batch(self, n_nodes: int, trials: int, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized trials: same stream-identity argument as :meth:`RegionalFailure.sample_batch`."""
-        n_nodes = check_node_count(n_nodes)
-        trials = check_positive_int(trials, "trials")
-        masks = np.ones((trials, n_nodes), dtype=bool)
-        size = self._subtree_size(n_nodes)
-        if size == 0:
-            return masks
-        blocks = rng.integers(0, n_nodes // size, size=trials)
-        indices = blocks[:, None] * size + np.arange(size)[None, :]
-        masks[np.arange(trials)[:, None], indices] = False
-        return masks
-
     @property
     def description(self) -> str:
         """Report label: aligned-subtree outage."""
@@ -448,10 +380,8 @@ class CompositeFailure(FailureModel):
     """Intersection of several failure models: a node survives only if it
     survives every component model.
 
-    Components are sampled in declaration order within each trial, so the
-    random stream is deterministic; ``sample_batch`` deliberately keeps the
-    base class's per-trial loop — vectorizing across trials would reorder
-    the components' draws and break stream-identity with :meth:`sample`.
+    Components are sampled in declaration order, so the random stream is
+    deterministic.
     """
 
     models: Tuple[FailureModel, ...]

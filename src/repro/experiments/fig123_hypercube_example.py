@@ -13,12 +13,19 @@ reasoning four independent ways at each probed failure probability:
 3. an **exact enumeration** over all ``2^8`` survival patterns of the
    8-node overlay simulator (the ground truth of Definition 1), and
 4. a Monte-Carlo estimate from the overlay simulator.
+
+The Monte-Carlo estimate pools equal pair budgets over the non-degenerate
+patterns, so it averages per-pattern ratios: it estimates E[ratio | at
+least two survivors], not Definition 1's ratio of expectations.  The same
+enumeration gives that expectation and the estimate's standard error, which
+is what the simulated column is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,34 +43,58 @@ PROBE_FAILURE_PROBABILITIES = (0.1, 0.3, 0.5)
 EXAMPLE_D = 3
 
 
-def exact_definition_routability(overlay: HypercubeOverlay, q: float) -> float:
-    """Definition 1 evaluated exactly by enumerating every survival pattern.
+def enumerate_patterns(overlay: HypercubeOverlay) -> List[Tuple[int, int]]:
+    """``(survivors, routable ordered pairs)`` of every survival pattern.
 
-    For the 8-node example this is 2^8 = 256 patterns; the expected number
-    of routable ordered pairs and the expected number of ordered survivor
-    pairs are both computed exactly and their ratio returned.
+    For the 8-node example this is 2^8 = 256 patterns, each pair routed by
+    the scalar overlay simulator.
     """
-    n = overlay.n_nodes
-    expected_routable = 0.0
-    expected_pairs = 0.0
-    for pattern in itertools.product((True, False), repeat=n):
+    outcomes = []
+    for pattern in itertools.product((True, False), repeat=overlay.n_nodes):
         alive = np.array(pattern, dtype=bool)
-        survivors = int(alive.sum())
-        weight = (1.0 - q) ** survivors * q ** (n - survivors)
-        if survivors >= 2:
-            expected_pairs += weight * survivors * (survivors - 1)
-            routable = 0
-            alive_ids = [i for i in range(n) if alive[i]]
-            for source in alive_ids:
-                for destination in alive_ids:
-                    if source == destination:
-                        continue
-                    if overlay.route(source, destination, alive).succeeded:
-                        routable += 1
-            expected_routable += weight * routable
-    if expected_pairs == 0.0:
-        return 0.0
-    return expected_routable / expected_pairs
+        alive_ids = np.flatnonzero(alive).tolist()
+        routable = sum(
+            overlay.route(source, destination, alive).succeeded
+            for source in alive_ids
+            for destination in alive_ids
+            if source != destination
+        )
+        outcomes.append((len(alive_ids), routable))
+    return outcomes
+
+
+def _non_degenerate(
+    outcomes: Sequence[Tuple[int, int]], n_nodes: int, q: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probability, survivor count and routable pairs of each pattern with >= 2 survivors."""
+    survivors, routable = np.array([o for o in outcomes if o[0] >= 2], dtype=float).T
+    weights = (1.0 - q) ** survivors * q ** (n_nodes - survivors)
+    return weights, survivors, routable
+
+
+def exact_definition_routability(outcomes: Sequence[Tuple[int, int]], n_nodes: int, q: float) -> float:
+    """Definition 1 exactly: E[routable ordered pairs] / E[ordered survivor pairs]."""
+    weights, survivors, routable = _non_degenerate(outcomes, n_nodes, q)
+    expected_pairs = float(weights @ (survivors * (survivors - 1)))
+    return float(weights @ routable) / expected_pairs if expected_pairs else 0.0
+
+
+def estimator_moments(
+    outcomes: Sequence[Tuple[int, int]], n_nodes: int, q: float, pairs: int
+) -> Tuple[float, float]:
+    """Mean and variance of one non-degenerate trial's routability estimate.
+
+    A trial draws a pattern with at least two survivors and routes ``pairs``
+    uniformly sampled ordered survivor pairs, so its estimate has mean
+    E[r] and variance Var[r] + E[r(1 - r)] / pairs, where ``r`` is the
+    pattern's routable fraction.
+    """
+    weights, survivors, routable = _non_degenerate(outcomes, n_nodes, q)
+    weights = weights / weights.sum()
+    ratio = routable / (survivors * (survivors - 1))
+    mean = float(weights @ ratio)
+    variance = float(weights @ (ratio - mean) ** 2) + float(weights @ (ratio * (1.0 - ratio))) / pairs
+    return mean, variance
 
 
 class HypercubeWorkedExample(Experiment):
@@ -78,7 +109,10 @@ class HypercubeWorkedExample(Experiment):
         config = config or ExperimentConfig()
         geometry = get_geometry("hypercube")
         overlay = HypercubeOverlay.build(EXAMPLE_D)
+        outcomes = enumerate_patterns(overlay)
+        n_nodes = overlay.n_nodes
         workload = config.resolved_workload()
+        pairs, trials = min(workload.pairs, 30), max(workload.trials, 120)
 
         # Figure 3's per-hop table at a representative failure probability.
         reference_q = 0.3
@@ -92,13 +126,10 @@ class HypercubeWorkedExample(Experiment):
             # At 8 nodes a single failure pattern dominates the estimate, so average
             # over many independent patterns rather than many pairs per pattern.
             simulated = measure_routability(
-                overlay,
-                q,
-                pairs=min(workload.pairs, 30),
-                trials=max(workload.trials, 120),
-                seed=workload.derived_seed(f"fig123-{q}"),
+                overlay, q, pairs=pairs, trials=trials, seed=workload.derived_seed(f"fig123-{q}")
             )
-            n_nodes = 1 << EXAMPLE_D
+            expected_estimate, trial_variance = estimator_moments(outcomes, n_nodes, q, pairs)
+            measured_trials = simulated.trials - simulated.degenerate_trials
             expected_component = geometry.expected_reachable_component(EXAMPLE_D, q)
             validation_rows.append(
                 {
@@ -111,7 +142,9 @@ class HypercubeWorkedExample(Experiment):
                     "routability_exact_denominator": min(
                         1.0, expected_component / ((1.0 - q) * (n_nodes - 1))
                     ),
-                    "routability_exact_definition": exact_definition_routability(overlay, q),
+                    "routability_exact_definition": exact_definition_routability(outcomes, n_nodes, q),
+                    "routability_expected_estimate": expected_estimate,
+                    "routability_estimate_se": math.sqrt(trial_variance / measured_trials),
                     "routability_simulated": simulated.routability,
                 }
             )
@@ -119,11 +152,11 @@ class HypercubeWorkedExample(Experiment):
         return self._result(
             parameters={
                 "d": EXAMPLE_D,
-                "n_nodes": 1 << EXAMPLE_D,
+                "n_nodes": n_nodes,
                 "reference_q": reference_q,
                 "probe_qs": PROBE_FAILURE_PROBABILITIES,
-                "pairs": min(workload.pairs, 30),
-                "trials": max(workload.trials, 120),
+                "pairs": pairs,
+                "trials": trials,
             },
             tables={
                 "figure3_distance_table": distance_table,
@@ -135,5 +168,9 @@ class HypercubeWorkedExample(Experiment):
                 "loose at this toy size (8 nodes); with the exact (1-q)(N-1) denominator the RCM value "
                 "matches the full-enumeration Definition-1 routability almost exactly, confirming the "
                 "method itself.",
+                "The simulated routability averages per-pattern ratios over patterns with at least "
+                "two survivors, so it estimates routability_expected_estimate (exact, by the same "
+                "enumeration), not the Definition-1 ratio of expectations; routability_estimate_se is "
+                "its standard error at the simulated budget.",
             ),
         )

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .. import __version__
+from ..workloads.generators import DEFAULT_BASE_SEED
 from .faults import FaultRegistry
 from .jobs import JobManager
 from .routes import Request, Response, build_routes, match_route
@@ -86,7 +87,7 @@ class ServiceConfig:
     port: int = 8642
     pairs: int = 2000
     trials: int = 3
-    seed: int = 20060328
+    seed: int = DEFAULT_BASE_SEED
     workers: int = 1
     backend: Optional[str] = None
     batch_size: Optional[int] = None

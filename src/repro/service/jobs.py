@@ -60,6 +60,7 @@ from ..exceptions import (
     UnknownGeometryError,
 )
 from ..sim.engine import SweepRunner, SweepRunStats
+from ..workloads.generators import DEFAULT_BASE_SEED
 from .faults import NO_FAULTS, FaultRegistry
 from .schemas import SWEEP_REQUEST_SCHEMA, validate_payload
 
@@ -534,7 +535,7 @@ class JobManager:
         *,
         pairs: int = 2000,
         trials: int = 3,
-        seed: int = 20060328,
+        seed: int = DEFAULT_BASE_SEED,
         workers: int = 1,
         backend: Optional[str] = None,
         batch_size: Optional[int] = None,

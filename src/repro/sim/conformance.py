@@ -29,10 +29,11 @@ the oracle across every execution shape the generic drivers derive:
   grouped dispatch vs the per-cell reference (:func:`_per_cell_reference`).
 
 The two scalar-oracle references route what the public paths sample —
-neither copies a sampling loop.  The sweep reference routes the trials
-:func:`~repro.sim.static_resilience._sample_trials` draws for
-``measure_routability``; the churn reference routes the step trajectory
-:func:`~repro.sim.churn._churn_trajectory` yields for ``simulate_churn``.
+neither copies a sampling loop.  The sweep reference routes the cells
+:func:`~repro.sim.engine._sample_cell` draws for ``measure_routability``
+(trial ``k`` is replicate ``k``); the churn reference routes the step
+trajectory :func:`~repro.sim.churn._churn_trajectory` yields for
+``simulate_churn``.
 They are the only scalar-oracle measurement paths in the package.
 
 ``tests/test_kernelspec.py`` drives these checks through pytest;
@@ -49,9 +50,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..dht import OVERLAY_CLASSES, Overlay, make_rng
-from ..dht.failures import FAILURE_MODEL_KINDS, FailureModel, make_failure_model, survival_mask
+from ..dht.failures import FAILURE_MODEL_KINDS, survival_mask
 from ..dht.metrics import RoutingMetrics, summarize_routes
 from ..exceptions import UnknownGeometryError
+from ..validation import check_failure_probability, check_positive_int
 from .backends import NUMBA_AVAILABLE, python_loop_backend, resolve_backend
 from .backends.base import HOP_LIMIT_CODE
 from .churn import ChurnConfig, ChurnSimulationResult, _churn_trajectory, simulate_churn
@@ -67,7 +69,13 @@ from .engine import (
 )
 from .kernelspec import registered_geometries
 from .sampling import sample_survivor_pair_arrays
-from .static_resilience import StaticResilienceResult, _sample_trials, measure_routability
+from .static_resilience import (
+    StaticResilienceResult,
+    _base_seed,
+    _model_kind,
+    _pooled_result,
+    measure_routability,
+)
 
 __all__ = [
     "CONFORMANCE_D",
@@ -347,21 +355,28 @@ def _oracle_measure_routability(
     *,
     pairs: int,
     trials: int,
-    rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    failure_model: Optional[FailureModel] = None,
+    failure_model: str = "uniform",
 ) -> StaticResilienceResult:
-    """The sweep reference: ``measure_routability``'s own trials, routed by the oracle.
+    """The sweep reference: ``measure_routability``'s own cells, routed by the oracle.
 
-    The trial groups are the ones the engine's cell-group executor
-    (:func:`~repro.sim.engine._route_cell_groups`) takes — same sampler,
-    same stream — so for equal arguments the result must equal
+    Trial ``k`` is the cell with replicate ``k``, sampled by
+    :func:`~repro.sim.engine._sample_cell` — the groups the engine's
+    cell-group executor (:func:`~repro.sim.engine._route_cell_groups`)
+    takes — so for equal arguments the result must equal
     :func:`~repro.sim.static_resilience.measure_routability`'s.
     """
-    groups, pool = _sample_trials(
-        overlay, q, pairs=pairs, trials=trials, rng=rng, seed=seed, failure_model=failure_model
+    q, kind, base_seed = check_failure_probability(q), _model_kind(failure_model), _base_seed(seed)
+    cells = [
+        SweepCell(overlay.geometry_name, overlay.d, q, replicate, kind)
+        for replicate in range(check_positive_int(trials, "trials"))
+    ]
+    groups = [_sample_cell(overlay, cell, pairs, base_seed) for cell in cells]
+    return _pooled_result(
+        overlay.geometry_name, overlay.system_name, overlay.d, q,
+        [None if group is None else _oracle_metrics(overlay, *group) for group in groups],
+        pairs=pairs, failure_model=kind,
     )
-    return pool([None if group is None else _oracle_metrics(overlay, *group) for group in groups])
 
 
 def _oracle_churn(
@@ -399,9 +414,7 @@ def assert_failure_model_parity(
     seed: int = 29,
 ) -> int:
     """Engine metrics equal the sweep reference's under one failure-model kind."""
-    sampling = dict(
-        pairs=pairs, trials=trials, seed=seed, failure_model=make_failure_model(kind, severity)
-    )
+    sampling = dict(pairs=pairs, trials=trials, seed=seed, failure_model=kind)
     measured = measure_routability(overlay, severity, backend=backend, **sampling)
     expected = _oracle_measure_routability(overlay, severity, **sampling)
     context = (overlay.geometry_name, kind)

@@ -70,6 +70,7 @@ from ..dht.metrics import RoutingMetrics, summarize_routes
 from ..dht.routing import FAILURE_CODES, FailureReason, failure_reason_from_code
 from ..exceptions import InvalidParameterError, RoutingError, UnknownGeometryError
 from ..validation import check_failure_probability, check_non_negative_int, check_positive_int
+from ..workloads.generators import DEFAULT_BASE_SEED
 from .backends import (
     BACKEND_CHOICES,
     KernelBackend,
@@ -498,8 +499,9 @@ class SweepCell:
     """One independent cell of a resilience sweep grid.
 
     A cell is one ``(geometry, d, model, severity, replicate)`` combination;
-    replicates are independent failure patterns (the scalar driver's
-    ``trials``).  ``model`` names a failure-model registry kind
+    replicates are independent failure patterns (the ``trials`` of the
+    library sweeps in :mod:`repro.sim.static_resilience`).  ``model`` names
+    a failure-model registry kind
     (:data:`repro.dht.failures.FAILURE_MODEL_KINDS`) and ``q`` is that
     model's severity — the failure probability for the default uniform
     model, the failed fraction for the targeted/correlated models.  Each
@@ -922,8 +924,8 @@ class SweepRunner:
     pairs:
         Surviving (source, destination) pairs sampled per cell.
     replicates:
-        Independent failure patterns per ``(geometry, q)`` point (the scalar
-        driver's ``trials``).
+        Independent failure patterns per ``(geometry, q)`` point (the
+        ``trials`` of :func:`~repro.sim.static_resilience.simulate_geometry`).
     workers:
         Worker processes to spread tasks over; ``1`` runs everything
         in-process.  The pool is created lazily and persists across ``run``
@@ -959,7 +961,7 @@ class SweepRunner:
         replicates: int = 3,
         workers: int = 1,
         batch_size: Optional[int] = None,
-        base_seed: int = 20060328,
+        base_seed: int = DEFAULT_BASE_SEED,
         backend: BackendLike = None,
         overlay_options: Optional[Mapping[str, object]] = None,
         cell_store=None,

@@ -13,48 +13,37 @@ The module exposes three levels of API:
 * :func:`measure_routability` — one overlay, one failure probability.
 * :func:`sweep_failure_probabilities` — one overlay, a list of ``q`` values
   (the shape of the paper's Figure 6 curves).
-* :func:`simulate_geometry` — convenience wrapper that builds the overlay
-  from a geometry name.
+* :func:`simulate_geometry` — builds the overlays from a geometry name and
+  runs the same sweep ``rcm simulate`` runs.
 
-Routing runs on the vectorized batch engine (:mod:`repro.sim.engine`), with
-all trials of a measurement fused into one stacked-mask kernel invocation.
-The scalar ``Overlay.route`` oracle is not a mode of this API: the
-conformance harness (:mod:`repro.sim.conformance`) routes the very trials
-:func:`measure_routability` samples through the oracle and checks that the
-metrics match.
+All three sample with the sweep runner's discipline: trial ``k`` of a point
+is the grid cell with replicate ``k``, drawn from that cell's own entropy
+stream (:func:`repro.sim.engine._sample_cell`) under an integer base seed,
+and every cell on one overlay is routed in one fused engine call.  The
+scalar ``Overlay.route`` oracle is not a mode of this API: the conformance
+harness (:mod:`repro.sim.conformance`) routes the same cells through the
+oracle and checks that the metrics match.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..dht import (
-    OVERLAY_CLASSES,
-    Overlay,
-    RoutingMetrics,
-    UniformNodeFailure,
-    make_rng,
-    summarize_routes,
-)
-from ..dht.failures import FailureModel, check_failure_model_kind, make_failure_model
+from ..dht import OVERLAY_CLASSES, Overlay, RoutingMetrics, summarize_routes
+from ..dht.failures import FAILURE_MODEL_KINDS, check_failure_model_kind
 from ..exceptions import InvalidParameterError, UnknownGeometryError
 from ..validation import (
     check_failure_probability,
     check_identifier_length,
+    check_non_negative_int,
     check_positive_int,
 )
-from .engine import (
-    BackendLike,
-    SweepCellResult,
-    _measure_cells,
-    _route_cell_groups,
-    resolve_backend,
-)
-from .sampling import sample_survivor_pair_arrays
+from ..workloads.generators import DEFAULT_BASE_SEED
+from .engine import BackendLike, SweepCellResult, SweepRunner, _measure_cells, resolve_backend
 
 __all__ = [
     "StaticResilienceResult",
@@ -90,9 +79,9 @@ class StaticResilienceResult:
         Trials in which fewer than two nodes survived (possible only at
         extreme ``q``); such trials contribute no routing attempts.
     failure_model:
-        Label of the failure model that generated the survival masks: a
-        registry kind (``"uniform"``, ``"targeted"``, ...) or a custom
-        model's description.  ``q`` is that model's severity.
+        Registry kind of the failure model that generated the survival
+        masks (``"uniform"``, ``"targeted"``, ...).  ``q`` is that model's
+        severity.
     """
 
     geometry: str
@@ -127,8 +116,8 @@ class ResilienceSweepResult:
 
     ``backend_name`` records which kernel backend produced the numbers (for
     benchmark attribution); it is metadata only — every backend measures
-    bit-identical metrics.  ``failure_model`` labels the failure model the
-    sweep ran under (``"mixed"`` when the points used different models).
+    bit-identical metrics.  ``failure_model`` is the registry kind of the
+    failure model the sweep ran under.
     """
 
     geometry: str
@@ -196,8 +185,8 @@ def _pool_sweep(
     """Pool each ``(q, cell results in replicate order)`` point into a sweep result.
 
     The one pooling step of the grid-driven sweeps: :meth:`SweepRunner.sweep
-    <repro.sim.engine.SweepRunner.sweep>` (uniform and adaptive) and the
-    adaptive branch of :func:`sweep_failure_probabilities`.
+    <repro.sim.engine.SweepRunner.sweep>` and
+    :func:`sweep_failure_probabilities`, uniform and adaptive alike.
     """
     results = tuple(
         _pooled_result(
@@ -237,49 +226,23 @@ def build_overlay(
     return overlay_cls.build(d, seed=seed, rng=rng, **overlay_options)
 
 
-def _sample_trials(
-    overlay: Overlay,
-    q: float,
-    *,
-    pairs: int,
-    trials: int,
-    rng: Optional[np.random.Generator],
-    seed: Optional[int],
-    failure_model: Optional[FailureModel],
-) -> Tuple[List[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]], Callable]:
-    """Sample every trial of one measurement: ``(groups, pool)``.
+def _model_kind(failure_model: str) -> str:
+    """Validate the failure-model registry kind a library sweep runs under.
 
-    ``groups`` holds each trial's ``(mask, sources, destinations)``, or
-    ``None`` for a degenerate trial; ``pool`` turns the per-trial metrics
-    (in trial order, ``None`` for degenerate) into the
-    :class:`StaticResilienceResult`.  :func:`measure_routability` routes the
-    groups on the batch engine; the conformance harness routes the same
-    groups through the scalar oracle.
-
-    Mask generation is one vectorized ``sample_batch`` call — property-tested
-    stream-identical to sampling the masks one trial at a time — followed by
-    a sequential per-trial pair-sampling loop.  The draw *order* is
-    masks-then-pairs (older releases interleaved mask and pair draws per
-    trial, so their seeded multi-trial numbers differ).
+    A kind name is part of every cell's entropy key, so model instances and
+    per-point lists are rejected rather than guessed at.
     """
-    q = check_failure_probability(q)
-    pairs = check_positive_int(pairs, "pairs")
-    trials = check_positive_int(trials, "trials")
-    generator = make_rng(rng, seed)
-    model = failure_model if failure_model is not None else UniformNodeFailure(q)
-    model_label = "uniform" if failure_model is None else failure_model.description
-    groups = []
-    for alive in model.bind(overlay).sample_batch(overlay.n_nodes, trials, generator):
-        if int(alive.sum()) < 2:
-            groups.append(None)
-            continue
-        sources, destinations = sample_survivor_pair_arrays(alive, pairs, generator)
-        groups.append((alive, sources, destinations))
-    pool = functools.partial(
-        _pooled_result, overlay.geometry_name, overlay.system_name, overlay.d, q,
-        pairs=pairs, failure_model=model_label,
-    )
-    return groups, pool
+    if not isinstance(failure_model, str):
+        raise InvalidParameterError(
+            f"failure models are registry kinds, one of {FAILURE_MODEL_KINDS}; "
+            f"got a {type(failure_model).__name__}"
+        )
+    return check_failure_model_kind(failure_model)
+
+
+def _base_seed(seed: Optional[int]) -> int:
+    """The base seed of every cell stream; ``None`` is the runner's default."""
+    return DEFAULT_BASE_SEED if seed is None else check_non_negative_int(seed, "seed")
 
 
 def measure_routability(
@@ -288,37 +251,36 @@ def measure_routability(
     *,
     pairs: int = 2000,
     trials: int = 3,
-    rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    failure_model: Optional[FailureModel] = None,
+    failure_model: str = "uniform",
     batch_size: Optional[int] = None,
     backend: BackendLike = None,
 ) -> StaticResilienceResult:
     """Estimate the routability of ``overlay`` at failure probability ``q``.
 
-    All trials' survival masks are stacked and every sampled pair of the
-    measurement is routed in one fused engine invocation
-    (:func:`repro.sim.engine.route_pairs_stacked`).
+    The one-point case of :func:`sweep_failure_probabilities`: trial ``k``
+    is the sweep cell with replicate ``k``, sampled from that cell's own
+    stream and routed with the other trials in one fused engine call.
 
     Parameters
     ----------
     overlay:
         A built overlay simulator (its routing tables are reused across trials).
     q:
-        Node failure probability.  Ignored when an explicit ``failure_model``
-        is supplied (the model then defines the failure pattern and ``q`` is
-        only recorded for reporting).
+        Severity of the failure model: the node failure probability for the
+        paper's uniform model, the failed fraction for the others.
     pairs:
         Surviving (source, destination) pairs sampled per trial.
     trials:
         Independent failure patterns to average over.
+    seed:
+        Base seed of the per-cell streams; ``None`` is the default base seed
+        of :class:`~repro.sim.engine.SweepRunner`.
     failure_model:
-        Optional alternative failure model; defaults to the paper's uniform
-        node-failure model with probability ``q``.  The model is bound to
-        the overlay first (:meth:`~repro.dht.failures.FailureModel.bind`),
-        so overlay-dependent models such as
-        :class:`~repro.dht.failures.DegreeTargetedFailure` can be passed
-        directly.
+        Registry kind of the failure model
+        (:data:`~repro.dht.failures.FAILURE_MODEL_KINDS`); the paper's
+        uniform model by default.  Overlay-dependent kinds such as
+        ``"targeted"`` are bound to ``overlay`` before sampling.
     batch_size:
         Optional chunk size for the engine (bounds peak memory).
     backend:
@@ -326,50 +288,10 @@ def measure_routability(
         available).  Backends are bit-identical, so the choice only affects
         speed.
     """
-    groups, pool = _sample_trials(
-        overlay, q, pairs=pairs, trials=trials, rng=rng, seed=seed, failure_model=failure_model
-    )
-    return pool(_route_cell_groups(overlay, groups, batch_size=batch_size, backend=backend))
-
-
-FailureModelsLike = Union[str, FailureModel, Sequence[Optional[FailureModel]], None]
-
-
-def _resolve_sweep_models(
-    failure_probabilities: Sequence[float], failure_models: FailureModelsLike
-) -> Tuple[List[Optional[FailureModel]], str]:
-    """Per-point failure models plus the sweep's model label.
-
-    ``failure_models`` may be ``None`` (the paper's uniform model at every
-    point), a registry kind name (one model of that kind per point, at the
-    point's severity), a single :class:`FailureModel` (reused at every
-    point; the severities are then reporting-only), or a sequence of models
-    aligned with ``failure_probabilities``.
-    """
-    count = len(failure_probabilities)
-    if failure_models is None:
-        return [None] * count, "uniform"
-    if isinstance(failure_models, str):
-        if failure_models == "uniform":
-            # The default path, spelled explicitly: keep the exact uniform
-            # metadata and stream of failure_models=None.
-            return [None] * count, "uniform"
-        return (
-            [make_failure_model(failure_models, q) for q in failure_probabilities],
-            failure_models,
-        )
-    if isinstance(failure_models, FailureModel):
-        return [failure_models] * count, failure_models.description
-    models = list(failure_models)
-    if len(models) != count:
-        raise InvalidParameterError(
-            f"failure_models has {len(models)} entries but the sweep has "
-            f"{count} failure probabilities"
-        )
-    labels = {
-        "uniform" if model is None else model.description for model in models
-    }
-    return models, labels.pop() if len(labels) == 1 else "mixed"
+    return sweep_failure_probabilities(
+        overlay, [q], pairs=pairs, trials=trials, seed=seed, failure_models=failure_model,
+        batch_size=batch_size, backend=backend,
+    ).results[0]
 
 
 def sweep_failure_probabilities(
@@ -378,141 +300,63 @@ def sweep_failure_probabilities(
     *,
     pairs: int = 2000,
     trials: int = 3,
-    rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    failure_models: FailureModelsLike = None,
+    failure_models: str = "uniform",
     batch_size: Optional[int] = None,
     backend: BackendLike = None,
     adaptive=None,
 ) -> ResilienceSweepResult:
     """Measure routability of ``overlay`` across a sweep of failure probabilities.
 
-    ``failure_models`` selects the failure model(s) the sweep runs under
-    (see :func:`_resolve_sweep_models` for the accepted forms); by default
-    every point uses the paper's uniform model at its ``q``.
+    Trial ``k`` of the point ``q`` is the grid cell ``SweepCell(geometry, d,
+    q, k, failure_models)``, sampled from that cell's own entropy stream
+    (:func:`~repro.sim.engine._sample_cell`), and every cell of the sweep is
+    routed in one fused engine call on ``overlay``.  A point therefore
+    measures exactly what the same replicates of a
+    :class:`~repro.sim.engine.SweepRunner` sweep measure on the same overlay
+    build.  ``failure_models`` is one registry kind for every point.
 
     ``adaptive`` optionally switches to variance-adaptive trial allocation
     (an :class:`~repro.sim.adaptive.AdaptiveConfig`): ``trials`` then acts
     as the per-point budget cap and each point freezes once its pooled
-    routability CI half-width reaches the target.  Adaptive mode draws each
-    trial from the engine's per-cell entropy scheme (trial ``k`` of a point
-    is grid replicate ``k``), so a point that consumed ``k`` trials is
-    byte-equal to the first ``k`` replicates of a
-    :class:`~repro.sim.engine.SweepRunner` sweep on the same overlay build;
-    it requires an integer ``seed`` (not an ``rng`` stream) and a registry
-    failure-model kind.
+    routability CI half-width reaches the target.  The allocator requests
+    the same cells, so a point that consumed ``k`` trials is byte-equal to
+    the first ``k`` trials of the uniform call.
     """
-    if len(failure_probabilities) == 0:
-        raise InvalidParameterError("failure_probabilities must not be empty")
-    if adaptive is not None:
-        return _adaptive_sweep(
-            overlay,
-            failure_probabilities,
-            pairs=pairs,
-            trials=trials,
-            rng=rng,
-            seed=seed,
-            failure_models=failure_models,
-            batch_size=batch_size,
-            backend=backend,
-            adaptive=adaptive,
-        )
-    models, model_label = _resolve_sweep_models(failure_probabilities, failure_models)
-    resolved_backend = resolve_backend(backend)
-    generator = make_rng(rng, seed)
-    results = tuple(
-        measure_routability(
-            overlay,
-            q,
-            pairs=pairs,
-            trials=trials,
-            rng=generator,
-            failure_model=model,
-            batch_size=batch_size,
-            backend=resolved_backend,
-        )
-        for q, model in zip(failure_probabilities, models)
-    )
-    return ResilienceSweepResult(
-        geometry=overlay.geometry_name,
-        system=overlay.system_name,
-        d=overlay.d,
-        results=results,
-        backend_name=resolved_backend.name,
-        failure_model=model_label,
-    )
-
-
-def _adaptive_sweep(
-    overlay: Overlay,
-    failure_probabilities: Sequence[float],
-    *,
-    pairs: int,
-    trials: int,
-    rng: Optional[np.random.Generator],
-    seed: Optional[int],
-    failure_models: FailureModelsLike,
-    batch_size: Optional[int],
-    backend: BackendLike,
-    adaptive,
-) -> ResilienceSweepResult:
-    """The adaptive branch of :func:`sweep_failure_probabilities`.
-
-    Each trial of a point is one engine grid cell (``replicate = trial
-    index``) sampled with the per-cell entropy streams of
-    :func:`~repro.sim.engine._sample_cell`, so the allocator can extend any
-    point's trial count without perturbing another point's stream — the
-    property uniform sequential ``rng`` consumption cannot provide.
-    """
+    # Imported here so that ``import repro`` does not load the allocator.
     from .adaptive import AdaptiveConfig, SweepPoint, run_allocation
 
-    if not isinstance(adaptive, AdaptiveConfig):
-        raise InvalidParameterError(
-            f"adaptive must be an AdaptiveConfig (got {type(adaptive).__name__})"
-        )
-    if rng is not None:
-        raise InvalidParameterError(
-            "adaptive allocation derives per-cell streams from an integer seed; "
-            "pass seed=... instead of an rng generator"
-        )
-    if failure_models is None:
-        model_kind = "uniform"
-    elif isinstance(failure_models, str):
-        model_kind = check_failure_model_kind(failure_models)
-    else:
-        raise InvalidParameterError(
-            "adaptive allocation supports failure_models=None or a registry "
-            "kind name (per-cell streams need a model kind in the cell key)"
-        )
+    if len(failure_probabilities) == 0:
+        raise InvalidParameterError("failure_probabilities must not be empty")
+    kind = _model_kind(failure_models)
     pairs = check_positive_int(pairs, "pairs")
-    # The paper's arXiv submission date: the same default base seed as
-    # SweepRunner, so overlay-level and runner-level adaptive sweeps agree.
-    base_seed = 20060328 if seed is None else int(seed)
-    config = adaptive.resolved(trials)
+    trials = check_positive_int(trials, "trials")
+    base_seed = _base_seed(seed)
     resolved_backend = resolve_backend(backend)
     points = [
-        SweepPoint(
-            geometry=overlay.geometry_name,
-            d=overlay.d,
-            q=check_failure_probability(q),
-            model=model_kind,
-        )
+        SweepPoint(overlay.geometry_name, overlay.d, check_failure_probability(q), kind)
         for q in failure_probabilities
     ]
 
-    def run_round(batch):
-        # Every cell samples from its own stream, and the round's cells are
-        # routed as one group on the overlay, like one runner task.
-        measured = _measure_cells(
-            overlay, batch, pairs, base_seed, batch_size=batch_size, backend=resolved_backend
+    def measure(cells):
+        results = _measure_cells(
+            overlay, cells, pairs, base_seed, batch_size=batch_size, backend=resolved_backend
         )
-        return dict(zip(batch, measured))
+        return dict(zip(cells, results))
 
-    results, _ = run_allocation(points, run_round, config)
+    if adaptive is None:
+        measured = measure([point.cell(r) for point in points for r in range(trials)])
+        results = {point: [measured[point.cell(r)] for r in range(trials)] for point in points}
+    elif isinstance(adaptive, AdaptiveConfig):
+        results, _ = run_allocation(points, measure, adaptive.resolved(trials))
+    else:
+        raise InvalidParameterError(
+            f"adaptive must be an AdaptiveConfig (got {type(adaptive).__name__})"
+        )
     return _pool_sweep(
         overlay.geometry_name, overlay.system_name, overlay.d,
         [(point.q, results[point]) for point in points],
-        pairs=pairs, backend_name=resolved_backend.name, failure_model=model_kind,
+        pairs=pairs, backend_name=resolved_backend.name, failure_model=kind,
     )
 
 
@@ -524,39 +368,25 @@ def simulate_geometry(
     pairs: int = 2000,
     trials: int = 3,
     seed: Optional[int] = None,
-    failure_models: FailureModelsLike = None,
+    failure_models: str = "uniform",
     batch_size: Optional[int] = None,
     backend: BackendLike = None,
     adaptive=None,
     **overlay_options,
 ) -> ResilienceSweepResult:
-    """Build the overlay for ``geometry`` and sweep the given failure probabilities.
+    """Sweep ``geometry`` over the given failure probabilities, as ``rcm simulate`` does.
 
-    This is the one-call entry point used by the Figure 6 experiments and
-    the quickstart example.  ``adaptive`` switches to variance-adaptive
-    trial allocation (see :func:`sweep_failure_probabilities`).
+    One in-process :class:`~repro.sim.engine.SweepRunner` sweep with
+    ``seed`` as its base seed and ``trials`` replicates: each replicate
+    builds its own overlay from the cell stream, so the rows equal those
+    ``rcm simulate`` prints for the same arguments.  ``adaptive`` switches
+    to variance-adaptive trial allocation (see
+    :meth:`SweepRunner.sweep <repro.sim.engine.SweepRunner.sweep>`).
     """
-    generator = np.random.default_rng(seed)
-    overlay = build_overlay(geometry, d, rng=generator, **overlay_options)
-    if adaptive is not None:
-        return sweep_failure_probabilities(
-            overlay,
-            failure_probabilities,
-            pairs=pairs,
-            trials=trials,
-            seed=seed,
-            failure_models=failure_models,
-            batch_size=batch_size,
-            backend=backend,
-            adaptive=adaptive,
+    with SweepRunner(
+        pairs=pairs, replicates=trials, batch_size=batch_size, base_seed=_base_seed(seed),
+        backend=backend, overlay_options=overlay_options,
+    ) as runner:
+        return runner.sweep(
+            geometry, d, failure_probabilities, _model_kind(failure_models), adaptive=adaptive
         )
-    return sweep_failure_probabilities(
-        overlay,
-        failure_probabilities,
-        pairs=pairs,
-        trials=trials,
-        rng=generator,
-        failure_models=failure_models,
-        batch_size=batch_size,
-        backend=backend,
-    )

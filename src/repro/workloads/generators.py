@@ -21,7 +21,12 @@ __all__ = [
     "system_size_grid",
     "paper_system_sizes",
     "PairWorkload",
+    "DEFAULT_BASE_SEED",
 ]
+
+#: The default base seed of every seeded sweep (the paper's arXiv
+#: submission date): the runner, the library sweeps, the CLI and the service.
+DEFAULT_BASE_SEED = 20060328
 
 
 def failure_probability_grid(start: float = 0.0, stop: float = 0.9, step: float = 0.1) -> Tuple[float, ...]:
@@ -93,7 +98,7 @@ class PairWorkload:
 
     pairs: int = 2000
     trials: int = 3
-    seed: int = 20060328  # the paper's arXiv submission date
+    seed: int = DEFAULT_BASE_SEED
 
     def __post_init__(self) -> None:
         check_positive_int(self.pairs, "pairs")

@@ -19,12 +19,14 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from repro.dht.failures import FAILURE_MODEL_KINDS, RegionalFailure
+from repro.dht.metrics import RoutingMetrics
 from repro.exceptions import InvalidParameterError
 from repro.sim.adaptive import (
     FREEZE_REASONS,
     AdaptiveConfig,
-    AllocationLedger,
     AdaptiveReport,
+    AllocationLedger,
     PointAllocation,
     SweepPoint,
     run_allocation,
@@ -33,7 +35,7 @@ from repro.sim.adaptive import (
 )
 from repro.sim.conformance import _per_cell_reference
 from repro.sim.engine import SweepCell, SweepCellResult, SweepRunner
-from repro.dht.metrics import RoutingMetrics
+from repro.workloads.generators import DEFAULT_BASE_SEED
 
 
 # --------------------------------------------------------------------- #
@@ -394,7 +396,7 @@ class TestEngineStreamDiscipline:
             uniform_cells = runner.run([GEOMETRY], D, QS)
             adaptive = runner.sweep(GEOMETRY, D, QS, adaptive=CONFIG)
             report = runner.last_adaptive_report
-        reference = _per_cell_reference(list(uniform_cells), pairs=PAIRS, base_seed=20060328)
+        reference = _per_cell_reference(list(uniform_cells), pairs=PAIRS, base_seed=DEFAULT_BASE_SEED)
         assert report is not None and not report.replayed
         for result, allocation in zip(adaptive.results, report.allocations):
             for cells in (uniform_cells, reference):
@@ -515,26 +517,33 @@ class TestOverlayLevelAdaptive:
         from repro.sim.static_resilience import build_overlay, sweep_failure_probabilities
 
         overlay = build_overlay(GEOMETRY, D, seed=5)
-        uniform = sweep_failure_probabilities(
-            overlay, QS, pairs=PAIRS, trials=MAX_TRIALS, seed=123
-        )
         adaptive = sweep_failure_probabilities(
             overlay, QS, pairs=PAIRS, trials=MAX_TRIALS, seed=123, adaptive=CONFIG
         )
         assert [result.q for result in adaptive.results] == QS
-        # Frozen-early points pool fewer attempts; none pool more.
-        for uniform_result, adaptive_result in zip(uniform.results, adaptive.results):
-            assert adaptive_result.metrics.attempts <= uniform_result.metrics.attempts
+        assert any(result.trials < MAX_TRIALS for result in adaptive.results)
+        # A point that froze after k trials pools exactly the uniform call's
+        # first k cells: the uniform call with trials=k measures those cells.
+        for result in adaptive.results:
+            prefix = sweep_failure_probabilities(
+                overlay, [result.q], pairs=PAIRS, trials=result.trials, seed=123
+            )
+            assert repr(result) == repr(prefix.results[0])
 
-    def test_overlay_level_adaptive_requires_an_integer_seed(self):
+    @pytest.mark.parametrize(
+        "models", [RegionalFailure(0.2), [RegionalFailure(0.1), RegionalFailure(0.3)]]
+    )
+    def test_failure_models_must_be_a_registry_kind(self, models):
         from repro.sim.static_resilience import build_overlay, sweep_failure_probabilities
 
         overlay = build_overlay(GEOMETRY, D, seed=5)
-        with pytest.raises(InvalidParameterError, match="integer seed"):
+        with pytest.raises(InvalidParameterError, match="registry kinds") as raised:
             sweep_failure_probabilities(
-                overlay, QS, pairs=PAIRS, trials=MAX_TRIALS,
-                rng=np.random.default_rng(3), adaptive=CONFIG,
+                overlay, [0.1, 0.3], pairs=PAIRS, trials=MAX_TRIALS, seed=3,
+                failure_models=models, adaptive=CONFIG,
             )
+        assert "\n" not in str(raised.value)
+        assert all(kind in str(raised.value) for kind in FAILURE_MODEL_KINDS)
 
     def test_simulate_geometry_threads_adaptive_through(self):
         from repro.sim.static_resilience import simulate_geometry

@@ -294,10 +294,10 @@ class TestModelRegistry:
         assert model.models[1].fraction == pytest.approx(0.2)
 
 
-class TestSampleBatchStreamIdentity:
-    """sample_batch must equal — and consume the stream identically to —
-    per-trial sample calls: the mask-generation copy of the routing
-    invariant."""
+class TestSampleIsAFunctionOfTheStream:
+    """A sweep draws each trial's mask with one ``sample`` call on that
+    trial's own stream, so the mask must depend on nothing but the model and
+    the stream's state (no global RNG, no state carried between calls)."""
 
     MODELS = [
         UniformNodeFailure(0.0),
@@ -317,28 +317,13 @@ class TestSampleBatchStreamIdentity:
     @pytest.mark.parametrize(
         "model", MODELS, ids=[type(m).__name__ + "-" + m.description for m in MODELS]
     )
-    @pytest.mark.parametrize("trials", [1, 2, 7])
-    def test_batch_equals_scalar_loop(self, model, trials):
-        batch = model.sample_batch(64, trials, np.random.default_rng(99))
-        loop_rng = np.random.default_rng(99)
-        loop = np.stack([model.sample(64, loop_rng) for _ in range(trials)])
-        assert batch.shape == (trials, 64)
-        assert batch.dtype == np.bool_
-        assert np.array_equal(batch, loop)
-
-    @pytest.mark.parametrize(
-        "model", MODELS, ids=[type(m).__name__ + "-" + m.description for m in MODELS]
-    )
-    def test_batch_leaves_stream_where_the_loop_would(self, model):
-        batch_rng = np.random.default_rng(5)
-        model.sample_batch(64, 3, batch_rng)
-        loop_rng = np.random.default_rng(5)
-        for _ in range(3):
-            model.sample(64, loop_rng)
-        # Subsequent draws must agree, so mask generation and pair sampling
-        # interleave identically on the vectorized and scalar paths.
-        assert np.array_equal(batch_rng.random(8), loop_rng.random(8))
-
-    def test_zero_trials_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            UniformNodeFailure(0.5).sample_batch(64, 0, np.random.default_rng(1))
+    def test_equal_streams_give_equal_masks_and_positions(self, model):
+        first_rng, second_rng = np.random.default_rng(99), np.random.default_rng(99)
+        first = model.sample(64, first_rng)
+        model.sample(64, np.random.default_rng(7))  # an unrelated call in between
+        second = model.sample(64, second_rng)
+        assert first.shape == (64,)
+        assert first.dtype == np.bool_
+        assert np.array_equal(first, second)
+        # Pair sampling continues on the same stream, so both must stop in one place.
+        assert np.array_equal(first_rng.random(8), second_rng.random(8))

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
-from repro.dht.failures import FAILURE_MODEL_KINDS, RegionalFailure, make_failure_model
+from repro.cli import main as cli_main
+from repro.dht.failures import FAILURE_MODEL_KINDS, RegionalFailure
 from repro.exceptions import InvalidParameterError, UnknownGeometryError
+from repro.sim.adaptive import AdaptiveConfig
 from repro.sim.conformance import _oracle_measure_routability
+from repro.sim.engine import _cached_overlay
 from repro.sim.static_resilience import (
     build_overlay,
     measure_routability,
     simulate_geometry,
     sweep_failure_probabilities,
 )
+from repro.workloads.generators import DEFAULT_BASE_SEED
 
 
 class TestBuildOverlay:
@@ -118,9 +123,7 @@ class TestFailureModelSweeps:
         self, small_overlays, geometry_name, kind
     ):
         overlay = small_overlays[geometry_name]
-        sampling = dict(
-            pairs=120, trials=2, seed=17, failure_model=make_failure_model(kind, self.SEVERITY)
-        )
+        sampling = dict(pairs=120, trials=2, seed=17, failure_model=kind)
         measured = measure_routability(overlay, self.SEVERITY, **sampling)
         expected = _oracle_measure_routability(overlay, self.SEVERITY, **sampling)
         assert measured.metrics.attempts == expected.metrics.attempts
@@ -131,24 +134,13 @@ class TestFailureModelSweeps:
             a, b = getattr(measured.metrics, field), getattr(expected.metrics, field)
             assert a == b or (math.isnan(a) and math.isnan(b)), field
 
-    def test_result_records_the_model_description(self, small_overlays):
-        result = measure_routability(
-            small_overlays["ring"], 0.2, pairs=30, trials=1, seed=3,
-            failure_model=make_failure_model("regional", 0.2),
-        )
-        assert "regional" in result.failure_model
-        uniform = measure_routability(
-            small_overlays["ring"], 0.2, pairs=30, trials=1, seed=3
-        )
-        assert uniform.failure_model == "uniform"
-
     def test_sweep_accepts_a_model_kind(self, small_overlays):
         sweep = sweep_failure_probabilities(
             small_overlays["xor"], [0.1, 0.4], pairs=40, trials=1, seed=5,
             failure_models="targeted",
         )
         assert sweep.failure_model == "targeted"
-        assert all("in-degree" in r.failure_model for r in sweep.results)
+        assert all(result.failure_model == "targeted" for result in sweep.results)
 
     def test_sweep_uniform_kind_is_the_default_path(self, small_overlays):
         explicit = sweep_failure_probabilities(
@@ -161,20 +153,16 @@ class TestFailureModelSweeps:
         assert explicit.routabilities == default.routabilities
         assert explicit.failure_model == default.failure_model == "uniform"
 
-    def test_sweep_accepts_per_point_models(self, small_overlays):
-        models = [RegionalFailure(0.1), RegionalFailure(0.4)]
-        sweep = sweep_failure_probabilities(
-            small_overlays["ring"], [0.1, 0.4], pairs=40, trials=1, seed=5,
-            failure_models=models,
-        )
-        assert len(sweep.results) == 2
-
-    def test_sweep_rejects_mismatched_model_list(self, small_overlays):
-        with pytest.raises(InvalidParameterError):
+    @pytest.mark.parametrize("model", [RegionalFailure(0.1), [RegionalFailure(0.1)]])
+    def test_model_instances_and_lists_are_rejected(self, small_overlays, model):
+        with pytest.raises(InvalidParameterError, match="registry kinds"):
             sweep_failure_probabilities(
-                small_overlays["ring"], [0.1, 0.4], pairs=10, trials=1, seed=1,
-                failure_models=[RegionalFailure(0.1)],
+                small_overlays["ring"], [0.1], pairs=10, trials=1, seed=1, failure_models=model
             )
+        with pytest.raises(InvalidParameterError, match="registry kinds"):
+            measure_routability(small_overlays["ring"], 0.1, pairs=10, seed=1, failure_model=model)
+        with pytest.raises(InvalidParameterError, match="registry kinds"):
+            simulate_geometry("ring", 5, [0.1], pairs=10, seed=1, failure_models=model)
 
     def test_simulate_geometry_forwards_failure_models(self):
         sweep = simulate_geometry(
@@ -191,8 +179,7 @@ class TestZeroAttemptSemantics:
         # node, so every trial of every geometry is degenerate.
         overlay = small_overlays[geometry_name]
         result = measure_routability(
-            overlay, 1.0, pairs=10, trials=3, seed=2,
-            failure_model=make_failure_model("targeted", 1.0),
+            overlay, 1.0, pairs=10, trials=3, seed=2, failure_model="targeted"
         )
         assert result.trials == 3
         assert result.degenerate_trials == 3
@@ -210,3 +197,70 @@ class TestZeroAttemptSemantics:
         assert rows[1]["routability"] is None
         assert rows[1]["failed_path_percent"] is None
         assert rows[1]["attempts"] == 0
+
+
+class TestOneSampler:
+    """The library sweeps draw the runner's per-cell streams: trial ``k`` is
+    replicate ``k``, so library, runner and CLI print the same numbers."""
+
+    def test_measure_routability_is_a_one_point_sweep(self, small_overlays, geometry_name):
+        overlay = small_overlays[geometry_name]
+        sweep = sweep_failure_probabilities(overlay, [0.2, 0.5], pairs=70, trials=3, seed=8)
+        point = measure_routability(overlay, 0.5, pairs=70, trials=3, seed=8)
+        assert repr(point) == repr(sweep.results[1])
+
+    def test_trials_are_the_runners_replicates_on_the_same_overlay(self, geometry_name):
+        # Replicate 0 of a runner sweep is built from the base seed; with one
+        # trial the library on that overlay measures exactly the runner's cells.
+        overlay = _cached_overlay(geometry_name, 6, 0, 41, ())
+        qs = [0.15, 0.45]
+        library = sweep_failure_probabilities(overlay, qs, pairs=90, trials=1, seed=41)
+        runner = simulate_geometry(geometry_name, 6, qs, pairs=90, trials=1, seed=41)
+        assert library.as_rows() == runner.as_rows()
+
+    def test_no_seed_means_the_default_base_seed(self, small_overlays):
+        overlay = small_overlays["ring"]
+        implicit = measure_routability(overlay, 0.3, pairs=40, trials=2)
+        explicit = measure_routability(overlay, 0.3, pairs=40, trials=2, seed=DEFAULT_BASE_SEED)
+        assert repr(implicit) == repr(explicit)
+        assert simulate_geometry("ring", 5, [0.3], pairs=40, trials=2).as_rows() == (
+            simulate_geometry("ring", 5, [0.3], pairs=40, trials=2, seed=DEFAULT_BASE_SEED).as_rows()
+        )
+
+
+def _cli_rows(tmp_path, capsys, arguments):
+    """The ``--json`` rows ``rcm simulate`` writes for ``arguments``."""
+    output = tmp_path / "cli.json"
+    assert cli_main(["simulate", *arguments, "--json", str(output)]) == 0
+    capsys.readouterr()
+    return json.loads(output.read_text(encoding="utf-8"))["rows"]
+
+
+class TestLibraryMatchesCli:
+    """``simulate_geometry`` rows equal ``rcm simulate --json`` rows byte for byte."""
+
+    def test_pinned_tree_example(self, tmp_path, capsys):
+        arguments = ["--geometry", "tree", "--d", "8", "--q", "0.3", "0.6"]
+        arguments += ["--pairs", "300", "--trials", "2", "--seed", "5"]
+        rows = simulate_geometry("tree", 8, [0.3, 0.6], pairs=300, trials=2, seed=5).as_rows()
+        assert rows == _cli_rows(tmp_path, capsys, arguments)
+        assert [round(row["routability"], 4) for row in rows] == [0.4167, 0.1383]
+
+    @pytest.mark.parametrize("kind", FAILURE_MODEL_KINDS)
+    def test_every_geometry_and_model(self, tmp_path, capsys, geometry_name, kind):
+        arguments = ["--geometry", geometry_name, "--d", "6", "--q", "0.1", "0.4"]
+        arguments += ["--pairs", "50", "--trials", "2", "--seed", "13", "--failure-model", kind]
+        library = simulate_geometry(
+            geometry_name, 6, [0.1, 0.4], pairs=50, trials=2, seed=13, failure_models=kind
+        )
+        assert json.dumps(library.as_rows()) == json.dumps(_cli_rows(tmp_path, capsys, arguments))
+
+    def test_every_geometry_adaptive(self, tmp_path, capsys, geometry_name):
+        arguments = ["--geometry", geometry_name, "--d", "6", "--q", "0.1", "0.5"]
+        arguments += ["--pairs", "40", "--trials", "4", "--seed", "13"]
+        arguments += ["--adaptive", "--ci-target", "0.1"]
+        library = simulate_geometry(
+            geometry_name, 6, [0.1, 0.5], pairs=40, trials=4, seed=13,
+            adaptive=AdaptiveConfig(ci_target=0.1),
+        )
+        assert json.dumps(library.as_rows()) == json.dumps(_cli_rows(tmp_path, capsys, arguments))
