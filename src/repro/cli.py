@@ -18,9 +18,8 @@ Subcommands
     severities); ``--backend
     auto|numpy|numba`` picks the kernel backend (``auto`` selects the
     fastest available — the JIT backend when the ``fast`` extra is
-    installed); ``--workers N`` fans the sweep across worker processes,
-    and ``--batch-size`` bounds the engine's per-batch memory.  All
-    combinations measure bit-identical metrics.
+    installed) and ``--workers N`` fans the sweep across worker processes.
+    All combinations measure bit-identical metrics.
     ``--profile`` additionally prints the per-phase wall-time breakdown
     (overlay build, mask generation, kernel hops, reduction), and ``--json
     PATH`` writes rows + profile + backend metadata to a strictly valid
@@ -294,9 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="kernel backend for the sweep engine (execution shape only; never changes results)",
     )
     serve_parser.add_argument(
-        "--batch-size", type=int, default=None, help="pairs routed per engine batch (bounds memory)"
-    )
-    serve_parser.add_argument(
         "--max-jobs", type=int, default=2, help="jobs executing concurrently; further submissions queue"
     )
     serve_parser.add_argument(
@@ -388,12 +384,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker processes for sweep fan-out (results are identical for any value)",
     )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="pairs routed per engine batch (default: all at once; lower it to bound memory)",
-    )
 
 
 def _command_list() -> str:
@@ -414,7 +404,6 @@ def _command_run(arguments: argparse.Namespace) -> str:
         workload=PairWorkload(pairs=arguments.pairs, trials=arguments.trials, seed=arguments.seed),
         workers=arguments.workers,
         backend=arguments.backend,
-        batch_size=arguments.batch_size,
     )
     result = run_experiment(arguments.experiment_id, config)
     if arguments.csv:
@@ -478,7 +467,6 @@ def _simulate_churn_trace(arguments: argparse.Namespace) -> str:
     rebound to each step's usable mask).  ``--profile``
     prints the churn phase breakdown (:data:`CHURN_PROFILE_PHASES`).
     """
-    from .exceptions import InvalidParameterError
     from .sim.churn import CHURN_PROFILE_PHASES, ChurnConfig, simulate_churn
     from .sim.static_resilience import build_overlay
     from .workloads.traces import load_trace
@@ -498,12 +486,7 @@ def _simulate_churn_trace(arguments: argparse.Namespace) -> str:
     )
     profile = {} if arguments.profile else None
     result = simulate_churn(
-        overlay,
-        config,
-        seed=arguments.seed,
-        batch_size=arguments.batch_size,
-        backend=arguments.backend,
-        profile=profile,
+        overlay, config, seed=arguments.seed, backend=arguments.backend, profile=profile
     )
     rows = result.as_rows()
     sections = [
@@ -531,7 +514,7 @@ def _simulate_churn_trace(arguments: argparse.Namespace) -> str:
             "d": arguments.d,
             "churn_trace": arguments.churn_trace,
             "repair_every": arguments.churn_repair_every,
-            "backend": arguments.backend,
+            "backend": result.backend_name,
             "rows": rows,
             "profile": profile,
         }
@@ -585,7 +568,34 @@ def _adaptive_arguments(arguments: argparse.Namespace):
     return config, None
 
 
+#: ``rcm simulate`` options of the static sweep that trace-driven churn has
+#: no use for: ``(argument name, flag)``.
+_STATIC_SWEEP_FLAGS = (
+    ("q", "--q"),
+    ("adaptive", "--adaptive"),
+    ("ci_target", "--ci-target"),
+    ("max_trials", "--max-trials"),
+    ("allocation_out", "--allocation-out"),
+    ("replay_allocation", "--replay-allocation"),
+    ("store", "--store"),
+)
+
+
+def _check_simulate_mode(arguments: argparse.Namespace) -> None:
+    """Reject options the chosen ``rcm simulate`` mode would silently ignore."""
+    if not arguments.churn_trace:
+        if arguments.churn_repair_every is not None:
+            raise InvalidParameterError("--churn-repair-every requires --churn-trace")
+        return
+    given = [flag for name, flag in _STATIC_SWEEP_FLAGS if getattr(arguments, name)]
+    if arguments.failure_model != "uniform":
+        given.append("--failure-model")
+    if given:
+        raise InvalidParameterError(f"{given[0]} cannot be combined with --churn-trace")
+
+
 def _command_simulate(arguments: argparse.Namespace) -> str:
+    _check_simulate_mode(arguments)
     if arguments.churn_trace:
         return _simulate_churn_trace(arguments)
     adaptive_config, replay_ledger = _adaptive_arguments(arguments)
@@ -600,7 +610,6 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
         pairs=arguments.pairs,
         replicates=arguments.trials,
         workers=arguments.workers,
-        batch_size=arguments.batch_size,
         base_seed=arguments.seed,
         backend=arguments.backend,
         cell_store=cell_store,
@@ -753,7 +762,6 @@ def _command_serve(arguments: argparse.Namespace) -> Optional[str]:
         seed=arguments.seed,
         workers=arguments.workers,
         backend=arguments.backend,
-        batch_size=arguments.batch_size,
         max_jobs=arguments.max_jobs,
         max_queued=arguments.max_queued,
         rate_limit=arguments.rate_limit,

@@ -64,7 +64,6 @@ class AdaptiveSampling(Experiment):
             pairs=workload.pairs,
             replicates=trials,
             workers=config.workers,
-            batch_size=config.batch_size,
             backend=config.backend,
             base_seed=workload.derived_seed("adaptive-sampling"),
         ) as runner:

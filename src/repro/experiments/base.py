@@ -44,8 +44,6 @@ class ExperimentConfig:
         fastest available), ``"numpy"``, or ``"numba"`` (JIT, requires the
         ``fast`` extra; falls back to numpy with a warning when absent).
         Backends measure bit-identical metrics.
-    batch_size:
-        Optional pair-chunk size for the simulation engine (bounds peak memory).
     """
 
     fast: bool = True
@@ -53,7 +51,6 @@ class ExperimentConfig:
     workload: PairWorkload = field(default_factory=PairWorkload)
     workers: int = 1
     backend: str = "auto"
-    batch_size: Optional[int] = None
 
     def resolved_simulation_d(self, *, full_default: int, fast_default: int) -> int:
         """The simulation identifier length after applying fast/full defaults."""

@@ -60,7 +60,6 @@ class ChurnApplicability(Experiment):
                 overlay,
                 churn_config,
                 seed=workload.derived_seed(f"churn-run-{geometry_name}"),
-                batch_size=config.batch_size,
                 backend=config.backend,
             )
             absolute_errors = []

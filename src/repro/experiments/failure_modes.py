@@ -68,7 +68,6 @@ class FailureModeComparison(Experiment):
             pairs=workload.pairs,
             replicates=workload.trials,
             workers=config.workers,
-            batch_size=config.batch_size,
             backend=config.backend,
             base_seed=workload.derived_seed("failmodes"),
         ) as runner:

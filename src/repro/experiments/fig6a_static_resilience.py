@@ -51,7 +51,6 @@ class Fig6aStaticResilience(Experiment):
             pairs=workload.pairs,
             replicates=workload.trials,
             workers=config.workers,
-            batch_size=config.batch_size,
             backend=config.backend,
             base_seed=workload.derived_seed("fig6a-sim"),
         ) as runner:

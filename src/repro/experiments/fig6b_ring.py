@@ -45,7 +45,6 @@ class Fig6bRingBound(Experiment):
             pairs=workload.pairs,
             replicates=workload.trials,
             workers=config.workers,
-            batch_size=config.batch_size,
             backend=config.backend,
             base_seed=workload.derived_seed("fig6b-ring"),
         ) as runner:

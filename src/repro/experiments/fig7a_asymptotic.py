@@ -81,7 +81,6 @@ class Fig7aAsymptoticLimit(Experiment):
             pairs=workload.pairs,
             replicates=workload.trials,
             workers=config.workers,
-            batch_size=config.batch_size,
             backend=config.backend,
             base_seed=workload.derived_seed("fig7a-sim"),
         ) as runner:

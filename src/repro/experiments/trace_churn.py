@@ -84,7 +84,6 @@ class TraceChurn(Experiment):
                     overlay,
                     churn_config,
                     seed=workload.derived_seed(f"trace-run-{geometry_name}-{trace_name}"),
-                    batch_size=config.batch_size,
                     backend=config.backend,
                 )
                 routabilities = []

@@ -172,8 +172,8 @@ def generate_api_markdown(routes: List[Route]) -> str:
         "* Recalled results are bit-identical to recomputing them (the status",
         "  document's `cells.cached` / `cells.computed` counters make the split",
         "  observable per job).",
-        "* Execution-shape options (`--backend`, `--workers`, `--batch-size`)",
-        "  are deliberately **not** part of the key:",
+        "* Execution-shape options (`--backend`, `--workers`) and the engine's",
+        "  fixed pair chunking are deliberately **not** part of the key:",
         "  every shape is property-tested bit-identical, so cached results are valid",
         "  across all of them.  Changing `pairs`, `trials`, `seed` or the grid",
         "  coordinates changes the key and triggers fresh simulation.",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import signal
 import time
 import urllib.parse
@@ -39,6 +40,9 @@ from .routes import Request, Response, build_routes, match_route
 from .store import ResultStore
 
 __all__ = ["ServiceConfig", "SweepService", "create_asgi_app", "serve"]
+
+#: Server-side log of handler crashes (the client only sees the error type).
+_LOG = logging.getLogger("repro.service")
 
 #: Largest accepted request body (bytes); sweep submissions are tiny.
 _MAX_BODY_BYTES = 1 << 20
@@ -67,9 +71,9 @@ class ServiceConfig:
     ``pairs``/``trials``/``seed`` are the *defaults* a submission inherits
     when it omits them; a request may override any of the three (each
     distinct combination gets its own runner and persistent-store key
-    space).  ``workers``, ``backend`` and ``batch_size`` are
-    execution-shape knobs: they tune throughput but can never change a
-    measured number.
+    space).  ``workers`` and ``backend`` are execution-shape knobs: they
+    tune throughput but can never change a measured number (pair chunking
+    is fixed inside the routing driver).
 
     The failure-policy knobs are likewise shape-only: ``shard_timeout`` /
     ``shard_retries`` bound how long one shard may run and how often a
@@ -90,7 +94,6 @@ class ServiceConfig:
     seed: int = DEFAULT_BASE_SEED
     workers: int = 1
     backend: Optional[str] = None
-    batch_size: Optional[int] = None
     max_jobs: int = 2
     max_queued: int = 16
     rate_limit: Optional[float] = None
@@ -131,7 +134,6 @@ class SweepService:
             seed=config.seed,
             workers=config.workers,
             backend=config.backend,
-            batch_size=config.batch_size,
             max_jobs=config.max_jobs,
             max_queued=config.max_queued,
             rate_limit=config.rate_limit,
@@ -230,7 +232,8 @@ class SweepService:
         request.params = params
         try:
             return await route.handler(request)
-        except Exception as error:  # pragma: no cover - handler bugs must not kill the server
+        except Exception as error:  # handler bugs must not kill the server
+            _LOG.exception("handler for %s %s crashed", request.method, request.path)
             return Response(status=500, payload={"error": f"internal error: {type(error).__name__}"})
 
     def close(self) -> None:

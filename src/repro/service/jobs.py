@@ -538,7 +538,6 @@ class JobManager:
         seed: int = DEFAULT_BASE_SEED,
         workers: int = 1,
         backend: Optional[str] = None,
-        batch_size: Optional[int] = None,
         max_jobs: int = 2,
         max_runners: int = 4,
         max_queued: int = 16,
@@ -556,7 +555,6 @@ class JobManager:
         self._default_seed = seed
         self._workers = workers
         self._backend = backend
-        self._batch_size = batch_size
         self._max_runners = max_runners
         self._max_queued = max(0, int(max_queued))
         self._rate = float(rate_limit) if rate_limit else None
@@ -767,7 +765,6 @@ class JobManager:
                     base_seed=request.seed,
                     workers=self._workers,
                     backend=self._backend,
-                    batch_size=self._batch_size,
                     cell_store=self._store,
                 )
                 self._runners[key] = runner
@@ -833,18 +830,12 @@ class JobManager:
                 int(churn["repair_every"]) if churn.get("repair_every") is not None else None
             ),
         )
-        result = simulate_churn(
-            overlay,
-            config,
-            seed=request.seed,
-            batch_size=self._batch_size,
-            backend=self._backend,
-        )
+        result = simulate_churn(overlay, config, seed=request.seed, backend=self._backend)
         return {
             "geometry": result.geometry,
             "d": result.d,
             "failure_model": "churn",
-            "backend": self._backend,
+            "backend": result.backend_name,
             "churn": churn,
             "rows": result.as_rows(),
         }

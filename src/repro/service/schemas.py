@@ -288,7 +288,10 @@ JOB_RESULTS_SCHEMA: Dict = {
                     "system": {"type": "string"},
                     "d": {"type": "integer"},
                     "failure_model": {"type": "string"},
-                    "backend": {"type": ["string", "null"]},
+                    "backend": {
+                        "type": "string",
+                        "description": "The kernel backend that ran the shard (resolved, never 'auto').",
+                    },
                     "adaptive": {
                         "type": "object",
                         "description": (

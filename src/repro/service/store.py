@@ -13,8 +13,8 @@ deterministic), a stored result is *bit-identical* to recomputing it — so
 an identical cell is never simulated twice, no matter which process,
 request or CLI invocation asks for it.
 
-What is deliberately **not** part of the key: the kernel backend, the
-worker count and the batch size.  All of
+What is deliberately **not** part of the key: the kernel backend and the
+worker count (nor the routing driver's fixed pair chunk).  All of
 those are property-tested to produce bit-identical metrics (the two-copy
 oracle/KernelSpec invariant, see ``docs/architecture.md``), so results
 cached under one execution shape are valid for every other.
@@ -73,10 +73,10 @@ def cell_store_key(
     Mirrors the engine's per-cell entropy key: the cell coordinates
     ``(geometry, d, q, replicate, model)`` plus every parameter that feeds
     the cell's random streams (``pairs``, ``base_seed``, sorted overlay
-    options).  Execution-shape parameters (backend, workers, batch_size)
-    are excluded on purpose — they cannot change a measured
-    number.  The key is a canonical JSON string, stable across platforms
-    and interpreter versions.
+    options).  Execution-shape parameters (backend, workers) are excluded
+    on purpose — they cannot change a measured number, and neither can the
+    routing driver's fixed pair chunking.  The key is a canonical JSON
+    string, stable across platforms and interpreter versions.
     """
     parts = {
         "v": STORE_SCHEMA_VERSION,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 import sys
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -77,9 +77,8 @@ class KernelBackend(abc.ABC):
     Subclasses implement :meth:`prepare` (bind one survival vector for a
     routed batch) and :meth:`run` (route one chunk of pairs to termination),
     and may override :meth:`update` (rebind a prepared state to another
-    vector).  :meth:`route` adds the shared ``batch_size`` chunking —
-    chunking bounds the per-hop working set and cannot change any outcome
-    because pairs are routed independently.
+    vector).  The engine's routing driver decides how a batch is chunked
+    (``repro.sim.engine._dispatch_stack``); a backend only executes chunks.
     """
 
     #: Registry name ("numpy", "numba", ...).
@@ -116,37 +115,6 @@ class KernelBackend(abc.ABC):
         ``alive``, which is what this base implementation returns.
         """
         return self.prepare(overlay, alive)
-
-    def route(
-        self,
-        overlay,
-        sources: np.ndarray,
-        destinations: np.ndarray,
-        alive: np.ndarray,
-        batch_size: Optional[int] = None,
-        *,
-        state=None,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Route every pair of one batch, optionally in ``batch_size`` chunks.
-
-        ``state`` optionally supplies a state for ``alive`` — built by this
-        backend's :meth:`prepare` / :meth:`update` on this overlay view —
-        skipping the per-call prepare.  The caller owns the consistency of
-        ``state`` with ``alive``; the churn loop is the intended user.
-        """
-        if state is None:
-            state = self.prepare(overlay, alive)
-        n_pairs = sources.size
-        if batch_size is None or n_pairs <= batch_size:
-            return self.run(overlay, state, sources, destinations)
-        succeeded = np.zeros(n_pairs, dtype=bool)
-        hops = np.zeros(n_pairs, dtype=np.int64)
-        codes = np.full(n_pairs, SUCCESS_CODE, dtype=np.int8)
-        for start in range(0, n_pairs, batch_size):
-            stop = start + batch_size
-            chunk = self.run(overlay, state, sources[start:stop], destinations[start:stop])
-            succeeded[start:stop], hops[start:stop], codes[start:stop] = chunk
-        return succeeded, hops, codes
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"

@@ -209,12 +209,19 @@ class ChurnStepResult:
 
 @dataclass(frozen=True)
 class ChurnSimulationResult:
-    """Per-step routability of one overlay under churn."""
+    """Per-step routability of one overlay under churn.
+
+    ``backend_name`` records which kernel backend routed the steps (the
+    resolved name, never ``"auto"``); like
+    :attr:`~repro.sim.static_resilience.ResilienceSweepResult.backend_name`
+    it is metadata only — every backend measures bit-identical rows.
+    """
 
     geometry: str
     d: int
     config: ChurnConfig
     steps: Tuple[ChurnStepResult, ...]
+    backend_name: Optional[str] = None
 
     def as_rows(self) -> List[Dict[str, object]]:
         """Rows (one per step) for tabular reports.
@@ -297,7 +304,6 @@ def simulate_churn(
     *,
     rng: Optional[np.random.Generator] = None,
     seed: Optional[int] = None,
-    batch_size: Optional[int] = None,
     backend: BackendLike = None,
     profile: Optional[MutableMapping[str, float]] = None,
 ) -> ChurnSimulationResult:
@@ -316,8 +322,8 @@ def simulate_churn(
     Each step's pairs are routed through the kernel backend selected by
     ``backend``, carrying **one prepared routing state across steps** and
     rebinding it to each step's usable mask.  Routing consumes
-    no randomness and backends are bit-identical, so ``backend`` and
-    ``batch_size`` never change the measured numbers — see the module
+    no randomness and backends are bit-identical, so ``backend`` never
+    changes the measured numbers — see the module
     docstring for the exact per-step RNG contract.
 
     ``profile`` optionally accumulates per-phase wall-clock seconds
@@ -340,14 +346,7 @@ def simulate_churn(
             routing_state = resolved.update(overlay, routing_state, usable)
         clock.stop()
         clock.start("kernel_hops")
-        outcome = route_pairs(
-            overlay,
-            *pairs,
-            usable,
-            batch_size=batch_size,
-            backend=resolved,
-            prepared_state=routing_state,
-        )
+        outcome = route_pairs(overlay, *pairs, usable, backend=resolved, prepared_state=routing_state)
         clock.stop()
         clock.start("reduction")
         metrics = outcome.to_metrics()
@@ -358,4 +357,5 @@ def simulate_churn(
         d=overlay.d,
         config=config,
         steps=tuple(steps),
+        backend_name=resolved.name,
     )

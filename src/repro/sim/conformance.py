@@ -11,7 +11,8 @@ the oracle across every execution shape the generic drivers derive:
   loops (the exact code Numba compiles, runnable everywhere), and the JIT
   executor when Numba is importable;
 * **dispatch modes** — single-mask, stacked disjoint-union batches
-  (contiguous and shuffled cell indices), and ``batch_size`` chunking;
+  (contiguous and shuffled cell indices), and multi-chunk routing with the
+  engine's pair chunk lowered to :data:`CHUNK_PAIRS`;
 * **failure models** — every registry kind in
   :data:`repro.dht.failures.FAILURE_MODEL_KINDS`,
   :func:`~repro.sim.static_resilience.measure_routability` vs the sweep
@@ -46,6 +47,7 @@ from __future__ import annotations
 import sys
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from ..dht.failures import FAILURE_MODEL_KINDS, survival_mask
 from ..dht.metrics import RoutingMetrics, summarize_routes
 from ..exceptions import UnknownGeometryError
 from ..validation import check_failure_probability, check_positive_int
+from . import engine
 from .backends import NUMBA_AVAILABLE, python_loop_backend, resolve_backend
 from .backends.base import HOP_LIMIT_CODE
 from .churn import ChurnConfig, ChurnSimulationResult, _churn_trajectory, simulate_churn
@@ -84,6 +87,8 @@ __all__ = [
     "conformance_geometries",
     "build_conformance_overlay",
     "assert_oracle_parity",
+    "CHUNK_PAIRS",
+    "chunked_routing",
     "assert_stacked_parity",
     "assert_hop_limit_parity",
     "crossover_batch",
@@ -106,6 +111,21 @@ WORKER_COUNTS = (1, 3, 4)
 
 #: Severities the oracle-parity check samples (none, moderate, heavy failure).
 PARITY_SEVERITIES = (0.0, 0.3, 0.6)
+
+#: The engine's pair chunk while :func:`chunked_routing` is active: small
+#: enough that every harness batch routes in several chunks, and prime so
+#: chunk boundaries never line up with cell boundaries.
+CHUNK_PAIRS = 29
+
+
+def chunked_routing():
+    """Lower the routing driver's pair chunk to :data:`CHUNK_PAIRS` for a ``with`` block.
+
+    Production batches rarely reach the real chunk size
+    (``repro.sim.engine._MAX_BATCH_PAIRS``); lowering it lets harness-sized
+    batches exercise the multi-chunk path, one prepared state across chunks.
+    """
+    return mock.patch.object(engine, "_MAX_BATCH_PAIRS", CHUNK_PAIRS)
 
 
 def conformance_geometries() -> Tuple[str, ...]:
@@ -195,7 +215,6 @@ def assert_stacked_parity(
     qs: Sequence[float] = PARITY_SEVERITIES,
     pairs: int = 80,
     seed: int = 97,
-    batch_size: Optional[int] = 29,
 ) -> int:
     """Stacked (fused) outcomes equal per-cell outcomes, shuffled and chunked alike."""
     rng = np.random.default_rng(seed)
@@ -221,17 +240,11 @@ def assert_stacked_parity(
     # disjoint-union driver; the inverse permutation undoes it for comparison.
     order = np.random.default_rng(7).permutation(flat_sources.size)
     inverse = np.argsort(order)
-    stack = np.stack(masks)
-    variants = {
-        "stacked": route_pairs_stacked(
-            overlay, flat_sources[order], flat_destinations[order], stack,
-            cell_indices[order], backend=backend,
-        ),
-        "stacked+chunked": route_pairs_stacked(
-            overlay, flat_sources[order], flat_destinations[order], stack,
-            cell_indices[order], backend=backend, batch_size=batch_size,
-        ),
-    }
+    arguments = (flat_sources[order], flat_destinations[order], np.stack(masks), cell_indices[order])
+    variants = {"stacked": route_pairs_stacked(overlay, *arguments, backend=backend)}
+    assert flat_sources.size > CHUNK_PAIRS, (overlay.geometry_name, "one chunk only")
+    with chunked_routing():
+        variants["stacked+chunked"] = route_pairs_stacked(overlay, *arguments, backend=backend)
     expected_succeeded = np.concatenate([o.succeeded for o in per_cell])
     expected_hops = np.concatenate([o.hops for o in per_cell])
     expected_codes = np.concatenate([o.failure_codes for o in per_cell])

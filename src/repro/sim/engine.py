@@ -190,7 +190,7 @@ def _wrap_outcome(
 def _check_endpoints(
     overlay: Overlay, sources: np.ndarray, destinations: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Shared endpoint checks of the single-mask and stacked batch paths."""
+    """Endpoint checks of a pair batch: equal-length, in range, distinct."""
     sources = np.asarray(sources, dtype=np.int64)
     destinations = np.asarray(destinations, dtype=np.int64)
     if sources.ndim != 1 or destinations.ndim != 1 or sources.shape != destinations.shape:
@@ -205,27 +205,6 @@ def _check_endpoints(
     if np.any(sources == destinations):
         raise RoutingError("source and destination must differ")
     return sources, destinations
-
-
-def _check_batch_arguments(
-    overlay: Overlay,
-    sources: np.ndarray,
-    destinations: np.ndarray,
-    alive: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized equivalent of ``Overlay._check_route_arguments`` for a pair batch."""
-    sources, destinations = _check_endpoints(overlay, sources, destinations)
-    n = overlay.n_nodes
-    alive = np.asarray(alive)
-    if alive.dtype != np.bool_:
-        alive = alive.astype(bool)
-    if alive.shape != (n,):
-        raise RoutingError(f"survival mask has shape {alive.shape}, expected ({n},)")
-    if sources.size and not (alive[sources].all() and alive[destinations].all()):
-        raise RoutingError(
-            "routability is defined over surviving pairs: both end-points must be alive"
-        )
-    return sources, destinations, alive
 
 
 def _check_stacked_arguments(
@@ -269,7 +248,6 @@ def route_pairs(
     destinations: Sequence[int],
     alive: np.ndarray,
     *,
-    batch_size: Optional[int] = None,
     backend: BackendLike = None,
     prepared_state=None,
 ) -> BatchRouteOutcome:
@@ -277,9 +255,7 @@ def route_pairs(
 
     This is the batched equivalent of calling :meth:`Overlay.route` once per
     pair: outcomes agree pair-for-pair with the scalar path (same hops, same
-    success flag, same failure reason).  ``batch_size`` optionally chunks the
-    pair list to bound the ``batch × degree`` working-set size; chunking does
-    not change any outcome.  ``backend`` selects the kernel backend
+    success flag, same failure reason).  ``backend`` selects the kernel backend
     (:func:`repro.sim.backends.resolve_backend`); every backend produces
     bit-identical outcomes, so the choice only affects speed.
 
@@ -290,9 +266,9 @@ def route_pairs(
     carried state through here.  The caller owns the state/mask
     consistency; states never transfer between backends.
 
-    A single mask is a stack of one: this entry point only validates its
-    arguments and hands the mask to the same :func:`_dispatch_stack` driver
-    the fused multi-cell path runs on.
+    A single mask is a stack of one: this entry point validates and routes
+    it as the one-row stack of the fused multi-cell path, through the same
+    :func:`_dispatch_stack` driver.
 
     Raises
     ------
@@ -302,20 +278,22 @@ def route_pairs(
         or a malformed survival mask.
     """
     resolved = resolve_backend(backend)
-    if batch_size is not None:
-        batch_size = check_positive_int(batch_size, "batch_size")
-    sources, destinations, alive = _check_batch_arguments(overlay, sources, destinations, alive)
+    single_cell = np.zeros(np.shape(sources), dtype=np.int64)
+    sources, destinations, alive_stack, cell_indices = _check_stacked_arguments(
+        overlay, sources, destinations, np.asarray(alive)[np.newaxis], single_cell
+    )
     return _dispatch_stack(
-        overlay,
-        resolved,
-        sources,
-        destinations,
-        alive[np.newaxis, :],
-        np.zeros(0, dtype=np.int64),  # unused for a single-cell stack
-        batch_size,
-        state=prepared_state,
+        overlay, resolved, sources, destinations, alive_stack, cell_indices, state=prepared_state
     )
 
+
+#: Pairs one backend ``run`` call routes.  The driver splits wider batches
+#: into chunks of this size under one prepared state, which caps the per-hop
+#: ``(pairs,)`` state arrays of a large fused sweep; the kernels' ``(block,
+#: degree)`` temporaries are capped separately by the NumPy backend's
+#: ``KERNEL_BLOCK``.  Pairs are routed independently, so the split cannot
+#: change any outcome.
+_MAX_BATCH_PAIRS = 1 << 18
 
 #: Upper bound on the entries of one batch's full masked table (~32 MB at
 #: int32).  The NumPy backend builds that table only when a batch would visit
@@ -370,7 +348,6 @@ def route_pairs_stacked(
     alive_stack: np.ndarray,
     cell_indices: Sequence[int],
     *,
-    batch_size: Optional[int] = None,
     backend: BackendLike = None,
 ) -> BatchRouteOutcome:
     """Route pairs from many sweep cells of one overlay in a single fused batch.
@@ -386,10 +363,11 @@ def route_pairs_stacked(
     cell's mask; mask rows no pair references (e.g. degenerate cells) are
     simply ignored.
 
-    Memory is bounded on both axes: ``batch_size`` chunks the pair batches
-    (the per-hop working set), and a full masked table is capped at
-    :data:`_MAX_UNION_TABLE_ELEMENTS` entries — wider stacks are routed as
-    bounded-width sub-unions, which cannot change any outcome.
+    Memory is bounded on both axes: pairs are routed in chunks of at most
+    :data:`_MAX_BATCH_PAIRS` (the per-hop working set), and a full masked
+    table is capped at :data:`_MAX_UNION_TABLE_ELEMENTS` entries — wider
+    stacks are routed as bounded-width sub-unions.  Neither split can change
+    any outcome.
 
     Raises
     ------
@@ -399,14 +377,10 @@ def route_pairs_stacked(
         mask* (aliveness in another cell's mask does not count).
     """
     resolved = resolve_backend(backend)
-    if batch_size is not None:
-        batch_size = check_positive_int(batch_size, "batch_size")
     sources, destinations, alive_stack, cell_indices = _check_stacked_arguments(
         overlay, sources, destinations, alive_stack, cell_indices
     )
-    return _dispatch_stack(
-        overlay, resolved, sources, destinations, alive_stack, cell_indices, batch_size
-    )
+    return _dispatch_stack(overlay, resolved, sources, destinations, alive_stack, cell_indices)
 
 
 def _dispatch_stack(
@@ -416,7 +390,6 @@ def _dispatch_stack(
     destinations: np.ndarray,
     alive_stack: np.ndarray,
     cell_indices: np.ndarray,
-    batch_size: Optional[int],
     state=None,
 ) -> BatchRouteOutcome:
     """The one routing driver behind :func:`route_pairs` and
@@ -424,28 +397,21 @@ def _dispatch_stack(
 
     A stack of one routes under its mask directly; wider stacks route over
     the disjoint-union view, split into bounded-width sub-unions when a full
-    masked table could exceed the memory cap.  Either way the kernels themselves only ever see one overlay view,
-    one flat survival vector and one batch of pairs — the execution shapes
-    differ, the code path does not.  A caller-prepared ``state`` is only
-    meaningful for a stack of one (it was built against the physical
-    overlay view, not a union).
+    masked table could exceed :data:`_MAX_UNION_TABLE_ELEMENTS`.  Each view
+    is prepared once and its pairs are routed in chunks of at most
+    :data:`_MAX_BATCH_PAIRS` under that one state, so a full masked table is
+    still built at most once per state.  Either way the kernels only ever
+    see one overlay view, one flat survival vector and one chunk of pairs —
+    the execution shapes differ, the code path does not.  A caller-prepared
+    ``state`` is only meaningful for a stack of one (it was built against
+    the physical overlay view, not a union).
     """
     n_cells = alive_stack.shape[0]
     if state is not None and n_cells != 1:
         raise RoutingError("a prepared routing state requires a single-mask batch")
     if n_cells == 1:
-        return _wrap_outcome(
-            sources,
-            destinations,
-            resolved.route(
-                overlay,
-                sources,
-                destinations,
-                alive_stack[0],
-                batch_size=batch_size,
-                state=state,
-            ),
-        )
+        triple = _route_chunks(resolved, overlay, sources, destinations, alive_stack[0], state)
+        return _wrap_outcome(sources, destinations, triple)
     table = overlay.neighbor_array()
     cells_per_union = max(1, _MAX_UNION_TABLE_ELEMENTS // (table.shape[0] * table.shape[1]))
     if n_cells > cells_per_union:
@@ -465,7 +431,6 @@ def _dispatch_stack(
                 destinations[selected],
                 alive_stack[start:stop],
                 cell_indices[selected] - start,
-                batch_size,
             )
             succeeded[selected] = sub_outcome.succeeded
             hops[selected] = sub_outcome.hops
@@ -480,15 +445,43 @@ def _dispatch_stack(
     union = _UnionOverlayView(overlay, n_cells)
     dtype = union.neighbor_array().dtype
     offsets = cell_indices * overlay.n_nodes
-    triple = resolved.route(
+    triple = _route_chunks(
+        resolved,
         union,
         (sources + offsets).astype(dtype, copy=False),
         (destinations + offsets).astype(dtype, copy=False),
         alive_stack.reshape(-1),
-        batch_size=batch_size,
     )
     # Report the physical end-points, not the union's virtual identifiers.
     return _wrap_outcome(sources, destinations, triple)
+
+
+def _route_chunks(
+    resolved: KernelBackend,
+    view,
+    sources: np.ndarray,
+    destinations: np.ndarray,
+    alive: np.ndarray,
+    state=None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route one view's pairs in :data:`_MAX_BATCH_PAIRS` chunks under one prepared state.
+
+    Pairs are routed independently, so chunking cannot change any outcome;
+    it only caps the per-hop working set of a very wide batch.
+    """
+    if state is None:
+        state = resolved.prepare(view, alive)
+    n_pairs = sources.size
+    if n_pairs <= _MAX_BATCH_PAIRS:
+        return resolved.run(view, state, sources, destinations)
+    succeeded = np.empty(n_pairs, dtype=bool)
+    hops = np.empty(n_pairs, dtype=np.int64)
+    codes = np.empty(n_pairs, dtype=np.int8)
+    for start in range(0, n_pairs, _MAX_BATCH_PAIRS):
+        stop = start + _MAX_BATCH_PAIRS
+        chunk = resolved.run(view, state, sources[start:stop], destinations[start:stop])
+        succeeded[start:stop], hops[start:stop], codes[start:stop] = chunk
+    return succeeded, hops, codes
 
 
 # --------------------------------------------------------------------- #
@@ -817,7 +810,6 @@ def _route_cell_groups(
     overlay,
     groups: Sequence[Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]],
     *,
-    batch_size: Optional[int] = None,
     backend: BackendLike = None,
     clock: Optional[_PhaseClock] = None,
 ) -> List[Optional[RoutingMetrics]]:
@@ -844,7 +836,6 @@ def _route_cell_groups(
         np.concatenate(destinations),
         np.stack(masks),
         np.repeat(np.arange(len(routed), dtype=np.int64), counts),
-        batch_size=batch_size,
         backend=backend,
     )
     clock.stop()
@@ -863,7 +854,6 @@ def _measure_cells(
     pairs: int,
     base_seed: int,
     *,
-    batch_size: Optional[int] = None,
     backend: BackendLike = None,
     clock: Optional[_PhaseClock] = None,
 ) -> List[SweepCellResult]:
@@ -872,9 +862,7 @@ def _measure_cells(
     clock.start("mask_generation")
     groups = [_sample_cell(overlay, cell, pairs, base_seed) for cell in cells]
     clock.stop()
-    metrics = _route_cell_groups(
-        overlay, groups, batch_size=batch_size, backend=backend, clock=clock
-    )
+    metrics = _route_cell_groups(overlay, groups, backend=backend, clock=clock)
     return [
         SweepCellResult(cell=cell, pairs=pairs, metrics=summarize_routes([]), degenerate=True)
         if cell_metrics is None
@@ -885,7 +873,7 @@ def _measure_cells(
 
 def _run_group(spec: Tuple) -> Tuple[List[SweepCellResult], Dict[str, float]]:
     """Worker entry point: measure every cell sharing one overlay build (top-level for pickling)."""
-    cells, table_ref, pairs, base_seed, batch_size, overlay_options, backend_name = spec
+    cells, table_ref, pairs, base_seed, overlay_options, backend_name = spec
     clock = _PhaseClock()
     clock.start("overlay_build")
     if table_ref is not None:
@@ -896,9 +884,7 @@ def _run_group(spec: Tuple) -> Tuple[List[SweepCellResult], Dict[str, float]]:
             first.geometry, first.d, first.replicate, base_seed, overlay_options
         )
     clock.stop()
-    results = _measure_cells(
-        overlay, cells, pairs, base_seed, batch_size=batch_size, backend=backend_name, clock=clock
-    )
+    results = _measure_cells(overlay, cells, pairs, base_seed, backend=backend_name, clock=clock)
     return results, clock.timings
 
 
@@ -931,8 +917,6 @@ class SweepRunner:
         in-process.  The pool is created lazily and persists across ``run``
         calls; ``close()`` (or using the runner as a context manager)
         releases it.
-    batch_size:
-        Optional chunk size forwarded to the routing engine.
     backend:
         Kernel backend for the routing hops (name or
         :class:`~repro.sim.backends.KernelBackend`); ``"auto"`` (default)
@@ -960,7 +944,6 @@ class SweepRunner:
         pairs: int = 2000,
         replicates: int = 3,
         workers: int = 1,
-        batch_size: Optional[int] = None,
         base_seed: int = DEFAULT_BASE_SEED,
         backend: BackendLike = None,
         overlay_options: Optional[Mapping[str, object]] = None,
@@ -969,9 +952,6 @@ class SweepRunner:
         self._pairs = check_positive_int(pairs, "pairs")
         self._replicates = check_positive_int(replicates, "replicates")
         self._workers = check_positive_int(workers, "workers")
-        if batch_size is not None:
-            batch_size = check_positive_int(batch_size, "batch_size")
-        self._batch_size = batch_size
         # Seed 0 is valid (np.random accepts it, and PairWorkload.derived_seed
         # can produce it), so only negatives are rejected.
         self._base_seed = check_non_negative_int(base_seed, "base_seed")
@@ -1197,9 +1177,7 @@ class SweepRunner:
             groups.setdefault((cell.geometry, cell.d, cell.replicate), []).append(cell)
         use_pool = self._workers > 1 and len(groups) > 1
         # Every task spec is (cells, table_ref) + these runner parameters.
-        shared = (
-            self._pairs, self._base_seed, self._batch_size, self._overlay_options, self._spec_backend
-        )
+        shared = (self._pairs, self._base_seed, self._overlay_options, self._spec_backend)
         published: List[shared_memory.SharedMemory] = []
         try:
             if use_pool:

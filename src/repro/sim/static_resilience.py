@@ -253,7 +253,6 @@ def measure_routability(
     trials: int = 3,
     seed: Optional[int] = None,
     failure_model: str = "uniform",
-    batch_size: Optional[int] = None,
     backend: BackendLike = None,
 ) -> StaticResilienceResult:
     """Estimate the routability of ``overlay`` at failure probability ``q``.
@@ -281,8 +280,6 @@ def measure_routability(
         (:data:`~repro.dht.failures.FAILURE_MODEL_KINDS`); the paper's
         uniform model by default.  Overlay-dependent kinds such as
         ``"targeted"`` are bound to ``overlay`` before sampling.
-    batch_size:
-        Optional chunk size for the engine (bounds peak memory).
     backend:
         Kernel backend (name or instance; ``"auto"`` picks the fastest
         available).  Backends are bit-identical, so the choice only affects
@@ -290,7 +287,7 @@ def measure_routability(
     """
     return sweep_failure_probabilities(
         overlay, [q], pairs=pairs, trials=trials, seed=seed, failure_models=failure_model,
-        batch_size=batch_size, backend=backend,
+        backend=backend,
     ).results[0]
 
 
@@ -302,7 +299,6 @@ def sweep_failure_probabilities(
     trials: int = 3,
     seed: Optional[int] = None,
     failure_models: str = "uniform",
-    batch_size: Optional[int] = None,
     backend: BackendLike = None,
     adaptive=None,
 ) -> ResilienceSweepResult:
@@ -339,9 +335,7 @@ def sweep_failure_probabilities(
     ]
 
     def measure(cells):
-        results = _measure_cells(
-            overlay, cells, pairs, base_seed, batch_size=batch_size, backend=resolved_backend
-        )
+        results = _measure_cells(overlay, cells, pairs, base_seed, backend=resolved_backend)
         return dict(zip(cells, results))
 
     if adaptive is None:
@@ -369,7 +363,6 @@ def simulate_geometry(
     trials: int = 3,
     seed: Optional[int] = None,
     failure_models: str = "uniform",
-    batch_size: Optional[int] = None,
     backend: BackendLike = None,
     adaptive=None,
     **overlay_options,
@@ -384,7 +377,7 @@ def simulate_geometry(
     :meth:`SweepRunner.sweep <repro.sim.engine.SweepRunner.sweep>`).
     """
     with SweepRunner(
-        pairs=pairs, replicates=trials, batch_size=batch_size, base_seed=_base_seed(seed),
+        pairs=pairs, replicates=trials, base_seed=_base_seed(seed),
         backend=backend, overlay_options=overlay_options,
     ) as runner:
         return runner.sweep(

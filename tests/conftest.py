@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.dht import OVERLAY_CLASSES
+from repro.sim.backends import NumpyBackend
 
 #: Identifier length shared by the per-geometry fixtures (64-node overlays).
 SMALL_D = 6
@@ -51,6 +52,25 @@ def run_with_undeclared_imports_blocked(script: str, stdin: str = "") -> subproc
         env=env,
         timeout=120,
     )
+
+
+@pytest.fixture
+def chunk_log(monkeypatch):
+    """Record every chunk the NumPy backend routes, as ``(state, pairs)``.
+
+    With the routing driver's pair chunk lowered
+    (``repro.sim.conformance.chunked_routing``) this shows a batch really
+    went through several chunks, and under how many prepared states.
+    """
+    calls = []
+    original = NumpyBackend.run
+
+    def recording(self, overlay, state, sources, destinations):
+        calls.append((state, sources.size))
+        return original(self, overlay, state, sources, destinations)
+
+    monkeypatch.setattr(NumpyBackend, "run", recording)
+    return calls
 
 
 @pytest.fixture

@@ -96,7 +96,7 @@ class TestRegistry:
         alive = np.ones(16, dtype=bool)
         for backend in all_backends():
             with pytest.raises(UnknownGeometryError):
-                backend.route(FakeOverlay(), np.array([0]), np.array([1]), alive)
+                backend.prepare(FakeOverlay(), alive)
 
 
 @pytest.mark.skipif(NUMBA_AVAILABLE, reason="only meaningful without Numba")

@@ -18,7 +18,7 @@ from repro.sim.churn import (
     effective_failure_probability,
     simulate_churn,
 )
-from repro.sim.conformance import _oracle_churn
+from repro.sim.conformance import _oracle_churn, chunked_routing
 from repro.workloads import ChurnTrace, markov_trace
 
 
@@ -180,11 +180,12 @@ class TestChurnReferences:
     def test_rng_stream_is_independent_of_the_execution_shape(self, overlay, config):
         leftovers = []
         for run in (
-            functools.partial(simulate_churn, batch_size=17, backend=python_loop_backend()),
+            functools.partial(simulate_churn, backend=python_loop_backend()),
             _oracle_churn,
         ):
             generator = np.random.default_rng(78)
-            run(overlay, config, rng=generator)
+            with chunked_routing():  # 120 pairs per step route in five chunks
+                run(overlay, config, rng=generator)
             leftovers.append(generator.integers(0, 2**63, size=8).tolist())
         assert leftovers[0] == leftovers[1]
 

@@ -38,6 +38,9 @@ class TestParser:
             (["run", "FIG6A"], "--fused"),
             (["simulate", "--geometry", "ring", "--q", "0.1"], "--engine"),
             (["run", "FIG6A"], "--engine"),
+            (["simulate", "--geometry", "ring", "--q", "0.1"], "--batch-size=4096"),
+            (["run", "FIG6A"], "--batch-size=4096"),
+            (["serve"], "--batch-size=4096"),
         ],
     )
     def test_removed_dispatch_flags_exit_2(self, command, flag, capsys):
@@ -189,6 +192,55 @@ class TestChurnTraceOption:
         assert payload["churn_trace"] == trace_path
         assert len(payload["rows"]) == 6
         assert all(row["effective_q"] is None for row in payload["rows"])
+
+    @pytest.mark.parametrize("backend", ["auto", "numpy"])
+    def test_trace_json_names_the_backend_that_ran(self, trace_path, tmp_path, capsys, backend):
+        import json
+
+        from repro.sim.backends import resolve_backend
+
+        path = tmp_path / "churn.json"
+        assert main(
+            [
+                "simulate", "--geometry", "xor", "--d", "6",
+                "--churn-trace", trace_path, "--pairs", "40",
+                "--backend", backend, "--json", str(path),
+            ]
+        ) == 0
+        capsys.readouterr()
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["backend"] == resolve_backend(backend).name != "auto"
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--q", "0.3"], "--q"),
+            (["--failure-model", "targeted"], "--failure-model"),
+            (["--adaptive"], "--adaptive"),
+            (["--ci-target", "0.05"], "--ci-target"),
+            (["--max-trials", "4"], "--max-trials"),
+            (["--replay-allocation", "absent-ledger.json"], "--replay-allocation"),
+            (["--allocation-out", "ledger.json"], "--allocation-out"),
+            (["--store", "cells.db"], "--store"),
+        ],
+    )
+    def test_static_sweep_flags_are_rejected_with_a_trace(
+        self, trace_path, tmp_path, monkeypatch, capsys, extra, flag
+    ):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)  # a rejected run writes no store, ledger or JSON
+        command = ["simulate", "--geometry", "xor", "--d", "6", "--churn-trace", trace_path]
+        assert main([*command, *extra, "--json", "out.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} cannot be combined with --churn-trace\n"
+        assert captured.out == ""
+        assert list(workdir.iterdir()) == []
+
+    def test_repair_period_without_a_trace_is_rejected(self, capsys):
+        command = ["simulate", "--geometry", "xor", "--d", "6", "--q", "0.3"]
+        assert main([*command, "--churn-repair-every", "2"]) == 2
+        assert capsys.readouterr().err == "error: --churn-repair-every requires --churn-trace\n"
 
     def test_missing_trace_file_exits_2_with_one_line_error(self, tmp_path, capsys):
         assert main(

@@ -20,7 +20,12 @@ from repro.dht.metrics import summarize_routes
 from repro.dht.routing import FAILURE_CODES, FailureReason, failure_reason_from_code
 from repro.exceptions import InvalidParameterError, RoutingError
 from repro.sim.churn import ChurnConfig, simulate_churn
-from repro.sim.conformance import _oracle_churn, _oracle_measure_routability
+from repro.sim.conformance import (
+    CHUNK_PAIRS,
+    _oracle_churn,
+    _oracle_measure_routability,
+    chunked_routing,
+)
 from repro.sim.engine import SweepCell, SweepRunner, route_pairs
 from repro.sim.static_resilience import measure_routability
 from repro.sim.sampling import sample_survivor_pairs
@@ -73,11 +78,17 @@ class TestOracleAgreement:
             assert int(outcome.hops[i]) == oracle.hops
             assert outcome.failure_reason(i) is oracle.failure_reason
 
-    def test_chunking_does_not_change_outcomes(self, small_overlays, geometry_name):
+    def test_chunking_does_not_change_outcomes(self, small_overlays, geometry_name, chunk_log):
         overlay = small_overlays[geometry_name]
         alive, sources, destinations = sampled_batch(overlay, 0.4, 200, seed=77)
-        whole = route_pairs(overlay, sources, destinations, alive)
-        chunked = route_pairs(overlay, sources, destinations, alive, batch_size=17)
+        whole = route_pairs(overlay, sources, destinations, alive, backend="numpy")
+        assert [pairs for _, pairs in chunk_log] == [200]
+        chunk_log.clear()
+        with chunked_routing():
+            chunked = route_pairs(overlay, sources, destinations, alive, backend="numpy")
+        # Seven chunks of at most CHUNK_PAIRS, all under one prepared state.
+        assert [pairs for _, pairs in chunk_log] == [CHUNK_PAIRS] * 6 + [200 - 6 * CHUNK_PAIRS]
+        assert len({id(state) for state, _ in chunk_log}) == 1
         assert np.array_equal(whole.succeeded, chunked.succeeded)
         assert np.array_equal(whole.hops, chunked.hops)
         assert np.array_equal(whole.failure_codes, chunked.failure_codes)

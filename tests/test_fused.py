@@ -19,7 +19,7 @@ import pytest
 from repro.dht.failures import survival_mask
 from repro.exceptions import InvalidParameterError, RoutingError
 from repro.sim.churn import ChurnConfig, simulate_churn
-from repro.sim.conformance import _oracle_churn, _per_cell_reference
+from repro.sim.conformance import CHUNK_PAIRS, _oracle_churn, _per_cell_reference, chunked_routing
 from repro.sim.engine import SweepCell, SweepRunner, route_pairs, route_pairs_stacked
 from repro.sim.sampling import sample_survivor_pair_arrays
 from repro.sim.static_resilience import build_overlay
@@ -91,7 +91,9 @@ class TestStackedRouting:
             assert np.array_equal(codes[span], cell_outcome.failure_codes)
             offset += cell_outcome.n_pairs
 
-    def test_chunking_does_not_change_stacked_outcomes(self, small_overlays, geometry_name):
+    def test_chunking_does_not_change_stacked_outcomes(
+        self, small_overlays, geometry_name, chunk_log
+    ):
         overlay = small_overlays[geometry_name]
         masks, sources, destinations = stacked_cells(overlay, self.QS, 90, seed=13)
         arguments = (
@@ -100,8 +102,14 @@ class TestStackedRouting:
             np.stack(masks),
             np.repeat(np.arange(len(masks), dtype=np.int64), 90),
         )
-        whole = route_pairs_stacked(overlay, *arguments)
-        chunked = route_pairs_stacked(overlay, *arguments, batch_size=23)
+        whole = route_pairs_stacked(overlay, *arguments, backend="numpy")
+        assert len(chunk_log) == 1
+        chunk_log.clear()
+        with chunked_routing():
+            chunked = route_pairs_stacked(overlay, *arguments, backend="numpy")
+        # The union's pairs route in several chunks under its one prepared state.
+        assert len(chunk_log) == -(-arguments[0].size // CHUNK_PAIRS) > 1
+        assert len({id(state) for state, _ in chunk_log}) == 1
         assert np.array_equal(whole.succeeded, chunked.succeeded)
         assert np.array_equal(whole.hops, chunked.hops)
         assert np.array_equal(whole.failure_codes, chunked.failure_codes)
@@ -215,13 +223,14 @@ class TestFusedSweepRunner:
             assert_metrics_equal(fused[cell].metrics, expected.metrics)
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
-    def test_fused_matches_per_cell_odd_workers_nondefault_batch(self, geometry):
+    def test_fused_matches_per_cell_odd_workers_multi_chunk(self, geometry):
         # An odd worker count (pool size != task-count divisors) combined
-        # with a non-default batch size exercises the chunked hop loop under
-        # pooled grouped dispatch; metrics must stay bit-identical to the
+        # with a lowered pair chunk exercises multi-chunk routing under
+        # pooled grouped dispatch (the pool starts inside the patch, so
+        # forked workers inherit it); metrics must stay bit-identical to the
         # unchunked single-process per-cell reference.
-        with SweepRunner(
-            pairs=70, replicates=2, workers=3, batch_size=17, base_seed=404
+        with chunked_routing(), SweepRunner(
+            pairs=70, replicates=2, workers=3, base_seed=404
         ) as runner:
             fused = runner.run([geometry], SMALL_D, list(self.QS))
         reference = _per_cell_reference(list(fused), pairs=70, base_seed=404)
@@ -230,10 +239,10 @@ class TestFusedSweepRunner:
             assert_metrics_equal(fused[cell].metrics, expected.metrics)
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
-    def test_churn_fused_epoch_matches_scalar_with_nondefault_batch(self, geometry):
-        # The churn driver carries one routing state across steps; with a
-        # non-default batch size it must still match the scalar-oracle churn
-        # reference step for step, on every geometry.
+    def test_churn_fused_epoch_matches_scalar_multi_chunk(self, geometry):
+        # The churn driver carries one routing state across steps; with each
+        # step's pairs routed in several chunks it must still match the
+        # scalar-oracle churn reference step for step, on every geometry.
         config = ChurnConfig(
             leave_probability=0.08,
             rejoin_probability=0.05,
@@ -241,7 +250,8 @@ class TestFusedSweepRunner:
             pairs_per_step=60,
         )
         overlay = build_overlay(geometry, SMALL_D, seed=1234)
-        batch = simulate_churn(overlay, config, seed=88, batch_size=23)
+        with chunked_routing():
+            batch = simulate_churn(overlay, config, seed=88)
         scalar = _oracle_churn(overlay, config, seed=88)
         assert len(batch.steps) == len(scalar.steps)
         for fused_step, scalar_step in zip(batch.steps, scalar.steps):

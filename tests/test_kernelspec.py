@@ -32,6 +32,7 @@ from repro.sim.conformance import (
     assert_reference_parity,
     assert_stacked_parity,
     assert_worker_parity,
+    chunked_routing,
     conformance_backends,
     conformance_geometries,
     crossover_batch,
@@ -145,13 +146,12 @@ class TestMaskedRows:
         self, small_overlays, geometry_name, builds, side, expected
     ):
         # Count-based, no timing: a sparse batch never builds the table, a
-        # dense one builds it exactly once across all of its batch_size
-        # chunks (the state, and so the table, is shared by every chunk).
+        # dense one builds it exactly once across all of its chunks (the
+        # state, and so the table, is shared by every chunk).
         overlay = small_overlays[geometry_name]
         stack, sources, destinations, cells = crossover_batch(overlay, side)
-        route_pairs_stacked(
-            overlay, sources, destinations, stack, cells, backend="numpy", batch_size=29
-        )
+        with chunked_routing():
+            route_pairs_stacked(overlay, sources, destinations, stack, cells, backend="numpy")
         has_rows = geometry_name in _masked_rows_geometries()
         assert builds == ([stack.size] * expected if has_rows else [])
 

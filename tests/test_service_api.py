@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import http.client
 import json
+import logging
 import threading
 import time
 
@@ -20,6 +22,8 @@ import pytest
 
 from repro.exceptions import ServiceError
 from repro.service.app import ServiceConfig, SweepService, create_asgi_app
+from repro.service.routes import Request
+from repro.sim.backends import default_backend_name
 from repro.sim.engine import SweepRunner
 
 #: Small but real sweep settings shared by the whole module.
@@ -235,6 +239,7 @@ class TestChurnSubmissions:
             assert sorted(shard["geometry"] for shard in shards) == ["ring", "xor"]
             for shard in shards:
                 assert shard["failure_model"] == "churn"
+                assert shard["backend"] == default_backend_name()  # resolved, not None
                 assert shard["churn"]["generator"] == "markov"
                 assert len(shard["rows"]) == 5
                 assert all(row["effective_q"] is None for row in shard["rows"])
@@ -333,6 +338,23 @@ class TestErrorPaths:
             # 202 while queued/running, 200 once done - never an error.
             assert status in (200, 202)
             wait_for_state(port, job.job_id)
+
+    def test_handler_crash_answers_500_and_logs_the_traceback(self, tmp_path, caplog):
+        async def crash(request):
+            raise RuntimeError("secret detail")
+
+        with SweepService(_config(tmp_path / "cells.db")) as service:
+            service.routes = [
+                dataclasses.replace(route, handler=crash) if route.name == "healthz" else route
+                for route in service.routes
+            ]
+            with caplog.at_level(logging.ERROR, logger="repro.service"):
+                response = asyncio.run(service.dispatch(Request("GET", "/healthz")))
+        assert response.status == 500
+        assert response.payload == {"error": "internal error: RuntimeError"}
+        (record,) = [r for r in caplog.records if r.name == "repro.service"]
+        assert "GET /healthz" in record.getMessage()
+        assert record.exc_info is not None and "secret detail" in caplog.text
 
     def test_submissions_after_close_are_refused(self, tmp_path):
         service = SweepService(_config(tmp_path / "cells.db"))
