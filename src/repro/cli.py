@@ -77,6 +77,11 @@ from .workloads.generators import PairWorkload
 __all__ = ["build_parser", "main"]
 
 
+#: Defaults the parser leaves as ``None`` so ``rcm simulate --churn-trace``
+#: can reject the flag when it is given; :func:`_resolve_defaults` fills them in.
+_DEFERRED_DEFAULTS = {"trials": 3, "workers": 1, "min_trials": 2}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed separately for tests)."""
     parser = argparse.ArgumentParser(
@@ -133,7 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="failure probabilities (required unless --churn-trace is given)",
     )
     simulate_parser.add_argument("--pairs", type=int, default=1000)
-    simulate_parser.add_argument("--trials", type=int, default=3)
+    simulate_parser.add_argument(
+        "--trials",
+        type=int,
+        help=f"failure patterns per point (default: {_DEFERRED_DEFAULTS['trials']})",
+    )
     simulate_parser.add_argument("--seed", type=int, default=PairWorkload().seed)
     simulate_parser.add_argument(
         "--failure-model",
@@ -188,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument(
         "--adaptive",
         action="store_true",
+        default=None,
         help=(
             "variance-adaptive trial allocation: run the sweep in rounds, freeze each "
             "q point once its pooled routability CI half-width reaches --ci-target, "
@@ -204,8 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument(
         "--min-trials",
         type=int,
-        default=2,
-        help="trials every point receives unconditionally in the first adaptive round (default: %(default)s)",
+        help=(
+            "trials every point receives unconditionally in the first adaptive round "
+            f"(default: {_DEFERRED_DEFAULTS['min_trials']})"
+        ),
     )
     simulate_parser.add_argument(
         "--max-trials",
@@ -381,8 +393,10 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="worker processes for sweep fan-out (results are identical for any value)",
+        help=(
+            "worker processes for sweep fan-out (results are identical for any value; "
+            f"default: {_DEFERRED_DEFAULTS['workers']})"
+        ),
     )
 
 
@@ -569,9 +583,14 @@ def _adaptive_arguments(arguments: argparse.Namespace):
 
 
 #: ``rcm simulate`` options of the static sweep that trace-driven churn has
-#: no use for: ``(argument name, flag)``.
+#: no use for: ``(argument name, flag)``.  Each parses to ``None`` when it is
+#: not given, so :func:`_check_simulate_mode` can tell an explicit value
+#: (even an explicit default) from an absent flag.
 _STATIC_SWEEP_FLAGS = (
     ("q", "--q"),
+    ("trials", "--trials"),
+    ("workers", "--workers"),
+    ("min_trials", "--min-trials"),
     ("adaptive", "--adaptive"),
     ("ci_target", "--ci-target"),
     ("max_trials", "--max-trials"),
@@ -587,15 +606,21 @@ def _check_simulate_mode(arguments: argparse.Namespace) -> None:
         if arguments.churn_repair_every is not None:
             raise InvalidParameterError("--churn-repair-every requires --churn-trace")
         return
-    given = [flag for name, flag in _STATIC_SWEEP_FLAGS if getattr(arguments, name)]
+    given = [flag for name, flag in _STATIC_SWEEP_FLAGS if getattr(arguments, name) is not None]
     if arguments.failure_model != "uniform":
         given.append("--failure-model")
     if given:
         raise InvalidParameterError(f"{given[0]} cannot be combined with --churn-trace")
 
 
+def _resolve_defaults(arguments: argparse.Namespace) -> None:
+    """Fill in every deferred default (:data:`_DEFERRED_DEFAULTS`) the command line left unset."""
+    for name, default in _DEFERRED_DEFAULTS.items():
+        if getattr(arguments, name, default) is None:
+            setattr(arguments, name, default)
+
+
 def _command_simulate(arguments: argparse.Namespace) -> str:
-    _check_simulate_mode(arguments)
     if arguments.churn_trace:
         return _simulate_churn_trace(arguments)
     adaptive_config, replay_ledger = _adaptive_arguments(arguments)
@@ -792,6 +817,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("simulate requires --q (or --churn-trace for trace-driven churn)")
     exit_code = 0
     try:
+        if arguments.command == "simulate":
+            _check_simulate_mode(arguments)
+        _resolve_defaults(arguments)
         if arguments.command == "list":
             output = _command_list()
         elif arguments.command == "run":

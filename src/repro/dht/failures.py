@@ -57,8 +57,6 @@ __all__ = [
     "survival_mask",
     "surviving_identifiers",
     "in_degree_ranking_from_table",
-    "cached_in_degree_ranking",
-    "overlay_in_degree_ranking",
 ]
 
 
@@ -86,46 +84,13 @@ def in_degree_ranking_from_table(table: np.ndarray, n_nodes: int) -> np.ndarray:
     (:meth:`repro.dht.network.Overlay.neighbor_array`).  Ties are broken by
     ascending identifier, so the ranking is a deterministic function of the
     table — the property that keeps targeted-failure measurements
-    bit-identical across worker processes and shared-memory overlay views.
+    bit-identical whichever process builds the overlay.
     """
     n_nodes = check_node_count(n_nodes)
     in_degrees = np.bincount(np.asarray(table).ravel(), minlength=n_nodes)
     ranking = np.lexsort((np.arange(n_nodes), -in_degrees)).astype(np.int64)
     ranking.setflags(write=False)
     return ranking
-
-
-def cached_in_degree_ranking(overlay) -> np.ndarray:
-    """Compute-and-cache the table-derived ranking on any overlay-like object.
-
-    The single home of the ``_in_degree_ranking_cache`` protocol:
-    :meth:`repro.dht.network.Overlay.in_degree_ranking` and the fallback for
-    light-weight kernel views (shared-memory tables in worker processes)
-    both delegate here, so the in-process and worker paths can never
-    desynchronize.
-    """
-    cached = getattr(overlay, "_in_degree_ranking_cache", None)
-    if cached is None:
-        cached = in_degree_ranking_from_table(overlay.neighbor_array(), int(overlay.n_nodes))
-        try:
-            overlay._in_degree_ranking_cache = cached
-        except AttributeError:  # pragma: no cover - read-only view objects
-            pass
-    return cached
-
-
-def overlay_in_degree_ranking(overlay) -> np.ndarray:
-    """The in-degree ranking of any overlay-like object.
-
-    Prefers the overlay's own :meth:`~repro.dht.network.Overlay.in_degree_ranking`
-    (which may be overridden); objects that only expose
-    ``neighbor_array()``/``n_nodes`` get the table-derived ranking via
-    :func:`cached_in_degree_ranking`.
-    """
-    method = getattr(overlay, "in_degree_ranking", None)
-    if method is not None:
-        return method()
-    return cached_in_degree_ranking(overlay)
 
 
 class FailureModel(abc.ABC):
@@ -276,12 +241,9 @@ class DegreeTargetedFailure(FailureModel):
         validated = getattr(overlay, "_targeted_failure_cache", None)
         if validated is None:
             validated = TargetedNodeFailure(
-                fraction=self.fraction, ranking=overlay_in_degree_ranking(overlay)
+                fraction=self.fraction, ranking=overlay.in_degree_ranking()
             )
-            try:
-                overlay._targeted_failure_cache = validated
-            except AttributeError:  # pragma: no cover - read-only view objects
-                pass
+            overlay._targeted_failure_cache = validated
         return validated.with_fraction(self.fraction)
 
     def sample(self, n_nodes: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple, Type
 import numpy as np
 
 from ..exceptions import RoutingError, TopologyError
+from .failures import in_degree_ranking_from_table
 from .identifiers import IdentifierSpace
 from .routing import RouteResult
 
@@ -198,9 +199,11 @@ class Overlay(abc.ABC):
         so the ranking is deterministic; the read-only array is cached on the
         overlay like :meth:`neighbor_array`.
         """
-        from .failures import cached_in_degree_ranking
-
-        return cached_in_degree_ranking(self)
+        cached = getattr(self, "_in_degree_ranking_cache", None)
+        if cached is None:
+            cached = in_degree_ranking_from_table(self.neighbor_array(), self.n_nodes)
+            self._in_degree_ranking_cache = cached
+        return cached
 
     def degree_statistics(self) -> Dict[str, float]:
         """Out-degree statistics of the pristine overlay (min / mean / max)."""

@@ -7,9 +7,9 @@ cancelled`` lifecycle.  Jobs execute on a bounded thread pool
 ``max_queued``, beyond which the service answers 503), and each job is
 **sharded** by ``(geometry, failure model)``: one shard maps onto one
 :meth:`SweepRunner.sweep` call, so shard results stream out as they
-complete and the engine's own fan-out machinery — fused overlay groups,
-the persistent worker pool, shared-memory tables — does the heavy lifting
-inside each shard.
+complete and the engine's own fan-out machinery — fused overlay groups
+on the persistent worker pool — does the heavy lifting inside each
+shard.
 
 Every shard is an explicit execution unit with its own ``pending →
 running → done | failed | cancelled`` state, bounded retries with

@@ -1,10 +1,10 @@
 """Kernel-backend protocol shared by every routing-kernel implementation.
 
 A *kernel backend* owns the innermost layer of the batch engine: given an
-overlay view (a physical :class:`~repro.dht.network.Overlay`, a shared-memory
-view, or the fused disjoint-union view), a batch of (source, destination)
-pairs and one flat survival vector, it advances every pair hop by hop until
-termination and reports the per-pair ``(succeeded, hops, failure_code)``
+overlay view (a physical :class:`~repro.dht.network.Overlay` or the fused
+disjoint-union view), a batch of (source, destination) pairs and one flat
+survival vector, it advances every pair hop by hop until termination and
+reports the per-pair ``(succeeded, hops, failure_code)``
 triples.  Everything above the backend — argument validation, mask stacking,
 the disjoint-union construction, sweep fan-out — is backend-agnostic and
 lives in :mod:`repro.sim.engine`.

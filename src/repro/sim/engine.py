@@ -44,9 +44,8 @@ Layered on top:
   regional, subtree, composite), and mask generation is held to the same
   bit-identity invariant as routing: every model produces the same masks on
   the scalar and batch paths.  Cells that share an overlay build are
-  dispatched as one task, and the overlay's routing tables are published to
-  the workers once via ``multiprocessing.shared_memory`` instead of being
-  rebuilt per process.
+  dispatched as one task, which builds that overlay wherever it runs (in
+  process or in a pool worker) and routes all of its cells.
 * :func:`_route_cell_groups` — the one cell-group executor behind every
   static-failure driver: already-sampled cells of one overlay in, one
   stacked routing call, per-cell metrics out.
@@ -59,7 +58,6 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, List, Mapping, MutableMapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -592,121 +590,6 @@ def _cached_overlay(
     return overlay
 
 
-# --------------------------------------------------------------------- #
-# shared-memory overlay plane
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class _SharedTableRef:
-    """Where one overlay's published routing tables live, plus the overlay
-    attributes the batch kernels route with.  Picklable, so it travels in a
-    task spec while the table itself stays in shared memory."""
-
-    shm_name: str
-    shape: Tuple[int, int]
-    dtype: str
-    geometry: str
-    system: str
-    d: int
-    n_nodes: int
-    hop_limit: int
-
-
-class _SharedOverlayView:
-    """Just enough of the :class:`Overlay` surface for the batch kernels,
-    backed by a routing table another process published to shared memory."""
-
-    def __init__(self, ref: _SharedTableRef, table: np.ndarray) -> None:
-        self.geometry_name = ref.geometry
-        self.system_name = ref.system
-        self.d = ref.d
-        self.n_nodes = ref.n_nodes
-        self._hop_limit = ref.hop_limit
-        self._table = table
-
-    def neighbor_array(self) -> np.ndarray:
-        return self._table
-
-    def hop_limit(self) -> int:
-        return self._hop_limit
-
-
-def _publish_overlay_table(overlay: Overlay) -> Tuple[shared_memory.SharedMemory, _SharedTableRef]:
-    """Copy ``overlay``'s routing tables into a fresh shared-memory segment.
-
-    The caller owns the returned segment and must ``close()``/``unlink()``
-    it once the dispatch that references it has completed.
-    """
-    table = overlay.neighbor_array()
-    segment = shared_memory.SharedMemory(create=True, size=table.nbytes)
-    staging = np.ndarray(table.shape, dtype=table.dtype, buffer=segment.buf)
-    staging[:] = table
-    del staging  # drop the buffer export so close() cannot raise BufferError
-    ref = _SharedTableRef(
-        shm_name=segment.name,
-        shape=tuple(table.shape),
-        dtype=table.dtype.str,
-        geometry=overlay.geometry_name,
-        system=overlay.system_name,
-        d=overlay.d,
-        n_nodes=overlay.n_nodes,
-        hop_limit=overlay.hop_limit(),
-    )
-    return segment, ref
-
-
-def _attach_shared_memory(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without registering it for cleanup.
-
-    The publishing process owns the segment's lifetime; a worker that also
-    registered it with the resource tracker would trigger spurious
-    leaked-segment warnings (and double unlinks) at shutdown.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # Python >= 3.13
-    except TypeError:
-        # Older interpreters always register on attach.  Suppressing the
-        # registration (rather than unregistering afterwards) is the only
-        # variant that is correct under both start methods: with fork the
-        # tracker is shared with the publisher, so an unregister here would
-        # erase the publisher's own bookkeeping.
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
-
-
-# Worker-side attachments, bounded like the overlay cache: a persistent pool
-# serves many dispatches, and each mapped segment pins real memory until the
-# last map closes.
-_SHARED_TABLE_CACHE: OrderedDict[str, Tuple[shared_memory.SharedMemory, _SharedOverlayView]] = (
-    OrderedDict()
-)
-_SHARED_TABLE_CACHE_CAPACITY = 4
-
-
-def _attached_overlay_view(ref: _SharedTableRef) -> _SharedOverlayView:
-    """The worker-side overlay view for ``ref``, attached zero-copy and cached."""
-    entry = _SHARED_TABLE_CACHE.get(ref.shm_name)
-    if entry is not None:
-        _SHARED_TABLE_CACHE.move_to_end(ref.shm_name)
-        return entry[1]
-    segment = _attach_shared_memory(ref.shm_name)
-    table = np.ndarray(ref.shape, dtype=np.dtype(ref.dtype), buffer=segment.buf)
-    table.flags.writeable = False
-    view = _SharedOverlayView(ref, table)
-    _SHARED_TABLE_CACHE[ref.shm_name] = (segment, view)
-    while len(_SHARED_TABLE_CACHE) > _SHARED_TABLE_CACHE_CAPACITY:
-        _, (old_segment, old_view) = _SHARED_TABLE_CACHE.popitem(last=False)
-        del old_view  # release the buffer export before unmapping
-        try:
-            old_segment.close()
-        except BufferError:  # pragma: no cover - a stale external reference
-            pass
-    return view
-
-
 def _cell_routing_rng(base_seed: int, cell: SweepCell) -> np.random.Generator:
     """The per-cell routing stream every grid driver samples a cell from.
 
@@ -731,15 +614,11 @@ def _bound_failure_model(overlay, kind: str, severity: float):
     targeted model validates a full in-degree ranking), and a sweep grid
     revisits the same ``(kind, severity)`` for every replicate of an
     overlay; the cache lives on the overlay object so it expires with the
-    bounded overlay/attachment LRUs.
+    bounded overlay LRU.
     """
     cache = getattr(overlay, "_bound_model_cache", None)
     if cache is None:
-        cache = {}
-        try:
-            overlay._bound_model_cache = cache
-        except AttributeError:  # pragma: no cover - read-only view objects
-            return make_failure_model(kind, severity).bind(overlay)
+        cache = overlay._bound_model_cache = {}
     key = (kind, severity)
     model = cache.get(key)
     if model is None:
@@ -765,16 +644,15 @@ def _sample_cell(
 # per-phase profiling
 # --------------------------------------------------------------------- #
 #: Phases the sweep profiler attributes wall time to.  ``overlay_build``
-#: covers overlay construction / shared-table attachment, ``mask_generation``
-#: the survival-mask and pair sampling, ``kernel_hops`` the routing kernels
-#: themselves, ``reduction`` the per-cell metric summarisation, and
-#: ``publish_tables`` the parent-side shared-memory publication.
+#: covers overlay construction (or its recall from the overlay cache),
+#: ``mask_generation`` the survival-mask and pair sampling, ``kernel_hops``
+#: the routing kernels themselves, and ``reduction`` the per-cell metric
+#: summarisation.
 PROFILE_PHASES = (
     "overlay_build",
     "mask_generation",
     "kernel_hops",
     "reduction",
-    "publish_tables",
 )
 
 
@@ -872,17 +750,17 @@ def _measure_cells(
 
 
 def _run_group(spec: Tuple) -> Tuple[List[SweepCellResult], Dict[str, float]]:
-    """Worker entry point: measure every cell sharing one overlay build (top-level for pickling)."""
-    cells, table_ref, pairs, base_seed, overlay_options, backend_name = spec
+    """Measure every cell sharing one overlay build, in process or in a pool worker.
+
+    The task builds (or recalls from :data:`_OVERLAY_CACHE`) its own overlay,
+    so a spec is only cell identities and runner parameters — top-level and
+    picklable for the worker pool.
+    """
+    cells, pairs, base_seed, overlay_options, backend_name = spec
     clock = _PhaseClock()
     clock.start("overlay_build")
-    if table_ref is not None:
-        overlay = _attached_overlay_view(table_ref)
-    else:
-        first = cells[0]
-        overlay = _cached_overlay(
-            first.geometry, first.d, first.replicate, base_seed, overlay_options
-        )
+    first = cells[0]
+    overlay = _cached_overlay(first.geometry, first.d, first.replicate, base_seed, overlay_options)
     clock.stop()
     results = _measure_cells(overlay, cells, pairs, base_seed, backend=backend_name, clock=clock)
     return results, clock.timings
@@ -900,10 +778,10 @@ class SweepRunner:
 
     All pending cells that share an overlay build — every ``q`` of one
     ``(geometry, replicate)`` — are dispatched as **one** task routed by
-    the cell-group executor (:func:`_route_cell_groups`), and with
-    ``workers > 1`` each overlay's routing tables are published once via
-    ``multiprocessing.shared_memory`` so the persistent worker pool maps
-    them zero-copy instead of rebuilding per process.
+    the cell-group executor (:func:`_route_cell_groups`).  The task builds
+    (or recalls) its overlay wherever it runs — in process, or with
+    ``workers > 1`` in a persistent pool worker — so overlays of different
+    groups are built in parallel, each by the process that routes it.
 
     Parameters
     ----------
@@ -1166,52 +1044,19 @@ class SweepRunner:
     def _run_groups(self, pending: List[SweepCell]) -> List[SweepCellResult]:
         """The one dispatch: one task per overlay build, routed as a stacked batch.
 
-        With a worker pool, each group's overlay is built once in the parent
-        and its routing tables are published to shared memory; the segments
-        are unlinked as soon as the dispatch completes (workers keep their
-        maps, which stay valid until they are evicted from the attachment
-        cache).
+        Each task builds its own overlay (:func:`_run_group`); with more
+        than one group and ``workers > 1`` the tasks are mapped over the
+        persistent pool, otherwise they run in process, in order.
         """
-        groups: OrderedDict[Tuple, List[SweepCell]] = OrderedDict()
+        groups: Dict[Tuple, List[SweepCell]] = {}
         for cell in pending:
             groups.setdefault((cell.geometry, cell.d, cell.replicate), []).append(cell)
-        use_pool = self._workers > 1 and len(groups) > 1
-        # Every task spec is (cells, table_ref) + these runner parameters.
         shared = (self._pairs, self._base_seed, self._overlay_options, self._spec_backend)
-        published: List[shared_memory.SharedMemory] = []
-        try:
-            if use_pool:
-                # Dispatch each group the moment its tables are published so
-                # workers route earlier groups while the parent is still
-                # building later overlays.
-                pool = self._ensure_pool(len(groups))
-                dispatched = []
-                for (geometry, d, replicate), cells in groups.items():
-                    build_started = time.perf_counter()
-                    overlay = _cached_overlay(
-                        geometry, d, replicate, self._base_seed, self._overlay_options
-                    )
-                    publish_started = time.perf_counter()
-                    segment, table_ref = _publish_overlay_table(overlay)
-                    self._absorb_timings(
-                        {
-                            "overlay_build": publish_started - build_started,
-                            "publish_tables": time.perf_counter() - publish_started,
-                        }
-                    )
-                    published.append(segment)
-                    spec = (tuple(cells), table_ref) + shared
-                    dispatched.append(pool.apply_async(_run_group, (spec,)))
-                grouped = [task.get() for task in dispatched]
-            else:
-                grouped = [_run_group((tuple(cells), None) + shared) for cells in groups.values()]
-        finally:
-            for segment in published:
-                try:
-                    segment.close()
-                    segment.unlink()
-                except Exception:  # pragma: no cover - cleanup must not mask errors
-                    pass
+        specs = [(tuple(cells),) + shared for cells in groups.values()]
+        if self._workers > 1 and len(specs) > 1:
+            grouped = self._ensure_pool(len(specs)).map(_run_group, specs, chunksize=1)
+        else:
+            grouped = [_run_group(spec) for spec in specs]
         results = []
         for group, timings in grouped:
             self._absorb_timings(timings)

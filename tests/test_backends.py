@@ -221,8 +221,9 @@ class TestProfile:
             runner.sweep("xor", SMALL_D, [0.2, 0.5])
             profile = runner.profile
         assert profile.get("kernel_hops", 0.0) > 0.0
-        # The pooled fused dispatch publishes tables from the parent.
-        assert "publish_tables" in profile
+        # Pool workers build their own overlays and report the build time.
+        assert profile.get("overlay_build", 0.0) > 0.0
+        assert set(profile) <= set(PROFILE_PHASES)
 
     def test_reset_profile_clears_timings(self):
         with SweepRunner(pairs=20, replicates=1, workers=1, base_seed=19) as runner:

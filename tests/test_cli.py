@@ -215,6 +215,10 @@ class TestChurnTraceOption:
         "extra, flag",
         [
             (["--q", "0.3"], "--q"),
+            (["--trials", "7"], "--trials"),
+            (["--workers", "3"], "--workers"),
+            (["--workers", "1"], "--workers"),
+            (["--min-trials", "3"], "--min-trials"),
             (["--failure-model", "targeted"], "--failure-model"),
             (["--adaptive"], "--adaptive"),
             (["--ci-target", "0.05"], "--ci-target"),

@@ -296,15 +296,23 @@ class TestFusedSweepRunner:
         assert first.routabilities == second.routabilities
         runner.close()
 
-    def test_overlay_options_are_forwarded_fused(self):
-        dense = SweepRunner(
-            pairs=200, replicates=2, workers=1, base_seed=5,
-            overlay_options={"near_neighbors": 2, "shortcuts": 3},
-        )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overlay_options_are_forwarded_fused(self, workers):
+        options = {"near_neighbors": 2, "shortcuts": 3}
+        with SweepRunner(
+            pairs=200, replicates=2, workers=workers, base_seed=5, overlay_options=options
+        ) as dense:
+            dense_sweep = dense.sweep("smallworld", SMALL_D, [0.3])
         sparse = SweepRunner(pairs=200, replicates=2, workers=1, base_seed=5)
-        dense_sweep = dense.sweep("smallworld", SMALL_D, [0.3])
         sparse_sweep = sparse.sweep("smallworld", SMALL_D, [0.3])
         assert dense_sweep.results[0].routability > sparse_sweep.results[0].routability
+        # Two replicates are two overlay groups, so workers=2 builds both
+        # overlays in pool workers: the options reach those builds through
+        # the task spec, and the pooled rows equal the in-process rows.
+        in_process = SweepRunner(
+            pairs=200, replicates=2, workers=1, base_seed=5, overlay_options=options
+        ).sweep("smallworld", SMALL_D, [0.3])
+        assert dense_sweep.as_rows() == in_process.as_rows()
 
 
 class TestFailureModelGrid:
@@ -352,8 +360,8 @@ class TestFailureModelGrid:
             runner.run(["xor"], SMALL_D, [0.1], [])
 
     def test_targeted_grid_runs_identically_with_worker_pool(self):
-        # Worker processes resolve the in-degree ranking from the published
-        # shared-memory table; the ranking (and hence every mask) must match
+        # Each pool worker builds its group's overlay and ranks it by
+        # in-degree itself; that ranking (and hence every mask) must match
         # the in-process build exactly.
         serial = SweepRunner(pairs=60, replicates=2, workers=1, base_seed=55).run(
             ["smallworld"], SMALL_D, [0.3, 0.6], ["targeted"]
