@@ -79,7 +79,7 @@ __all__ = ["build_parser", "main"]
 
 #: Defaults the parser leaves as ``None`` so ``rcm simulate --churn-trace``
 #: can reject the flag when it is given; :func:`_resolve_defaults` fills them in.
-_DEFERRED_DEFAULTS = {"trials": 3, "workers": 1, "min_trials": 2}
+_DEFERRED_DEFAULTS = {"trials": 3, "workers": 1, "min_trials": 2, "failure_model": "uniform"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument(
         "--failure-model",
         choices=FAILURE_MODEL_KINDS,
-        default="uniform",
         help=(
             "failure model generating the survival masks: the paper's uniform model "
             "(default), degree-targeted, a contiguous ring region, an aligned identifier "
@@ -591,6 +590,7 @@ _STATIC_SWEEP_FLAGS = (
     ("trials", "--trials"),
     ("workers", "--workers"),
     ("min_trials", "--min-trials"),
+    ("failure_model", "--failure-model"),
     ("adaptive", "--adaptive"),
     ("ci_target", "--ci-target"),
     ("max_trials", "--max-trials"),
@@ -607,8 +607,6 @@ def _check_simulate_mode(arguments: argparse.Namespace) -> None:
             raise InvalidParameterError("--churn-repair-every requires --churn-trace")
         return
     given = [flag for name, flag in _STATIC_SWEEP_FLAGS if getattr(arguments, name) is not None]
-    if arguments.failure_model != "uniform":
-        given.append("--failure-model")
     if given:
         raise InvalidParameterError(f"{given[0]} cannot be combined with --churn-trace")
 

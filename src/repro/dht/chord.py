@@ -60,7 +60,14 @@ class ChordOverlay(Overlay):
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
     ) -> "ChordOverlay":
-        """Build the overlay; ``finger_mode`` selects randomised or classic fingers."""
+        """Build the overlay; ``finger_mode`` selects randomised or classic fingers.
+
+        Either way, column ``k`` of every node's table (finger ``k + 1``)
+        lies at clockwise offset ``[2^(d-1-k), 2^(d-k))`` from the node.
+        The ring spec's column order relies on that bucket property: no
+        finger before the remaining distance's bucket can be used, and each
+        later one makes strictly less progress.
+        """
         d = check_identifier_length(d)
         if finger_mode not in FINGER_MODES:
             raise TopologyError(f"unknown finger mode {finger_mode!r}; expected one of {FINGER_MODES}")
@@ -170,15 +177,51 @@ def _ring_accept(ops):
     return accept
 
 
-def make_ring_spec(geometry: str) -> KernelSpec:
-    """The greedy-clockwise :class:`KernelSpec` under ``geometry``'s label."""
+def _finger_first_column(ops):
+    """The finger bucket holding the remaining distance: the only one that may overshoot.
+
+    Column ``k`` of a Chord table holds the finger at clockwise offset in
+    ``[2^(d-1-k), 2^(d-k))`` (:meth:`ChordOverlay.build`).  With ``b`` the
+    bit length of the remaining distance, columns before ``d - b`` overshoot
+    and column ``d - b`` may, so the scan starts there.
+    """
+    bit_length = ops.bit_length
+
+    def first_column(consts, cur, dst):
+        return consts[0] - bit_length((dst - cur) & consts[1])
+
+    return first_column
+
+
+def _finger_next_column(ops):
+    """The next finger bucket: past the first, offsets shrink and never overshoot,
+    so each later column makes strictly less progress than the one before."""
+
+    def next_column(consts, cur, dst, column):
+        return column + 1
+
+    return next_column
+
+
+def make_ring_spec(geometry: str, *, finger_buckets: bool = False) -> KernelSpec:
+    """The greedy-clockwise :class:`KernelSpec` under ``geometry``'s label.
+
+    ``finger_buckets`` declares that column ``k`` of every table row lies at
+    clockwise offset ``[2^(d-1-k), 2^(d-k))`` (Chord's finger construction),
+    so the scan may stop at the first usable column in column order.  Tables
+    without that property (Symphony's harmonic shortcuts) keep the full scan.
+    """
+    order = {}
+    if finger_buckets:
+        order = {"first_column": _finger_first_column, "next_column": _finger_next_column}
     return KernelSpec(
         geometry=geometry,
         kind="scan",
         fail_code=FAILURE_CODES[FailureReason.DEAD_END],
         key=_ring_key,
         accept=_ring_accept,
+        **order,
     )
 
 
-register_kernel_spec(make_ring_spec(ChordOverlay.geometry_name))
+register_kernel_spec(make_ring_spec(ChordOverlay.geometry_name, finger_buckets=True))

@@ -53,7 +53,14 @@ class KademliaOverlay(Overlay):
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
     ) -> "KademliaOverlay":
-        """Build the overlay, drawing each table entry uniformly from its XOR-distance bucket."""
+        """Build the overlay, drawing each table entry uniformly from its XOR-distance bucket.
+
+        Column ``k`` of every node's table (bucket ``k + 1``) holds an entry
+        whose XOR with the node lies in ``[2^(d-1-k), 2^(d-k))``: it flips
+        bit ``d-1-k`` and keeps every higher one.  The XOR spec's column
+        order relies on that bucket property: only differing-bit buckets
+        reduce the distance, and the highest alive one wins.
+        """
         d = check_identifier_length(d)
         space = IdentifierSpace(d)
         n = space.size
@@ -141,6 +148,36 @@ def _xor_accept(ops):
     return accept
 
 
+def _bucket_first_column(ops):
+    """The bucket of the highest differing bit: the only bucket whose entry
+    clears it, so its entry (when alive) beats every other.
+
+    Column ``k`` of a Kademlia table holds an entry whose XOR with the node
+    lies in ``[2^(d-1-k), 2^(d-k))`` (:meth:`KademliaOverlay.build`): it
+    flips bit ``d-1-k`` and keeps every higher bit.
+    """
+    bit_length = ops.bit_length
+
+    def first_column(consts, cur, dst):
+        return consts[0] - bit_length(cur ^ dst)
+
+    return first_column
+
+
+def _bucket_next_column(ops):
+    """The bucket of the next lower differing bit (``d`` when none is left).
+
+    Only differing-bit buckets reduce the XOR distance, and a higher one
+    always beats a lower one, so the first alive one in this order wins.
+    """
+    bit_length = ops.bit_length
+
+    def next_column(consts, cur, dst, column):
+        return consts[0] - bit_length((cur ^ dst) & (consts[1] >> (column + 1)))
+
+    return next_column
+
+
 register_kernel_spec(
     KernelSpec(
         geometry=KademliaOverlay.geometry_name,
@@ -148,5 +185,7 @@ register_kernel_spec(
         fail_code=FAILURE_CODES[FailureReason.DEAD_END],
         key=_xor_key,
         accept=_xor_accept,
+        first_column=_bucket_first_column,
+        next_column=_bucket_next_column,
     )
 )

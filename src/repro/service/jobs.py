@@ -49,7 +49,7 @@ import uuid
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import (
     InvalidParameterError,
@@ -269,7 +269,9 @@ class SweepJob:
     All mutation happens under an internal lock; readers take consistent
     snapshots via :meth:`status_payload` / :meth:`results_payload` /
     :meth:`shard_results`, so the HTTP handlers never see a half-updated
-    job.
+    job.  Every change a :meth:`shard_results` reader can see (a shard
+    result, a terminal state) calls the callbacks registered with
+    :meth:`watch`, so a stream wakes when there is something to send.
     """
 
     def __init__(self, job_id: str, request: SweepJobRequest) -> None:
@@ -284,6 +286,7 @@ class SweepJob:
             for geometry, model in request.shards
         ]
         self._cancel = threading.Event()
+        self._watchers: List[Callable[[], None]] = []
         self._cells_done = 0
         self._cells_cached = 0
         self._cells_computed = 0
@@ -333,6 +336,7 @@ class SweepJob:
             self._cells_computed += stats.computed
             self._store_hits += stats.store_hits
             self._adaptive_trials_saved += trials_saved
+        self._notify()
 
     def _shard_failed(self, index: int, error: str) -> None:
         with self._lock:
@@ -367,6 +371,7 @@ class SweepJob:
                 self._state = "done_with_errors"
                 self._error = f"{failed} of {total} shard(s) failed"
             self._stamp_finished_locked()
+        self._notify()
 
     def _stamp_finished_locked(self) -> None:
         self._finished = time.time()
@@ -383,6 +388,7 @@ class SweepJob:
             for shard in self._shards:
                 if shard.state in ("pending", "running"):
                     shard.state = "cancelled"
+        self._notify()
 
     def request_cancel(self) -> bool:
         """Ask the job to stop; returns ``False`` if it was already terminal.
@@ -401,7 +407,8 @@ class SweepJob:
                 self._state = "cancelled"
                 self._error = "cancelled before start"
                 self._stamp_finished_locked()
-            return True
+        self._notify()
+        return True
 
     @property
     def cancel_requested(self) -> bool:
@@ -411,6 +418,29 @@ class SweepJob:
     def cancel_wait(self, timeout: float) -> bool:
         """Sleep up to ``timeout`` seconds, waking early on cancellation."""
         return self._cancel.wait(timeout)
+
+    def watch(self, callback: Callable[[], None]) -> Callable[[], None]:
+        """Call ``callback()`` after every change :meth:`shard_results` can see.
+
+        The callback runs on the thread that made the change, outside the
+        job's lock, so it must be quick and must not raise.  Returns the
+        function that unregisters it.
+        """
+        with self._lock:
+            self._watchers.append(callback)
+
+        def unwatch() -> None:
+            with self._lock:
+                if callback in self._watchers:
+                    self._watchers.remove(callback)
+
+        return unwatch
+
+    def _notify(self) -> None:
+        with self._lock:
+            watchers = list(self._watchers)
+        for callback in watchers:
+            callback()
 
     # ------------------------------------------------------------------ #
     # snapshots (called by the HTTP handlers)

@@ -30,9 +30,6 @@ from .jobs import TERMINAL_STATES
 
 __all__ = ["Request", "Response", "Route", "build_routes", "match_route"]
 
-#: Poll interval of the NDJSON streaming route (seconds).
-STREAM_POLL_SECONDS = 0.05
-
 
 @dataclass
 class Request:
@@ -196,18 +193,34 @@ def build_routes(service) -> List[Route]:
             return _error(404, f"unknown job {request.params['job_id']!r}")
 
         async def lines() -> AsyncIterator[bytes]:
-            sent = 0
-            while True:
-                state, shards = job.shard_results()
-                while sent < len(shards):
-                    record = {"event": "shard", "job_id": job.job_id, "result": shards[sent]}
-                    yield json.dumps(record, allow_nan=False).encode("utf-8") + b"\n"
-                    sent += 1
-                if state in TERMINAL_STATES:
-                    final = {"event": "end", "job_id": job.job_id, "status": job.status_payload()}
-                    yield json.dumps(final, allow_nan=False).encode("utf-8") + b"\n"
-                    return
-                await asyncio.sleep(STREAM_POLL_SECONDS)
+            # The job's thread wakes this stream through the event loop when a
+            # shard finishes or the job ends, so lines go out as soon as they exist.
+            loop = asyncio.get_running_loop()
+            changed = asyncio.Event()
+
+            def wake() -> None:
+                try:
+                    loop.call_soon_threadsafe(changed.set)
+                except RuntimeError:  # the loop has closed; nobody is reading
+                    pass
+
+            unwatch = job.watch(wake)
+            try:
+                sent = 0
+                while True:
+                    changed.clear()
+                    state, shards = job.shard_results()
+                    while sent < len(shards):
+                        record = {"event": "shard", "job_id": job.job_id, "result": shards[sent]}
+                        yield json.dumps(record, allow_nan=False).encode("utf-8") + b"\n"
+                        sent += 1
+                    if state in TERMINAL_STATES:
+                        final = {"event": "end", "job_id": job.job_id, "status": job.status_payload()}
+                        yield json.dumps(final, allow_nan=False).encode("utf-8") + b"\n"
+                        return
+                    await changed.wait()
+            finally:
+                unwatch()
 
         return Response(media_type="application/x-ndjson", stream=lines())
 

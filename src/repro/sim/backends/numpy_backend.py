@@ -4,11 +4,24 @@ This backend contains **no per-geometry routing logic**.  Every routing
 rule lives in its geometry's :class:`~repro.sim.kernelspec.KernelSpec`
 (registered next to the scalar oracle in :mod:`repro.dht`); this module
 merely executes specs vectorized: :meth:`NumpyBackend.prepare` binds the
-spec's masked-row and per-hop functions
+spec's masked-row, masked-entry and per-hop functions
 (:func:`~repro.sim.kernelspec.vector_rows`,
+:func:`~repro.sim.kernelspec.vector_entries`,
 :func:`~repro.sim.kernelspec.vector_step`) to one survival vector, and
 :meth:`NumpyBackend.run` iterates the step over the active pair set one hop
 at a time.
+
+Ring and XOR scans are *ordered*: their specs declare a column order
+(their tables are sorted by distance bucket), so a hop first runs passes
+that read one masked entry per pending pair in that order and settle
+every pair whose column is accepted or whose order runs out; the pairs
+still pending get the full-row ``argmin`` scan.  The step plans its
+passes from its pair count, the alive share of their cells and whether it
+reads the full masked table (see
+:func:`~repro.sim.kernelspec._planned_passes`), so at high failure rates,
+where few pairs settle per pass, on small steps, where a pass's fixed cost
+dominates, and on most steps past the crossover, where the full scan is a
+plain gather, it goes straight to the full scan.
 
 Masking costs what routing visits.  Each hop masks only the rows it
 gathers; once the rows gathered so far plus the next hop's active set would
@@ -19,7 +32,8 @@ the observed break-even of the two forms, not a tuned constant: a sparse
 batch (a churn step, a large sweep group) never pays for rows it does not
 visit, and a dense one (small overlays, many pairs) pays for each row once.
 Both forms apply the same row function, so the choice cannot change any
-outcome.
+outcome.  An ordered scan's passes read single entries of the same rows:
+masked per pass before the table exists, gathered from it afterwards.
 
 Every step routes under one flat survival vector, indexed by the same
 identifiers the pairs carry.  The fused multi-cell path reuses the executor
@@ -36,7 +50,14 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..kernelspec import KernelSpec, get_kernel_spec, vector_rows, vector_step
+from ..kernelspec import (
+    KernelSpec,
+    MaskedReaders,
+    get_kernel_spec,
+    vector_entries,
+    vector_rows,
+    vector_step,
+)
 from .base import HOP_LIMIT_CODE, SUCCESS_CODE, KernelBackend
 
 __all__ = ["NumpyBackend", "KERNEL_BLOCK"]
@@ -64,48 +85,60 @@ def _masked_table(rows: Callable, n_rows: int, dtype) -> np.ndarray:
     return table
 
 
+def _table_entries(table: np.ndarray) -> Callable:
+    """The masked-entry function reading the full masked table."""
+    flat, degree = table.reshape(-1), table.shape[1]
+
+    def entries(ids: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        return flat[ids * degree + columns]
+
+    return entries
+
+
 class _PreparedMask:
     """One survival vector's step function plus its masked rows, computed on demand."""
 
     def __init__(self, spec: KernelSpec, overlay, alive: np.ndarray) -> None:
         self.spec = spec
         self.step = vector_step(spec, overlay, alive)
-        self._rows = vector_rows(spec, overlay, alive)
+        self._readers = MaskedReaders(
+            vector_rows(spec, overlay, alive), vector_entries(spec, overlay, alive), False
+        )
         self._dtype = overlay.neighbor_array().dtype
         self._n_rows = alive.size
         self._gathered = 0
-        self._table: Optional[np.ndarray] = None
 
-    def rows_for_hop(self, n_active: int) -> Optional[Callable]:
-        """The masked-row function the next hop over ``n_active`` pairs reads.
+    def readers_for_hop(self, n_active: int) -> MaskedReaders:
+        """How the next hop over ``n_active`` pairs reads its masked rows.
 
-        Masks the gathered rows until they, plus this hop, would reach the
-        row count; from then on, a gather from the full masked table.
+        Masks the gathered rows (or single entries) until the rows visited,
+        plus this hop's, would reach the row count; from then on, gathers
+        from the full masked table.
         """
-        if self._rows is None:
-            return None
-        if self._table is None:
-            if self._gathered + n_active < self._n_rows:
-                self._gathered += n_active
-                return self._rows
-            self._table = _masked_table(self._rows, self._n_rows, self._dtype)
-        return self._table.__getitem__
+        rows, entries, from_table = self._readers
+        if rows is None or from_table:
+            return self._readers
+        if self._gathered + n_active < self._n_rows:
+            self._gathered += n_active
+            return self._readers
+        table = _masked_table(rows, self._n_rows, self._dtype)
+        self._readers = MaskedReaders(
+            table.__getitem__, None if entries is None else _table_entries(table), True
+        )
+        return self._readers
 
 
-def _step_blocked(step, rows, cur: np.ndarray, dst: np.ndarray):
+def _step_blocked(step, readers: MaskedReaders, cur: np.ndarray, dst: np.ndarray):
     """Run one hop's step over cache-sized blocks of the active set."""
     size = cur.size
     if size <= KERNEL_BLOCK:
-        return step(cur, dst, None if rows is None else rows(cur))
+        return step(cur, dst, readers)
     next_hop = np.empty(size, dtype=cur.dtype)
     ok = np.empty(size, dtype=bool)
     fail_code = SUCCESS_CODE
     for start in range(0, size, KERNEL_BLOCK):
         stop = start + KERNEL_BLOCK
-        block = cur[start:stop]
-        block_next, block_ok, fail_code = step(
-            block, dst[start:stop], None if rows is None else rows(block)
-        )
+        block_next, block_ok, fail_code = step(cur[start:stop], dst[start:stop], readers)
         next_hop[start:stop] = block_next
         ok[start:stop] = block_ok
     return next_hop, ok, fail_code
@@ -154,7 +187,7 @@ class NumpyBackend(KernelBackend):
                 break
             next_hop, ok, fail_code = _step_blocked(
                 state.step,
-                state.rows_for_hop(active.size),
+                state.readers_for_hop(active.size),
                 current[active],
                 destinations[active],
             )

@@ -17,6 +17,13 @@ the oracle across every execution shape the generic drivers derive:
   :data:`repro.dht.failures.FAILURE_MODEL_KINDS`,
   :func:`~repro.sim.static_resilience.measure_routability` vs the sweep
   reference (:func:`_oracle_measure_routability`);
+* **column orders** — a scan spec with a column order routes the oracle
+  batches and the crossover batches under every NumPy pass plan: the
+  planner's own, every pass the order allows (:func:`forced_passes`
+  ``"every"``) and none (``"none"``, the full scan alone), each equal to
+  the oracle pair for pair;
+* **overlay variants** — the whole battery runs again on each
+  :data:`OVERLAY_VARIANTS` overlay (Chord's deterministic fingers);
 * **masking crossover** — three stacked batches per geometry and backend
   (:data:`CROSSOVER_BATCHES`): one that never reaches the NumPy
   executor's full-masked-table crossover, one past it from hop 0, and one
@@ -56,7 +63,7 @@ from ..dht.failures import FAILURE_MODEL_KINDS, survival_mask
 from ..dht.metrics import RoutingMetrics, summarize_routes
 from ..exceptions import UnknownGeometryError
 from ..validation import check_failure_probability, check_positive_int
-from . import engine
+from . import engine, kernelspec
 from .backends import NUMBA_AVAILABLE, python_loop_backend, resolve_backend
 from .backends.base import HOP_LIMIT_CODE
 from .churn import ChurnConfig, ChurnSimulationResult, _churn_trajectory, simulate_churn
@@ -70,7 +77,7 @@ from .engine import (
     route_pairs,
     route_pairs_stacked,
 )
-from .kernelspec import registered_geometries
+from .kernelspec import get_kernel_spec, registered_geometries
 from .sampling import sample_survivor_pair_arrays
 from .static_resilience import (
     StaticResilienceResult,
@@ -93,6 +100,10 @@ __all__ = [
     "assert_hop_limit_parity",
     "crossover_batch",
     "assert_crossover_parity",
+    "OVERLAY_VARIANTS",
+    "FORCED_PASS_PLANS",
+    "forced_passes",
+    "assert_column_order_parity",
     "assert_failure_model_parity",
     "assert_churn_parity",
     "assert_worker_parity",
@@ -109,8 +120,21 @@ CONFORMANCE_D = 6
 #: include a non-divisor of the grid size).
 WORKER_COUNTS = (1, 3, 4)
 
-#: Severities the oracle-parity check samples (none, moderate, heavy failure).
-PARITY_SEVERITIES = (0.0, 0.3, 0.6)
+#: Severities the oracle-parity check samples, from none to nearly all nodes
+#: failed: an ordered scan mostly stops at its first column at low q and
+#: mostly runs out of columns at high q.
+PARITY_SEVERITIES = (0.0, 0.1, 0.3, 0.6, 0.9)
+
+#: Overlay options each geometry's battery also runs on, besides the
+#: default build.
+OVERLAY_VARIANTS: Dict[str, Tuple[Dict[str, str], ...]] = {
+    "ring": ({"finger_mode": "deterministic"},),
+}
+
+#: The NumPy ordered scan's pass plans the harness forces.  At harness sizes
+#: the planner (``kernelspec._planned_passes``) seldom plans a pass, so
+#: without forcing, the passes would go unchecked.
+FORCED_PASS_PLANS = ("every", "none")
 
 #: The engine's pair chunk while :func:`chunked_routing` is active: small
 #: enough that every harness batch routes in several chunks, and prime so
@@ -154,9 +178,11 @@ def conformance_backends() -> List[Tuple[str, BackendLike]]:
     return backends
 
 
-def build_conformance_overlay(geometry: str, d: int = CONFORMANCE_D, seed: int = 2006) -> Overlay:
+def build_conformance_overlay(
+    geometry: str, d: int = CONFORMANCE_D, seed: int = 2006, **options
+) -> Overlay:
     """One deterministic overlay per geometry (seeded like the test fixtures)."""
-    return OVERLAY_CLASSES[geometry].build(d, seed=seed)
+    return OVERLAY_CLASSES[geometry].build(d, seed=seed, **options)
 
 
 def _deterministic_seed(label: str) -> int:
@@ -349,6 +375,41 @@ def assert_crossover_parity(overlay: Overlay, backend: BackendLike) -> int:
         landed = "above" if sources.size >= rows else "below" if visited < rows else "mid-route"
         assert landed == side, (overlay.geometry_name, side, sources.size, visited, rows)
         checked += outcome.n_pairs
+    return checked
+
+
+def forced_passes(plan: str):
+    """Force the NumPy ordered scan's pass plan for a ``with`` block.
+
+    ``"every"`` runs every pass the column order allows, so no pair reaches
+    the full scan; ``"none"`` hands every pair to the full scan at once.
+    Both must route exactly as the planner's mix of the two does.
+    """
+    if plan not in FORCED_PASS_PLANS:
+        raise ValueError(f"unknown pass plan {plan!r}; expected one of {FORCED_PASS_PLANS}")
+
+    def planned(pending, degree, expected_yield, from_table):
+        return degree if plan == "every" else 0
+
+    return mock.patch.object(kernelspec, "_planned_passes", planned)
+
+
+def assert_column_order_parity(overlay: Overlay, backend: BackendLike) -> int:
+    """Under each forced pass plan, an ordered scan equals the oracle.
+
+    Routes the oracle-parity batches at every :data:`PARITY_SEVERITIES`
+    value and the three crossover batches (so passes read both the per-hop
+    masked entries and the full masked table).  Specs without a column
+    order check nothing and return ``0``.
+    """
+    if get_kernel_spec(overlay.geometry_name).first_column is None:
+        return 0
+    checked = 0
+    for plan in FORCED_PASS_PLANS:
+        with forced_passes(plan):
+            for q in PARITY_SEVERITIES:
+                checked += assert_oracle_parity(overlay, backend, q=q)
+            checked += assert_crossover_parity(overlay, backend)
     return checked
 
 
@@ -578,10 +639,11 @@ def run_conformance(
     *,
     d: int = CONFORMANCE_D,
     failure_model_kinds: Sequence[str] = FAILURE_MODEL_KINDS,
+    overlay_options: Optional[Dict[str, str]] = None,
 ) -> Dict[str, int]:
     """The full single-geometry battery; returns per-check pair counts."""
     _require_assertions()
-    overlay = build_conformance_overlay(geometry, d)
+    overlay = build_conformance_overlay(geometry, d, **(overlay_options or {}))
     checked: Dict[str, int] = {}
     for label, backend in conformance_backends():
         for q in PARITY_SEVERITIES:
@@ -589,6 +651,9 @@ def run_conformance(
         checked[f"stacked[{label}]"] = assert_stacked_parity(overlay, backend)
         checked[f"hop-limit[{label}]"] = assert_hop_limit_parity(overlay, backend)
         checked[f"crossover[{label}]"] = assert_crossover_parity(overlay, backend)
+    # Pass plans exist only in the NumPy executor; the per-pair loops
+    # always return at the first accepted column.
+    checked["column-order[numpy]"] = assert_column_order_parity(overlay, "numpy")
     # Failure-model parity is mask-generation + routing; one backend suffices
     # per kind (cross-backend routing parity is covered above).
     for kind in failure_model_kinds:
@@ -606,15 +671,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     backends = [label for label, _ in conformance_backends()]
     print(f"conformance: geometries={list(geometries)} backends={backends}")
     failures = 0
-    for geometry in geometries:
+    batteries = [(geometry, geometry, None) for geometry in geometries]
+    for geometry, variants in OVERLAY_VARIANTS.items():
+        for options in variants:
+            label = ",".join(f"{name}={value}" for name, value in options.items())
+            batteries.append((f"{geometry}[{label}]", geometry, options))
+    for name, geometry, options in batteries:
         try:
-            checked = run_conformance(geometry)
+            checked = run_conformance(geometry, overlay_options=options)
         except AssertionError as error:  # pragma: no cover - only on violation
             failures += 1
-            print(f"  {geometry}: FAILED {error}")
+            print(f"  {name}: FAILED {error}")
             continue
         total = sum(checked.values())
-        print(f"  {geometry}: OK ({len(checked)} checks, {total} outcomes compared)")
+        print(f"  {name}: OK ({len(checked)} checks, {total} outcomes compared)")
     for label, backend in conformance_backends():
         if label == "python-loop":
             continue  # uncompiled loops are far too slow for pooled grids

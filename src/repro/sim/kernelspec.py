@@ -59,6 +59,22 @@ extension):
     first-minimum in the per-pair loop — both keep the first minimum, so
     tie-breaking is identical by construction).
 
+    A scan whose table is sorted by distance bucket may also declare an
+    element-wise **column order**: ``first_column`` and ``next_column``
+    (``d`` meaning "no column left"), such that the first column in that
+    order whose candidate ``accept`` takes is the key's minimum — Chord's
+    fingers (column ``k`` at clockwise offset ``[2^(d-1-k), 2^(d-k))``)
+    and Kademlia's buckets (``entry ^ node`` in the same range) are.  The
+    executors then derive an *ordered scan* from the same ``key`` and
+    ``accept``: the per-pair step returns at the first accepted column,
+    and the vectorized step runs passes that each read one column per
+    pending pair, over a shrinking pending set, before handing the pairs
+    still pending to the full-row ``argmin``.  The number of passes is
+    planned from what the executor observes (:func:`_planned_passes`: the
+    step's pair count, the alive share of their cells, which is about the
+    share of pairs a pass settles, and whether the rows come from a full
+    masked table); the plan changes speed, never a choice.
+
 With this layer in place the routing invariant has exactly **two** copies
 per geometry — the scalar oracle and the spec — property-tested against
 each other by the conformance harness (:mod:`repro.sim.conformance`) across
@@ -94,7 +110,9 @@ __all__ = [
     "registered_geometries",
     "routing_consts",
     "dead_to_self",
+    "MaskedReaders",
     "vector_rows",
+    "vector_entries",
     "vector_step",
     "scalar_step",
     "make_pair_loop",
@@ -105,6 +123,22 @@ __all__ = [
 #: every real key any spec can produce (keys are bounded by identifier-space
 #: arithmetic, far below 2^62).
 FAR_KEY = 1 << 62
+
+#: What an ordered scan's pass costs, in column reads of the full scan
+#: (which reads ``degree`` columns per pair): per pending pair, and per pass
+#: whatever its size (the fixed cost of its few dozen array calls).  Setting
+#: up the pending set and scattering the answers back costs about one more
+#: pass.  Fitted to timings of forced pass counts (0-8 passes, ring and XOR,
+#: d=10 and d=16, with and without the full masked table, q from 0.05 to
+#: 0.8, 150-2048 pairs per step) so that no plan costs more than the full
+#: scan alone.  See :func:`_planned_passes`.
+PASS_PAIR_COLUMNS = 2
+PASS_CALL_COLUMNS = 2000
+#: How much more a pass costs, in full-scan columns, when the step reads a
+#: precomputed full masked table: the table turns each full-scan column
+#: into a plain gather, while a pass's bookkeeping stays.  Measured on
+#: d=10 fused stacks past the masking crossover.
+TABLE_PASS_COST = 2
 
 
 def routing_consts(view) -> Tuple[int, int]:
@@ -283,6 +317,19 @@ class KernelSpec:
     accept:
         Scan kind only: ``accept(ops) -> fn(consts, best_key, cur, dst) ->
         ok``, element-wise verdict on the winning candidate.
+    first_column:
+        Scan kind, optional (with :attr:`next_column`): ``first_column(ops)
+        -> fn(consts, cur, dst) -> column``, element-wise, the first column
+        of the row's scan order (``d``: none).  Declare an order only when
+        the table's construction guarantees its precondition: every column
+        before ``first_column`` is rejected by ``accept``, and in order,
+        the first column ``accept`` takes holds the key's minimum over the
+        whole row (the executors stop there).
+    next_column:
+        Scan kind, optional (with :attr:`first_column`): ``next_column(ops)
+        -> fn(consts, cur, dst, column) -> column``, element-wise, the
+        column after ``column`` in the order (``d``: none left).  Columns
+        the order skips must be ones ``accept`` rejects.
     """
 
     geometry: str
@@ -292,6 +339,8 @@ class KernelSpec:
     neighbor_bits: Optional[Callable] = None
     key: Optional[Callable] = None
     accept: Optional[Callable] = None
+    first_column: Optional[Callable] = None
+    next_column: Optional[Callable] = None
 
     def __post_init__(self) -> None:
         if not self.geometry:
@@ -308,6 +357,14 @@ class KernelSpec:
             raise InvalidParameterError(
                 f"scan spec {self.geometry!r} cannot define neighbor_bits: "
                 "its row is the masked neighbour list itself"
+            )
+        if (self.first_column is None) != (self.next_column is None):
+            raise InvalidParameterError(
+                f"spec {self.geometry!r} must define both first_column and next_column, or neither"
+            )
+        if self.kind != "scan" and self.first_column is not None:
+            raise InvalidParameterError(
+                f"direct spec {self.geometry!r} cannot define a column order: it scans no row"
             )
 
 
@@ -355,10 +412,39 @@ def _vector_functions(spec: KernelSpec):
     if spec.kind == "direct":
         bits = spec.neighbor_bits
         return spec.advance(VECTOR_OPS), None if bits is None else bits(VECTOR_OPS)
-    return spec.key(VECTOR_OPS), spec.accept(VECTOR_OPS)
+    if spec.first_column is None:
+        return spec.key(VECTOR_OPS), spec.accept(VECTOR_OPS), None, None
+    return (
+        spec.key(VECTOR_OPS),
+        spec.accept(VECTOR_OPS),
+        spec.first_column(VECTOR_OPS),
+        spec.next_column(VECTOR_OPS),
+    )
 
 
 _VECTOR_DEAD_TO_SELF = dead_to_self(VECTOR_OPS)
+
+
+class MaskedReaders(NamedTuple):
+    """How a vectorized step reads the masked rows of its pairs' current nodes.
+
+    Attributes
+    ----------
+    rows:
+        ``rows(ids)``: the masked-row values of :func:`vector_rows` (or a
+        gather from a table of them), ``None`` for specs that read no rows.
+    entries:
+        ``entries(ids, columns)``: single masked entries, as
+        :func:`vector_entries` reads them (or a gather from the table);
+        ``None`` unless the spec declares a column order.
+    from_table:
+        Whether both read a precomputed full masked table rather than
+        masking what they read.
+    """
+
+    rows: Optional[Callable]
+    entries: Optional[Callable]
+    from_table: bool
 
 
 def vector_rows(spec: KernelSpec, view, alive: np.ndarray) -> Optional[Callable]:
@@ -378,11 +464,18 @@ def vector_rows(spec: KernelSpec, view, alive: np.ndarray) -> Optional[Callable]
     table = view.neighbor_array()
     local_mask = consts[1]
 
-    def masked(ids: np.ndarray) -> np.ndarray:
-        local = ids & local_mask
-        neighbors = table[local]
-        neighbors += (ids - local)[:, None]
-        return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids[:, None])
+    if alive.size == table.shape[0]:
+        # One cell: every identifier is its own row, every cell base 0.
+        def masked(ids: np.ndarray) -> np.ndarray:
+            return _VECTOR_DEAD_TO_SELF(alive, table[ids], ids[:, None])
+
+    else:
+
+        def masked(ids: np.ndarray) -> np.ndarray:
+            local = ids & local_mask
+            neighbors = table[local]
+            neighbors += (ids - local)[:, None]
+            return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids[:, None])
 
     if spec.kind == "scan":
         return masked
@@ -395,36 +488,158 @@ def vector_rows(spec: KernelSpec, view, alive: np.ndarray) -> Optional[Callable]
     return rows
 
 
-def vector_step(spec: KernelSpec, view, alive: np.ndarray) -> Callable:
-    """The vectorized per-hop step ``(cur, dst, rows) -> (next, ok, fail_code)``.
+def vector_entries(spec: KernelSpec, view, alive: np.ndarray) -> Optional[Callable]:
+    """The vectorized masked-entry function ``entries(ids, columns)``, or ``None``.
 
-    ``rows`` is the masked-row value of ``cur`` (see :func:`vector_rows`).
-    Direct specs run their ``advance`` body element-wise over the active
-    batch; scan specs evaluate the key over the ``(batch, degree)``
-    candidate matrix by broadcasting and take the per-row ``argmin`` (first
-    minimum — the same tie-break as the per-pair loops' running minimum).
+    ``entries(ids, columns)[i]`` is column ``columns[i]`` of ``ids[i]``'s
+    masked row (see :func:`vector_rows`): one candidate per pair, which is
+    what an ordered scan's pass reads.  Only scan specs with a column order
+    read single entries; every other spec gets ``None``.
+    """
+    if spec.first_column is None:
+        return None
+    table = view.neighbor_array()
+    flat = table.reshape(-1)
+    degree = table.shape[1]
+    local_mask = routing_consts(view)[1]
+
+    if alive.size == table.shape[0]:
+
+        def entries(ids: np.ndarray, columns: np.ndarray) -> np.ndarray:
+            return _VECTOR_DEAD_TO_SELF(alive, flat[ids * degree + columns], ids)
+
+    else:
+
+        def entries(ids: np.ndarray, columns: np.ndarray) -> np.ndarray:
+            local = ids & local_mask
+            neighbors = flat[local * degree + columns]
+            neighbors += ids - local
+            return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids)
+
+    return entries
+
+
+def _scan_rows(key, accept, consts, neighbors, cur, dst):
+    """The full scan: first minimum of the key over each masked row."""
+    keys = key(consts, neighbors, cur[:, None], dst[:, None])
+    best = keys.argmin(axis=1)
+    positions = np.arange(cur.size)
+    return neighbors[positions, best], accept(consts, keys[positions, best], cur, dst)
+
+
+def _planned_passes(pending: int, degree: int, expected_yield: float, from_table: bool) -> int:
+    """How many ordered passes to run before the full scan takes the pairs left.
+
+    The full scan reads ``degree`` columns per pair; a pass costs
+    :data:`PASS_PAIR_COLUMNS` per pending pair plus
+    :data:`PASS_CALL_COLUMNS` (both :data:`TABLE_PASS_COST` times more when
+    the step reads the full masked table), and settles the share
+    ``expected_yield`` of its pairs; running any pass costs one pass more
+    for the set-up.  The plan is the number of passes whose cost plus the
+    full scan of the pairs they leave is least: ``0`` when no pass pays for
+    itself.
+    """
+    scale = TABLE_PASS_COST if from_table else 1
+    per_call, per_pair = scale * PASS_CALL_COLUMNS, scale * PASS_PAIR_COLUMNS
+    best_cost = degree * pending
+    cost = per_call + per_pair * pending
+    left = float(pending)
+    best = passes = 0
+    while passes < degree:
+        cost += per_call + per_pair * left
+        if cost >= best_cost:
+            break
+        left *= 1.0 - expected_yield
+        passes += 1
+        if cost + degree * left < best_cost:
+            best_cost, best = cost + degree * left, passes
+    return best
+
+
+def vector_step(spec: KernelSpec, view, alive: np.ndarray) -> Callable:
+    """The vectorized per-hop step ``(cur, dst, readers) -> (next, ok, fail_code)``.
+
+    ``readers`` (:class:`MaskedReaders`) read ``cur``'s masked rows: the
+    NumPy backend passes either the per-hop masking functions
+    (:func:`vector_rows`, :func:`vector_entries`) or gathers from its full
+    masked table.  Direct specs run their ``advance`` body element-wise
+    over the active batch.  Scan specs evaluate the key over the
+    ``(batch, degree)`` candidate matrix by broadcasting and take the
+    per-row ``argmin`` (first minimum — the same tie-break as the per-pair
+    loops' running minimum).  An ordered scan first runs passes that each
+    read one column per pending pair, in the spec's column order, and
+    settle every pair whose column is accepted or whose order runs out;
+    after the planned number of passes (:func:`_planned_passes`, from the
+    step's pair count, the alive share of their cells and the row form)
+    the pairs still pending get the full scan, which finds the same
+    winner: the first usable column holds the minimum of the key.
     """
     consts = routing_consts(view)
+    fail_code = spec.fail_code
     if spec.kind == "direct":
         advance = _vector_functions(spec)[0]
         table = view.neighbor_array()
 
-        def step(cur: np.ndarray, dst: np.ndarray, rows):
-            next_hop, ok = advance(consts, table, alive, cur, dst, rows)
-            return next_hop, ok, spec.fail_code
+        def step(cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
+            row = None if readers.rows is None else readers.rows(cur)
+            next_hop, ok = advance(consts, table, alive, cur, dst, row)
+            return next_hop, ok, fail_code
 
         return step
 
-    key, accept = _vector_functions(spec)
+    key, accept, first, following = _vector_functions(spec)
 
-    def step(cur: np.ndarray, dst: np.ndarray, neighbors: np.ndarray):
-        keys = key(consts, neighbors, cur[:, None], dst[:, None])
-        best = keys.argmin(axis=1)
-        positions = np.arange(cur.size)
-        ok = accept(consts, keys[positions, best], cur, dst)
-        return neighbors[positions, best], ok, spec.fail_code
+    def scan_step(cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
+        next_hop, ok = _scan_rows(key, accept, consts, readers.rows(cur), cur, dst)
+        return next_hop, ok, fail_code
 
-    return step
+    if first is None:
+        return scan_step
+
+    degree = consts[0]
+    # The expected yield of a pass is the alive share of its pairs' cells:
+    # a column's candidate is usable about as often as it is alive.
+    cells = alive.reshape(-1, 1 << degree)
+    shares = np.array([np.count_nonzero(cell) for cell in cells]) / cells.shape[1]
+    best_share = float(shares.max())
+
+    def ordered_step(cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
+        # Plan at the best cell's share first: when even that plans no pass
+        # (every small step, every high-q stack), the pairs' own cells
+        # need not be looked up.
+        planned = _planned_passes(cur.size, degree, best_share, readers.from_table)
+        if planned and shares.size > 1:
+            expected_yield = shares[cur >> degree].sum() / cur.size
+            planned = _planned_passes(cur.size, degree, expected_yield, readers.from_table)
+        if planned:
+            return passes(planned, cur, dst, readers)
+        return scan_step(cur, dst, readers)
+
+    def passes(planned: int, cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
+        next_hop = cur.copy()
+        ok = np.zeros(cur.size, dtype=bool)
+        column = first(consts, cur, dst)
+        pending = np.flatnonzero(column < degree)
+        if pending.size < cur.size:
+            cur, dst, column = cur[pending], dst[pending], column[pending]
+        for _ in range(planned):
+            if not pending.size:
+                break
+            neighbor = readers.entries(cur, column)
+            accepted = accept(consts, key(consts, neighbor, cur, dst), cur, dst)
+            settled = pending[accepted]
+            next_hop[settled] = neighbor[accepted]
+            ok[settled] = True
+            column = following(consts, cur, dst, column)
+            keep = np.flatnonzero(~accepted & (column < degree))
+            pending, cur, dst, column = pending[keep], cur[keep], dst[keep], column[keep]
+        if pending.size:
+            next_hop[pending], ok[pending] = _scan_rows(
+                key, accept, consts, readers.rows(cur), cur, dst
+            )
+        return next_hop, ok, fail_code
+
+    return ordered_step
 
 
 def scalar_step(spec: KernelSpec, ops: Ops = SCALAR_OPS, wrap: Callable = lambda f: f):
@@ -437,7 +652,8 @@ def scalar_step(spec: KernelSpec, ops: Ops = SCALAR_OPS, wrap: Callable = lambda
     table.  The scan keeps a running strict minimum over the row — the
     first minimum, matching the vectorized driver's ``argmin`` — so both
     executors make the identical choice even among equal keys (which specs
-    guarantee name the same neighbour).
+    guarantee name the same neighbour).  An ordered scan instead visits the
+    columns in the spec's order and returns at the first accepted one.
     """
     substitute = wrap(dead_to_self(ops))
 
@@ -466,6 +682,23 @@ def scalar_step(spec: KernelSpec, ops: Ops = SCALAR_OPS, wrap: Callable = lambda
 
     key = wrap(spec.key(ops))
     accept = wrap(spec.accept(ops))
+    if spec.first_column is not None:
+        first = wrap(spec.first_column(ops))
+        following = wrap(spec.next_column(ops))
+
+        def ordered_step(consts, table, alive, cur, dst):
+            neighbor = cur
+            ok = False
+            column = first(consts, cur, dst)
+            while column < consts[0]:
+                neighbor = masked(consts, table, alive, cur, column)
+                ok = accept(consts, key(consts, neighbor, cur, dst), cur, dst)
+                if ok:
+                    break
+                column = following(consts, cur, dst, column)
+            return neighbor, ok
+
+        return wrap(ordered_step)
 
     def scan_step(consts, table, alive, cur, dst):
         best_key = FAR_KEY

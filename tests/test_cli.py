@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -115,6 +116,10 @@ class TestFailureModelOption:
         arguments = build_parser().parse_args(
             ["simulate", "--geometry", "ring", "--q", "0.1", "--d", "8"]
         )
+        # Absent stays None so --churn-trace can reject an explicit value;
+        # the default is filled in after that check.
+        assert arguments.failure_model is None
+        cli._resolve_defaults(arguments)
         assert arguments.failure_model == "uniform"
 
     def test_unknown_model_rejected_by_argparse(self):
@@ -220,6 +225,7 @@ class TestChurnTraceOption:
             (["--workers", "1"], "--workers"),
             (["--min-trials", "3"], "--min-trials"),
             (["--failure-model", "targeted"], "--failure-model"),
+            (["--failure-model", "uniform"], "--failure-model"),
             (["--adaptive"], "--adaptive"),
             (["--ci-target", "0.05"], "--ci-target"),
             (["--max-trials", "4"], "--max-trials"),

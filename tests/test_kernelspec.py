@@ -17,14 +17,19 @@ import numpy as np
 import pytest
 
 from repro.dht import OVERLAY_CLASSES
-from repro.dht.failures import FAILURE_MODEL_KINDS, make_failure_model
+from repro.dht.chord import FINGER_MODES, ChordOverlay
+from repro.dht.failures import FAILURE_MODEL_KINDS, make_failure_model, survival_mask
+from repro.dht.kademlia import KademliaOverlay
+from repro.dht.routing import FAILURE_CODES
 from repro.exceptions import InvalidParameterError, UnknownGeometryError
 from repro.sim.backends import numpy_backend, resolve_backend
 from repro.sim.conformance import (
     CROSSOVER_BATCHES,
+    FORCED_PASS_PLANS,
     PARITY_SEVERITIES,
     WORKER_COUNTS,
     assert_churn_parity,
+    assert_column_order_parity,
     assert_crossover_parity,
     assert_failure_model_parity,
     assert_hop_limit_parity,
@@ -36,8 +41,11 @@ from repro.sim.conformance import (
     conformance_backends,
     conformance_geometries,
     crossover_batch,
+    forced_passes,
+    run_conformance,
 )
 from repro.sim.engine import route_pairs, route_pairs_stacked
+from repro.sim import kernelspec
 from repro.sim.kernelspec import (
     KERNEL_SPECS,
     KernelSpec,
@@ -219,6 +227,172 @@ class TestChurnParity:
 
     def test_churn_matches_the_churn_reference(self, small_overlays, geometry_name, backend_label):
         assert assert_churn_parity(small_overlays[geometry_name], _backend(backend_label)) > 0
+
+
+def _bucket_offsets(table: np.ndarray, offsets) -> None:
+    """Column ``k`` of every row lies at offset ``[2^(d-1-k), 2^(d-k))``."""
+    d = table.shape[1]
+    for column in range(d):
+        low, high = 1 << (d - 1 - column), 1 << (d - column)
+        offset = offsets(table[:, column], np.arange(table.shape[0]))
+        assert ((offset >= low) & (offset < high)).all(), (d, column)
+
+
+class TestColumnOrders:
+    """Ring and XOR scans stop at the first usable column of their table's order."""
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    @pytest.mark.parametrize("seed", (0, 7, 2006))
+    @pytest.mark.parametrize("finger_mode", FINGER_MODES)
+    def test_chord_fingers_sit_in_their_buckets(self, d, seed, finger_mode):
+        # The precondition of the ring order: the clockwise offset of
+        # column k lies in [2^(d-1-k), 2^(d-k)).
+        table = ChordOverlay.build(d, seed=seed, finger_mode=finger_mode).neighbor_array()
+        _bucket_offsets(table, lambda entry, node: (entry - node) % (1 << d))
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    @pytest.mark.parametrize("seed", (0, 7, 2006))
+    def test_kademlia_entries_sit_in_their_buckets(self, d, seed):
+        # The precondition of the XOR order: entry ^ node of column k lies in
+        # [2^(d-1-k), 2^(d-k)).
+        table = KademliaOverlay.build(d, seed=seed).neighbor_array()
+        _bucket_offsets(table, lambda entry, node: entry ^ node)
+
+    def test_only_ring_and_xor_declare_an_order(self):
+        ordered = {spec.geometry for spec in KERNEL_SPECS.values() if spec.first_column}
+        # Symphony's shortcuts are unsorted: it keeps the full scan.
+        assert ordered == {"ring", "xor"}
+        for spec in KERNEL_SPECS.values():
+            assert (spec.first_column is None) == (spec.next_column is None)
+
+    def test_order_validation(self):
+        xor = KERNEL_SPECS["xor"]
+        with pytest.raises(InvalidParameterError, match="both"):
+            KernelSpec(
+                geometry="x", kind="scan", fail_code=1, key=xor.key, accept=xor.accept,
+                first_column=xor.first_column,
+            )
+        with pytest.raises(InvalidParameterError, match="column order"):
+            KernelSpec(
+                geometry="x", kind="direct", fail_code=1, advance=KERNEL_SPECS["tree"].advance,
+                first_column=xor.first_column, next_column=xor.next_column,
+            )
+
+    def test_every_pass_plan_matches_the_oracle(self, small_overlays, geometry_name):
+        checked = assert_column_order_parity(small_overlays[geometry_name], "numpy")
+        if KERNEL_SPECS[geometry_name].first_column is None:
+            assert checked == 0
+        else:
+            assert checked > 0
+
+    def test_forced_plans_are_named(self):
+        with pytest.raises(ValueError, match="pass plan"):
+            forced_passes("some")
+
+    def test_deterministic_fingers_pass_the_whole_battery(self):
+        checked = run_conformance("ring", overlay_options={"finger_mode": "deterministic"})
+        assert checked["column-order[numpy]"] > 0
+        assert all(count > 0 for name, count in checked.items() if name.startswith("oracle"))
+
+
+#: Batches at d=12 (4096 rows): ``(pairs, full masked table builds)``.
+#: Sparse ones stay below the masking crossover, dense ones (pairs >= rows)
+#: read the full masked table from hop 0, and mid-route ones are wide
+#: enough for the planner's own passes before the table (if any) is built.
+SCALE_D = 12
+SCALE_BATCHES = {"sparse": (400, 0), "mid-route": (2000, None), "dense": (1 << SCALE_D, 1)}
+SCALE_OVERLAYS = {
+    "ring-randomized": ("ring", {"finger_mode": "randomized"}),
+    "ring-deterministic": ("ring", {"finger_mode": "deterministic"}),
+    "xor": ("xor", {}),
+}
+
+
+@pytest.fixture(scope="module")
+def scale_overlays():
+    return {
+        label: OVERLAY_CLASSES[geometry].build(SCALE_D, seed=12, **options)
+        for label, (geometry, options) in SCALE_OVERLAYS.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def scale_oracle(scale_overlays):
+    """Batches and their scalar-oracle outcomes, routed once per module."""
+    cache = {}
+
+    def outcomes(label, q, batch):
+        if (label, q, batch) not in cache:
+            overlay = scale_overlays[label]
+            rng = np.random.default_rng(zlib.crc32(f"scale-{label}-{q}-{batch}".encode()))
+            alive = survival_mask(overlay.n_nodes, q, rng)
+            sources, destinations = sample_survivor_pair_arrays(alive, SCALE_BATCHES[batch][0], rng)
+            routes = [
+                overlay.route(source, destination, alive)
+                for source, destination in zip(sources.tolist(), destinations.tolist())
+            ]
+            cache[label, q, batch] = (
+                alive, sources, destinations,
+                np.array([route.succeeded for route in routes]),
+                np.array([route.hops for route in routes]),
+                np.array([FAILURE_CODES[route.failure_reason] for route in routes]),
+            )
+        return cache[label, q, batch]
+
+    return outcomes
+
+
+class TestOrderedScanAtScale:
+    """At d=12 the NumPy ordered scan equals the scalar oracle under every pass plan."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = numpy_backend._masked_table
+
+        def counting(rows, n_rows, dtype):
+            calls.append(n_rows)
+            return original(rows, n_rows, dtype)
+
+        monkeypatch.setattr(numpy_backend, "_masked_table", counting)
+        return calls
+
+    @pytest.mark.parametrize("plan", ("planner", *FORCED_PASS_PLANS))
+    @pytest.mark.parametrize("batch", tuple(SCALE_BATCHES))
+    @pytest.mark.parametrize("q", (0.05, 0.2, 0.5, 0.8, 0.95))
+    @pytest.mark.parametrize("label", tuple(SCALE_OVERLAYS))
+    def test_outcomes_equal_the_oracle(
+        self, scale_overlays, scale_oracle, builds, label, q, batch, plan
+    ):
+        alive, sources, destinations, succeeded, hops, codes = scale_oracle(label, q, batch)
+        overlay = scale_overlays[label]
+        if plan == "planner":
+            outcome = route_pairs(overlay, sources, destinations, alive, backend="numpy")
+        else:
+            with forced_passes(plan):
+                outcome = route_pairs(overlay, sources, destinations, alive, backend="numpy")
+        assert np.array_equal(outcome.succeeded, succeeded)
+        assert np.array_equal(outcome.hops, hops)
+        assert np.array_equal(outcome.failure_codes, codes)
+        if SCALE_BATCHES[batch][1] is not None:
+            assert len(builds) == SCALE_BATCHES[batch][1]
+
+    def test_the_planner_passes_on_wide_low_q_batches(self, scale_overlays, scale_oracle, monkeypatch):
+        # Before the full table exists, at low q, the planner does run
+        # passes (or the parity above would only ever have checked the full
+        # scan under the planner's plan).
+        plans = []
+        original = kernelspec._planned_passes
+
+        def recording(pending, degree, expected_yield, from_table):
+            plans.append(original(pending, degree, expected_yield, from_table))
+            return plans[-1]
+
+        monkeypatch.setattr(kernelspec, "_planned_passes", recording)
+        for label in SCALE_OVERLAYS:
+            alive, sources, destinations, *_ = scale_oracle(label, 0.05, "mid-route")
+            route_pairs(scale_overlays[label], sources, destinations, alive, backend="numpy")
+        assert max(plans) > 0
 
 
 class TestUpdateParity:

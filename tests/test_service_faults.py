@@ -510,6 +510,57 @@ class TestCancellationOverHttp:
             wait_for_http_state(port, first["job_id"], TERMINAL_STATES)
 
 
+class TestStreamWakeups:
+    def test_watchers_see_every_shard_and_the_end(self, tmp_path, faults):
+        faults.arm("shard-execute", "hang", delay=60.0)
+        with manager(tmp_path, faults=faults) as jobs:
+            job = jobs.submit(TWO_SHARD_GRID)
+            wait_until(lambda: faults.hits("shard-execute") >= 1, message="shard one never started")
+            seen = []
+            unwatch = job.watch(lambda: seen.append(job.shard_results()))
+            faults.release_hangs()
+            assert wait_terminal(job) == "done"
+            unwatch()
+            # One call per finished shard, then one for the terminal state.
+            assert [(state, len(results)) for state, results in seen] == [
+                ("running", 1), ("running", 2), ("done", 2),
+            ]
+            assert job.request_cancel() is False
+            assert len(seen) == 3  # unwatched: no further calls
+
+    def test_stream_follows_a_running_job_to_its_end(self, tmp_path):
+        registry = FaultRegistry()
+        registry.arm("shard-execute", "hang", delay=60.0)
+        with running_service(
+            tmp_path / "cells.db", faults=registry, shard_timeout=30.0
+        ) as (port, _service):
+            status, accepted, _ = request(port, "POST", "/v1/sweeps", body=TWO_SHARD_GRID)
+            assert status == 202
+            wait_until(
+                lambda: registry.hits("shard-execute") >= 1,
+                message="shard one never started executing",
+            )
+            streamed = {}
+            reader = threading.Thread(
+                target=lambda: streamed.update(
+                    reply=request(port, "GET", f"/v1/jobs/{accepted['job_id']}/stream")
+                )
+            )
+            reader.start()
+            # The stream is open and idle while shard one hangs; every later
+            # line must arrive without the client asking again.
+            registry.release_hangs()
+            reader.join(timeout=30)
+            assert not reader.is_alive(), "the stream never reached the end event"
+            status, ndjson, _ = streamed["reply"]
+            assert status == 200
+            events = [json.loads(line) for line in ndjson.splitlines()]
+            assert [event["event"] for event in events] == ["shard", "shard", "end"]
+            assert events[-1]["status"]["state"] == "done"
+            rows = reference_rows(TWO_SHARD_GRID)
+            assert [event["result"]["rows"] for event in events[:2]] == [rows["ring"], rows["xor"]]
+
+
 def raw_request(port, data, timeout=15.0):
     """Send raw bytes, half-close, and read the full response (b"" if none)."""
     with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
