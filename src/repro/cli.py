@@ -12,6 +12,11 @@ Subcommands
     Print the Section 5 scalability classification.
 ``rcm simulate --geometry ring --d 10 --q 0.1 0.3 --pairs 1000``
     Run the Monte-Carlo overlay simulator and print measured routability.
+    The given flags form one :class:`~repro.sim.request.SweepRequest`, the
+    request ``POST /v1/sweeps`` accepts: the same validator rejects what the
+    service rejects (exit 2, one line), and the same shard executor writes
+    the ``--json`` result document, which is the service's shard result plus
+    this run's ``workers``, ``profile`` and allocation settings.
     ``--failure-model`` swaps the paper's uniform failure model for one of
     the adversarial/correlated scenarios (degree-targeted, regional,
     subtree, uniform+regional — the ``--q`` values are then the model's
@@ -61,6 +66,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .core.geometry import list_geometries
@@ -77,9 +83,24 @@ from .workloads.generators import PairWorkload
 __all__ = ["build_parser", "main"]
 
 
-#: Defaults the parser leaves as ``None`` so ``rcm simulate --churn-trace``
-#: can reject the flag when it is given; :func:`_resolve_defaults` fills them in.
-_DEFERRED_DEFAULTS = {"trials": 3, "workers": 1, "min_trials": 2, "failure_model": "uniform"}
+#: Defaults of the ``rcm simulate`` request fields.  The parser leaves every
+#: simulate option ``None`` unless it is given, so the request mapping holds
+#: exactly the given flags and a mode conflict names the flag that caused it.
+_SIMULATE_DEFAULTS = {"d": 10, "pairs": 1000, "trials": 3, "seed": PairWorkload().seed}
+
+#: The ``rcm simulate`` flags not spelled ``--`` + the field's last name.
+_FLAGS = {
+    "geometries": "--geometry",
+    "failure_models": "--failure-model",
+    "churn": "--churn-trace",
+    "churn.repair_every": "--churn-repair-every",
+}
+
+
+def _flag(path: str) -> str:
+    """How ``rcm simulate`` spells a request field (a dotted path) in an error message."""
+    field = path.split("[")[0]
+    return _FLAGS.get(field, "--" + field.rsplit(".", 1)[-1].replace("_", "-"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,20 +151,22 @@ def build_parser() -> argparse.ArgumentParser:
     # self-registering overlay module, including extensions such as the de
     # Bruijn/Koorde geometry), not the analytical registry.
     simulate_parser.add_argument("--geometry", required=True, choices=sorted(OVERLAY_CLASSES))
-    simulate_parser.add_argument("--d", type=int, default=10, help="identifier length (N = 2^d)")
+    simulate_parser.add_argument(
+        "--d", type=int, help=f"identifier length (N = 2^d; default: {_SIMULATE_DEFAULTS['d']})"
+    )
     simulate_parser.add_argument(
         "--q",
         type=float,
         nargs="+",
         help="failure probabilities (required unless --churn-trace is given)",
     )
-    simulate_parser.add_argument("--pairs", type=int, default=1000)
+    simulate_parser.add_argument("--pairs", type=int, help=f"default: {_SIMULATE_DEFAULTS['pairs']}")
     simulate_parser.add_argument(
         "--trials",
         type=int,
-        help=f"failure patterns per point (default: {_DEFERRED_DEFAULTS['trials']})",
+        help=f"failure patterns per point (default: {_SIMULATE_DEFAULTS['trials']})",
     )
-    simulate_parser.add_argument("--seed", type=int, default=PairWorkload().seed)
+    simulate_parser.add_argument("--seed", type=int, help=f"default: {_SIMULATE_DEFAULTS['seed']}")
     simulate_parser.add_argument(
         "--failure-model",
         choices=FAILURE_MODEL_KINDS,
@@ -170,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="STEPS",
         help="re-establish routing tables every STEPS churn steps (with --churn-trace)",
     )
-    _add_engine_arguments(simulate_parser)
+    _add_engine_arguments(simulate_parser, workers_default=None)
     simulate_parser.add_argument(
         "--profile",
         action="store_true",
@@ -215,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help=(
             "trials every point receives unconditionally in the first adaptive round "
-            f"(default: {_DEFERRED_DEFAULTS['min_trials']})"
+            "(default: 2)"
         ),
     )
     simulate_parser.add_argument(
@@ -376,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_engine_arguments(parser: argparse.ArgumentParser, workers_default: Optional[int] = 1) -> None:
     """Engine-related options shared by the simulation-backed subcommands."""
     parser.add_argument(
         "--backend",
@@ -392,10 +415,8 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        help=(
-            "worker processes for sweep fan-out (results are identical for any value; "
-            f"default: {_DEFERRED_DEFAULTS['workers']})"
-        ),
+        default=workers_default,
+        help="worker processes for sweep fan-out (results are identical for any value; default: 1)",
     )
 
 
@@ -472,259 +493,157 @@ def _json_safe(value: object) -> object:
     return value
 
 
-def _simulate_churn_trace(arguments: argparse.Namespace) -> str:
-    """``rcm simulate --churn-trace``: replay a recorded churn trace.
+def _loader(load, path: str, what: str):
+    """A zero-argument loader of ``path`` that turns an OS error into a one-line error."""
 
-    The trace dictates the join/leave events; ``--pairs`` pairs are routed
-    among usable nodes each step (one routing state carried across steps and
-    rebound to each step's usable mask).  ``--profile``
-    prints the churn phase breakdown (:data:`CHURN_PROFILE_PHASES`).
+    def read():
+        try:
+            return load(path)
+        except OSError as error:
+            raise InvalidParameterError(f"cannot read {what} {path!r}: {error.strerror or error}") from error
+
+    return read
+
+
+def _simulate_request(arguments: argparse.Namespace):
+    """The :class:`~repro.sim.request.SweepRequest` of ``rcm simulate``.
+
+    The mapping holds exactly the given flags, so the request validator names
+    the flag a mode would ignore.  Checked here is only what the command
+    line alone has: options of the local run (``--workers``, ``--store``,
+    ``--allocation-out``) and flags that fill a nested request object
+    without the flag that makes it.
     """
-    from .sim.churn import CHURN_PROFILE_PHASES, ChurnConfig, simulate_churn
-    from .sim.static_resilience import build_overlay
-    from .workloads.traces import load_trace
+    from .sim.request import SweepRequest
 
-    try:
-        trace = load_trace(arguments.churn_trace)
-    except OSError as error:
-        raise InvalidParameterError(
-            f"cannot read churn trace {arguments.churn_trace!r}: "
-            f"{error.strerror or error}"
-        ) from error
-    overlay = build_overlay(arguments.geometry, arguments.d, seed=arguments.seed)
-    config = ChurnConfig(
-        pairs_per_step=arguments.pairs,
-        trace=trace,
-        repair_every=arguments.churn_repair_every,
-    )
-    profile = {} if arguments.profile else None
-    result = simulate_churn(
-        overlay, config, seed=arguments.seed, backend=arguments.backend, profile=profile
-    )
-    rows = result.as_rows()
-    sections = [
-        render_table(
-            rows,
-            title=(
-                f"Trace-driven churn: {arguments.geometry} overlay, N=2^{arguments.d}, "
-                f"{trace.n_events} events over {trace.n_steps} steps"
-            ),
-        )
-    ]
-    if profile:
-        sections.append("")
-        sections.append(
-            render_table(
-                _profile_rows(profile, known=CHURN_PROFILE_PHASES),
-                title="[profile] per-phase wall time",
-            )
-        )
-    if arguments.json:
-        import json
+    mapping: dict = {"geometries": [arguments.geometry]}
+    for field in ("d", "q", "pairs", "trials", "seed"):
+        if getattr(arguments, field) is not None:
+            mapping[field] = getattr(arguments, field)
+    if arguments.failure_model is not None:
+        mapping["failure_models"] = [arguments.failure_model]
+    name = _flag
+    adaptive = {
+        field: getattr(arguments, field)
+        for field in ("ci_target", "min_trials", "max_trials")
+        if getattr(arguments, field) is not None
+    }
+    if arguments.adaptive or adaptive:
+        mapping["adaptive"] = adaptive
+        if not arguments.adaptive:  # the object was made by its first given field
+            first = _flag(next(iter(adaptive)))
+            name = lambda path: first if path == "adaptive" else _flag(path)  # noqa: E731
+    trace = ledger = None
+    if arguments.churn_trace is not None:
+        from .workloads.traces import load_trace
 
-        payload = {
-            "geometry": arguments.geometry,
-            "d": arguments.d,
-            "churn_trace": arguments.churn_trace,
-            "repair_every": arguments.churn_repair_every,
-            "backend": result.backend_name,
-            "rows": rows,
-            "profile": profile,
-        }
-        with open(arguments.json, "w", encoding="utf-8") as handle:
-            json.dump(_json_safe(payload), handle, indent=2, allow_nan=False)
-            handle.write("\n")
-    return "\n".join(sections)
-
-
-def _adaptive_arguments(arguments: argparse.Namespace):
-    """Resolve the simulate subcommand's adaptive flags to ``(config, ledger)``.
-
-    Exactly one of the two is non-``None`` in adaptive mode; both are
-    ``None`` for a plain uniform sweep.
-    """
-    replay_path = getattr(arguments, "replay_allocation", None)
-    adaptive = getattr(arguments, "adaptive", False)
-    if not adaptive and not replay_path:
-        if arguments.ci_target is not None:
-            raise InvalidParameterError("--ci-target requires --adaptive")
-        if arguments.allocation_out:
-            raise InvalidParameterError(
-                "--allocation-out requires --adaptive or --replay-allocation"
-            )
-        return None, None
-    if replay_path:
-        if adaptive or arguments.ci_target is not None:
-            raise InvalidParameterError(
-                "--replay-allocation replays a recorded schedule; "
-                "do not combine it with --adaptive/--ci-target"
-            )
+        for option in ("workers", "store", "allocation_out"):
+            if getattr(arguments, option) is not None:
+                raise InvalidParameterError(f"{_flag(option)} cannot be combined with --churn-trace")
+        mapping["churn"] = {}
+        if arguments.churn_repair_every is not None:
+            mapping["churn"]["repair_every"] = arguments.churn_repair_every
+        trace = _loader(load_trace, arguments.churn_trace, "churn trace")
+    elif arguments.churn_repair_every is not None:
+        raise InvalidParameterError("--churn-repair-every requires --churn-trace")
+    elif adaptive and not arguments.adaptive:
+        raise InvalidParameterError(f"{name('adaptive')} requires --adaptive")
+    if arguments.replay_allocation is not None:
         from .sim.adaptive import AllocationLedger
 
-        try:
-            ledger = AllocationLedger.load(replay_path)
-        except OSError as error:
-            raise InvalidParameterError(
-                f"cannot read allocation ledger {replay_path!r}: "
-                f"{error.strerror or error}"
-            ) from error
-        return None, ledger
-    if arguments.ci_target is None:
-        raise InvalidParameterError("--adaptive requires --ci-target")
-    from .sim.adaptive import AdaptiveConfig
-
-    config = AdaptiveConfig(
-        ci_target=arguments.ci_target,
-        min_trials=arguments.min_trials,
-        max_trials=arguments.max_trials,
+        ledger = _loader(AllocationLedger.load, arguments.replay_allocation, "allocation ledger")
+    request = SweepRequest.from_mapping(
+        mapping, defaults=_SIMULATE_DEFAULTS, trace=trace, ledger=ledger, name=name
     )
-    return config, None
-
-
-#: ``rcm simulate`` options of the static sweep that trace-driven churn has
-#: no use for: ``(argument name, flag)``.  Each parses to ``None`` when it is
-#: not given, so :func:`_check_simulate_mode` can tell an explicit value
-#: (even an explicit default) from an absent flag.
-_STATIC_SWEEP_FLAGS = (
-    ("q", "--q"),
-    ("trials", "--trials"),
-    ("workers", "--workers"),
-    ("min_trials", "--min-trials"),
-    ("failure_model", "--failure-model"),
-    ("adaptive", "--adaptive"),
-    ("ci_target", "--ci-target"),
-    ("max_trials", "--max-trials"),
-    ("allocation_out", "--allocation-out"),
-    ("replay_allocation", "--replay-allocation"),
-    ("store", "--store"),
-)
-
-
-def _check_simulate_mode(arguments: argparse.Namespace) -> None:
-    """Reject options the chosen ``rcm simulate`` mode would silently ignore."""
-    if not arguments.churn_trace:
-        if arguments.churn_repair_every is not None:
-            raise InvalidParameterError("--churn-repair-every requires --churn-trace")
-        return
-    given = [flag for name, flag in _STATIC_SWEEP_FLAGS if getattr(arguments, name) is not None]
-    if given:
-        raise InvalidParameterError(f"{given[0]} cannot be combined with --churn-trace")
-
-
-def _resolve_defaults(arguments: argparse.Namespace) -> None:
-    """Fill in every deferred default (:data:`_DEFERRED_DEFAULTS`) the command line left unset."""
-    for name, default in _DEFERRED_DEFAULTS.items():
-        if getattr(arguments, name, default) is None:
-            setattr(arguments, name, default)
+    if arguments.allocation_out and request.adaptive is None and request.ledger is None:
+        raise InvalidParameterError("--allocation-out requires --adaptive or --replay-allocation")
+    return request
 
 
 def _command_simulate(arguments: argparse.Namespace) -> str:
-    if arguments.churn_trace:
-        return _simulate_churn_trace(arguments)
-    adaptive_config, replay_ledger = _adaptive_arguments(arguments)
-    # Each cell samples from its own stream, so the printed numbers are
-    # identical for every --workers value and equal simulate_geometry's rows.
-    cell_store = None
-    if getattr(arguments, "store", None):
-        from .service.store import ResultStore
+    from .sim.request import run_shard
 
-        cell_store = ResultStore.open(arguments.store)
-    with SweepRunner(
-        pairs=arguments.pairs,
-        replicates=arguments.trials,
-        workers=arguments.workers,
-        base_seed=arguments.seed,
-        backend=arguments.backend,
-        cell_store=cell_store,
-    ) as runner:
-        sweep = runner.sweep(
-            arguments.geometry,
-            arguments.d,
-            arguments.q,
-            failure_model=arguments.failure_model,
-            adaptive=adaptive_config,
-            replay_allocation=replay_ledger,
+    request = _simulate_request(arguments)
+    ((geometry, model),) = request.shards
+    sections = []
+    if request.churn is not None:
+        from .sim.churn import CHURN_PROFILE_PHASES as phases
+
+        # The trace dictates the join/leave events; one routing state is
+        # carried across steps and rebound to each step's usable mask.
+        profile = {} if arguments.profile else None
+        document = run_shard(request, geometry, model, None, arguments.backend, profile=profile)
+        title = (
+            f"Trace-driven churn: {geometry} overlay, N=2^{request.d}, "
+            f"{request.trace.n_events} events over {request.trace.n_steps} steps"
         )
-        profile = runner.profile
-        adaptive_report = runner.last_adaptive_report
-        if adaptive_report is not None:
-            mode = "replayed" if adaptive_report.replayed else "adaptive"
-            print(
-                f"[{mode}] {adaptive_report.trials_allocated} of "
-                f"{adaptive_report.trials_uniform} uniform trials allocated over "
-                f"{adaptive_report.rounds} round(s); {adaptive_report.trials_saved} saved",
-                file=sys.stderr,
-            )
-            if arguments.allocation_out:
-                runner.last_allocation_ledger().save(arguments.allocation_out)
+        run_context = {"churn_trace": arguments.churn_trace, "profile": profile}
+    else:
+        phases = PROFILE_PHASES
+        workers = 1 if arguments.workers is None else arguments.workers
+        # Each cell samples from its own stream, so the printed numbers are
+        # identical for every --workers value and equal simulate_geometry's rows.
+        cell_store = None
+        if arguments.store:
+            from .service.store import ResultStore
+
+            cell_store = ResultStore.open(arguments.store)
+        with SweepRunner(
+            pairs=request.pairs,
+            replicates=request.trials,
+            workers=workers,
+            base_seed=request.seed,
+            backend=arguments.backend,
+            cell_store=cell_store,
+        ) as runner:
+            document = run_shard(request, geometry, model, runner, arguments.backend)
+            profile = runner.profile
+            report = runner.last_adaptive_report
+            if report is not None:
+                mode = "replayed" if report.replayed else "adaptive"
                 print(
-                    f"[{mode}] allocation ledger written to {arguments.allocation_out}",
+                    f"[{mode}] {report.trials_allocated} of {report.trials_uniform} uniform "
+                    f"trials allocated over {report.rounds} round(s); {report.trials_saved} saved",
                     file=sys.stderr,
                 )
-        if cell_store is not None:
-            stats = runner.last_run_stats
-            print(
-                f"[store] {stats.cached} of {stats.requested} cells served from "
-                f"{arguments.store} ({stats.computed} computed)",
-                file=sys.stderr,
+                if arguments.allocation_out:
+                    runner.last_allocation_ledger().save(arguments.allocation_out)
+                    print(
+                        f"[{mode}] allocation ledger written to {arguments.allocation_out}",
+                        file=sys.stderr,
+                    )
+            if cell_store is not None:
+                stats = runner.last_run_stats
+                print(
+                    f"[store] {stats.cached} of {stats.requested} cells served from "
+                    f"{arguments.store} ({stats.computed} computed)",
+                    file=sys.stderr,
+                )
+                cell_store.close()
+        title = f"Measured routability: {geometry} overlay, N=2^{request.d}, {model} failures"
+        if report is not None:
+            config = report.config
+            allocation_title = (
+                "[adaptive] per-point trial allocation "
+                f"(ci_target={config.ci_target:g}, max_trials={config.max_trials})"
             )
-            cell_store.close()
-    rows = sweep.as_rows()
-    sections = [
-        render_table(
-            rows,
-            title=(
-                f"Measured routability: {arguments.geometry} overlay, N=2^{arguments.d}, "
-                f"{arguments.failure_model} failures"
-            ),
-        )
-    ]
-    if adaptive_report is not None:
-        sections.append("")
-        sections.append(
-            render_table(
-                adaptive_report.as_rows(),
-                title=(
-                    "[adaptive] per-point trial allocation "
-                    f"(ci_target={adaptive_report.config.ci_target:g}, "
-                    f"max_trials={adaptive_report.config.max_trials})"
-                ),
-            )
-        )
+            sections += ["", render_table(report.as_rows(), title=allocation_title)]
+            document["adaptive"].update(replayed=report.replayed, **asdict(config))
+        run_context = {"workers": workers, "profile": profile}
+    sections.insert(0, render_table(document["rows"], title=title))
     if arguments.profile and profile:
-        sections.append("")
-        sections.append(render_table(_profile_rows(profile), title="[profile] per-phase wall time"))
+        profile_rows = _profile_rows(profile, known=phases)
+        sections += ["", render_table(profile_rows, title="[profile] per-phase wall time")]
     if arguments.json:
         import json
 
-        payload = {
-            "geometry": arguments.geometry,
-            "d": arguments.d,
-            "failure_model": arguments.failure_model,
-            "backend": sweep.backend_name,
-            "workers": arguments.workers,
-            "rows": rows,
-            "profile": profile,
-        }
-        if adaptive_report is not None:
-            config = adaptive_report.config
-            payload["adaptive"] = {
-                "replayed": adaptive_report.replayed,
-                "rounds": adaptive_report.rounds,
-                "ci_target": config.ci_target,
-                "confidence": config.confidence,
-                "min_trials": config.min_trials,
-                "max_trials": config.max_trials,
-                "trials_allocated": adaptive_report.trials_allocated,
-                "trials_uniform": adaptive_report.trials_uniform,
-                "trials_saved": adaptive_report.trials_saved,
-                "max_ci_halfwidth": adaptive_report.max_halfwidth,
-                "points": adaptive_report.as_rows(),
-            }
+        # The file is the shard's result document plus what only this run
+        # knows; a service job echoes its request in the job status instead.
+        document.update(run_context)
         with open(arguments.json, "w", encoding="utf-8") as handle:
             # allow_nan=False turns any non-finite value that slips past the
             # sanitizer into a hard error instead of invalid JSON output.
-            json.dump(_json_safe(payload), handle, indent=2, allow_nan=False)
+            json.dump(_json_safe(document), handle, indent=2, allow_nan=False)
             handle.write("\n")
     return "\n".join(sections)
 
@@ -815,9 +734,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("simulate requires --q (or --churn-trace for trace-driven churn)")
     exit_code = 0
     try:
-        if arguments.command == "simulate":
-            _check_simulate_mode(arguments)
-        _resolve_defaults(arguments)
         if arguments.command == "list":
             output = _command_list()
         elif arguments.command == "run":

@@ -42,7 +42,6 @@ _EXPORTS = {
     "STORE_SCHEMA_VERSION": "store",
     "JobManager": "jobs",
     "SweepJob": "jobs",
-    "SweepJobRequest": "jobs",
     "ShardState": "jobs",
     "JOB_STATES": "jobs",
     "TERMINAL_STATES": "jobs",

@@ -1,15 +1,16 @@
 """The sweep service's job layer: submissions, sharding, status, results.
 
-A submitted sweep grid becomes a :class:`SweepJob` with a server-assigned
-id and a ``queued → running → done | done_with_errors | failed |
-cancelled`` lifecycle.  Jobs execute on a bounded thread pool
+A submitted sweep grid is validated by
+:meth:`~repro.sim.request.SweepRequest.from_mapping` (the validator
+``rcm simulate`` uses) and becomes a :class:`SweepJob` with a
+server-assigned id and a ``queued → running → done | done_with_errors |
+failed | cancelled`` lifecycle.  Jobs execute on a bounded thread pool
 (``max_jobs`` concurrent jobs; further submissions queue up to
 ``max_queued``, beyond which the service answers 503), and each job is
-**sharded** by ``(geometry, failure model)``: one shard maps onto one
-:meth:`SweepRunner.sweep` call, so shard results stream out as they
-complete and the engine's own fan-out machinery — fused overlay groups
-on the persistent worker pool — does the heavy lifting inside each
-shard.
+**sharded** by ``(geometry, failure model)``: one shard is one
+:func:`~repro.sim.request.run_shard` call, so shard results stream out as
+they complete and the engine's own fan-out machinery does the heavy
+lifting inside each shard.
 
 Every shard is an explicit execution unit with its own ``pending →
 running → done | failed | cancelled`` state, bounded retries with
@@ -57,12 +58,11 @@ from ..exceptions import (
     ServiceError,
     ServiceOverloadedError,
     ServiceUnavailableError,
-    UnknownGeometryError,
 )
 from ..sim.engine import SweepRunner, SweepRunStats
+from ..sim.request import SweepRequest, run_shard
 from ..workloads.generators import DEFAULT_BASE_SEED
 from .faults import NO_FAULTS, FaultRegistry
-from .schemas import SWEEP_REQUEST_SCHEMA, validate_payload
 
 __all__ = [
     "JOB_STATES",
@@ -70,7 +70,6 @@ __all__ = [
     "SHARD_STATES",
     "REJECTION_REASONS",
     "ShardState",
-    "SweepJobRequest",
     "SweepJob",
     "JobManager",
 ]
@@ -90,18 +89,12 @@ SHARD_STATES = ("pending", "running", "done", "failed", "cancelled")
 #: Why a submission can be refused (the ``rcm_jobs_rejected_total`` labels).
 REJECTION_REASONS = ("rate_limit", "queue_full", "shutdown")
 
-#: Error types that retrying cannot fix: semantic mistakes in the request
-#: (an unknown geometry, a severity outside the model's domain) and
-#: lifecycle misuse.  Everything else — injected faults, OS-level errors,
-#: a wedged worker pool — is presumed transient and retried with backoff.
-_PERMANENT_ERRORS = (
-    InvalidParameterError,
-    UnknownGeometryError,
-    ServiceError,
-    TypeError,
-    ValueError,
-    KeyError,
-)
+#: Error types that retrying cannot fix: an invalid parameter raised inside
+#: a shard (``InvalidParameterError`` is a ``ValueError``; the request's own
+#: mistakes are rejected at submission) and lifecycle misuse.  Everything
+#: else — injected faults, OS-level errors, a wedged worker pool — is
+#: presumed transient and retried with backoff.
+_PERMANENT_ERRORS = (ServiceError, TypeError, ValueError, KeyError)
 
 
 def _is_transient(error: BaseException) -> bool:
@@ -113,133 +106,6 @@ def _is_transient(error: BaseException) -> bool:
         message = str(error).lower()
         return "locked" in message or "busy" in message
     return not isinstance(error, _PERMANENT_ERRORS)
-
-
-@dataclass(frozen=True)
-class SweepJobRequest:
-    """A validated, normalised sweep submission.
-
-    Normalisation fills the service-level defaults for ``pairs``, ``trials``
-    and ``seed``; the tuple of ``(pairs, trials, seed)`` selects the runner
-    (and hence the persistent-store key space) the job executes on.
-    """
-
-    geometries: Tuple[str, ...]
-    d: int
-    q: Tuple[float, ...]
-    failure_models: Tuple[str, ...]
-    pairs: int
-    trials: int
-    seed: int
-    #: Trace-driven churn parameters as a sorted ``(key, value)`` tuple —
-    #: hashable so the frozen request stays usable as a dict key; ``None``
-    #: for ordinary static sweeps.  See the ``churn`` object of
-    #: :data:`SWEEP_REQUEST_SCHEMA`.
-    churn: Optional[Tuple[Tuple[str, object], ...]] = None
-    #: Variance-adaptive allocation parameters as a sorted ``(key, value)``
-    #: tuple (same hashability trick as ``churn``); ``None`` for uniform
-    #: grids.  See the ``adaptive`` object of :data:`SWEEP_REQUEST_SCHEMA`.
-    adaptive: Optional[Tuple[Tuple[str, object], ...]] = None
-
-    @classmethod
-    def from_payload(
-        cls, payload: object, *, default_pairs: int, default_trials: int, default_seed: int
-    ) -> "SweepJobRequest":
-        """Validate a JSON body against :data:`SWEEP_REQUEST_SCHEMA` and normalise it.
-
-        Raises :class:`~repro.exceptions.ServiceError` listing every
-        structural problem; semantic errors (an unknown geometry, a
-        severity outside the model's domain) are left to the engine so
-        they surface as a *failed shard* rather than a rejected request.
-        """
-        errors = validate_payload(payload, SWEEP_REQUEST_SCHEMA)
-        if errors:
-            raise ServiceError("invalid sweep request: " + "; ".join(errors))
-        assert isinstance(payload, dict)  # guaranteed by the schema check
-        churn = payload.get("churn")
-        if churn is None and "q" not in payload:
-            raise ServiceError("invalid sweep request: body: 'q' is required unless 'churn' is given")
-        adaptive = payload.get("adaptive")
-        if adaptive is not None and churn is not None:
-            raise ServiceError(
-                "invalid sweep request: body: 'adaptive' cannot be combined with 'churn' "
-                "(adaptive allocation applies to static q sweeps only)"
-            )
-        request = cls(
-            geometries=tuple(payload["geometries"]),
-            d=int(payload["d"]),
-            q=tuple(float(value) for value in payload.get("q", ())),
-            failure_models=(
-                ("churn",)
-                if churn is not None
-                else tuple(payload.get("failure_models", ("uniform",)))
-            ),
-            pairs=int(payload.get("pairs", default_pairs)),
-            trials=int(payload.get("trials", default_trials)),
-            seed=int(payload.get("seed", default_seed)),
-            churn=None if churn is None else tuple(sorted(churn.items())),
-            adaptive=None if adaptive is None else tuple(sorted(adaptive.items())),
-        )
-        if request.adaptive is not None:
-            # Semantic validation up front: a bad adaptive config would fail
-            # every shard identically, so reject the submission instead.
-            try:
-                request.adaptive_config().resolved(request.trials)
-            except InvalidParameterError as error:
-                raise ServiceError(f"invalid sweep request: body.adaptive: {error}") from error
-        return request
-
-    def adaptive_config(self):
-        """The request's :class:`~repro.sim.adaptive.AdaptiveConfig` (or ``None``)."""
-        if self.adaptive is None:
-            return None
-        from ..sim.adaptive import AdaptiveConfig
-
-        options = dict(self.adaptive)
-        return AdaptiveConfig(
-            ci_target=float(options["ci_target"]),
-            min_trials=int(options.get("min_trials", 2)),
-            max_trials=(
-                int(options["max_trials"]) if options.get("max_trials") is not None else None
-            ),
-            confidence=float(options.get("confidence", 0.95)),
-        )
-
-    def as_payload(self) -> Dict[str, object]:
-        """The normalised request as a JSON-safe mapping (echoed in statuses)."""
-        payload: Dict[str, object] = {
-            "geometries": list(self.geometries),
-            "d": self.d,
-            "q": list(self.q),
-            "failure_models": list(self.failure_models),
-            "pairs": self.pairs,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-        if self.churn is not None:
-            payload["churn"] = dict(self.churn)
-        if self.adaptive is not None:
-            payload["adaptive"] = dict(self.adaptive)
-        return payload
-
-    @property
-    def cells_total(self) -> int:
-        """Number of grid cells the submission expands to.
-
-        A churn shard counts one cell per simulated step (each step is one
-        measured row, the churn analogue of a grid point).  For adaptive
-        submissions this is the uniform worst case — the allocator's whole
-        point is that fewer cells end up requested.
-        """
-        if self.churn is not None:
-            return len(self.geometries) * int(dict(self.churn)["steps"])
-        return len(self.geometries) * len(self.failure_models) * self.trials * len(self.q)
-
-    @property
-    def shards(self) -> List[Tuple[str, str]]:
-        """The job's shard plan: one ``(geometry, failure_model)`` per shard
-        (churn submissions shard per geometry, labelled ``churn``)."""
-        return [(geometry, model) for geometry in self.geometries for model in self.failure_models]
 
 
 @dataclass
@@ -274,7 +140,7 @@ class SweepJob:
     :meth:`watch`, so a stream wakes when there is something to send.
     """
 
-    def __init__(self, job_id: str, request: SweepJobRequest) -> None:
+    def __init__(self, job_id: str, request: SweepRequest) -> None:
         self.job_id = job_id
         self.request = request
         self._lock = threading.Lock()
@@ -318,14 +184,8 @@ class SweepJob:
             if shard.attempts > 1:
                 self._retries += 1
 
-    def _shard_done(
-        self,
-        index: int,
-        result: Dict[str, object],
-        stats: SweepRunStats,
-        *,
-        trials_saved: int = 0,
-    ) -> None:
+    def _shard_done(self, index: int, result: Dict[str, object], stats: SweepRunStats) -> None:
+        trials_saved = result.get("adaptive", {}).get("trials_saved", 0)
         with self._lock:
             shard = self._shards[index]
             shard.state = "done"
@@ -667,11 +527,27 @@ class JobManager:
     def submit(self, payload: object) -> SweepJob:
         """Validate ``payload``, enqueue a job, and return it immediately.
 
-        Structural problems raise :class:`~repro.exceptions.ServiceError`
-        (the HTTP layer answers 400); admission-control refusals raise
-        :class:`~repro.exceptions.BackpressureError` subclasses (429/503
-        with ``Retry-After``); semantic problems fail shards asynchronously.
+        The body is validated first, by :meth:`SweepRequest.from_mapping
+        <repro.sim.request.SweepRequest.from_mapping>`: a structural, mode or
+        semantic problem (an unknown geometry or failure model, a ``q``
+        outside ``[0, 1]``, an adaptive config that does not resolve) raises
+        :class:`~repro.exceptions.ServiceError` (the HTTP layer answers 400)
+        and never uses up a rate-limit token or a queue slot.  Admission
+        control then may refuse a valid body with a
+        :class:`~repro.exceptions.BackpressureError` subclass (429/503 with
+        ``Retry-After``).
         """
+        try:
+            request = SweepRequest.from_mapping(
+                payload,
+                defaults={
+                    "pairs": self._default_pairs,
+                    "trials": self._default_trials,
+                    "seed": self._default_seed,
+                },
+            )
+        except InvalidParameterError as error:
+            raise ServiceError(f"invalid sweep request: {error}") from error
         if self._closed:
             self._reject("shutdown")
             raise ServiceUnavailableError(
@@ -685,12 +561,6 @@ class JobManager:
                 f"submission queue is full ({self._max_queued} queued jobs); retry later",
                 retry_after=2,
             )
-        request = SweepJobRequest.from_payload(
-            payload,
-            default_pairs=self._default_pairs,
-            default_trials=self._default_trials,
-            default_seed=self._default_seed,
-        )
         job = SweepJob(uuid.uuid4().hex[:12], request)
         with self._jobs_lock:
             self._jobs[job.job_id] = job
@@ -774,7 +644,7 @@ class JobManager:
     # execution
     # ------------------------------------------------------------------ #
     def _acquire_runner(
-        self, request: SweepJobRequest
+        self, request: SweepRequest
     ) -> Tuple[Tuple[int, int, int], SweepRunner, threading.Lock]:
         """The (possibly recycled) runner matching the request's cell identity,
         plus the per-runner lock serializing ``sweep`` calls on it.
@@ -819,57 +689,6 @@ class JobManager:
             self._runners.pop(key, None)
             self._runner_locks.pop(key, None)
 
-    def _churn_shard(self, request: SweepJobRequest, geometry: str) -> Dict[str, object]:
-        """Run one trace-driven churn shard (the ``churn`` submission branch).
-
-        Churn shards bypass the sweep runner entirely: there is no grid to
-        fan out and no cell cache to consult — the trace is regenerated
-        deterministically from the request seed, so reruns are free to
-        reproduce the rows bit-identically anyway.  The routing state is
-        carried across steps and rebound to each step's mask; the kernels
-        mask only the rows a step's pairs visit.
-        """
-        from ..sim.churn import ChurnConfig, simulate_churn
-        from ..sim.static_resilience import build_overlay
-        from ..workloads.traces import markov_trace, pareto_session_trace
-
-        churn = dict(request.churn)
-        overlay = build_overlay(geometry, request.d, seed=request.seed)
-        steps = int(churn["steps"])
-        if churn["generator"] == "markov":
-            trace = markov_trace(
-                overlay.n_nodes,
-                steps,
-                leave_probability=float(churn.get("leave_probability", 0.02)),
-                rejoin_probability=float(churn.get("rejoin_probability", 0.05)),
-                seed=request.seed,
-            )
-        else:
-            trace = pareto_session_trace(
-                overlay.n_nodes,
-                steps,
-                shape=float(churn.get("shape", 1.5)),
-                mean_online=float(churn.get("mean_online", 20.0)),
-                mean_offline=float(churn.get("mean_offline", 5.0)),
-                seed=request.seed,
-            )
-        config = ChurnConfig(
-            pairs_per_step=int(churn.get("pairs_per_step", request.pairs)),
-            trace=trace,
-            repair_every=(
-                int(churn["repair_every"]) if churn.get("repair_every") is not None else None
-            ),
-        )
-        result = simulate_churn(overlay, config, seed=request.seed, backend=self._backend)
-        return {
-            "geometry": result.geometry,
-            "d": result.d,
-            "failure_model": "churn",
-            "backend": result.backend_name,
-            "churn": churn,
-            "rows": result.as_rows(),
-        }
-
     def _attempt_shard(self, job: SweepJob, geometry: str, model: str, outcome: Dict) -> None:
         """One shard attempt (runs on a dedicated watchdog-supervised thread).
 
@@ -880,44 +699,17 @@ class JobManager:
         try:
             self._faults.fire("shard-execute")
             if job.request.churn is not None:
-                result = self._churn_shard(job.request, geometry)
-                outcome["result"] = result
+                # Churn shards bypass the runner: no grid to fan out and no
+                # cell cache; the trace is regenerated from the request seed.
+                result = run_shard(job.request, geometry, model, None, self._backend)
                 steps = len(result["rows"])
-                outcome["stats"] = SweepRunStats(
-                    requested=steps, memo_hits=0, store_hits=0, computed=steps
-                )
-                return
-            key, runner, lock = self._acquire_runner(job.request)
-            outcome["runner_key"] = key
-            adaptive_config = job.request.adaptive_config()
-            with lock:
-                sweep = runner.sweep(
-                    geometry,
-                    job.request.d,
-                    list(job.request.q),
-                    model,
-                    adaptive=adaptive_config,
-                )
-                stats = runner.last_run_stats
-                report = runner.last_adaptive_report
-            result: Dict[str, object] = {
-                "geometry": sweep.geometry,
-                "system": sweep.system,
-                "d": sweep.d,
-                "failure_model": sweep.failure_model,
-                "backend": sweep.backend_name,
-                "rows": sweep.as_rows(),
-            }
-            if report is not None:
-                result["adaptive"] = {
-                    "rounds": report.rounds,
-                    "trials_allocated": report.trials_allocated,
-                    "trials_uniform": report.trials_uniform,
-                    "trials_saved": report.trials_saved,
-                    "max_ci_halfwidth": report.max_halfwidth,
-                    "points": report.as_rows(),
-                }
-                outcome["trials_saved"] = report.trials_saved
+                stats = SweepRunStats(requested=steps, memo_hits=0, store_hits=0, computed=steps)
+            else:
+                key, runner, lock = self._acquire_runner(job.request)
+                outcome["runner_key"] = key
+                with lock:
+                    result = run_shard(job.request, geometry, model, runner, self._backend)
+                    stats = runner.last_run_stats
             outcome["result"] = result
             outcome["stats"] = stats
         except BaseException as error:  # classified by the watchdog, not here
@@ -952,12 +744,7 @@ class JobManager:
                 return
             error = outcome.get("error")
             if error is None:
-                job._shard_done(
-                    index,
-                    outcome["result"],
-                    outcome["stats"],
-                    trials_saved=int(outcome.get("trials_saved", 0)),
-                )
+                job._shard_done(index, outcome["result"], outcome["stats"])
                 return
             if attempt >= attempts_allowed or not _is_transient(error):
                 job._shard_failed(index, f"{type(error).__name__}: {error}")

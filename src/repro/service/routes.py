@@ -248,9 +248,12 @@ def build_routes(service) -> List[Route]:
                 "deterministic identity is already in the shared result cache are served "
                 "without any kernel execution; only novel cells are simulated.  Responds "
                 "202 with the job id and links to the status, results and stream routes.  "
-                "Structurally invalid bodies are rejected 400; semantic errors (an unknown "
-                "geometry, a severity outside the model's domain) fail the affected shards "
-                "instead.  Admission control may refuse a valid submission: 429 when the "
+                "The body is validated before admission control, and any invalid body is "
+                "rejected 400: a structural error, a mode conflict ('churn' with a static-sweep "
+                "field, no 'q' without 'churn'), an unknown geometry or failure model, a q "
+                "outside [0, 1] or an adaptive config that does not resolve.  A rejected body "
+                "uses up no rate-limit token and no queue slot.  "
+                "Admission control may refuse a valid submission: 429 when the "
                 "per-instance rate limit is exceeded, 503 when the bounded submission queue "
                 "is full or the instance is draining for shutdown — both carry a Retry-After "
                 "header (seconds)."

@@ -1,24 +1,19 @@
-"""Request/response schemas of the sweep service, plus a small validator.
+"""Request/response schemas of the sweep service.
 
-Each schema is an ordinary JSON-Schema-shaped dictionary.  They serve two
-masters at once:
-
-* the HTTP layer validates request bodies against them before a job is
-  accepted (:func:`validate_payload` — a deliberately small subset of JSON
-  Schema: ``type``, ``required``, ``properties``, ``items``, ``enum``,
-  ``minimum``/``maximum``/``exclusiveMaximum``, ``minItems``), and
-* the API-reference generator (:mod:`repro.service.apidocs`) embeds them
-  verbatim in the OpenAPI document and the generated ``docs/api.md`` — so
-  the published schemas are, by construction, the ones actually enforced.
-
-Keeping the validator in-repo (instead of depending on ``jsonschema``)
-mirrors the ``.[fast]`` optional-dependency discipline: the service runs on
-the standard library alone.
+Each schema is an ordinary JSON-Schema-shaped dictionary, and the
+API-reference generator (:mod:`repro.service.apidocs`) embeds them verbatim
+in the OpenAPI document and the generated ``docs/api.md``.  The request
+schema and its validator live with the sweep request itself
+(:mod:`repro.sim.request`, shared by ``rcm simulate`` and the service) and
+are re-exported here, so the published request schema is, by construction,
+the one actually enforced.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
+
+from ..sim.request import SWEEP_REQUEST_SCHEMA, validate_payload
 
 __all__ = [
     "SWEEP_REQUEST_SCHEMA",
@@ -33,156 +28,6 @@ __all__ = [
     "METRICS_TEXT_SCHEMA",
     "validate_payload",
 ]
-
-#: Body of ``POST /v1/sweeps``.  ``q`` values are interpreted by the chosen
-#: failure model (failure probability for ``uniform``, severity otherwise),
-#: exactly as in ``rcm simulate``.
-SWEEP_REQUEST_SCHEMA: Dict = {
-    "type": "object",
-    "required": ["geometries", "d"],
-    "additionalProperties": False,
-    "properties": {
-        "geometries": {
-            "type": "array",
-            "items": {"type": "string"},
-            "minItems": 1,
-            "description": "Overlay geometries to sweep (names from the live overlay registry, e.g. ring, xor, debruijn).",
-        },
-        "d": {
-            "type": "integer",
-            "minimum": 1,
-            "maximum": 24,
-            "description": "Identifier length; every overlay has N = 2^d nodes.",
-        },
-        "q": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 1,
-            "description": "Failure-model severities to sweep (failure probability for the uniform model). Required unless 'churn' is given.",
-        },
-        "churn": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["generator", "steps"],
-            "description": (
-                "Trace-driven churn instead of a static q sweep: each geometry "
-                "becomes one churn shard replaying a deterministically generated "
-                "join/leave trace (seeded from the request seed), with one routing "
-                "state carried across steps; 'q' and 'failure_models' are "
-                "ignored when this is set."
-            ),
-            "properties": {
-                "generator": {
-                    "type": "string",
-                    "enum": ["markov", "pareto"],
-                    "description": "Trace generator: independent two-state Markov chains, or heavy-tailed Pareto online/offline sessions.",
-                },
-                "steps": {
-                    "type": "integer",
-                    "minimum": 1,
-                    "maximum": 100000,
-                    "description": "Churn steps to simulate (one measured row per step).",
-                },
-                "leave_probability": {
-                    "type": "number",
-                    "minimum": 0,
-                    "maximum": 1,
-                    "description": "Markov generator: per-step probability an online node leaves (default 0.02).",
-                },
-                "rejoin_probability": {
-                    "type": "number",
-                    "minimum": 0,
-                    "maximum": 1,
-                    "description": "Markov generator: per-step probability an offline node rejoins (default 0.05).",
-                },
-                "shape": {
-                    "type": "number",
-                    "minimum": 1,
-                    "description": "Pareto generator: tail index of the session-length distribution (must exceed 1; default 1.5).",
-                },
-                "mean_online": {
-                    "type": "number",
-                    "minimum": 1,
-                    "description": "Pareto generator: mean online-session length in steps (default 20).",
-                },
-                "mean_offline": {
-                    "type": "number",
-                    "minimum": 1,
-                    "description": "Pareto generator: mean offline-session length in steps (default 5).",
-                },
-                "pairs_per_step": {
-                    "type": "integer",
-                    "minimum": 1,
-                    "description": "Pairs routed among usable nodes each step (default: the request's 'pairs').",
-                },
-                "repair_every": {
-                    "type": "integer",
-                    "minimum": 1,
-                    "description": "Re-establish routing tables every this many steps (default: never within the run).",
-                },
-            },
-        },
-        "adaptive": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["ci_target"],
-            "description": (
-                "Variance-adaptive trial allocation instead of the uniform "
-                "trials-per-point grid: each shard's sweep runs in rounds and a q "
-                "point freezes once its pooled routability CI half-width reaches "
-                "ci_target; 'trials' becomes the per-point cap.  Frozen points are "
-                "bit-identical to the first rounds of the equivalent uniform sweep "
-                "(same per-cell streams), so cached cells still hit the shared "
-                "store.  Not combinable with 'churn'."
-            ),
-            "properties": {
-                "ci_target": {
-                    "type": "number",
-                    "minimum": 0,
-                    "maximum": 1,
-                    "description": "Wilson CI half-width a point must reach to freeze (strictly between 0 and 1).",
-                },
-                "min_trials": {
-                    "type": "integer",
-                    "minimum": 1,
-                    "description": "Trials every point receives unconditionally in the first round (default 2).",
-                },
-                "max_trials": {
-                    "type": "integer",
-                    "minimum": 1,
-                    "description": "Per-point trial cap (default: the request's 'trials').",
-                },
-                "confidence": {
-                    "type": "number",
-                    "minimum": 0,
-                    "maximum": 1,
-                    "description": "Confidence level of the Wilson interval (strictly between 0 and 1; default 0.95).",
-                },
-            },
-        },
-        "failure_models": {
-            "type": "array",
-            "items": {"type": "string"},
-            "minItems": 1,
-            "description": "Failure-model kinds of the grid's model axis (default: [\"uniform\"]).",
-        },
-        "pairs": {
-            "type": "integer",
-            "minimum": 1,
-            "description": "Surviving (source, destination) pairs sampled per cell (default: the service's --pairs).",
-        },
-        "trials": {
-            "type": "integer",
-            "minimum": 1,
-            "description": "Independent failure patterns per point (default: the service's --trials).",
-        },
-        "seed": {
-            "type": "integer",
-            "minimum": 0,
-            "description": "Base random seed; cells derive deterministic per-cell streams from it (default: the service's --seed).",
-        },
-    },
-}
 
 #: Every job lifecycle state (mirrors ``repro.service.jobs.JOB_STATES``).
 _JOB_STATE_ENUM = ["queued", "running", "done", "done_with_errors", "failed", "cancelled"]
@@ -322,6 +167,14 @@ JOB_RESULTS_SCHEMA: Dict = {
                             },
                         },
                     },
+                    "churn": {
+                        "type": "object",
+                        "description": "Churn shards only: the submission's 'churn' object, as given.",
+                    },
+                    "repair_every": {
+                        "type": ["integer", "null"],
+                        "description": "Churn shards only: the routing-table repair period in steps (null: never within the run).",
+                    },
                     "rows": {
                         "type": "array",
                         "description": "Identical to ResilienceSweepResult.as_rows(): one row per q with routability, failed_path_percent and attempts; degenerate points report null. Churn shards (submissions with 'churn') instead carry ChurnSimulationResult.as_rows(): one row per step with usable_fraction, measured_routability and attempts.",
@@ -403,68 +256,3 @@ METRICS_TEXT_SCHEMA: Dict = {
         "rcm_job_duration_seconds_{count,sum,max}{state=...}, rcm_uptime_seconds."
     ),
 }
-
-
-def _type_matches(value: object, expected: str) -> bool:
-    if expected == "object":
-        return isinstance(value, dict)
-    if expected == "array":
-        return isinstance(value, list)
-    if expected == "string":
-        return isinstance(value, str)
-    if expected == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if expected == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if expected == "boolean":
-        return isinstance(value, bool)
-    if expected == "null":
-        return value is None
-    return True
-
-
-def validate_payload(payload: object, schema: Dict, path: str = "body") -> List[str]:
-    """Validate ``payload`` against the supported JSON-Schema subset.
-
-    Returns a list of human-readable error strings (empty when valid);
-    the HTTP layer turns a non-empty list into a 400 response.  Unknown
-    schema keywords are ignored, so the schemas can carry documentation
-    (``description``) without affecting validation.
-    """
-    errors: List[str] = []
-    expected_type = schema.get("type")
-    if expected_type is not None:
-        allowed = expected_type if isinstance(expected_type, list) else [expected_type]
-        if not any(_type_matches(payload, entry) for entry in allowed):
-            errors.append(f"{path}: expected {' or '.join(allowed)}, got {type(payload).__name__}")
-            return errors
-    if "enum" in schema and payload not in schema["enum"]:
-        errors.append(f"{path}: {payload!r} is not one of {schema['enum']}")
-    if isinstance(payload, (int, float)) and not isinstance(payload, bool):
-        minimum: Optional[float] = schema.get("minimum")
-        if minimum is not None and payload < minimum:
-            errors.append(f"{path}: {payload} is below the minimum {minimum}")
-        maximum: Optional[float] = schema.get("maximum")
-        if maximum is not None and payload > maximum:
-            errors.append(f"{path}: {payload} is above the maximum {maximum}")
-    if isinstance(payload, dict):
-        for name in schema.get("required", []):
-            if name not in payload:
-                errors.append(f"{path}: missing required property {name!r}")
-        properties = schema.get("properties", {})
-        if schema.get("additionalProperties") is False:
-            for name in payload:
-                if name not in properties:
-                    errors.append(f"{path}: unknown property {name!r}")
-        for name, value in payload.items():
-            if name in properties:
-                errors.extend(validate_payload(value, properties[name], f"{path}.{name}"))
-    if isinstance(payload, list):
-        min_items = schema.get("minItems")
-        if min_items is not None and len(payload) < min_items:
-            errors.append(f"{path}: expected at least {min_items} item(s), got {len(payload)}")
-        items = schema.get("items")
-        if items is not None:
-            for index, value in enumerate(payload):
-                errors.extend(validate_payload(value, items, f"{path}[{index}]"))
-    return errors

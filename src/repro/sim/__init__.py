@@ -46,6 +46,9 @@ _EXPORTS = {
     "SweepRunner": "engine",
     "route_pairs": "engine",
     "route_pairs_stacked": "engine",
+    # sweep requests (shared by rcm simulate and the service)
+    "SweepRequest": "request",
+    "run_shard": "request",
     # sampling
     "all_survivor_pairs": "sampling",
     "sample_survivor_pair_arrays": "sampling",

@@ -52,8 +52,8 @@ def check_fraction_open(value: float, name: str = "value") -> float:
     return value
 
 
-def check_positive_int(value: int, name: str = "value") -> int:
-    """Validate a strictly positive integer."""
+def _check_int(value: int, name: str, minimum: int) -> int:
+    """Validate an integer ``>= minimum`` (0 or 1), returned as a plain ``int``."""
     if isinstance(value, bool) or not isinstance(value, (int,)):
         # Accept integral floats and numpy integers that round-trip exactly.
         try:
@@ -63,16 +63,20 @@ def check_positive_int(value: int, name: str = "value") -> int:
         if as_int != value:
             raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         value = as_int
-    if value <= 0:
-        raise InvalidParameterError(f"{name} must be positive, got {value!r}")
+    if value < minimum:
+        rule = "positive" if minimum else "non-negative"
+        raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
     return int(value)
+
+
+def check_positive_int(value: int, name: str = "value") -> int:
+    """Validate a strictly positive integer."""
+    return _check_int(value, name, 1)
 
 
 def check_non_negative_int(value: int, name: str = "value") -> int:
     """Validate a non-negative integer."""
-    if value == 0:
-        return 0
-    return check_positive_int(value, name=name)
+    return _check_int(value, name, 0)
 
 
 def check_identifier_length(d: int) -> int:

@@ -117,10 +117,9 @@ class TestFailureModelOption:
             ["simulate", "--geometry", "ring", "--q", "0.1", "--d", "8"]
         )
         # Absent stays None so --churn-trace can reject an explicit value;
-        # the default is filled in after that check.
+        # the request fills in the default.
         assert arguments.failure_model is None
-        cli._resolve_defaults(arguments)
-        assert arguments.failure_model == "uniform"
+        assert cli._simulate_request(arguments).failure_models == ("uniform",)
 
     def test_unknown_model_rejected_by_argparse(self):
         with pytest.raises(SystemExit):

@@ -40,9 +40,9 @@ def _config(store_path, **overrides) -> ServiceConfig:
 
 
 @contextlib.contextmanager
-def running_service(store_path, **overrides):
+def running_service(store_path, faults=None, **overrides):
     """Run a real SweepService on an ephemeral port; yields ``(port, service)``."""
-    service = SweepService(_config(store_path, **overrides))
+    service = SweepService(_config(store_path, **overrides), faults=faults)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, name="rcm-test-server", daemon=True)
     thread.start()
@@ -295,18 +295,33 @@ class TestChurnSubmissions:
 
 class TestErrorPaths:
     def test_semantically_invalid_grid_fails_the_job_with_409_results(self, tmp_path):
-        with running_service(tmp_path / "cells.db") as (port, _service):
-            status, accepted = request(
+        from repro.service.faults import FaultRegistry
+
+        faults = FaultRegistry()
+        faults.arm("shard-execute", "raise-n", times=10)
+        with running_service(
+            tmp_path / "cells.db", faults, shard_retries=1, retry_backoff=0.001
+        ) as (port, _service):
+            # A semantic error is answered 400 at submission; no job is made.
+            status, payload = request(
                 port, "POST", "/v1/sweeps", body={**GRID, "geometries": ["pastry"]}
             )
-            assert status == 202  # structurally fine; fails asynchronously
+            assert status == 400
+            assert "invalid sweep request" in payload["error"]
+            assert "unknown geometry 'pastry'" in payload["error"]
+            assert request(port, "GET", "/v1/jobs")[1]["jobs"] == []
+
+            # A job whose every shard fails (retries exhausted) answers 409 on results.
+            status, accepted = request(port, "POST", "/v1/sweeps", body=GRID)
+            assert status == 202
             final = wait_for_state(port, accepted["job_id"])
             assert final["state"] == "failed"
-            assert "UnknownGeometryError" in final["error"]
+            assert "InjectedFault" in final["error"]
+            assert final["shards"]["states"][0]["attempts"] == 2
 
             status, payload = request(port, "GET", f"/v1/jobs/{accepted['job_id']}/results")
             assert status == 409
-            assert "UnknownGeometryError" in payload["error"]
+            assert "InjectedFault" in payload["error"]
 
     def test_structurally_invalid_body_is_rejected_400(self, tmp_path):
         with running_service(tmp_path / "cells.db") as (port, _service):

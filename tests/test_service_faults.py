@@ -41,7 +41,9 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import (
+    InvalidParameterError,
     ResultStoreError,
+    ServiceError,
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
@@ -205,13 +207,17 @@ class TestShardRetryDeterminism:
         assert json.dumps(faulted, sort_keys=True) == json.dumps(clean, sort_keys=True)
         assert faulted[0]["rows"] == reference_rows()["ring"]
 
-    def test_permanent_error_is_not_retried(self, tmp_path, faults):
+    def test_permanent_error_is_not_retried(self, tmp_path, faults, monkeypatch):
+        def reject(self, *args, **kwargs):
+            raise InvalidParameterError("no-such-overlay cannot be swept")
+
+        monkeypatch.setattr(SweepRunner, "sweep", reject)
         with manager(tmp_path, faults, shard_retries=3) as jobs:
-            job = jobs.submit({"geometries": ["no-such-overlay"], "d": 5, "q": [0.1]})
+            job = jobs.submit(GRID)
             assert wait_terminal(job) == "failed"
             (shard,) = job.status_payload()["shards"]["states"]
             assert shard["state"] == "failed"
-            assert shard["attempts"] == 1  # semantic errors never retry
+            assert shard["attempts"] == 1  # invalid parameters never retry
             assert "no-such-overlay" in shard["error"]
 
     def test_transient_exhaustion_fails_the_shard(self, tmp_path, faults):
@@ -700,6 +706,16 @@ class TestBackpressureExceptionTypes:
                 jobs.submit(GRID)
             assert info.value.status == 503
             assert info.value.retry_after >= 1
+
+    def test_invalid_body_uses_no_rate_limit_token(self, tmp_path):
+        # Validation runs before admission control: a malformed body is
+        # answered 400 and leaves the token bucket and the queue alone.
+        with manager(tmp_path, rate_limit=0.01) as jobs:
+            with pytest.raises(ServiceError, match="invalid sweep request"):
+                jobs.submit({**GRID, "geometries": []})
+            job = jobs.submit(GRID)
+            assert jobs.rejected_counts()["rate_limit"] == 0
+            wait_terminal(job)
 
     def test_rate_limit_raises_service_overloaded(self, tmp_path):
         with manager(tmp_path, rate_limit=0.001, max_queued=16) as jobs:

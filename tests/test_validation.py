@@ -79,6 +79,11 @@ class TestPositiveInt:
         with pytest.raises(InvalidParameterError):
             check_non_negative_int(-3)
 
+    def test_non_negative_error_says_non_negative(self):
+        # 0 is accepted, so "must be positive" would misstate the rule.
+        with pytest.raises(InvalidParameterError, match=r"^base_seed must be non-negative, got -1$"):
+            check_non_negative_int(-1, "base_seed")
+
 
 class TestIdentifierLength:
     def test_accepts_paper_sizes(self):
