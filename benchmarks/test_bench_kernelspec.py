@@ -1,30 +1,29 @@
-"""Benchmark KERNELSPEC: the unified spec driver vs the PR-3 numpy backend.
+"""Benchmark KERNELSPEC: every kernel backend against one vendored reference.
 
-The KernelSpec refactor collapsed the per-geometry numpy kernels, the fused
-stacking and the numba loop bodies into one declaration per geometry
-executed by thin backends.  This benchmark pins the cost of that
-indirection: it times the Figure 6(a)-style routing workload (tree,
-hypercube, XOR and ring at ``d = 10``; one fused stacked batch per
-``(geometry, replicate)`` overlay group, 2000 pairs per cell) through
+Routes the Figure 6(a)-style workload (tree, hypercube, XOR and ring at
+``d = 10``; one fused stacked batch per ``(geometry, replicate)`` overlay
+group, 2000 pairs per cell) through
 
 * the **PR-3 numpy backend**, vendored below verbatim (per-geometry
   prepare/step factories, blocked vectorized hop loop, disjoint-union
-  stacking) as the pinned reference — the recorded numbers measure the
-  spec-driven driver against the exact code it replaced;
-* the current **numpy backend** (``backend="numpy"``), now a thin executor
-  of registered specs.  The acceptance floor is **within 5%** of the PR-3
-  path — the spec indirection must be near-free;
-* the **numba backend** (``backend="numba"``), when Numba is importable:
-  the same spec bodies compiled into per-pair loops.  The PR-3 acceptance
-  floor is kept: **≥2x** over the vendored numpy path.  Without Numba the
-  ratio is recorded as unavailable and only the numpy gate applies.
+  stacking) as the pinned reference.  Its tree, hypercube and XOR kernels
+  are also the PR-2 fused NumPy path's: the two generations differ only by
+  the ring kernel and one ``assert`` in the distance-sentinel helper;
+* every available backend: ``numpy`` always, ``numba`` when it imports.
 
 All contenders route identical inputs, so every per-pair outcome must agree
-bit-for-bit — the timing comparison doubles as an end-to-end cross-check of
-the spec layer against the code it replaced.  Results go to
-``BENCH_kernelspec.json`` (path overridable via
-``RCM_BENCH_KERNELSPEC_JSON``) for CI to upload next to the other perf
-artifacts.
+with the reference bit for bit; without Numba that parity check is the whole
+test and nothing is timed.  With Numba the reference and the JIT backend are
+timed in alternating rounds and two ratios over the same inputs are each
+held to a ≥2x floor:
+
+* ``speedup_numba_vs_pr3`` over tree, hypercube, XOR and ring;
+* ``speedup_numba_vs_pr2`` over tree, hypercube and XOR, the inputs of the
+  original PR-2 backend gate.
+
+Results go to ``BENCH_kernelspec.json`` (path overridable via
+``RCM_BENCH_KERNELSPEC_JSON``) for ``rcm bench-report``, which skips both
+ratios where they are ``null``.
 """
 
 from __future__ import annotations
@@ -47,14 +46,16 @@ from repro.sim.sampling import sample_survivor_pair_arrays
 from repro.workloads.generators import paper_failure_probabilities
 
 BENCH_GEOMETRIES = ("tree", "hypercube", "xor", "ring")
+#: The geometries of the PR-2 backend gate (it predates the ring kernel).
+PR2_GEOMETRIES = ("tree", "hypercube", "xor")
 BENCH_D = 10
 PAIRS = 2000
 TRIALS = 3
 SEED = 20060328
-#: Allowed slowdown of the spec-driven numpy backend vs the PR-3 backend (5%).
-NUMPY_TOLERANCE = float(os.environ.get("RCM_BENCH_KERNELSPEC_NUMPY_TOLERANCE", "0.05"))
-#: Required speedup of the JIT backend over the PR-3 numpy backend (kept from PR 3).
-JIT_SPEEDUP_FLOOR = float(os.environ.get("RCM_BENCH_KERNELSPEC_SPEEDUP_FLOOR", "2"))
+#: Required speedup of the JIT backend over the vendored reference.
+JIT_SPEEDUP_FLOOR = 2.0
+#: Alternating timing rounds per contender; each ratio takes the fastest.
+TIMING_ROUNDS = 7
 
 _SUCCESS = 0
 _DEAD_END = 1
@@ -64,6 +65,7 @@ _HOP_LIMIT = 3
 
 # --------------------------------------------------------------------- #
 # PR-3 numpy backend, vendored verbatim as the pinned reference
+# (its tree, hypercube and XOR kernels are also the PR-2 fused path's)
 # --------------------------------------------------------------------- #
 def _pr3_distance_sentinel(alive, dtype):
     sentinel = 1 << int(alive.size - 1).bit_length()
@@ -223,8 +225,7 @@ class _Pr3UnionView:
 
 def _pr3_check_stacked_arguments(overlay, sources, destinations, alive_stack, cell_indices):
     # The PR-3 entry point validated every stacked batch; the pinned
-    # reference pays the same cost so the within-5% gate compares like with
-    # like.
+    # reference pays the same cost so the JIT ratios compare like with like.
     sources = np.asarray(sources, dtype=np.int64)
     destinations = np.asarray(destinations, dtype=np.int64)
     assert sources.ndim == 1 and sources.shape == destinations.shape
@@ -264,7 +265,7 @@ def _pr3_route_stacked(overlay, sources, destinations, alive_stack, cell_indices
 # workload preparation (identical inputs for every contender)
 # --------------------------------------------------------------------- #
 def _build_groups(failure_probabilities) -> Tuple:
-    """One fused stacked batch per (geometry, replicate) overlay group."""
+    """One ``(geometry, stacked batch)`` per (geometry, replicate) overlay group."""
     groups = []
     for geometry in BENCH_GEOMETRIES:
         for replicate in range(TRIALS):
@@ -289,86 +290,78 @@ def _build_groups(failure_probabilities) -> Tuple:
                 masks.append(alive)
                 sources.append(src)
                 destinations.append(dst)
-            groups.append(
-                (
-                    overlay,
-                    np.concatenate(sources),
-                    np.concatenate(destinations),
-                    np.stack(masks),
-                    np.repeat(np.arange(len(masks), dtype=np.int64), PAIRS),
-                )
+            batch = (
+                overlay,
+                np.concatenate(sources),
+                np.concatenate(destinations),
+                np.stack(masks),
+                np.repeat(np.arange(len(masks), dtype=np.int64), PAIRS),
             )
+            groups.append((geometry, batch))
     return tuple(groups)
 
 
-def _run_pr3(groups):
-    return [
-        _pr3_route_stacked(overlay, src, dst, stack, cells)
-        for overlay, src, dst, stack, cells in groups
-    ]
+def _route_reference(batch):
+    return _pr3_route_stacked(*batch)
 
 
-def _run_backend(groups, backend_name):
-    outcomes = []
-    for overlay, src, dst, stack, cells in groups:
-        outcome = route_pairs_stacked(overlay, src, dst, stack, cells, backend=backend_name)
-        outcomes.append((outcome.succeeded, outcome.hops, outcome.failure_codes))
-    return outcomes
+def _backend_router(backend_name):
+    def route(batch):
+        outcome = route_pairs_stacked(*batch, backend=backend_name)
+        return outcome.succeeded, outcome.hops, outcome.failure_codes
+
+    return route
 
 
-def _timed(runner):
-    started = time.perf_counter()
-    result = runner()
-    return result, time.perf_counter() - started
+def _seconds_by_geometry(route, groups):
+    """Seconds ``route`` spends on each geometry's groups, in one pass."""
+    seconds = dict.fromkeys(BENCH_GEOMETRIES, 0.0)
+    for geometry, batch in groups:
+        started = time.perf_counter()
+        route(batch)
+        seconds[geometry] += time.perf_counter() - started
+    return seconds
 
 
-#: Interleaved timing rounds per contender.  The 5% gate compares two
-#: near-identical code paths, so contenders are timed alternately (a load
-#: spike hits all of them, not whichever ran second) and the floor takes the
-#: per-contender minimum across rounds.
-TIMING_ROUNDS = int(os.environ.get("RCM_BENCH_KERNELSPEC_ROUNDS", "7"))
+def _fastest_rounds(contenders, groups):
+    """Per contender, the fastest round over all geometries and over the PR-2 ones.
+
+    Contenders run alternately in each round, so a load spike hits all of
+    them rather than whichever ran second.
+    """
+    fastest = {label: {"pr3": math.inf, "pr2": math.inf} for label in contenders}
+    for _ in range(TIMING_ROUNDS):
+        for label, route in contenders.items():
+            seconds = _seconds_by_geometry(route, groups)
+            best = fastest[label]
+            best["pr3"] = min(best["pr3"], sum(seconds.values()))
+            best["pr2"] = min(best["pr2"], sum(seconds[geometry] for geometry in PR2_GEOMETRIES))
+    return fastest
 
 
-def test_kernelspec_driver_speed_and_parity(benchmark):
+def test_kernelspec_driver_speed_and_parity():
     failure_probabilities = paper_failure_probabilities(fast=True)
     groups = _build_groups(failure_probabilities)
 
-    # Warm-ups: page in every contender's tables (and pay JIT compilation)
-    # outside the timed rounds.
-    pr3_outcomes = _run_pr3(groups)
-    numpy_outcomes = _run_backend(groups, "numpy")
-    numba_outcomes = None
+    # Identical inputs: every backend must agree bit for bit on every pair.
+    # This first pass also pays the JIT compilation outside the timed rounds.
+    reference = [_route_reference(batch) for _, batch in groups]
+    for backend_name in available_backends():
+        route = _backend_router(backend_name)
+        for index, (geometry, batch) in enumerate(groups):
+            for got, expected in zip(route(batch), reference[index]):
+                assert np.array_equal(got, expected), (backend_name, geometry, index)
+
+    speedups = {"pr3": None, "pr2": None}
+    fastest = None
     if NUMBA_AVAILABLE:
-        numba_outcomes = _run_backend(groups, "numba")
-
-    pr3_seconds = numpy_seconds = numba_seconds = math.inf
-    for _ in range(TIMING_ROUNDS):
-        _, elapsed = _timed(lambda: _run_pr3(groups))
-        pr3_seconds = min(pr3_seconds, elapsed)
-        _, elapsed = _timed(lambda: _run_backend(groups, "numpy"))
-        numpy_seconds = min(numpy_seconds, elapsed)
-        if NUMBA_AVAILABLE:
-            _, elapsed = _timed(lambda: _run_backend(groups, "numba"))
-            numba_seconds = min(numba_seconds, elapsed)
-    if not NUMBA_AVAILABLE:
-        numba_seconds = None
-
-    # One extra repetition of the headline contender feeds the
-    # pytest-benchmark stats row.
-    headline = "numba" if NUMBA_AVAILABLE else "numpy"
-    benchmark.pedantic(lambda: _run_backend(groups, headline), rounds=1, iterations=1)
-
-    # Identical inputs: every contender must agree bit-for-bit on every pair.
-    contenders = {"numpy": numpy_outcomes}
-    if numba_outcomes is not None:
-        contenders["numba"] = numba_outcomes
-    for label, outcomes in contenders.items():
-        assert len(outcomes) == len(pr3_outcomes)
-        for index, (succeeded, hops, codes) in enumerate(outcomes):
-            ref_succeeded, ref_hops, ref_codes = pr3_outcomes[index]
-            assert np.array_equal(succeeded, ref_succeeded), (label, index)
-            assert np.array_equal(hops, ref_hops), (label, index)
-            assert np.array_equal(codes, ref_codes), (label, index)
+        fastest = _fastest_rounds(
+            {"reference": _route_reference, "numba": _backend_router("numba")}, groups
+        )
+        speedups = {
+            generation: fastest["reference"][generation] / fastest["numba"][generation]
+            for generation in speedups
+        }
 
     report = {
         "benchmark": "kernelspec-unified-driver",
@@ -377,19 +370,16 @@ def test_kernelspec_driver_speed_and_parity(benchmark):
         "trials": TRIALS,
         "groups": len(groups),
         "geometries": list(BENCH_GEOMETRIES),
+        "pr2_geometries": list(PR2_GEOMETRIES),
         "registered_geometries": list(registered_geometries()),
         "failure_probabilities": list(failure_probabilities),
         "python": platform.python_version(),
         "available_backends": list(available_backends()),
         "numba_available": NUMBA_AVAILABLE,
-        "pr3_numpy_seconds": pr3_seconds,
-        "numpy_backend_seconds": numpy_seconds,
-        "numba_backend_seconds": numba_seconds,
-        "numpy_vs_pr3_ratio": numpy_seconds / pr3_seconds,
-        "numpy_regression_tolerance": NUMPY_TOLERANCE,
-        "speedup_numba_vs_pr3": (pr3_seconds / numba_seconds) if numba_seconds else None,
+        "fastest_round_seconds": fastest,
+        "speedup_numba_vs_pr3": speedups["pr3"],
+        "speedup_numba_vs_pr2": speedups["pr2"],
         "jit_speedup_floor": JIT_SPEEDUP_FLOOR,
-        "backend_name": headline,
     }
     output_path = os.environ.get("RCM_BENCH_KERNELSPEC_JSON", "BENCH_kernelspec.json")
     with open(output_path, "w", encoding="utf-8") as handle:
@@ -398,14 +388,12 @@ def test_kernelspec_driver_speed_and_parity(benchmark):
     print()
     print(json.dumps(report, indent=2))
 
-    assert numpy_seconds <= pr3_seconds * (1.0 + NUMPY_TOLERANCE), (
-        f"the spec-driven numpy backend took {numpy_seconds:.3f}s vs the PR-3 backend's "
-        f"{pr3_seconds:.3f}s — more than the {100 * NUMPY_TOLERANCE:.0f}% regression allowance"
-    )
     if NUMBA_AVAILABLE:
-        speedup = pr3_seconds / numba_seconds
-        assert speedup >= JIT_SPEEDUP_FLOOR, (
-            f"JIT backend speedup {speedup:.1f}x over the PR-3 numpy backend is below "
-            f"the {JIT_SPEEDUP_FLOOR:.0f}x floor (PR-3 {pr3_seconds:.2f}s vs "
-            f"numba {numba_seconds:.2f}s)"
-        )
+        for generation, geometries in (("pr3", BENCH_GEOMETRIES), ("pr2", PR2_GEOMETRIES)):
+            assert speedups[generation] >= JIT_SPEEDUP_FLOOR, (
+                f"JIT backend speedup {speedups[generation]:.1f}x over the vendored "
+                f"reference on {', '.join(geometries)} is below the "
+                f"{JIT_SPEEDUP_FLOOR:.0f}x floor (reference "
+                f"{fastest['reference'][generation]:.3f}s vs numba "
+                f"{fastest['numba'][generation]:.3f}s)"
+            )

@@ -45,9 +45,8 @@ Subcommands
     ``--replay-allocation`` replays a recorded ledger bit-identically.
 ``rcm bench-report [PATH ...] [--check] [--json OUT]``
     Render the performance trajectory: every ``BENCH_*.json`` benchmark
-    artifact evaluated against its recorded gate (speedup floors,
-    regression tolerances) in one table; ``--check`` exits non-zero on any
-    failed gate (the CI regression check).
+    artifact evaluated against its recorded floor in one table; ``--check``
+    exits non-zero on any failed gate (the CI regression check).
 ``rcm serve --store sweeps.db``
     Launch the asynchronous sweep service (see ``docs/api.md``): submit
     sweep grids over HTTP, poll or stream job results, share one
@@ -265,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-report",
         help="render the perf-trajectory table from BENCH_*.json benchmark artifacts",
         description=(
-            "Evaluate every benchmark artifact against its recorded gate (engine "
-            "speedup floor, dispatch fusion floor, backend regression tolerance, "
-            "churn and adaptive ratios) and render one pass/fail table.  With no "
+            "Evaluate every benchmark artifact against its recorded floor (the JIT "
+            "backend's speedups over the vendored reference kernels, the adaptive "
+            "allocator's pairs-saved ratio) and render one pass/fail table.  With no "
             "paths, all BENCH_*.json files in the working directory are used."
         ),
     )

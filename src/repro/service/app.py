@@ -162,9 +162,9 @@ class SweepService:
 
     def metrics_text(self) -> str:
         """The ``GET /metrics`` body (Prometheus text exposition format)."""
-        requested, cached, computed, store_hits = self.jobs.cell_totals()
+        totals = self.jobs.counter_totals()
         lines = [
-            "# HELP rcm_jobs_total Jobs accepted by this instance, by lifecycle state.",
+            "# HELP rcm_jobs_total Jobs this instance still retains (not yet evicted by the TTL or the retention cap), by lifecycle state.",
             "# TYPE rcm_jobs_total gauge",
         ]
         for state, count in sorted(self.jobs.state_counts().items()):
@@ -172,25 +172,25 @@ class SweepService:
         lines += [
             "# HELP rcm_cells_requested_total Sweep cells requested across completed shards (cached + computed).",
             "# TYPE rcm_cells_requested_total counter",
-            f"rcm_cells_requested_total {requested}",
+            f"rcm_cells_requested_total {totals['cells_requested']}",
             "# HELP rcm_cells_cached_total Sweep cells served from the cache (no kernel execution).",
             "# TYPE rcm_cells_cached_total counter",
-            f"rcm_cells_cached_total {cached}",
+            f"rcm_cells_cached_total {totals['cells_cached']}",
             "# HELP rcm_cells_computed_total Sweep cells actually simulated.",
             "# TYPE rcm_cells_computed_total counter",
-            f"rcm_cells_computed_total {computed}",
+            f"rcm_cells_computed_total {totals['cells_computed']}",
             "# HELP rcm_store_hits_total Sweep cells recalled from the persistent result store (cache hits minus in-memory memo hits).",
             "# TYPE rcm_store_hits_total counter",
-            f"rcm_store_hits_total {store_hits}",
+            f"rcm_store_hits_total {totals['store_hits']}",
             "# HELP rcm_adaptive_trials_saved_total Trials adaptive allocation avoided versus the uniform grid.",
             "# TYPE rcm_adaptive_trials_saved_total counter",
-            f"rcm_adaptive_trials_saved_total {self.jobs.adaptive_trials_saved_total()}",
+            f"rcm_adaptive_trials_saved_total {totals['adaptive_trials_saved']}",
             "# HELP rcm_store_cells Cells in the persistent result store.",
             "# TYPE rcm_store_cells gauge",
             f"rcm_store_cells {len(self.store)}",
             "# HELP rcm_shard_retries_total Shard attempts beyond each shard's first (transient errors retried).",
             "# TYPE rcm_shard_retries_total counter",
-            f"rcm_shard_retries_total {self.jobs.retries_total()}",
+            f"rcm_shard_retries_total {totals['shard_retries']}",
             "# HELP rcm_jobs_rejected_total Submissions refused by admission control, by reason.",
             "# TYPE rcm_jobs_rejected_total counter",
         ]

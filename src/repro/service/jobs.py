@@ -156,8 +156,6 @@ class SweepJob:
         self._cells_done = 0
         self._cells_cached = 0
         self._cells_computed = 0
-        self._store_hits = 0
-        self._adaptive_trials_saved = 0
         self._retries = 0
         # Wall-clock stamps feed the status payload; durations and TTLs use
         # the monotonic stamps, which a wall-clock step (NTP, DST) cannot move.
@@ -185,7 +183,6 @@ class SweepJob:
                 self._retries += 1
 
     def _shard_done(self, index: int, result: Dict[str, object], stats: SweepRunStats) -> None:
-        trials_saved = result.get("adaptive", {}).get("trials_saved", 0)
         with self._lock:
             shard = self._shards[index]
             shard.state = "done"
@@ -194,8 +191,6 @@ class SweepJob:
             self._cells_done += stats.requested
             self._cells_cached += stats.cached
             self._cells_computed += stats.computed
-            self._store_hits += stats.store_hits
-            self._adaptive_trials_saved += trials_saved
         self._notify()
 
     def _shard_failed(self, index: int, error: str) -> None:
@@ -373,31 +368,6 @@ class SweepJob:
         with self._lock:
             return self._state, list(self._results)
 
-    def cache_counts(self) -> Tuple[int, int]:
-        """``(cells_cached, cells_computed)`` so far."""
-        with self._lock:
-            return self._cells_cached, self._cells_computed
-
-    def cell_counts(self) -> Tuple[int, int, int, int]:
-        """``(requested, cached, computed, store_hits)`` so far.
-
-        ``cached`` counts memo *and* store hits; ``store_hits`` is the
-        persistent-store subset (the operator-facing cache-effectiveness
-        signal the ``/metrics`` endpoint exposes).
-        """
-        with self._lock:
-            return self._cells_done, self._cells_cached, self._cells_computed, self._store_hits
-
-    def adaptive_trials_saved(self) -> int:
-        """Trials adaptive allocation avoided versus the uniform grid."""
-        with self._lock:
-            return self._adaptive_trials_saved
-
-    def retry_count(self) -> int:
-        """Total shard retry attempts (attempts beyond each shard's first)."""
-        with self._lock:
-            return self._retries
-
 
 class JobManager:
     """Accepts sweep submissions and executes them with explicit failure policy.
@@ -461,6 +431,17 @@ class JobManager:
         self._registry_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._rejected = {reason: 0 for reason in REJECTION_REASONS}
+        self._totals = dict.fromkeys(
+            (
+                "cells_requested",
+                "cells_cached",
+                "cells_computed",
+                "store_hits",
+                "adaptive_trials_saved",
+                "shard_retries",
+            ),
+            0,
+        )
         self._durations: Dict[str, Dict[str, float]] = {}
         self._tokens = max(1.0, self._rate) if self._rate else 0.0
         self._bucket_updated = time.monotonic()
@@ -591,33 +572,19 @@ class JobManager:
             counts[job.state] += 1
         return counts
 
-    def cache_totals(self) -> Tuple[int, int]:
-        """Aggregate ``(cells_cached, cells_computed)`` across every job."""
-        cached = computed = 0
-        for job in self.jobs():
-            job_cached, job_computed = job.cache_counts()
-            cached += job_cached
-            computed += job_computed
-        return cached, computed
+    def counter_totals(self) -> Dict[str, int]:
+        """The ``/metrics`` counters since this manager started, by name.
 
-    def cell_totals(self) -> Tuple[int, int, int, int]:
-        """Aggregate ``(requested, cached, computed, store_hits)`` across every job."""
-        requested = cached = computed = store_hits = 0
-        for job in self.jobs():
-            job_requested, job_cached, job_computed, job_store = job.cell_counts()
-            requested += job_requested
-            cached += job_cached
-            computed += job_computed
-            store_hits += job_store
-        return requested, cached, computed, store_hits
+        Kept here rather than summed over the retained jobs, so evicting a
+        job never lowers a counter.
+        """
+        with self._stats_lock:
+            return dict(self._totals)
 
-    def adaptive_trials_saved_total(self) -> int:
-        """Aggregate trials saved by adaptive allocation across every job."""
-        return sum(job.adaptive_trials_saved() for job in self.jobs())
-
-    def retries_total(self) -> int:
-        """Total shard retry attempts across every retained job."""
-        return sum(job.retry_count() for job in self.jobs())
+    def _add_to_totals(self, **counts: int) -> None:
+        with self._stats_lock:
+            for key, count in counts.items():
+                self._totals[key] += count
 
     def rejected_counts(self) -> Dict[str, int]:
         """Submissions refused by admission control, by reason."""
@@ -721,6 +688,8 @@ class JobManager:
         attempts_allowed = 1 + self._shard_retries
         for attempt in range(1, attempts_allowed + 1):
             job._shard_attempt(index)
+            if attempt > 1:
+                self._add_to_totals(shard_retries=1)
             outcome: Dict[str, object] = {}
             worker = threading.Thread(
                 target=self._attempt_shard,
@@ -744,7 +713,15 @@ class JobManager:
                 return
             error = outcome.get("error")
             if error is None:
-                job._shard_done(index, outcome["result"], outcome["stats"])
+                result, stats = outcome["result"], outcome["stats"]
+                job._shard_done(index, result, stats)
+                self._add_to_totals(
+                    cells_requested=stats.requested,
+                    cells_cached=stats.cached,
+                    cells_computed=stats.computed,
+                    store_hits=stats.store_hits,
+                    adaptive_trials_saved=result.get("adaptive", {}).get("trials_saved", 0),
+                )
                 return
             if attempt >= attempts_allowed or not _is_transient(error):
                 job._shard_failed(index, f"{type(error).__name__}: {error}")

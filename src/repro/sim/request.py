@@ -88,6 +88,7 @@ SWEEP_REQUEST_SCHEMA: Dict = {
                 "shape": {
                     "type": "number",
                     "minimum": 1,
+                    "exclusiveMinimum": True,
                     "description": "Pareto generator: tail index of the session-length distribution (must exceed 1; default 1.5).",
                 },
                 "mean_online": {
@@ -219,7 +220,8 @@ def validate_payload(
 
     Supported: ``type`` (object, array, string, integer, number),
     ``required``, ``properties``, ``additionalProperties: false``,
-    ``items``, ``enum``, ``minimum``/``maximum`` and ``minItems``; other
+    ``items``, ``enum``, ``minimum`` (with OpenAPI 3.0's boolean
+    ``exclusiveMinimum``), ``maximum`` and ``minItems``; other
     keywords (``description``) are ignored.  Returns one message per
     problem, naming the field as ``name(path)`` for a dotted ``path``
     (``adaptive.ci_target``, ``q[0]``; ``""`` is the whole payload).
@@ -234,7 +236,9 @@ def validate_payload(
         errors.append(f"{name(path)} must be one of {schema['enum']}, got {payload!r}")
     if isinstance(payload, (int, float)) and not isinstance(payload, bool):
         minimum: Optional[float] = schema.get("minimum")
-        if minimum is not None and payload < minimum:
+        if minimum is not None and schema.get("exclusiveMinimum") and payload <= minimum:
+            errors.append(f"{name(path)} must exceed {minimum}, got {payload}")
+        elif minimum is not None and payload < minimum:
             errors.append(f"{name(path)} must be at least {minimum}, got {payload}")
         maximum: Optional[float] = schema.get("maximum")
         if maximum is not None and payload > maximum:
@@ -307,8 +311,9 @@ class SweepRequest:
         fields and a replay, ``q`` is required otherwise, a replay excludes
         adaptive allocation), the structure (:data:`SWEEP_REQUEST_SCHEMA`),
         then the semantics (registry geometries and failure-model kinds,
-        ``q`` in ``[0, 1]``, an adaptive config that resolves against
-        ``trials``).  Raises :class:`~repro.exceptions.InvalidParameterError`.
+        churn parameters of the chosen generator only, ``q`` in ``[0, 1]``,
+        an adaptive config that resolves against ``trials``).  Raises
+        :class:`~repro.exceptions.InvalidParameterError`.
         """
         if not isinstance(mapping, dict):
             raise InvalidParameterError(f"{name('')} must be object, got {type(mapping).__name__}")
@@ -349,6 +354,15 @@ class SweepRequest:
                     f"{name('failure_models')} names unknown failure model {model!r}; "
                     f"expected one of {list(FAILURE_MODEL_KINDS)}"
                 )
+        if churn is not None and trace is None:
+            generator = churn["generator"]
+            for other, parameters in _GENERATOR_PARAMETERS.items():
+                for key in parameters:
+                    if other != generator and key in churn:
+                        raise InvalidParameterError(
+                            f"{name('churn.' + key)} is a {other} parameter; "
+                            f"the {generator} generator does not take it"
+                        )
         q = tuple(float(value) for value in values.get("q", ()))
         for value in q:
             if not 0.0 <= value <= 1.0:  # also rejects NaN

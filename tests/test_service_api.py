@@ -278,11 +278,30 @@ class TestChurnSubmissions:
                 {"generator": "weibull", "steps": 3},  # unknown generator
                 {"generator": "markov"},  # missing steps
                 {"generator": "markov", "steps": 3, "surprise": 1},  # unknown key
+                {"generator": "pareto", "steps": 3, "shape": 1},  # shape must exceed 1
             ):
                 body = {"geometries": ["ring"], "d": 6, "churn": bad_churn}
                 status, payload = request(port, "POST", "/v1/sweeps", body=body)
                 assert status == 400, bad_churn
                 assert "invalid sweep request" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "generator, parameter, value, other",
+        [("markov", "shape", 9.0, "pareto"), ("pareto", "leave_probability", 0.5, "markov")],
+    )
+    def test_the_other_generators_parameter_rejected_400(
+        self, tmp_path, generator, parameter, value, other
+    ):
+        churn = {"generator": generator, "steps": 3, parameter: value}
+        with running_service(tmp_path / "cells.db") as (port, _service):
+            status, payload = request(
+                port, "POST", "/v1/sweeps", body={"geometries": ["ring"], "d": 5, "churn": churn}
+            )
+            assert status == 400
+            assert (
+                f"'churn.{parameter}' is a {other} parameter; "
+                f"the {generator} generator does not take it"
+            ) in payload["error"]
 
     def test_missing_q_without_churn_rejected_400(self, tmp_path):
         with running_service(tmp_path / "cells.db") as (port, _service):

@@ -195,14 +195,14 @@ class TestShardRetryDeterminism:
         with manager(tmp_path / "faulted", faults) as jobs:
             job = jobs.submit(GRID)
             assert wait_terminal(job) == "done"
-            assert job.retry_count() == 1
             shards = job.status_payload()["shards"]
+            assert shards["retries"] == 1
             assert shards["states"][0]["attempts"] == 2
             faulted = job.results_payload()["results"]
         with manager(tmp_path / "clean") as jobs:
             job = jobs.submit(GRID)
             assert wait_terminal(job) == "done"
-            assert job.retry_count() == 0
+            assert job.status_payload()["shards"]["retries"] == 0
             clean = job.results_payload()["results"]
         assert json.dumps(faulted, sort_keys=True) == json.dumps(clean, sort_keys=True)
         assert faulted[0]["rows"] == reference_rows()["ring"]
@@ -751,6 +751,67 @@ class TestBackpressureExceptionTypes:
             time.sleep(0.6)
             jobs.submit(GRID)
             assert jobs.get(job.job_id) is None
+
+    def test_metrics_counters_survive_job_eviction(self, tmp_path, faults):
+        def counters(service):
+            text = service.metrics_text()
+            families = {
+                line.split()[2]
+                for line in text.splitlines()
+                if line.startswith("# TYPE") and line.endswith(" counter")
+            }
+            samples = [line.rsplit(" ", 1) for line in text.splitlines() if not line.startswith("#")]
+            return {name: float(value) for name, value in samples if name.split("{")[0] in families}
+
+        faults.arm("shard-execute", "raise-once")
+        service = SweepService(
+            _config(tmp_path / "cells.db", job_ttl=0, retry_backoff=0.001), faults=faults
+        )
+        try:
+            first = service.jobs.submit({**GRID, "adaptive": {"ci_target": 0.2, "min_trials": 1}})
+            wait_terminal(first)
+            before = counters(service)
+            assert before["rcm_cells_requested_total"] > 0
+            assert before["rcm_shard_retries_total"] == 1
+            second = service.jobs.submit({**GRID, "q": [0.5]})  # evicts the first job
+            wait_terminal(second)
+            assert service.jobs.get(first.job_id) is None
+            after = counters(service)
+            assert {
+                "rcm_cells_requested_total",
+                "rcm_cells_cached_total",
+                "rcm_cells_computed_total",
+                "rcm_store_hits_total",
+                "rcm_adaptive_trials_saved_total",
+                "rcm_shard_retries_total",
+            } <= set(after)
+            for name, value in before.items():
+                assert after[name] >= value, name
+            # The second job's one point adds its TRIALS cells to the total.
+            assert after["rcm_cells_requested_total"] == before["rcm_cells_requested_total"] + TRIALS
+        finally:
+            service.close()
+
+    def test_counter_totals_lose_no_concurrent_update(self, tmp_path):
+        def add_many():
+            for _ in range(500):
+                jobs._add_to_totals(cells_requested=2, shard_retries=1)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with manager(tmp_path) as jobs:
+                threads = [threading.Thread(target=add_many) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                totals = jobs.counter_totals()
+        finally:
+            sys.setswitchinterval(previous)
+        assert totals["cells_requested"] == 8000
+        assert totals["shard_retries"] == 4000
 
     def test_max_retained_jobs_caps_the_table(self, tmp_path):
         with manager(tmp_path, max_retained_jobs=2, job_ttl=None) as jobs:
