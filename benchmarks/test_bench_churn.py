@@ -3,10 +3,11 @@
 ``test_churn_applicability`` regenerates the EXT-CHURN tables (static-model
 predictions vs measured routability under churn).
 
-``test_churn_rows_match_per_step_route_pairs`` checks that carrying one
-routing state across churn steps (rebound to each step's usable mask)
-produces **bit-identical rows** to a vendored driver that routes every step
-through a fresh ``route_pairs`` call, on sparse churn over large overlays.
+``test_churn_rows_match_per_step_route_pairs`` checks that routing windows
+of churn steps as one stacked batch each produces **bit-identical rows** to
+a vendored driver that routes every step through a fresh ``route_pairs``
+call, on sparse churn over large overlays (150 steps, so 19 windows of at
+most 8 steps at d=16).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def test_churn_applicability(benchmark, experiment_config):
 
 
 # --------------------------------------------------------------------- #
-# carried routing state vs a fresh route_pairs per step
+# windowed churn routing vs a fresh route_pairs per step
 # --------------------------------------------------------------------- #
 #: Sparse-churn grid: large overlays, few events per step, few pairs per step.
 CHURN_BENCH_GEOMETRIES = ("xor", "ring", "hypercube")
@@ -44,12 +45,12 @@ CHURN_BENCH_SEED = 20060328
 
 
 def _per_step_churn_rows(overlay, trace, pairs_per_step, seed, backend):
-    """Vendored per-step churn driver (the reference for the carried state).
+    """Vendored per-step churn driver (the reference for windowed routing).
 
     Replays the trace through the same per-step RNG contract as
     ``simulate_churn`` (trace replay consumes no randomness; the generator
     is drawn only by pair sampling) but routes each step through a fresh
-    ``route_pairs`` call with no carried state.
+    ``route_pairs`` call of its own.
     """
     resolved = resolve_backend(backend)
     generator = np.random.default_rng(seed)
@@ -101,8 +102,8 @@ def test_churn_rows_match_per_step_route_pairs():
             seed=CHURN_BENCH_SEED + 1,
         )
         config = ChurnConfig(pairs_per_step=CHURN_BENCH_PAIRS_PER_STEP, trace=trace)
-        carried = simulate_churn(overlay, config, seed=CHURN_BENCH_SEED, backend=backend)
+        windowed = simulate_churn(overlay, config, seed=CHURN_BENCH_SEED, backend=backend)
         per_step = _per_step_churn_rows(
             overlay, trace, CHURN_BENCH_PAIRS_PER_STEP, CHURN_BENCH_SEED, backend
         )
-        assert carried.as_rows() == per_step, geometry
+        assert windowed.as_rows() == per_step, geometry

@@ -33,10 +33,10 @@ Subcommands
     any earlier run or a running service) are recalled without simulation,
     and fresh cells are written back.  ``--churn-trace PATH`` switches to
     trace-driven churn replay (``--q`` becomes optional): the recorded
-    join/leave events drive per-step routability measurements, one routing
-    state is carried across steps, ``--churn-repair-every`` sets the
-    repair period, and ``--profile`` then prints the churn phase breakdown
-    (state update, kernel hops, reduction).  ``--adaptive
+    join/leave events drive per-step routability measurements, windows of
+    steps are routed as one stacked batch each, ``--churn-repair-every``
+    sets the repair period, and ``--profile`` then prints the churn phase
+    breakdown (mask generation, kernel hops, reduction).  ``--adaptive
     --ci-target H`` switches to variance-adaptive trial allocation: the
     sweep runs in rounds and each ``q`` point freezes once its pooled
     routability CI half-width reaches ``H`` (``--trials`` becomes the
@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
             "replay a recorded churn trace (rcm-churn-trace v1 file) instead of "
             "sweeping static failure probabilities: nodes join and leave as the "
             "trace dictates, --pairs pairs are routed among usable nodes each "
-            "step, and one routing state is carried across steps"
+            "step, and windows of steps are routed as one stacked batch each"
         ),
     )
     simulate_parser.add_argument(
@@ -568,8 +568,8 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
     if request.churn is not None:
         from .sim.churn import CHURN_PROFILE_PHASES as phases
 
-        # The trace dictates the join/leave events; one routing state is
-        # carried across steps and rebound to each step's usable mask.
+        # The trace dictates the join/leave events; windows of steps are
+        # routed as one stacked batch each.
         profile = {} if arguments.profile else None
         document = run_shard(request, geometry, model, None, arguments.backend, profile=profile)
         title = (

@@ -142,37 +142,38 @@ class ChordOverlay(Overlay):
 # symphony.py) via :func:`make_ring_spec`.
 # --------------------------------------------------------------------- #
 def _ring_key(ops):
-    """Remaining clockwise distance after the hop; unusable candidates map to
-    the modulus ``2^d``, which every real key (``<= modulus - 2``) undercuts.
+    """Clockwise distance from the candidate to the destination, ``(dst - neighbor) mod 2^d``.
+
+    For a usable candidate — progress ``p = (neighbor - cur) mod 2^d`` with
+    ``1 <= p <= r``, ``r = (dst - cur) mod 2^d`` the remaining distance —
+    that is exactly the distance left after the hop, ``r - p < r``.  Every
+    unusable candidate gets a key of at least ``r``: a dead neighbour
+    arrives as ``cur`` itself (progress 0, key ``r``), and one that would
+    overshoot (``p > r``) wraps around to ``2^d + r - p >= r + 1``.  So an unusable
+    candidate never beats a usable one, and :func:`_ring_accept` takes a
+    winner iff its key is below ``r``: the same choice as the scalar oracle
+    with no usability test in the key.
 
     The modulus is a power of two, so ``x mod 2^d`` is ``x & (2^d - 1)``
     (two's complement makes that hold for negative differences too).
     Same-cell differences stay inside ``(-modulus, modulus)`` on a
     disjoint-union view, so the physical modulus recovers the clockwise
-    distances.  Ties in the remaining distance imply the same neighbour
-    identifier, so the drivers' first-minimum rule reproduces the scalar
+    distances.  Ties among usable keys imply the same neighbour identifier,
+    so the drivers' first-minimum rule reproduces the scalar
     first-strict-improvement scan.
     """
 
-    where = ops.where
-
     def key(consts, neighbor, cur, dst):
-        mask = consts[1]
-        # Real neighbours have progress >= 1 (overlays never list a node as
-        # its own neighbour); dead ones arrive as cur itself, progress == 0.
-        progress = (neighbor - cur) & mask
-        remaining = (dst - cur) & mask
-        usable = (progress != 0) & (progress <= remaining)
-        return where(usable, remaining - progress, mask + 1)
+        return (dst - neighbor) & consts[1]
 
     return key
 
 
 def _ring_accept(ops):
-    """Some usable neighbour existed iff the winning key beat the modulus."""
+    """Some usable neighbour existed iff the winning key undercuts the remaining distance."""
 
     def accept(consts, best_key, cur, dst):
-        return best_key <= consts[1]
+        return best_key < ((dst - cur) & consts[1])
 
     return accept
 

@@ -102,8 +102,8 @@ class ChurnApplicability(Experiment):
                 "Between repairs the effective failure probability grows with time; evaluating the "
                 "static RCM expression at q_eff(t) tracks the measured routability throughout the "
                 "epoch, supporting the transfer of the paper's static conclusions to churn.",
-                "The routing state is carried across steps and rebound to each step's "
-                "usable mask; metrics are bit-identical to the scalar-oracle churn "
-                "reference, which the conformance harness enforces.",
+                "Windows of steps are routed as one stacked batch each; metrics are "
+                "bit-identical to the scalar-oracle churn reference, which the "
+                "conformance harness enforces.",
             ),
         )

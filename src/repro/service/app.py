@@ -164,11 +164,11 @@ class SweepService:
         """The ``GET /metrics`` body (Prometheus text exposition format)."""
         totals = self.jobs.counter_totals()
         lines = [
-            "# HELP rcm_jobs_total Jobs this instance still retains (not yet evicted by the TTL or the retention cap), by lifecycle state.",
-            "# TYPE rcm_jobs_total gauge",
+            "# HELP rcm_jobs Jobs this instance still retains (not yet evicted by the TTL or the retention cap), by lifecycle state.",
+            "# TYPE rcm_jobs gauge",
         ]
         for state, count in sorted(self.jobs.state_counts().items()):
-            lines.append(f'rcm_jobs_total{{state="{state}"}} {count}')
+            lines.append(f'rcm_jobs{{state="{state}"}} {count}')
         lines += [
             "# HELP rcm_cells_requested_total Sweep cells requested across completed shards (cached + computed).",
             "# TYPE rcm_cells_requested_total counter",

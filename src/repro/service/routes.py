@@ -364,7 +364,7 @@ def build_routes(service) -> List[Route]:
                 "rcm_cells_requested_total, rcm_cells_cached_total, rcm_cells_computed_total, "
                 "rcm_store_hits_total, rcm_adaptive_trials_saved_total, rcm_shard_retries_total "
                 "and rcm_jobs_rejected_total{reason=...}, which never decrease while the "
-                "instance runs; and the gauges rcm_jobs_total{state=...} (jobs still "
+                "instance runs; and the gauges rcm_jobs{state=...} (jobs still "
                 "retained, by state), rcm_store_cells, rcm_queue_depth, "
                 "rcm_job_duration_seconds_{count,sum,max}{state=...} and rcm_uptime_seconds."
             ),

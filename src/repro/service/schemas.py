@@ -249,7 +249,7 @@ OPENAPI_DOCUMENT_SCHEMA: Dict = {
 METRICS_TEXT_SCHEMA: Dict = {
     "type": "string",
     "description": (
-        "Prometheus text exposition: rcm_jobs_total{state=...}, rcm_cells_requested_total, "
+        "Prometheus text exposition: rcm_jobs{state=...}, rcm_cells_requested_total, "
         "rcm_cells_cached_total, rcm_cells_computed_total, rcm_store_hits_total, "
         "rcm_adaptive_trials_saved_total, rcm_store_cells, rcm_shard_retries_total, "
         "rcm_jobs_rejected_total{reason=...}, rcm_queue_depth, "

@@ -29,7 +29,7 @@ reach the table's row count, the prepared state builds the whole masked
 table once and every later hop — of this chunk and of every later chunk
 routed under the same state — gathers from it instead.  That crossover is
 the observed break-even of the two forms, not a tuned constant: a sparse
-batch (a churn step, a large sweep group) never pays for rows it does not
+batch (a churn window, a large sweep group) never pays for rows it does not
 visit, and a dense one (small overlays, many pairs) pays for each row once.
 Both forms apply the same row function, so the choice cannot change any
 outcome.  An ordered scan's passes read single entries of the same rows:
@@ -46,7 +46,7 @@ single mask is simply a stack of one.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -63,16 +63,17 @@ from .base import HOP_LIMIT_CODE, SUCCESS_CODE, KernelBackend
 __all__ = ["NumpyBackend", "KERNEL_BLOCK"]
 
 
-#: Active pairs handed to a step kernel per call.  Kernels allocate a handful
-#: of ``(batch, degree)`` temporaries per hop; blocking the batch keeps those
-#: resident in cache even when a fused multi-cell batch is hundreds of
-#: thousands of pairs wide.  Kernels are row-independent, so blocking cannot
-#: change any outcome.
+#: Rows masked per call while the full masked table is built: the row
+#: function's ``(rows, degree)`` temporaries stay cache-sized even for a
+#: union table of millions of rows.  Rows are independent, so blocking
+#: cannot change any entry.  A hop steps its whole active set at once; the
+#: routing driver's pair chunk (``repro.sim.engine._MAX_BATCH_PAIRS``) caps
+#: those per-hop temporaries.
 KERNEL_BLOCK = 2048
 
 
 def _masked_table(rows: Callable, n_rows: int, dtype) -> np.ndarray:
-    """Every identifier's masked row, built once in cache-sized blocks."""
+    """Every identifier's masked row, built once in :data:`KERNEL_BLOCK`-row blocks."""
     ids = np.arange(n_rows, dtype=dtype)
     first = rows(ids[:KERNEL_BLOCK])
     table = np.empty((n_rows,) + first.shape[1:], dtype=first.dtype)
@@ -128,22 +129,6 @@ class _PreparedMask:
         return self._readers
 
 
-def _step_blocked(step, readers: MaskedReaders, cur: np.ndarray, dst: np.ndarray):
-    """Run one hop's step over cache-sized blocks of the active set."""
-    size = cur.size
-    if size <= KERNEL_BLOCK:
-        return step(cur, dst, readers)
-    next_hop = np.empty(size, dtype=cur.dtype)
-    ok = np.empty(size, dtype=bool)
-    fail_code = SUCCESS_CODE
-    for start in range(0, size, KERNEL_BLOCK):
-        stop = start + KERNEL_BLOCK
-        block_next, block_ok, fail_code = step(cur[start:stop], dst[start:stop], readers)
-        next_hop[start:stop] = block_next
-        ok[start:stop] = block_ok
-    return next_hop, ok, fail_code
-
-
 class NumpyBackend(KernelBackend):
     """The vectorized hop loop: advance all active pairs one hop per iteration.
 
@@ -185,11 +170,8 @@ class NumpyBackend(KernelBackend):
                 codes[active] = HOP_LIMIT_CODE
                 hops[active] = iteration
                 break
-            next_hop, ok, fail_code = _step_blocked(
-                state.step,
-                state.readers_for_hop(active.size),
-                current[active],
-                destinations[active],
+            next_hop, ok, fail_code = state.step(
+                current[active], destinations[active], state.readers_for_hop(active.size)
             )
             if not ok.all():
                 dropped = active[~ok]

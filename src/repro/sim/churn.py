@@ -31,18 +31,23 @@ overlay under this process and compares it against the static RCM prediction
 evaluated at ``q_eff(t)`` — quantifying how far the paper's static results
 carry into dynamic settings; EXT-TRACE runs the trace-driven variants.
 
-Routing state across steps
---------------------------
-The kernels mask only the table rows a hop visits (see
-:mod:`repro.sim.backends.numpy_backend`), so a step's cost follows its
-pairs, not the overlay size: one prepared state is carried across steps and
-rebound to each step's usable mask through the backend's ``update``, which
-does no table work.  A rebound state routes byte-identically to a fresh
-``route_pairs`` call (``tests/test_churn.py`` and the conformance harness
-check it).
+Routing steps in windows
+------------------------
+A step is a cell: its usable mask and its sampled pairs, ``None`` when fewer
+than two nodes are usable.  :func:`simulate_churn` collects consecutive
+steps into windows and routes each window as one fused stack through the
+sweep's cell-group executor (``repro.sim.engine._route_cell_groups``), so a
+hop advances every pair of the window at once.  A window is as wide as the
+routing driver's sub-union (``repro.sim.engine._cells_per_union``: 8 steps
+at d=16, a whole typical run at d=10), so a run of any length holds at most
+one window of masks.  The kernels mask only the table rows a hop visits
+(see :mod:`repro.sim.backends.numpy_backend`), so a window's cost follows
+its pairs, not the overlay size.  Stacked routing is row-independent:
+every step measures what routing it alone would (``tests/test_churn.py``
+and the conformance harness check it against the scalar oracle).
 
-RNG discipline (the contract state maintenance must not move)
--------------------------------------------------------------
+RNG discipline (the contract windowing must not move)
+----------------------------------------------------
 Per step the generator is consumed in exactly this order and nothing else
 (:func:`_churn_trajectory` is the one place that draws):
 
@@ -53,15 +58,17 @@ Per step the generator is consumed in exactly this order and nothing else
    :func:`repro.sim.sampling.sample_survivor_pair_arrays`, consumed only
    when the step samples pairs (at least two usable nodes).
 
-Routing itself consumes no randomness, so how the routing state is produced
-never moves the stream: the conformance harness's scalar-oracle churn run
-over the same trajectory leaves the generator where :func:`simulate_churn`
-does and measures identical rows (property-tested in ``tests/test_churn.py``).
+Routing itself consumes no randomness and the trajectory is consumed in
+step order, so how steps are grouped into windows never moves the stream:
+the conformance harness's scalar-oracle churn run over the same trajectory
+leaves the generator where :func:`simulate_churn` does and measures
+identical rows (property-tested in ``tests/test_churn.py``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, MutableMapping, Optional, Tuple
 
@@ -73,7 +80,7 @@ from ..exceptions import InvalidParameterError
 from ..validation import check_positive_int, check_probability
 from ..workloads.traces import ChurnTrace
 from .backends import resolve_backend
-from .engine import BackendLike, _PhaseClock, route_pairs
+from .engine import BackendLike, _cells_per_union, _PhaseClock, _route_cell_groups
 from .sampling import sample_survivor_pair_arrays
 
 __all__ = [
@@ -85,11 +92,11 @@ __all__ = [
     "simulate_churn",
 ]
 
-#: Wall-clock phases of one churn run, in reporting order (the churn
-#: counterpart of ``repro.sim.engine.PROFILE_PHASES``): preparing or
-#: rebinding the routing state, advancing the hop kernels, and reducing
-#: per-pair outcomes to metrics.
-CHURN_PROFILE_PHASES = ("state_update", "kernel_hops", "reduction")
+#: Wall-clock phases of one churn run, in reporting order, named as in
+#: ``repro.sim.engine.PROFILE_PHASES``: the churn trajectory (usable masks
+#: and pair sampling), advancing the hop kernels, and reducing per-pair
+#: outcomes to metrics.
+CHURN_PROFILE_PHASES = ("mask_generation", "kernel_hops", "reduction")
 
 
 @dataclass(frozen=True)
@@ -319,12 +326,12 @@ def simulate_churn(
     usable nodes.  ``config.repair_every`` periodically re-establishes the
     tables to the currently-online set.
 
-    Each step's pairs are routed through the kernel backend selected by
-    ``backend``, carrying **one prepared routing state across steps** and
-    rebinding it to each step's usable mask.  Routing consumes
-    no randomness and backends are bit-identical, so ``backend`` never
-    changes the measured numbers — see the module
-    docstring for the exact per-step RNG contract.
+    Steps are routed through the kernel backend selected by ``backend`` in
+    windows of consecutive steps, each one fused stack of the sweep's
+    cell-group executor (see the module docstring).  Routing consumes no
+    randomness and backends are bit-identical, so neither ``backend`` nor
+    the windows change the measured numbers — see the module docstring for
+    the exact per-step RNG contract.
 
     ``profile`` optionally accumulates per-phase wall-clock seconds
     (:data:`CHURN_PROFILE_PHASES`) into the given mapping — the churn
@@ -333,25 +340,21 @@ def simulate_churn(
     generator = make_rng(rng, seed)
     resolved = resolve_backend(backend)
     clock = _PhaseClock(profile)
-    routing_state = None
+    trajectory = _churn_trajectory(overlay, config, generator)
+    width = _cells_per_union(overlay)
     steps: List[ChurnStepResult] = []
-    for usable, pairs, finish in _churn_trajectory(overlay, config, generator):
-        if pairs is None:
-            steps.append(finish(metrics=summarize_routes([])))
-            continue
-        clock.start("state_update")
-        if routing_state is None:
-            routing_state = resolved.prepare(overlay, usable)
-        else:
-            routing_state = resolved.update(overlay, routing_state, usable)
+    while True:
+        clock.start("mask_generation")
+        window = list(itertools.islice(trajectory, width))
         clock.stop()
-        clock.start("kernel_hops")
-        outcome = route_pairs(overlay, *pairs, usable, backend=resolved, prepared_state=routing_state)
-        clock.stop()
-        clock.start("reduction")
-        metrics = outcome.to_metrics()
-        clock.stop()
-        steps.append(finish(metrics=metrics))
+        if not window:
+            break
+        groups = [None if pairs is None else (usable, *pairs) for usable, pairs, _ in window]
+        metrics = _route_cell_groups(overlay, groups, backend=resolved, clock=clock)
+        steps.extend(
+            finish(metrics=summarize_routes([]) if step_metrics is None else step_metrics)
+            for (_, _, finish), step_metrics in zip(window, metrics)
+        )
     return ChurnSimulationResult(
         geometry=overlay.geometry_name,
         d=overlay.d,

@@ -28,10 +28,9 @@ the oracle across every execution shape the generic drivers derive:
   (:data:`CROSSOVER_BATCHES`): one that never reaches the NumPy
   executor's full-masked-table crossover, one past it from hop 0, and one
   that crosses it mid-route, each equal to the oracle pair for pair;
-* **churn** — :func:`~repro.sim.churn.simulate_churn` (one routing state
-  carried across steps and rebound to each step's mask) vs the churn
-  reference (:func:`_oracle_churn`), per-step metrics and final RNG
-  position alike;
+* **churn** — :func:`~repro.sim.churn.simulate_churn` (windows of steps
+  routed as one stacked batch each) vs the churn reference
+  (:func:`_oracle_churn`), per-step metrics and final RNG position alike;
 * **worker counts** — :class:`~repro.sim.engine.SweepRunner` grids over
   all registered geometries, pooled vs in-process, and the runner's
   grouped dispatch vs the per-cell reference (:func:`_per_cell_reference`).
@@ -462,7 +461,7 @@ def _oracle_churn(
 ) -> ChurnSimulationResult:
     """The churn reference: ``simulate_churn``'s step trajectory, routed by the oracle.
 
-    No routing state is prepared or carried; for equal arguments the rows
+    Each step is routed alone, pair by pair; for equal arguments the rows
     — and the generator's final position — must equal
     :func:`~repro.sim.churn.simulate_churn`'s.
     """
@@ -508,8 +507,8 @@ def assert_churn_parity(
     """``simulate_churn`` per-step metrics and RNG consumption equal the churn reference's.
 
     Heavy leave/rejoin rates and a repair every third step move the usable
-    mask in both directions, so the carried state is rebound across joins
-    and leaves.
+    mask in both directions, so the steps of one window route under masks
+    that differ by joins and by leaves.
     """
     if seed is None:
         seed = _deterministic_seed(f"churn-{overlay.geometry_name}")

@@ -47,8 +47,8 @@ Layered on top:
   dispatched as one task, which builds that overlay wherever it runs (in
   process or in a pool worker) and routes all of its cells.
 * :func:`_route_cell_groups` — the one cell-group executor behind every
-  static-failure driver: already-sampled cells of one overlay in, one
-  stacked routing call, per-cell metrics out.
+  static-failure driver and the churn loop: already-sampled cells of one
+  overlay in, one stacked routing call, per-cell metrics out.
 """
 
 from __future__ import annotations
@@ -247,7 +247,6 @@ def route_pairs(
     alive: np.ndarray,
     *,
     backend: BackendLike = None,
-    prepared_state=None,
 ) -> BatchRouteOutcome:
     """Route every (source, destination) pair on ``overlay`` under one survival mask.
 
@@ -256,13 +255,6 @@ def route_pairs(
     success flag, same failure reason).  ``backend`` selects the kernel backend
     (:func:`repro.sim.backends.resolve_backend`); every backend produces
     bit-identical outcomes, so the choice only affects speed.
-
-    ``prepared_state`` optionally supplies a routing state previously built
-    by the *resolved backend's* ``prepare`` (or rebound by its ``update``)
-    for exactly this ``(overlay, alive)``, skipping the per-call prepare —
-    the churn loop (:func:`repro.sim.churn.simulate_churn`) threads its
-    carried state through here.  The caller owns the state/mask
-    consistency; states never transfer between backends.
 
     A single mask is a stack of one: this entry point validates and routes
     it as the one-row stack of the fused multi-cell path, through the same
@@ -280,18 +272,16 @@ def route_pairs(
     sources, destinations, alive_stack, cell_indices = _check_stacked_arguments(
         overlay, sources, destinations, np.asarray(alive)[np.newaxis], single_cell
     )
-    return _dispatch_stack(
-        overlay, resolved, sources, destinations, alive_stack, cell_indices, state=prepared_state
-    )
+    return _dispatch_stack(overlay, resolved, sources, destinations, alive_stack, cell_indices)
 
 
 #: Pairs one backend ``run`` call routes.  The driver splits wider batches
-#: into chunks of this size under one prepared state, which caps the per-hop
-#: ``(pairs,)`` state arrays of a large fused sweep; the kernels' ``(block,
-#: degree)`` temporaries are capped separately by the NumPy backend's
-#: ``KERNEL_BLOCK``.  Pairs are routed independently, so the split cannot
-#: change any outcome.
-_MAX_BATCH_PAIRS = 1 << 18
+#: into chunks of this size under one prepared state, which caps both the
+#: per-hop ``(pairs,)`` state arrays of a large fused sweep and the NumPy
+#: kernels' ``(pairs, degree)`` temporaries (each hop steps its whole active
+#: set at once).  Pairs are routed independently, so the split cannot change
+#: any outcome.
+_MAX_BATCH_PAIRS = 1 << 16
 
 #: Upper bound on the entries of one batch's full masked table (~32 MB at
 #: int32).  The NumPy backend builds that table only when a batch would visit
@@ -299,6 +289,19 @@ _MAX_BATCH_PAIRS = 1 << 18
 #: whose table could exceed the bound are routed as bounded-width sub-unions,
 #: so fused peak memory stays capped no matter how many cells are fused.
 _MAX_UNION_TABLE_ELEMENTS = 1 << 23
+
+
+def _cells_per_union(overlay) -> int:
+    """How many cells of ``overlay`` one disjoint-union view routes at most.
+
+    The widest stack whose full masked table stays within
+    :data:`_MAX_UNION_TABLE_ELEMENTS` (at least one cell): 8 cells at d=16,
+    every cell of a typical run at d=10.  The routing driver splits wider
+    stacks into sub-unions of this width, and the churn loop collects its
+    steps into windows of it.
+    """
+    rows, degree = overlay.neighbor_array().shape
+    return max(1, _MAX_UNION_TABLE_ELEMENTS // (rows * degree))
 
 
 class _UnionOverlayView:
@@ -388,30 +391,25 @@ def _dispatch_stack(
     destinations: np.ndarray,
     alive_stack: np.ndarray,
     cell_indices: np.ndarray,
-    state=None,
 ) -> BatchRouteOutcome:
     """The one routing driver behind :func:`route_pairs` and
     :func:`route_pairs_stacked` (arguments already validated).
 
     A stack of one routes under its mask directly; wider stacks route over
-    the disjoint-union view, split into bounded-width sub-unions when a full
-    masked table could exceed :data:`_MAX_UNION_TABLE_ELEMENTS`.  Each view
-    is prepared once and its pairs are routed in chunks of at most
-    :data:`_MAX_BATCH_PAIRS` under that one state, so a full masked table is
-    still built at most once per state.  Either way the kernels only ever
-    see one overlay view, one flat survival vector and one chunk of pairs —
-    the execution shapes differ, the code path does not.  A caller-prepared
-    ``state`` is only meaningful for a stack of one (it was built against
-    the physical overlay view, not a union).
+    the disjoint-union view, split into sub-unions of
+    :func:`_cells_per_union` cells when a full masked table could exceed
+    :data:`_MAX_UNION_TABLE_ELEMENTS`.  Each view is prepared once and its
+    pairs are routed in chunks of at most :data:`_MAX_BATCH_PAIRS` under
+    that one state, so a full masked table is still built at most once per
+    state.  Either way the kernels only ever see one overlay view, one flat
+    survival vector and one chunk of pairs — the execution shapes differ,
+    the code path does not.
     """
     n_cells = alive_stack.shape[0]
-    if state is not None and n_cells != 1:
-        raise RoutingError("a prepared routing state requires a single-mask batch")
     if n_cells == 1:
-        triple = _route_chunks(resolved, overlay, sources, destinations, alive_stack[0], state)
+        triple = _route_chunks(resolved, overlay, sources, destinations, alive_stack[0])
         return _wrap_outcome(sources, destinations, triple)
-    table = overlay.neighbor_array()
-    cells_per_union = max(1, _MAX_UNION_TABLE_ELEMENTS // (table.shape[0] * table.shape[1]))
+    cells_per_union = _cells_per_union(overlay)
     if n_cells > cells_per_union:
         # Bound peak memory: route bounded-width sub-unions and scatter the
         # per-pair results back.  Cells are independent, so the split cannot
@@ -460,15 +458,13 @@ def _route_chunks(
     sources: np.ndarray,
     destinations: np.ndarray,
     alive: np.ndarray,
-    state=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Route one view's pairs in :data:`_MAX_BATCH_PAIRS` chunks under one prepared state.
 
     Pairs are routed independently, so chunking cannot change any outcome;
     it only caps the per-hop working set of a very wide batch.
     """
-    if state is None:
-        state = resolved.prepare(view, alive)
+    state = resolved.prepare(view, alive)
     n_pairs = sources.size
     if n_pairs <= _MAX_BATCH_PAIRS:
         return resolved.run(view, state, sources, destinations)
@@ -694,11 +690,13 @@ def _route_cell_groups(
     """Route already-sampled cells of one overlay; per-cell metrics in order.
 
     Each group is one cell's ``(mask, sources, destinations)``, or ``None``
-    for a degenerate cell (which maps to ``None``).  Every other cell is
-    routed in a single :func:`route_pairs_stacked` call whose outcome is
-    sliced back per cell; the stacked kernels are row-independent, so each
-    cell's metrics are bit-identical to routing it alone.  ``clock``
-    optionally accumulates the ``kernel_hops`` and ``reduction`` phases.
+    for a degenerate cell (which maps to ``None``).  A sweep's cells are its
+    ``q`` points and replicates; a churn window's cells are its steps.  Every
+    other cell is routed in a single :func:`route_pairs_stacked` call whose
+    outcome is sliced back per cell; the stacked kernels are
+    row-independent, so each cell's metrics are bit-identical to routing it
+    alone.  ``clock`` optionally accumulates the ``kernel_hops`` and
+    ``reduction`` phases.
     """
     clock = _PhaseClock() if clock is None else clock
     metrics: List[Optional[RoutingMetrics]] = [None] * len(groups)

@@ -57,8 +57,8 @@ SWEEP_REQUEST_SCHEMA: Dict = {
             "description": (
                 "Trace-driven churn instead of a static q sweep: each geometry "
                 "becomes one churn shard replaying a deterministically generated "
-                "join/leave trace (seeded from the request seed), with one routing "
-                "state carried across steps.  Not combinable with 'q', "
+                "join/leave trace (seeded from the request seed), routing windows "
+                "of steps as one stacked batch each.  Not combinable with 'q', "
                 "'failure_models', 'trials' or 'adaptive'."
             ),
             "properties": {
@@ -432,8 +432,8 @@ def run_shard(
     block (the allocation's rounds, trial totals, widest CI half-width and
     per-point ``points``) when trials were allocated.  A churn shard builds
     the overlay, replays the request's trace (or the one its generator
-    describes) through ``simulate_churn`` on ``backend`` with one routing
-    state carried across steps, and documents ``geometry``, ``d``,
+    describes) through ``simulate_churn`` on ``backend``, which routes
+    windows of steps as one stacked batch each, and documents ``geometry``, ``d``,
     ``failure_model`` (``"churn"``), ``backend``, ``churn``,
     ``repair_every`` and ``rows``; ``profile``, if given, receives its
     phase timings (a static shard's timings accumulate in ``runner.profile``).

@@ -11,7 +11,8 @@ import pytest
 from repro.core.geometry import get_geometry
 from repro.dht import HypercubeOverlay, KademliaOverlay
 from repro.exceptions import InvalidParameterError
-from repro.sim.backends import KernelBackend, NumpyBackend, python_loop_backend
+from repro.sim import engine
+from repro.sim.backends import python_loop_backend
 from repro.sim.churn import (
     CHURN_PROFILE_PHASES,
     ChurnConfig,
@@ -135,14 +136,8 @@ class TestSimulateChurn:
             assert step.measured_routability == pytest.approx(predicted, abs=0.08)
 
 
-class RebuildingBackend(NumpyBackend):
-    """The NumPy backend with the base class's update — a fresh prepare every step."""
-
-    update = KernelBackend.update
-
-
 class TestChurnReferences:
-    """The carried routing state changes how a step is routed, never what is measured."""
+    """Windows change how steps are routed, never what is measured."""
 
     @pytest.fixture(scope="class")
     def config(self):
@@ -154,10 +149,11 @@ class TestChurnReferences:
             repair_every=3,
         )
 
-    def test_incremental_matches_rebuild_bit_for_bit(self, overlay, config):
-        incremental = simulate_churn(overlay, config, seed=11)
-        rebuild = simulate_churn(overlay, config, seed=11, backend=RebuildingBackend())
-        assert incremental.as_rows() == rebuild.as_rows()
+    def test_windows_match_one_step_windows_bit_for_bit(self, overlay, config, monkeypatch):
+        windowed = simulate_churn(overlay, config, seed=11)
+        monkeypatch.setattr(engine, "_MAX_UNION_TABLE_ELEMENTS", 1)  # one step per window
+        per_step = simulate_churn(overlay, config, seed=11)
+        assert windowed.as_rows() == per_step.as_rows()
 
     def test_matches_the_scalar_oracle_reference(self, overlay, config):
         measured = simulate_churn(overlay, config, seed=11)
@@ -166,9 +162,9 @@ class TestChurnReferences:
 
     def test_rng_stream_matches_the_churn_reference(self, overlay, config):
         # The RNG-discipline contract: per step, the generator is consumed
-        # only by the churn draw and by pair sampling — state maintenance
-        # draws nothing.  So after simulate_churn and the oracle reference
-        # (which carries no state) the generator must sit at the same point
+        # only by the churn draw and by pair sampling — routing draws
+        # nothing.  So after simulate_churn and the oracle reference (which
+        # routes one step at a time) the generator must sit at the same point
         # of its stream, which we observe through the numbers it yields next.
         leftovers = []
         for run in (simulate_churn, _oracle_churn):
@@ -227,7 +223,7 @@ class TestTraceDrivenChurn:
         config = ChurnConfig(pairs_per_step=80, trace=trace, repair_every=2)
         rows = [
             simulate_churn(overlay, config, seed=7).as_rows(),
-            simulate_churn(overlay, config, seed=7, backend=RebuildingBackend()).as_rows(),
+            simulate_churn(overlay, config, seed=7, backend=python_loop_backend()).as_rows(),
             _oracle_churn(overlay, config, seed=7).as_rows(),
         ]
         assert rows[0] == rows[1] == rows[2]
@@ -258,11 +254,97 @@ class TestTraceDrivenChurn:
             assert step.usable_fraction == pytest.approx(step.online_fraction)
 
 
+class TestChurnWindows:
+    """A run spanning several windows: one stacked call per window, oracle rows."""
+
+    WIDTH = 3
+
+    @pytest.fixture
+    def narrow_windows(self, overlay, monkeypatch):
+        # Shrink the union-table bound so that one window holds WIDTH steps.
+        rows, degree = overlay.neighbor_array().shape
+        monkeypatch.setattr(engine, "_MAX_UNION_TABLE_ELEMENTS", self.WIDTH * rows * degree)
+        assert engine._cells_per_union(overlay) == self.WIDTH
+
+    @pytest.fixture
+    def markov_config(self):
+        # Every online node leaves at every step and the tables are repaired
+        # every second step, so each odd step's online set misses the one at
+        # its repair: odd steps are degenerate, and even ones route at usable
+        # shares that fall from about 0.55 to 0.2.
+        return ChurnConfig(
+            leave_probability=1.0, rejoin_probability=0.6,
+            steps_per_epoch=8, pairs_per_step=60, repair_every=2,
+        )
+
+    @pytest.fixture
+    def trace_config(self, overlay):
+        # A random 30% of the nodes leave at step 2 and rejoin at step 7;
+        # every other node but node 0 leaves at step 5 and rejoins at step 6,
+        # so step 5 is degenerate, mid-window, right after a routed step.
+        rng = np.random.default_rng(31)
+        away = rng.choice(np.arange(1, overlay.n_nodes), size=overlay.n_nodes * 3 // 10, replace=False)
+        rest = np.setdiff1d(np.arange(1, overlay.n_nodes), away)
+        events = [(2, away, False), (5, rest, False), (6, rest, True), (7, away, True)]
+        trace = ChurnTrace(
+            n_nodes=overlay.n_nodes,
+            n_steps=8,
+            steps=np.concatenate([np.full(nodes.size, step) for step, nodes, _ in events]),
+            nodes=np.concatenate([nodes for _, nodes, _ in events]),
+            joins=np.concatenate([np.full(nodes.size, join) for _, nodes, join in events]),
+        )
+        return ChurnConfig(pairs_per_step=60, trace=trace)
+
+    @pytest.mark.parametrize("mode", ["markov", "trace"])
+    @pytest.mark.parametrize("backend", ["numpy", "python-loop"])
+    def test_windows_match_the_oracle_rows_and_stream(
+        self, overlay, narrow_windows, mode, backend, request
+    ):
+        config = request.getfixturevalue(f"{mode}_config")
+        routing = python_loop_backend() if backend == "python-loop" else backend
+        generators = [np.random.default_rng(41) for _ in range(2)]
+        measured = simulate_churn(overlay, config, rng=generators[0], backend=routing)
+        expected = _oracle_churn(overlay, config, rng=generators[1])
+        rows = measured.as_rows()
+        assert rows == expected.as_rows()
+        assert generators[0].random() == generators[1].random()
+        # The run spans several windows and one of them has a degenerate step
+        # after a routed one.
+        assert len(rows) > 2 * self.WIDTH
+        assert any(
+            row["attempts"] == 0 and rows[index - 1]["attempts"] > 0
+            for index, row in enumerate(rows)
+            if index % self.WIDTH
+        )
+
+    @pytest.mark.parametrize("mode", ["markov", "trace"])
+    def test_each_window_is_one_stacked_call(
+        self, overlay, narrow_windows, mode, request, monkeypatch
+    ):
+        config = request.getfixturevalue(f"{mode}_config")
+        stacks = []
+        stacked = engine.route_pairs_stacked
+
+        def recording(overlay, sources, destinations, alive_stack, cell_indices, **options):
+            stacks.append(len(alive_stack))
+            return stacked(overlay, sources, destinations, alive_stack, cell_indices, **options)
+
+        monkeypatch.setattr(engine, "route_pairs_stacked", recording)
+        rows = simulate_churn(overlay, config, seed=41).as_rows()
+        windows = [rows[start : start + self.WIDTH] for start in range(0, len(rows), self.WIDTH)]
+        routed = [sum(row["attempts"] > 0 for row in window) for window in windows]
+        assert stacks == [count for count in routed if count]
+        assert max(stacks) > 1
+
+
 class TestChurnProfile:
     def test_profile_collects_every_phase(self, overlay):
         profile = {}
         config = ChurnConfig(steps_per_epoch=3, pairs_per_step=40)
         simulate_churn(overlay, config, seed=4, profile=profile)
+        # The sweep profiler's names: the trajectory is churn's mask generation.
+        assert CHURN_PROFILE_PHASES == ("mask_generation", "kernel_hops", "reduction")
+        assert set(CHURN_PROFILE_PHASES) <= set(engine.PROFILE_PHASES)
         assert set(profile) == set(CHURN_PROFILE_PHASES)
         assert all(seconds >= 0.0 for seconds in profile.values())
 

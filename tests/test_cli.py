@@ -176,8 +176,9 @@ class TestChurnTraceOption:
             ]
         ) == 0
         output = capsys.readouterr().out
-        for phase in ("state_update", "kernel_hops", "reduction"):
+        for phase in ("mask_generation", "kernel_hops", "reduction"):
             assert phase in output
+        assert "state_update" not in output
 
     def test_trace_json_export(self, trace_path, tmp_path, capsys):
         import json

@@ -240,9 +240,9 @@ class TestFusedSweepRunner:
 
     @pytest.mark.parametrize("geometry", GEOMETRIES)
     def test_churn_fused_epoch_matches_scalar_multi_chunk(self, geometry):
-        # The churn driver carries one routing state across steps; with each
-        # step's pairs routed in several chunks it must still match the
-        # scalar-oracle churn reference step for step, on every geometry.
+        # The churn driver routes windows of steps as one stacked batch; with
+        # each window's pairs routed in several chunks it must still match
+        # the scalar-oracle churn reference step for step, on every geometry.
         config = ChurnConfig(
             leave_probability=0.08,
             rejoin_probability=0.05,

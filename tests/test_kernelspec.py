@@ -223,7 +223,7 @@ class TestFailureModelParity:
 
 
 class TestChurnParity:
-    """simulate_churn's carried state measures what the scalar-oracle churn reference does."""
+    """simulate_churn's windowed routing measures what the scalar-oracle churn reference does."""
 
     def test_churn_matches_the_churn_reference(self, small_overlays, geometry_name, backend_label):
         assert assert_churn_parity(small_overlays[geometry_name], _backend(backend_label)) > 0
@@ -427,14 +427,12 @@ class TestUpdateParity:
             if step:
                 state = backend.update(overlay, state, mask)
             sources, destinations = sample_survivor_pair_arrays(mask, 60, rng)
-            carried = route_pairs(
-                overlay, sources, destinations, mask, backend=backend, prepared_state=state
-            )
+            succeeded, hops, codes = backend.run(overlay, state, sources, destinations)
             fresh = route_pairs(overlay, sources, destinations, mask, backend=backend)
             context = (geometry_name, kind, step)
-            assert np.array_equal(carried.succeeded, fresh.succeeded), context
-            assert np.array_equal(carried.hops, fresh.hops), context
-            assert np.array_equal(carried.failure_codes, fresh.failure_codes), context
+            assert np.array_equal(succeeded, fresh.succeeded), context
+            assert np.array_equal(hops, fresh.hops), context
+            assert np.array_equal(codes, fresh.failure_codes), context
             compared += sources.size
         assert compared > 0
 

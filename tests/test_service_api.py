@@ -140,7 +140,7 @@ class TestEndToEndSmoke:
 
             status, metrics = request(port, "GET", "/metrics")
             assert status == 200
-            assert 'rcm_jobs_total{state="done"} 1' in metrics
+            assert 'rcm_jobs{state="done"} 1' in metrics
             assert "rcm_cells_computed_total 4" in metrics
             assert "rcm_store_cells 4" in metrics
 
