@@ -37,10 +37,11 @@ A step is a cell: its usable mask and its sampled pairs, ``None`` when fewer
 than two nodes are usable.  :func:`simulate_churn` collects consecutive
 steps into windows and routes each window as one fused stack through the
 sweep's cell-group executor (``repro.sim.engine._route_cell_groups``), so a
-hop advances every pair of the window at once.  A window is as wide as the
-routing driver's sub-union (``repro.sim.engine._cells_per_union``: 8 steps
-at d=16, a whole typical run at d=10), so a run of any length holds at most
-one window of masks.  The kernels mask only the table rows a hop visits
+hop advances every pair of the window at once.  A window is at most as
+wide as the routing driver's sub-union and holds at most one pair chunk
+(``repro.sim.engine._cells_per_window``: 8 steps of 2000 pairs at d=16, 32
+at d=10 or below), so a run of any length holds at most one window of masks
+and pairs.  The kernels mask only the table rows a hop visits
 (see :mod:`repro.sim.backends.numpy_backend`), so a window's cost follows
 its pairs, not the overlay size.  Stacked routing is row-independent:
 every step measures what routing it alone would (``tests/test_churn.py``
@@ -80,7 +81,7 @@ from ..exceptions import InvalidParameterError
 from ..validation import check_positive_int, check_probability
 from ..workloads.traces import ChurnTrace
 from .backends import resolve_backend
-from .engine import BackendLike, _cells_per_union, _PhaseClock, _route_cell_groups
+from .engine import BackendLike, _cells_per_window, _PhaseClock, _route_cell_groups
 from .sampling import sample_survivor_pair_arrays
 
 __all__ = [
@@ -341,7 +342,7 @@ def simulate_churn(
     resolved = resolve_backend(backend)
     clock = _PhaseClock(profile)
     trajectory = _churn_trajectory(overlay, config, generator)
-    width = _cells_per_union(overlay)
+    width = _cells_per_window(overlay, config.pairs_per_step)
     steps: List[ChurnStepResult] = []
     while True:
         clock.start("mask_generation")

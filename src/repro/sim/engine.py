@@ -297,11 +297,22 @@ def _cells_per_union(overlay) -> int:
     The widest stack whose full masked table stays within
     :data:`_MAX_UNION_TABLE_ELEMENTS` (at least one cell): 8 cells at d=16,
     every cell of a typical run at d=10.  The routing driver splits wider
-    stacks into sub-unions of this width, and the churn loop collects its
-    steps into windows of it.
+    stacks into sub-unions of this width.
     """
     rows, degree = overlay.neighbor_array().shape
     return max(1, _MAX_UNION_TABLE_ELEMENTS // (rows * degree))
+
+
+def _cells_per_window(overlay, pairs_per_cell: int) -> int:
+    """How many cells of ``pairs_per_cell`` pairs one streamed window holds.
+
+    A window is at most a sub-union wide (:func:`_cells_per_union`) and holds
+    at most one pair chunk (:data:`_MAX_BATCH_PAIRS`), at least one cell: 8
+    cells of 2000 pairs at d=16, 32 at d=10 or below.  The churn loop
+    collects its steps into windows of this width, so a run of any length
+    at any ``d`` holds at most one window of masks and pairs.
+    """
+    return max(1, min(_cells_per_union(overlay), _MAX_BATCH_PAIRS // pairs_per_cell))
 
 
 class _UnionOverlayView:

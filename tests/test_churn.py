@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.geometry import get_geometry
-from repro.dht import HypercubeOverlay, KademliaOverlay
+from repro.dht import ChordOverlay, HypercubeOverlay, KademliaOverlay
 from repro.exceptions import InvalidParameterError
 from repro.sim import engine
 from repro.sim.backends import python_loop_backend
@@ -264,7 +264,7 @@ class TestChurnWindows:
         # Shrink the union-table bound so that one window holds WIDTH steps.
         rows, degree = overlay.neighbor_array().shape
         monkeypatch.setattr(engine, "_MAX_UNION_TABLE_ELEMENTS", self.WIDTH * rows * degree)
-        assert engine._cells_per_union(overlay) == self.WIDTH
+        assert engine._cells_per_window(overlay, 60) == self.WIDTH
 
     @pytest.fixture
     def markov_config(self):
@@ -335,6 +335,28 @@ class TestChurnWindows:
         routed = [sum(row["attempts"] > 0 for row in window) for window in windows]
         assert stacks == [count for count in routed if count]
         assert max(stacks) > 1
+
+    def test_small_d_windows_hold_at_most_one_pair_chunk(self, monkeypatch):
+        # At d=4 a sub-union spans 131072 steps; the pair bound must still
+        # cut a long run of 2000-pair steps into windows of one chunk.
+        overlay = ChordOverlay.build(4, seed=5)
+        config = ChurnConfig(
+            leave_probability=0.05, rejoin_probability=0.5,
+            steps_per_epoch=100, pairs_per_step=2000,
+        )
+        assert engine._cells_per_union(overlay) > config.total_steps
+        calls = []
+        stacked = engine.route_pairs_stacked
+
+        def recording(overlay, sources, destinations, alive_stack, cell_indices, **options):
+            calls.append((len(alive_stack), len(sources)))
+            return stacked(overlay, sources, destinations, alive_stack, cell_indices, **options)
+
+        monkeypatch.setattr(engine, "route_pairs_stacked", recording)
+        simulate_churn(overlay, config, seed=43)
+        assert len(calls) > 1
+        assert max(pairs for _, pairs in calls) <= engine._MAX_BATCH_PAIRS
+        assert max(cells for cells, _ in calls) == engine._MAX_BATCH_PAIRS // config.pairs_per_step
 
 
 class TestChurnProfile:
