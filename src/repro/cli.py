@@ -504,6 +504,20 @@ def _loader(load, path: str, what: str):
     return read
 
 
+def _check_writable(path: str, flag: str) -> None:
+    """Fail with a one-line error, before anything runs, when ``path`` cannot be written."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"directory {directory!r} does not exist"
+    elif not os.access(directory, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        reason = "permission denied"
+    else:
+        return
+    raise InvalidParameterError(f"cannot write {flag} file {path!r}: {reason}")
+
+
 def _simulate_request(arguments: argparse.Namespace):
     """The :class:`~repro.sim.request.SweepRequest` of ``rcm simulate``.
 
@@ -563,6 +577,9 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
     from .sim.request import run_shard
 
     request = _simulate_request(arguments)
+    for option in ("json", "allocation_out"):
+        if getattr(arguments, option):
+            _check_writable(getattr(arguments, option), _flag(option))
     ((geometry, model),) = request.shards
     sections = []
     if request.churn is not None:
@@ -723,9 +740,10 @@ def _command_serve(arguments: argparse.Namespace) -> Optional[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    Operational errors with an actionable message — currently an unusable
-    persistent result store (``--store`` pointing at an unwritable path) —
-    exit with code 2 and one line on stderr instead of a traceback.
+    Operational errors with an actionable message — an unusable persistent
+    result store (``--store`` pointing at an unwritable path) or output file
+    (``--json``, ``--allocation-out``), checked before anything runs — exit
+    with code 2 and one line on stderr instead of a traceback.
     """
     parser = build_parser()
     arguments = parser.parse_args(list(argv) if argv is not None else None)

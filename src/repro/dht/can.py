@@ -65,8 +65,8 @@ class HypercubeOverlay(Overlay):
         return tuple(node ^ mask for mask in self._flip_masks)
 
     def _build_neighbor_array(self) -> np.ndarray:
-        identifiers = np.arange(self.n_nodes, dtype=np.int64)
-        masks = np.asarray(self._flip_masks, dtype=np.int64)
+        identifiers = np.arange(self.n_nodes, dtype=np.int32)
+        masks = np.asarray(self._flip_masks, dtype=np.int32)
         return identifiers[:, None] ^ masks[None, :]
 
     def progressing_neighbors(self, node: int, destination: int, alive: np.ndarray) -> List[int]:
@@ -124,7 +124,8 @@ def _hypercube_neighbor_bits(ops):
     """A neighbour's flipped bit, ``neighbor ^ cur``: the driver ORs these over
     the masked row into the alive-neighbour bitset (bit ``j`` set iff
     ``cur ^ 2^j`` is alive).  A dead neighbour arrives as ``cur`` and adds
-    nothing; on a disjoint-union view the cell base cancels in the XOR.
+    nothing; on a fused stack's virtual identifiers (``cell * 2^d + node``)
+    the cell base cancels in the XOR.
     """
 
     def neighbor_bits(consts, neighbor, cur):

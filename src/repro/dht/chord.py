@@ -41,14 +41,13 @@ class ChordOverlay(Overlay):
     system_name = "Chord"
 
     def __init__(self, space: IdentifierSpace, tables: np.ndarray, finger_mode: str) -> None:
-        super().__init__(space)
         if tables.shape != (space.size, space.d):
             raise TopologyError(
                 f"ring routing tables have shape {tables.shape}, expected {(space.size, space.d)}"
             )
         if finger_mode not in FINGER_MODES:
             raise TopologyError(f"unknown finger mode {finger_mode!r}; expected one of {FINGER_MODES}")
-        self._tables = tables
+        super().__init__(space, tables)
         self._finger_mode = finger_mode
 
     @classmethod
@@ -75,7 +74,7 @@ class ChordOverlay(Overlay):
         n = space.size
         generator = make_rng(rng, seed)
         identifiers = np.arange(n, dtype=np.int64)
-        tables = np.empty((n, d), dtype=np.int64)
+        tables = np.empty((n, d), dtype=np.int32)
         for finger in range(1, d + 1):
             low = 1 << (d - finger)
             high = min(n, 1 << (d - finger + 1))
@@ -96,16 +95,12 @@ class ChordOverlay(Overlay):
         node = self._space.validate(node)
         if index < 1 or index > self.d:
             raise TopologyError(f"finger index {index} outside 1..{self.d}")
-        return int(self._tables[node, index - 1])
+        return int(self._table[node, index - 1])
 
     def neighbors(self, node: int) -> Tuple[int, ...]:
         """The finger table of ``node``: successors at power-of-two ring offsets."""
         node = self._space.validate(node)
-        return tuple(int(v) for v in self._tables[node])
-
-    def _build_neighbor_array(self) -> np.ndarray:
-        """Finger tables (column *i* is the finger *i + 1* entry)."""
-        return self._tables
+        return tuple(int(v) for v in self._table[node])
 
     def route(self, source: int, destination: int, alive: np.ndarray) -> RouteResult:
         """Greedy clockwise routing without overshooting the destination."""
@@ -119,7 +114,7 @@ class ChordOverlay(Overlay):
             remaining = ring_distance(current, destination, n)
             best_neighbor = -1
             best_remaining = remaining
-            for neighbor in self._tables[current]:
+            for neighbor in self._table[current]:
                 neighbor = int(neighbor)
                 if not alive[neighbor]:
                     continue
@@ -156,9 +151,9 @@ def _ring_key(ops):
 
     The modulus is a power of two, so ``x mod 2^d`` is ``x & (2^d - 1)``
     (two's complement makes that hold for negative differences too).
-    Same-cell differences stay inside ``(-modulus, modulus)`` on a
-    disjoint-union view, so the physical modulus recovers the clockwise
-    distances.  Ties among usable keys imply the same neighbour identifier,
+    A fused stack's virtual identifiers (``cell * 2^d + node``, int32 like
+    the table) differ within one cell by less than the modulus, so the
+    physical modulus recovers the clockwise distances.  Ties among usable keys imply the same neighbour identifier,
     so the drivers' first-minimum rule reproduces the scalar
     first-strict-improvement scan.
     """

@@ -106,7 +106,7 @@ class DeBruijnOverlay(Overlay):
         return (even, odd)
 
     def _build_neighbor_array(self) -> np.ndarray:
-        identifiers = np.arange(self.n_nodes, dtype=np.int64)
+        identifiers = np.arange(self.n_nodes, dtype=np.int32)
         shifted = (identifiers << 1) & self._mask
         even = shifted.copy()
         odd = shifted | 1
@@ -159,7 +159,7 @@ def _debruijn_advance(ops):
         mask = consts[1]
         local_cur = cur & mask
         local_dst = dst & mask
-        base = cur - local_cur  # the disjoint-union cell offset (0 when physical)
+        base = cur - local_cur  # the fused stack's cell offset (0 for cell 0)
         overlap = local_cur & 0  # a zero of the operand type/shape
         for length in range(1, d):
             match = (local_cur & ((1 << length) - 1)) == (local_dst >> (d - length))

@@ -38,12 +38,11 @@ class KademliaOverlay(Overlay):
     system_name = "Kademlia"
 
     def __init__(self, space: IdentifierSpace, tables: np.ndarray) -> None:
-        super().__init__(space)
         if tables.shape != (space.size, space.d):
             raise TopologyError(
                 f"XOR routing tables have shape {tables.shape}, expected {(space.size, space.d)}"
             )
-        self._tables = tables
+        super().__init__(space, tables)
 
     @classmethod
     def build(
@@ -66,7 +65,7 @@ class KademliaOverlay(Overlay):
         n = space.size
         generator = make_rng(rng, seed)
         identifiers = np.arange(n, dtype=np.int64)
-        tables = np.empty((n, d), dtype=np.int64)
+        tables = np.empty((n, d), dtype=np.int32)
         for position in range(1, d + 1):
             flip_mask = 1 << (d - position)
             low_bits = d - position
@@ -84,16 +83,12 @@ class KademliaOverlay(Overlay):
         node = self._space.validate(node)
         if bucket < 1 or bucket > self.d:
             raise TopologyError(f"bucket {bucket} outside 1..{self.d}")
-        return int(self._tables[node, bucket - 1])
+        return int(self._table[node, bucket - 1])
 
     def neighbors(self, node: int) -> Tuple[int, ...]:
         """One bucket representative per differing-bit position of ``node``."""
         node = self._space.validate(node)
-        return tuple(int(v) for v in self._tables[node])
-
-    def _build_neighbor_array(self) -> np.ndarray:
-        """Bucket-indexed routing tables (column *i* is the bucket *i + 1* entry)."""
-        return self._tables
+        return tuple(int(v) for v in self._table[node])
 
     def route(self, source: int, destination: int, alive: np.ndarray) -> RouteResult:
         """Greedy XOR routing: forward to the alive neighbour closest to the destination.
@@ -110,7 +105,7 @@ class KademliaOverlay(Overlay):
             current_distance = xor_distance(current, destination)
             best_neighbor = -1
             best_distance = current_distance
-            for neighbor in self._tables[current]:
+            for neighbor in self._table[current]:
                 neighbor = int(neighbor)
                 if not alive[neighbor]:
                     continue

@@ -58,6 +58,14 @@ def make_rng(rng: Optional[np.random.Generator] = None, seed: Optional[int] = No
     return np.random.default_rng(seed)
 
 
+def _frozen_table(table: np.ndarray) -> np.ndarray:
+    """``table`` as the overlay's routing-table storage: C-contiguous, int32 and
+    read-only, copied only when it is not already int32 and C-contiguous."""
+    table = np.ascontiguousarray(table, dtype=np.int32)
+    table.setflags(write=False)
+    return table
+
+
 class Overlay(abc.ABC):
     """Base class for a static DHT overlay over a fully populated ``d``-bit space.
 
@@ -72,12 +80,13 @@ class Overlay(abc.ABC):
     #: Representative system from the paper ("Plaxton", "CAN", "Kademlia", "Chord", "Symphony").
     system_name: str = ""
 
-    def __init__(self, space: IdentifierSpace) -> None:
+    def __init__(self, space: IdentifierSpace, table: Optional[np.ndarray] = None) -> None:
         if not self.geometry_name or not self.system_name:
             raise TopologyError(
                 f"{type(self).__name__} must define geometry_name and system_name"
             )
         self._space = space
+        self._table = None if table is None else _frozen_table(table)
 
     # ------------------------------------------------------------------ #
     # structure
@@ -102,33 +111,42 @@ class Overlay(abc.ABC):
         """Outgoing routing-table entries of ``node`` in the pristine overlay."""
 
     def neighbor_array(self) -> np.ndarray:
-        """Every node's routing table as one ``(n_nodes, degree)`` int64 array.
+        """Every node's routing table as one ``(n_nodes, degree)`` int32 array.
 
         Row ``i`` lists the neighbours of node ``i`` in the same order
         :meth:`neighbors` returns them (for the tree and XOR geometries that
-        order is the bit/bucket index).  The array is cached on the overlay
-        and marked read-only (writes raise ``ValueError``) — it is the view
-        every kernel backend (:mod:`repro.sim.backends`) routes over, so a
-        buggy kernel must fault loudly rather than silently corrupt the
-        shared tables.  Only defined for overlays whose nodes all have the
-        same out-degree, which holds for every registered geometry.
+        order is the bit/bucket index).  This is the overlay's one copy of
+        its table, returned without copying: overlays that draw their tables
+        at build time (Plaxton, Kademlia, Chord, Symphony) hand it to the
+        constructor and their scalar oracles read the same array; the
+        others (hypercube, de Bruijn) build it here once, on first use.
+        Every kernel backend routes over it as it is, the fused multi-cell
+        path included (a virtual identifier ``cell * 2^d + node`` reads row
+        ``node``), so it is C-contiguous and read-only: a buggy kernel must
+        fault loudly rather than silently corrupt the shared table.
+
+        int32 holds every identifier an overlay can route: a node id is
+        below ``2^d``, which int32 holds up to ``d = 31``, where the table
+        alone would take at least 8 GiB, so no larger overlay is built; a
+        fused stack of several cells is capped at ``2^23`` table entries, so
+        its virtual ids stay below ``2^23``
+        (``repro.sim.engine._cells_per_union``).  Only defined for
+        overlays whose nodes all have the same out-degree, which holds for
+        every registered geometry.
         """
-        cached = getattr(self, "_neighbor_array_cache", None)
-        if cached is None:
-            cached = np.array(self._build_neighbor_array(), dtype=np.int64, copy=True)
-            cached.setflags(write=False)
-            self._neighbor_array_cache = cached
-        return cached
+        if self._table is None:
+            self._table = _frozen_table(self._build_neighbor_array())
+        return self._table
 
     def _build_neighbor_array(self) -> np.ndarray:
-        """Materialise the table for :meth:`neighbor_array` (overridden by overlays
-        that already hold their tables as an array)."""
+        """Materialise the table for :meth:`neighbor_array` (overridden by the
+        overlays that compute their tables, unused by those built with one)."""
         rows = [self.neighbors(node) for node in self._space.identifiers()]
         if len({len(row) for row in rows}) != 1:
             raise TopologyError(
                 "neighbor_array requires every node to have the same out-degree"
             )
-        return np.asarray(rows, dtype=np.int64)
+        return np.asarray(rows, dtype=np.int32)
 
     @abc.abstractmethod
     def route(self, source: int, destination: int, alive: np.ndarray) -> RouteResult:

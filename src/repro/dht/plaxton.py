@@ -50,14 +50,13 @@ class PlaxtonOverlay(Overlay):
     system_name = "Plaxton"
 
     def __init__(self, space: IdentifierSpace, tables: np.ndarray, table_mode: str) -> None:
-        super().__init__(space)
         if tables.shape != (space.size, space.d):
             raise TopologyError(
                 f"tree routing tables have shape {tables.shape}, expected {(space.size, space.d)}"
             )
         if table_mode not in TABLE_MODES:
             raise TopologyError(f"unknown table mode {table_mode!r}; expected one of {TABLE_MODES}")
-        self._tables = tables
+        super().__init__(space, tables)
         self._table_mode = table_mode
 
     # ------------------------------------------------------------------ #
@@ -84,7 +83,7 @@ class PlaxtonOverlay(Overlay):
         n = space.size
         generator = make_rng(rng, seed)
         identifiers = np.arange(n, dtype=np.int64)
-        tables = np.empty((n, d), dtype=np.int64)
+        tables = np.empty((n, d), dtype=np.int32)
         for position in range(1, d + 1):
             flip_mask = 1 << (d - position)
             flipped = identifiers ^ flip_mask
@@ -113,16 +112,12 @@ class PlaxtonOverlay(Overlay):
         node = self._space.validate(node)
         if position < 1 or position > self.d:
             raise TopologyError(f"bit position {position} outside 1..{self.d}")
-        return int(self._tables[node, position - 1])
+        return int(self._table[node, position - 1])
 
     def neighbors(self, node: int) -> Tuple[int, ...]:
         """One prefix-correcting entry per digit position of ``node``."""
         node = self._space.validate(node)
-        return tuple(int(v) for v in self._tables[node])
-
-    def _build_neighbor_array(self) -> np.ndarray:
-        """Bit-indexed routing tables (column *i* is the neighbour for bit *i + 1*)."""
-        return self._tables
+        return tuple(int(v) for v in self._table[node])
 
     def route(self, source: int, destination: int, alive: np.ndarray) -> RouteResult:
         """Correct the highest-order differing bit each hop; drop if that neighbour failed."""
@@ -132,7 +127,7 @@ class PlaxtonOverlay(Overlay):
             if trace.hop_budget_exhausted:
                 return trace.failure(FailureReason.HOP_LIMIT_EXCEEDED)
             position = highest_differing_bit(trace.current, destination, self.d)
-            next_hop = int(self._tables[trace.current, position - 1])
+            next_hop = int(self._table[trace.current, position - 1])
             if not alive[next_hop]:
                 return trace.failure(FailureReason.REQUIRED_NEIGHBOR_FAILED)
             trace.advance(next_hop)

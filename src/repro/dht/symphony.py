@@ -59,23 +59,13 @@ class SymphonyOverlay(Overlay):
     geometry_name = "smallworld"
     system_name = "Symphony"
 
-    def __init__(
-        self,
-        space: IdentifierSpace,
-        near_tables: np.ndarray,
-        shortcut_tables: np.ndarray,
-    ) -> None:
-        super().__init__(space)
-        if near_tables.ndim != 2 or near_tables.shape[0] != space.size:
+    def __init__(self, space: IdentifierSpace, tables: np.ndarray, near_neighbors: int) -> None:
+        if tables.ndim != 2 or tables.shape[0] != space.size:
             raise TopologyError(
-                f"near-neighbour tables have shape {near_tables.shape}, expected ({space.size}, kn)"
+                f"routing tables have shape {tables.shape}, expected ({space.size}, kn + ks)"
             )
-        if shortcut_tables.ndim != 2 or shortcut_tables.shape[0] != space.size:
-            raise TopologyError(
-                f"shortcut tables have shape {shortcut_tables.shape}, expected ({space.size}, ks)"
-            )
-        self._near = near_tables
-        self._shortcuts = shortcut_tables
+        super().__init__(space, tables)
+        self._near_count = near_neighbors
 
     @classmethod
     def build(
@@ -102,43 +92,39 @@ class SymphonyOverlay(Overlay):
             )
         generator = make_rng(rng, seed)
         identifiers = np.arange(n, dtype=np.int64)
-        near_tables = np.empty((n, kn), dtype=np.int64)
+        # Near neighbours in the first kn columns, shortcuts in the last ks.
+        tables = np.empty((n, kn + ks), dtype=np.int32)
         for offset in range(1, kn + 1):
-            near_tables[:, offset - 1] = (identifiers + offset) % n
-        shortcut_tables = np.empty((n, ks), dtype=np.int64)
-        for column in range(ks):
+            tables[:, offset - 1] = (identifiers + offset) % n
+        for column in range(kn, kn + ks):
             distances = harmonic_distances(n, n, generator)
-            shortcut_tables[:, column] = (identifiers + distances) % n
-        return cls(space, near_tables, shortcut_tables)
+            tables[:, column] = (identifiers + distances) % n
+        return cls(space, tables, kn)
 
     @property
     def near_neighbor_count(self) -> int:
         """Number of near neighbours (``kn``) each node maintains."""
-        return int(self._near.shape[1])
+        return self._near_count
 
     @property
     def shortcut_count(self) -> int:
         """Number of shortcuts (``ks``) each node maintains."""
-        return int(self._shortcuts.shape[1])
+        return int(self._table.shape[1]) - self._near_count
 
     def near_neighbors_of(self, node: int) -> Tuple[int, ...]:
         """The near-neighbour (successor) links of ``node``."""
         node = self._space.validate(node)
-        return tuple(int(v) for v in self._near[node])
+        return tuple(int(v) for v in self._table[node, : self._near_count])
 
     def shortcuts_of(self, node: int) -> Tuple[int, ...]:
         """The long-range shortcut links of ``node``."""
         node = self._space.validate(node)
-        return tuple(int(v) for v in self._shortcuts[node])
+        return tuple(int(v) for v in self._table[node, self._near_count :])
 
     def neighbors(self, node: int) -> Tuple[int, ...]:
         """``node``'s near neighbours plus its harmonic long-range shortcuts."""
         node = self._space.validate(node)
-        return tuple(int(v) for v in self._near[node]) + tuple(int(v) for v in self._shortcuts[node])
-
-    def _build_neighbor_array(self) -> np.ndarray:
-        """Near neighbours and shortcuts side by side, in :meth:`neighbors` order."""
-        return np.hstack([self._near, self._shortcuts])
+        return tuple(int(v) for v in self._table[node])
 
     def hop_limit(self) -> int:
         """Symphony may need up to ``O(N)`` successor hops once shortcuts have failed."""

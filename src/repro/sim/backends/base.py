@@ -1,13 +1,14 @@
 """Kernel-backend protocol shared by every routing-kernel implementation.
 
 A *kernel backend* owns the innermost layer of the batch engine: given an
-overlay view (a physical :class:`~repro.dht.network.Overlay` or the fused
-disjoint-union view), a batch of (source, destination) pairs and one flat
-survival vector, it advances every pair hop by hop until termination and
-reports the per-pair ``(succeeded, hops, failure_code)``
-triples.  Everything above the backend — argument validation, mask stacking,
-the disjoint-union construction, sweep fan-out — is backend-agnostic and
-lives in :mod:`repro.sim.engine`.
+:class:`~repro.dht.network.Overlay`, a batch of (source, destination) pairs
+as int32 virtual identifiers ``cell * 2^d + node`` and the flattened
+survival-mask stack they index, it advances every pair hop by hop until
+termination over the overlay's own int32 table
+(:meth:`~repro.dht.network.Overlay.neighbor_array`) and reports the
+per-pair ``(succeeded, hops, failure_code)`` triples.  Everything above the
+backend — argument validation, mask stacking, the virtual identifiers,
+sweep fan-out — is backend-agnostic and lives in :mod:`repro.sim.engine`.
 
 The contract every backend must honour is the repo's routing invariant:
 **bit-identical outcomes, pair-for-pair, to the scalar
@@ -88,7 +89,7 @@ class KernelBackend(abc.ABC):
     def prepare(self, overlay, alive: np.ndarray):
         """Bind the routing state for one batch.
 
-        Called once per ``(overlay view, survival vector)`` batch; the
+        Called once per ``(overlay, flattened mask stack)`` batch; the
         returned opaque state is threaded into every :meth:`run` chunk, so
         anything it builds lazily (the NumPy backend's full masked table) is
         shared by every chunk.
@@ -108,7 +109,7 @@ class KernelBackend(abc.ABC):
         """
 
     def update(self, overlay, state, alive: np.ndarray):
-        """Rebind a state from :meth:`prepare` on this view to another survival vector.
+        """Rebind a state from :meth:`prepare` on this overlay to another survival vector.
 
         Specs hold no mask-dependent state, so rebinding does no table work;
         the returned state routes exactly as a fresh :meth:`prepare` under

@@ -9,9 +9,9 @@ spec's element-wise functions with the *scalar* primitive set
 per-pair step and hop loop (:func:`~repro.sim.kernelspec.scalar_step`,
 :func:`~repro.sim.kernelspec.make_pair_loop`), and — when Numba is
 importable — compiles the whole chain with ``@njit``.  Each pair is then
-routed from source to termination inside one compiled loop over the int32
-physical table, with aliveness looked up in bit-packed uint64 words: no
-per-hop Python dispatch, no ``(batch, degree)`` temporaries.  The loop
+routed from source to termination inside one compiled loop over the
+overlay's own int32 table, with aliveness looked up in bit-packed uint64
+words: no per-hop Python dispatch, no ``(batch, degree)`` temporaries.  The loop
 masks each candidate as it reads it (and computes the hypercube's row bits
 at each hop), so it never builds a masked table at all.
 
@@ -96,25 +96,13 @@ def _build_pair_loop(spec: KernelSpec, jit: bool):
     return numba.njit(nogil=True)(make_pair_loop(step, HOP_LIMIT_CODE, spec.fail_code))
 
 
-def _narrowed(table: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Contiguous copy of the neighbour table, narrowed to int32 where safe.
-
-    Every realistic identifier space fits 32 bits (the fused union view's
-    table already is int32), so the compiled loops touch half the memory
-    the int64 table would cost.
-    """
-    if table.dtype.itemsize > 4 and n_nodes <= np.iinfo(np.int32).max:
-        return np.ascontiguousarray(table, dtype=np.int32)
-    return np.ascontiguousarray(table)
-
-
 class NumbaBackend(KernelBackend):
     """Per-pair hop loops over the int32 neighbour table and uint64 aliveness words.
 
     ``prepare`` resolves the geometry's spec, builds (and memoizes) its
-    compiled loop, narrows the neighbour table to int32 and packs the
-    survival vector into uint64 words; ``run`` hands whole chunks to one
-    loop call — the only Python-level work per chunk is the call itself.
+    compiled loop and packs the survival vector into uint64 words; the loop
+    reads the overlay's own table.  ``run`` hands whole chunks to one loop
+    call — the only Python-level work per chunk is the call itself.
     """
 
     name = "numba"
@@ -144,11 +132,10 @@ class NumbaBackend(KernelBackend):
         return loop
 
     def prepare(self, overlay, alive: np.ndarray):
-        """Resolve the spec, build its loop, narrow the table and pack the aliveness words."""
+        """Resolve the spec, build its loop and pack the aliveness words."""
         spec = get_kernel_spec(overlay.geometry_name)
-        table = _narrowed(overlay.neighbor_array(), alive.size)
         consts = routing_consts(overlay)
-        return spec, self._loop_for(spec), consts, table, pack_alive_words(alive)
+        return spec, self._loop_for(spec), consts, overlay.neighbor_array(), pack_alive_words(alive)
 
     def update(self, overlay, state, alive: np.ndarray):
         """Rebind a prepared state to another mask: only the aliveness words change."""

@@ -36,12 +36,11 @@ outcome.  An ordered scan's passes read single entries of the same rows:
 masked per pass before the table exists, gathered from it afterwards.
 
 Every step routes under one flat survival vector, indexed by the same
-identifiers the pairs carry.  The fused multi-cell path reuses the executor
-unchanged by routing over a *disjoint union* of the overlay's cells (see
-``repro.sim.engine._UnionOverlayView``): virtual identifier
-``cell * n_nodes + node`` and a flattened mask stack; specs read the
-physical table at ``cur & (2^d - 1)`` and add the cell base back, so a
-single mask is simply a stack of one.
+identifiers the pairs carry: the routing driver
+(``repro.sim.engine._dispatch_stack``) hands over the flattened mask stack
+and int32 virtual identifiers ``cell * n_nodes + node``, and specs read the
+overlay's own int32 table at ``cur & (2^d - 1)`` and add the cell base
+back, so a single mask is simply a stack of one.
 """
 
 from __future__ import annotations
@@ -65,16 +64,16 @@ __all__ = ["NumpyBackend", "KERNEL_BLOCK"]
 
 #: Rows masked per call while the full masked table is built: the row
 #: function's ``(rows, degree)`` temporaries stay cache-sized even for a
-#: union table of millions of rows.  Rows are independent, so blocking
+#: stack of millions of rows.  Rows are independent, so blocking
 #: cannot change any entry.  A hop steps its whole active set at once; the
 #: routing driver's pair chunk (``repro.sim.engine._MAX_BATCH_PAIRS``) caps
 #: those per-hop temporaries.
 KERNEL_BLOCK = 2048
 
 
-def _masked_table(rows: Callable, n_rows: int, dtype) -> np.ndarray:
+def _masked_table(rows: Callable, n_rows: int) -> np.ndarray:
     """Every identifier's masked row, built once in :data:`KERNEL_BLOCK`-row blocks."""
-    ids = np.arange(n_rows, dtype=dtype)
+    ids = np.arange(n_rows, dtype=np.int32)
     first = rows(ids[:KERNEL_BLOCK])
     table = np.empty((n_rows,) + first.shape[1:], dtype=first.dtype)
     table[:KERNEL_BLOCK] = first
@@ -105,7 +104,6 @@ class _PreparedMask:
         self._readers = MaskedReaders(
             vector_rows(spec, overlay, alive), vector_entries(spec, overlay, alive), False
         )
-        self._dtype = overlay.neighbor_array().dtype
         self._n_rows = alive.size
         self._gathered = 0
 
@@ -122,7 +120,7 @@ class _PreparedMask:
         if self._gathered + n_active < self._n_rows:
             self._gathered += n_active
             return self._readers
-        table = _masked_table(rows, self._n_rows, self._dtype)
+        table = _masked_table(rows, self._n_rows)
         self._readers = MaskedReaders(
             table.__getitem__, None if entries is None else _table_entries(table), True
         )

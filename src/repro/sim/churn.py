@@ -290,8 +290,9 @@ def _churn_trajectory(
                 online[event_nodes[event_joins]] = True
         steps_since_repair += 1
         usable = online_at_repair & online
+        usable_count = np.count_nonzero(usable)
         pairs = None
-        if int(usable.sum()) >= 2:
+        if usable_count >= 2:
             pairs = sample_survivor_pair_arrays(usable, config.pairs_per_step, generator)
         yield usable, pairs, functools.partial(
             ChurnStepResult,
@@ -301,8 +302,8 @@ def _churn_trajectory(
                 if trace is None
                 else None
             ),
-            online_fraction=float(online.mean()),
-            usable_fraction=float(usable.mean()),
+            online_fraction=np.count_nonzero(online) / n,
+            usable_fraction=usable_count / n,
         )
 
 

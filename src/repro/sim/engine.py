@@ -292,7 +292,7 @@ _MAX_UNION_TABLE_ELEMENTS = 1 << 23
 
 
 def _cells_per_union(overlay) -> int:
-    """How many cells of ``overlay`` one disjoint-union view routes at most.
+    """How many cells of ``overlay`` one disjoint union routes at most.
 
     The widest stack whose full masked table stays within
     :data:`_MAX_UNION_TABLE_ELEMENTS` (at least one cell): 8 cells at d=16,
@@ -315,44 +315,6 @@ def _cells_per_window(overlay, pairs_per_cell: int) -> int:
     return max(1, min(_cells_per_union(overlay), _MAX_BATCH_PAIRS // pairs_per_cell))
 
 
-class _UnionOverlayView:
-    """A disjoint union of ``n_cells`` copies of one overlay, as one big overlay.
-
-    Cell ``c``'s copy of node ``v`` gets the virtual identifier
-    ``c * n_nodes + v``.  Because ``n_nodes = 2^d``, the cell offset lives in
-    bits above the identifier space: specs read the physical table at
-    ``cur & (2^d - 1)`` and add the cell base ``cur - local`` back, and the
-    offset cancels in every same-cell XOR and drops out of every same-cell
-    difference.  Routing a pair on the union with the flattened mask stack
-    as its survival vector therefore follows exactly the trajectory the pair
-    would take on the physical overlay under its own cell's mask — which is
-    what makes the fused path bit-identical — while every hop keeps the
-    cheap flat-array indexing of the per-cell kernels.  No per-cell table
-    copy is made.
-    """
-
-    def __init__(self, overlay, n_cells: int) -> None:
-        self.geometry_name = overlay.geometry_name
-        self.system_name = overlay.system_name
-        self.d = overlay.d
-        self.n_nodes = n_cells * overlay.n_nodes
-        self._hop_limit = overlay.hop_limit()
-        # Virtual identifiers fit 32 bits for any realistic sweep; 32-bit
-        # routing state halves the memory traffic of every gather and
-        # temporary in the hop kernels.
-        dtype = np.int32 if self.n_nodes <= np.iinfo(np.int32).max else np.int64
-        self._table = overlay.neighbor_array().astype(dtype)
-        # Shared across every hop of the fused batch: a buggy kernel must
-        # fault loudly rather than silently corrupt the table.
-        self._table.setflags(write=False)
-
-    def neighbor_array(self) -> np.ndarray:
-        return self._table
-
-    def hop_limit(self) -> int:
-        return self._hop_limit
-
-
 def route_pairs_stacked(
     overlay: Overlay,
     sources: Sequence[int],
@@ -369,8 +331,8 @@ def route_pairs_stacked(
     routes under, so a whole ``(q × replicate)`` column of a sweep grid
     advances per vectorized hop instead of one small kernel launch per cell.
     Internally the batch routes over a disjoint union of the cells (see
-    :class:`_UnionOverlayView`), which keeps the per-hop cost identical to
-    the single-mask path.  Pairs are routed independently, so outcomes are
+    :func:`_dispatch_stack`), so a hop costs what it costs on one cell.
+    Pairs are routed independently, so outcomes are
     bit-identical to calling :func:`route_pairs` once per cell with that
     cell's mask; mask rows no pair references (e.g. degenerate cells) are
     simply ignored.
@@ -406,20 +368,23 @@ def _dispatch_stack(
     """The one routing driver behind :func:`route_pairs` and
     :func:`route_pairs_stacked` (arguments already validated).
 
-    A stack of one routes under its mask directly; wider stacks route over
-    the disjoint-union view, split into sub-unions of
-    :func:`_cells_per_union` cells when a full masked table could exceed
-    :data:`_MAX_UNION_TABLE_ELEMENTS`.  Each view is prepared once and its
-    pairs are routed in chunks of at most :data:`_MAX_BATCH_PAIRS` under
-    that one state, so a full masked table is still built at most once per
-    state.  Either way the kernels only ever see one overlay view, one flat
-    survival vector and one chunk of pairs — the execution shapes differ,
-    the code path does not.
+    A stack of any height, one included, routes as a disjoint union of its
+    cells: pair ``i`` travels between the virtual identifiers
+    ``cell_indices[i] * 2^d + node`` (int32, like the overlay's table)
+    under the flattened mask stack.  Because ``n_nodes = 2^d``, the cell
+    offset lives in bits above the identifier space: specs read the
+    overlay's own table at ``cur & (2^d - 1)`` and add the cell base
+    ``cur - local`` back, and the offset cancels in every same-cell XOR and
+    drops out of every same-cell difference.  So each pair follows exactly
+    the trajectory it would take on the overlay under its own cell's mask,
+    and no table is copied.  Stacks wider than :func:`_cells_per_union`
+    cells are split into sub-unions of that width, so a full masked table
+    stays within :data:`_MAX_UNION_TABLE_ELEMENTS` entries.  Each sub-union
+    is prepared once and its pairs are routed in chunks of at most
+    :data:`_MAX_BATCH_PAIRS` under that one state, so a full masked table
+    is built at most once per state.
     """
     n_cells = alive_stack.shape[0]
-    if n_cells == 1:
-        triple = _route_chunks(resolved, overlay, sources, destinations, alive_stack[0])
-        return _wrap_outcome(sources, destinations, triple)
     cells_per_union = _cells_per_union(overlay)
     if n_cells > cells_per_union:
         # Bound peak memory: route bounded-width sub-unions and scatter the
@@ -449,14 +414,12 @@ def _dispatch_stack(
             hops=hops,
             failure_codes=codes,
         )
-    union = _UnionOverlayView(overlay, n_cells)
-    dtype = union.neighbor_array().dtype
     offsets = cell_indices * overlay.n_nodes
     triple = _route_chunks(
         resolved,
-        union,
-        (sources + offsets).astype(dtype, copy=False),
-        (destinations + offsets).astype(dtype, copy=False),
+        overlay,
+        (sources + offsets).astype(np.int32),
+        (destinations + offsets).astype(np.int32),
         alive_stack.reshape(-1),
     )
     # Report the physical end-points, not the union's virtual identifiers.
@@ -465,26 +428,26 @@ def _dispatch_stack(
 
 def _route_chunks(
     resolved: KernelBackend,
-    view,
+    overlay: Overlay,
     sources: np.ndarray,
     destinations: np.ndarray,
     alive: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route one view's pairs in :data:`_MAX_BATCH_PAIRS` chunks under one prepared state.
+    """Route one (sub-)union's pairs in :data:`_MAX_BATCH_PAIRS` chunks under one prepared state.
 
     Pairs are routed independently, so chunking cannot change any outcome;
     it only caps the per-hop working set of a very wide batch.
     """
-    state = resolved.prepare(view, alive)
+    state = resolved.prepare(overlay, alive)
     n_pairs = sources.size
     if n_pairs <= _MAX_BATCH_PAIRS:
-        return resolved.run(view, state, sources, destinations)
+        return resolved.run(overlay, state, sources, destinations)
     succeeded = np.empty(n_pairs, dtype=bool)
     hops = np.empty(n_pairs, dtype=np.int64)
     codes = np.empty(n_pairs, dtype=np.int8)
     for start in range(0, n_pairs, _MAX_BATCH_PAIRS):
         stop = start + _MAX_BATCH_PAIRS
-        chunk = resolved.run(view, state, sources[start:stop], destinations[start:stop])
+        chunk = resolved.run(overlay, state, sources[start:stop], destinations[start:stop])
         succeeded[start:stop], hops[start:stop], codes[start:stop] = chunk
     return succeeded, hops, codes
 
@@ -641,7 +604,7 @@ def _sample_cell(
     rng = _cell_routing_rng(base_seed, cell)
     model = _bound_failure_model(overlay, cell.model, cell.q)
     alive = model.sample(overlay.n_nodes, rng)
-    if int(alive.sum()) < 2:
+    if np.count_nonzero(alive) < 2:
         return None
     sources, destinations = sample_survivor_pair_arrays(alive, pairs, rng)
     return alive, sources, destinations

@@ -25,11 +25,12 @@ collapses the batch side of that invariant to a single declaration:
   the rows a hop gathers, or for every row at once — the same functions
   either way, so the two forms cannot disagree.
 * Every driver receives the same two constants, :func:`routing_consts`
-  ``(d, 2^d - 1)``, and the physical neighbour table.  On the fused
-  disjoint-union view (virtual identifier ``cell * 2^d + node``) a row is
-  looked up at ``local = cur & (2^d - 1)`` and shifted by the cell base
-  ``cur - local``, so no offset table is needed to route many cells at
-  once.
+  ``(d, 2^d - 1)``, and the overlay's own int32 neighbour table
+  (:meth:`~repro.dht.network.Overlay.neighbor_array`).  Identifiers are
+  virtual, ``cell * 2^d + node`` for a stack of survival masks (one cell
+  or many): a row is looked up at ``local = cur & (2^d - 1)`` and shifted
+  by the cell base ``cur - local``, so no offset table is needed to route
+  many cells at once.
 * The generic drivers in this module derive **every execution shape** from
   the one declaration: :func:`vector_rows` / :func:`vector_step` build the
   vectorized masked-row and per-hop functions the NumPy backend iterates
@@ -141,14 +142,14 @@ PASS_CALL_COLUMNS = 2000
 TABLE_PASS_COST = 2
 
 
-def routing_consts(view) -> Tuple[int, int]:
+def routing_consts(overlay) -> Tuple[int, int]:
     """The constants every spec function receives: ``(d, 2^d - 1)``.
 
-    ``2^d - 1`` masks a (possibly disjoint-union) identifier down to its
-    physical node; ``2^d`` is also the ring modulus, since every overlay
+    ``2^d - 1`` masks a virtual identifier ``cell * 2^d + node`` down to
+    its node; ``2^d`` is also the ring modulus, since every overlay
     fully populates its ``d``-bit space.
     """
-    d = int(view.d)
+    d = int(overlay.d)
     return d, (1 << d) - 1
 
 
@@ -279,9 +280,9 @@ class KernelSpec:
 
     Every function field is a *factory*: called with an :class:`Ops`
     instance, it returns the element-wise function for that executor.
-    ``consts`` is :func:`routing_consts` of the routed view and ``table``
-    its physical ``(2^d, degree)`` neighbour table; identifiers may be
-    disjoint-union identifiers, so a table row is read at ``cur & consts[1]``
+    ``consts`` is :func:`routing_consts` of the routed overlay and ``table``
+    its own int32 ``(2^d, degree)`` neighbour table; identifiers are virtual
+    (``cell * 2^d + node``), so a table row is read at ``cur & consts[1]``
     and shifted by the cell base.
 
     Attributes
@@ -447,11 +448,11 @@ class MaskedReaders(NamedTuple):
     from_table: bool
 
 
-def vector_rows(spec: KernelSpec, view, alive: np.ndarray) -> Optional[Callable]:
+def vector_rows(spec: KernelSpec, overlay, alive: np.ndarray) -> Optional[Callable]:
     """The vectorized masked-row function ``rows(ids)``, or ``None``.
 
     The masked row of an identifier is its neighbour list, read cell-locally
-    from the physical table, with dead entries replaced by the identifier
+    from the overlay's table, with dead entries replaced by the identifier
     itself.  Scan specs scan that ``(ids, degree)`` matrix; direct specs
     with :attr:`~KernelSpec.neighbor_bits` read its OR-reduction; other
     direct specs read no rows (``None``).  ``rows`` is row-independent, so
@@ -460,22 +461,15 @@ def vector_rows(spec: KernelSpec, view, alive: np.ndarray) -> Optional[Callable]
     """
     if spec.kind == "direct" and spec.neighbor_bits is None:
         return None
-    consts = routing_consts(view)
-    table = view.neighbor_array()
+    consts = routing_consts(overlay)
+    table = overlay.neighbor_array()
     local_mask = consts[1]
 
-    if alive.size == table.shape[0]:
-        # One cell: every identifier is its own row, every cell base 0.
-        def masked(ids: np.ndarray) -> np.ndarray:
-            return _VECTOR_DEAD_TO_SELF(alive, table[ids], ids[:, None])
-
-    else:
-
-        def masked(ids: np.ndarray) -> np.ndarray:
-            local = ids & local_mask
-            neighbors = table[local]
-            neighbors += (ids - local)[:, None]
-            return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids[:, None])
+    def masked(ids: np.ndarray) -> np.ndarray:
+        local = ids & local_mask
+        neighbors = table[local]
+        neighbors += (ids - local)[:, None]
+        return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids[:, None])
 
     if spec.kind == "scan":
         return masked
@@ -488,7 +482,7 @@ def vector_rows(spec: KernelSpec, view, alive: np.ndarray) -> Optional[Callable]
     return rows
 
 
-def vector_entries(spec: KernelSpec, view, alive: np.ndarray) -> Optional[Callable]:
+def vector_entries(spec: KernelSpec, overlay, alive: np.ndarray) -> Optional[Callable]:
     """The vectorized masked-entry function ``entries(ids, columns)``, or ``None``.
 
     ``entries(ids, columns)[i]`` is column ``columns[i]`` of ``ids[i]``'s
@@ -498,23 +492,16 @@ def vector_entries(spec: KernelSpec, view, alive: np.ndarray) -> Optional[Callab
     """
     if spec.first_column is None:
         return None
-    table = view.neighbor_array()
+    table = overlay.neighbor_array()
     flat = table.reshape(-1)
     degree = table.shape[1]
-    local_mask = routing_consts(view)[1]
+    local_mask = routing_consts(overlay)[1]
 
-    if alive.size == table.shape[0]:
-
-        def entries(ids: np.ndarray, columns: np.ndarray) -> np.ndarray:
-            return _VECTOR_DEAD_TO_SELF(alive, flat[ids * degree + columns], ids)
-
-    else:
-
-        def entries(ids: np.ndarray, columns: np.ndarray) -> np.ndarray:
-            local = ids & local_mask
-            neighbors = flat[local * degree + columns]
-            neighbors += ids - local
-            return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids)
+    def entries(ids: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        local = ids & local_mask
+        neighbors = flat[local * degree + columns]
+        neighbors += ids - local
+        return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids)
 
     return entries
 
@@ -556,7 +543,7 @@ def _planned_passes(pending: int, degree: int, expected_yield: float, from_table
     return best
 
 
-def vector_step(spec: KernelSpec, view, alive: np.ndarray) -> Callable:
+def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
     """The vectorized per-hop step ``(cur, dst, readers) -> (next, ok, fail_code)``.
 
     ``readers`` (:class:`MaskedReaders`) read ``cur``'s masked rows: the
@@ -574,11 +561,11 @@ def vector_step(spec: KernelSpec, view, alive: np.ndarray) -> Callable:
     the pairs still pending get the full scan, which finds the same
     winner: the first usable column holds the minimum of the key.
     """
-    consts = routing_consts(view)
+    consts = routing_consts(overlay)
     fail_code = spec.fail_code
     if spec.kind == "direct":
         advance = _vector_functions(spec)[0]
-        table = view.neighbor_array()
+        table = overlay.neighbor_array()
 
         def step(cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
             row = None if readers.rows is None else readers.rows(cur)

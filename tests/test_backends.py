@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.dht import OVERLAY_CLASSES
 from repro.exceptions import InvalidParameterError, UnknownGeometryError
 from repro.sim import backends as backends_module
 from repro.sim.backends import (
@@ -149,14 +150,26 @@ class TestReadOnlyTables:
         with pytest.raises(ValueError):
             table[0, 0] = 0
 
-    def test_union_view_table_is_read_only(self, small_overlays, geometry_name):
-        from repro.sim.engine import _UnionOverlayView
 
-        union = _UnionOverlayView(small_overlays[geometry_name], 3)
-        table = union.neighbor_array()
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 0
+class TestOneTablePerOverlay:
+    """Every overlay holds exactly one routing table: the read-only int32
+    array its scalar oracle and every kernel backend read."""
+
+    def test_neighbor_array_is_the_overlays_only_table(self, geometry_name):
+        # A fresh build: session overlays may carry other caches by now.
+        overlay = OVERLAY_CLASSES[geometry_name].build(10, seed=2006)
+        table = overlay.neighbor_array()
+        assert table.dtype == np.int32
+        assert table.flags.c_contiguous and not table.flags.writeable
+        assert overlay.neighbor_array() is table
+        for node in range(overlay.n_nodes):
+            assert tuple(table[node]) == overlay.neighbors(node)
+        others = [
+            value
+            for value in vars(overlay).values()
+            if isinstance(value, np.ndarray) and not np.shares_memory(value, table)
+        ]
+        assert sum(value.nbytes for value in others) < table.nbytes
 
 
 class TestSweepRunnerBackends:

@@ -264,6 +264,16 @@ class TestChurnTraceOption:
         assert "Traceback" not in captured.err
 
 
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if ``rcm simulate`` starts to simulate."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simulation ran before the output paths were checked")
+
+    monkeypatch.setattr("repro.sim.request.run_shard", refuse)
+
+
 class TestJsonExport:
     def _export(self, tmp_path, capsys, *extra):
         path = tmp_path / "out.json"
@@ -298,6 +308,17 @@ class TestJsonExport:
 
         text = self._export(tmp_path, capsys, "--failure-model", "regional")
         assert json.loads(text)["failure_model"] == "regional"
+
+    def test_unusable_json_path_exits_2_before_simulating(self, tmp_path, capsys, no_simulation):
+        path = tmp_path / "missing" / "out.json"
+        command = ["simulate", "--geometry", "xor", "--d", "10", "--q", "0.1", "--json", str(path)]
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot write --json file {str(path)!r}: "
+            f"directory {str(path.parent)!r} does not exist\n"
+        )
+        assert not path.parent.exists()
 
 
 class TestServeParser:
@@ -446,6 +467,17 @@ class TestAdaptiveOption:
             )
         ) == 2
         assert "do not combine" in capsys.readouterr().err
+
+    def test_unusable_allocation_out_exits_2_before_simulating(
+        self, tmp_path, capsys, no_simulation
+    ):
+        command = self._simulate(
+            "--adaptive", "--ci-target", "0.08", "--allocation-out", str(tmp_path)
+        )
+        assert main(command) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write --allocation-out file {str(tmp_path)!r}: is a directory\n"
+        )
 
     def test_missing_ledger_file_exits_2_with_one_line_error(self, tmp_path, capsys):
         assert main(

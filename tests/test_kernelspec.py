@@ -137,9 +137,9 @@ class TestMaskedRows:
         calls = []
         original = numpy_backend._masked_table
 
-        def counting(rows, n_rows, dtype):
+        def counting(rows, n_rows):
             calls.append(n_rows)
-            return original(rows, n_rows, dtype)
+            return original(rows, n_rows)
 
         monkeypatch.setattr(numpy_backend, "_masked_table", counting)
         return calls
@@ -169,7 +169,7 @@ class TestMaskedRows:
         overlay = small_overlays[geometry]
         alive = np.ones(overlay.n_nodes, dtype=bool)
         rows = vector_rows(get_kernel_spec(geometry), overlay, alive)
-        table = numpy_backend._masked_table(rows, overlay.n_nodes, np.int64)
+        table = numpy_backend._masked_table(rows, overlay.n_nodes)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table.reshape(-1)[:1] = 0
@@ -350,9 +350,9 @@ class TestOrderedScanAtScale:
         calls = []
         original = numpy_backend._masked_table
 
-        def counting(rows, n_rows, dtype):
+        def counting(rows, n_rows):
             calls.append(n_rows)
-            return original(rows, n_rows, dtype)
+            return original(rows, n_rows)
 
         monkeypatch.setattr(numpy_backend, "_masked_table", counting)
         return calls
