@@ -668,6 +668,8 @@ def _command_bench_report(arguments: argparse.Namespace):
     """``rcm bench-report``: the perf-trajectory table; returns (output, all_pass)."""
     from .report.bench import discover_artifacts, evaluate_reports, summarize
 
+    if arguments.json:
+        _check_writable(arguments.json, "--json")
     paths = list(arguments.artifacts) or discover_artifacts()
     rows = evaluate_reports(paths)
     summary = summarize(rows)

@@ -236,7 +236,13 @@ class RoutingGeometry(abc.ABC):
         p = self.path_success_probabilities(d, q)
         ratio = np.exp(log_n - log_denominator) * p
         value = float(ratio.sum())
-        # Guard against tiny floating-point excursions above 1 at q -> 0.
+        # Not rounding error: at small N the raw sum really exceeds 1.  Before
+        # the clamp, smallworld reads up to +2.8% at d=4 (q=0.05) and +0.6% at
+        # d=8 (q=0.01), the hypercube +0.16% at d=4 and +1.0% at d=3 (q=0.1),
+        # the ring +0.12% at d=4.  For the hypercube the paper's (1-q)N - 1
+        # pair-count denominator, below the exact (1-q)(N-1), accounts for it;
+        # smallworld stays above 1 (+2.5% at d=4) with the exact one too.  The
+        # clamp reports all of these as 1.
         return float(min(max(value, 0.0), 1.0))
 
     def routability_for_size(self, n_nodes: int, q: float) -> float:

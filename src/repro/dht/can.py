@@ -94,10 +94,12 @@ class HypercubeOverlay(Overlay):
 
         When ``rng`` is given, the next hop is chosen uniformly at random
         among the progressing alive neighbours (the symmetric choice assumed
-        by the analysis); otherwise the neighbour correcting the
-        highest-order differing bit is chosen deterministically.  The two
-        policies have identical failure probability because the usable
-        neighbours at each step are exchangeable under uniform failures.
+        by the analysis); otherwise the smallest of their identifiers is
+        chosen deterministically: the one clearing the highest differing bit
+        set in the current node or, when none is set, setting the lowest.
+        The two policies have identical failure probability because the
+        usable neighbours at each step are exchangeable under uniform
+        failures.
         """
         alive = self._check_route_arguments(source, destination, alive)
         trace = RouteTrace(source, destination, hop_limit=self.hop_limit())
@@ -120,51 +122,89 @@ class HypercubeOverlay(Overlay):
 # --------------------------------------------------------------------- #
 # kernel spec — the one batch declaration of the hypercube routing rule
 # --------------------------------------------------------------------- #
-def _hypercube_neighbor_bits(ops):
-    """A neighbour's flipped bit, ``neighbor ^ cur``: the driver ORs these over
-    the masked row into the alive-neighbour bitset (bit ``j`` set iff
-    ``cur ^ 2^j`` is alive).  A dead neighbour arrives as ``cur`` and adds
-    nothing; on a fused stack's virtual identifiers (``cell * 2^d + node``)
-    the cell base cancels in the XOR.
+def _hypercube_key(ops):
+    """The neighbour's identifier, lowered by ``2^(d+1)`` when it flips a differing bit.
+
+    A neighbour flips a differing bit iff it is closer to ``dst`` in XOR
+    distance than ``cur``: the change ``(neighbor ^ dst) - (cur ^ dst)`` is
+    then ``-2^j``, otherwise ``+2^j`` (or ``0`` for a dead neighbour, which
+    arrives as ``cur``).  Masking that change with ``-2^(d+1)`` keeps
+    ``-2^(d+1)`` for the negative ones and ``0`` for the rest, so no branch
+    is needed.  Every progressing key then lies below the row's cell base
+    ``cur - (cur & (2^d - 1))`` and every other key at or above it, and
+    among the progressing ones the least key is the least identifier: the
+    scalar oracle's ``min(candidates)``.  Equal keys name the same
+    neighbour: only dead ones share a key, and all arrive as ``cur``.
     """
 
-    def neighbor_bits(consts, neighbor, cur):
-        return neighbor ^ cur
+    def key(consts, neighbor, cur, dst):
+        return neighbor + (((neighbor ^ dst) - (cur ^ dst)) & (-2 * (consts[1] + 1)))
 
-    return neighbor_bits
+    return key
 
 
-def _hypercube_advance(ops):
-    """Greedy bit correction: the scalar min-identifier rule as bit arithmetic.
+def _hypercube_accept(ops):
+    """Some progressing alive neighbour existed iff the winning key lies below the cell base."""
 
-    Among the differing bits whose neighbour is alive (``row``, the
-    alive-neighbour bitset), clear the highest set bit of ``cur`` (the
-    largest decrease) or, when none is set, set the lowest clear bit (the
-    smallest increase) — exactly the scalar min-identifier choice.
+    def accept(consts, best_key, cur, dst):
+        return best_key < cur - (cur & consts[1])
+
+    return accept
+
+
+def _hypercube_first_column(ops):
+    """The column of the oracle's favourite bit: the highest differing bit set
+    in ``cur`` (the largest decrease) or, when none is, the lowest clear one
+    (the smallest increase).
+
+    Column ``c`` flips bit ``d-1-c`` (:meth:`HypercubeOverlay._build_neighbor_array`),
+    so bit ``j`` sits in column ``d - bit_length(2^j)``.
     """
-
-    highest_set_bit = ops.highest_set_bit
+    bit_length = ops.bit_length
     where = ops.where
 
-    def advance(consts, table, alive, cur, dst, row):
-        usable = row & (cur ^ dst)
-        decreasing = usable & cur
-        clear_highest = highest_set_bit(decreasing)  # undefined at 0; masked below
-        increasing = usable & ~cur
-        set_lowest = increasing & -increasing
-        bit = where(decreasing != 0, clear_highest, set_lowest)
-        # usable == 0 leaves bit == 0, i.e. next == cur, discarded via ok.
-        return cur ^ bit, usable != 0
+    def first_column(consts, cur, dst):
+        differing = cur ^ dst
+        decreasing = differing & cur
+        increasing = differing & ~cur
+        return consts[0] - bit_length(where(decreasing != 0, decreasing, increasing & -increasing))
 
-    return advance
+    return first_column
+
+
+def _hypercube_next_column(ops):
+    """The column of the next bit in the oracle's order (``d`` when none is left).
+
+    The order visits the differing bits set in ``cur`` from high to low,
+    then the clear ones from low to high: ascending identifiers of the
+    progressing neighbours, so the first alive one is their minimum.
+    """
+    bit_length = ops.bit_length
+    where = ops.where
+
+    def next_column(consts, cur, dst, column):
+        differing = cur ^ dst
+        bit = (consts[1] + 1) >> (column + 1)  # column's bit, 2^(d-1-column)
+        # All ones while the order clears bits (this bit is set in cur), 0
+        # once it sets them: -bit >> d is -1 for every bit below 2^d.
+        clearing = -(cur & bit) >> consts[0]
+        # Still to clear: the differing bits of cur below this one.  Then to
+        # set: the clear differing bits, above this one once setting began.
+        lower = differing & cur & (bit - 1) & clearing
+        higher = differing & ~cur & (-(bit + bit) | clearing)
+        return consts[0] - bit_length(where(lower != 0, lower, higher & -higher))
+
+    return next_column
 
 
 register_kernel_spec(
     KernelSpec(
         geometry=HypercubeOverlay.geometry_name,
-        kind="direct",
+        kind="scan",
         fail_code=FAILURE_CODES[FailureReason.DEAD_END],
-        advance=_hypercube_advance,
-        neighbor_bits=_hypercube_neighbor_bits,
+        key=_hypercube_key,
+        accept=_hypercube_accept,
+        first_column=_hypercube_first_column,
+        next_column=_hypercube_next_column,
     )
 )

@@ -154,7 +154,7 @@ def _debruijn_advance(ops):
     where = ops.where
     alive_at = ops.alive
 
-    def advance(consts, table, alive, cur, dst, row):
+    def advance(consts, table, alive, cur, dst):
         d = consts[0]
         mask = consts[1]
         local_cur = cur & mask

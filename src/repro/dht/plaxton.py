@@ -144,7 +144,7 @@ def _tree_advance(ops):
     bit_length = ops.bit_length
     alive_at = ops.alive
 
-    def advance(consts, table, alive, cur, dst, row):
+    def advance(consts, table, alive, cur, dst):
         local = cur & consts[1]
         # Column of the highest-order differing bit: position - 1 =
         # d - bit_length(cur ^ dst); bit_length >= 1 while routing.

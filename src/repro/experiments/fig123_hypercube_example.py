@@ -168,6 +168,9 @@ class HypercubeWorkedExample(Experiment):
                 "loose at this toy size (8 nodes); with the exact (1-q)(N-1) denominator the RCM value "
                 "matches the full-enumeration Definition-1 routability almost exactly, confirming the "
                 "method itself.",
+                "routability_rcm is clamped to 1: at this size the raw Eq. 1 value really exceeds 1 "
+                "(1.0102 at q=0.1, 1.0067 at q=0.3), not by rounding; the (1-q)N - 1 denominator "
+                "accounts for it, and routability_exact_denominator stays below 1.",
                 "The simulated routability averages per-pattern ratios over patterns with at least "
                 "two survivors, so it estimates routability_expected_estimate (exact, by the same "
                 "enumeration), not the Definition-1 ratio of expectations; routability_estimate_se is "

@@ -12,8 +12,7 @@ importable — compiles the whole chain with ``@njit``.  Each pair is then
 routed from source to termination inside one compiled loop over the
 overlay's own int32 table, with aliveness looked up in bit-packed uint64
 words: no per-hop Python dispatch, no ``(batch, degree)`` temporaries.  The loop
-masks each candidate as it reads it (and computes the hypercube's row bits
-at each hop), so it never builds a masked table at all.
+masks each candidate as it reads it, so it never builds a masked table at all.
 
 Numba is an optional extra, and the loops are deliberately buildable
 without it: ``python_loop_backend()`` returns the *same* spec functions and
@@ -79,7 +78,6 @@ def _njit_ops() -> Ops:  # pragma: no cover - exercised only on the Numba CI leg
         _NJIT_OPS = Ops(
             where=inline(SCALAR_OPS.where),
             bit_length=inline(SCALAR_OPS.bit_length),
-            highest_set_bit=inline(SCALAR_OPS.highest_set_bit),
             alive=inline(SCALAR_OPS.alive),
         )
     return _NJIT_OPS

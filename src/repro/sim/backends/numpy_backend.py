@@ -11,11 +11,11 @@ spec's masked-row, masked-entry and per-hop functions
 :meth:`NumpyBackend.run` iterates the step over the active pair set one hop
 at a time.
 
-Ring and XOR scans are *ordered*: their specs declare a column order
-(their tables are sorted by distance bucket), so a hop first runs passes
-that read one masked entry per pending pair in that order and settle
-every pair whose column is accepted or whose order runs out; the pairs
-still pending get the full-row ``argmin`` scan.  The step plans its
+Ring, XOR and hypercube scans are *ordered*: their specs declare a column
+order (their tables are sorted by distance bucket, or by flipped bit), so
+a hop first runs passes that read one masked entry per pending pair in
+that order and settle every pair whose column is accepted or whose order
+runs out; the pairs still pending get the full-row ``argmin`` scan.  The step plans its
 passes from its pair count, the alive share of their cells and whether it
 reads the full masked table (see
 :func:`~repro.sim.kernelspec._planned_passes`), so at high failure rates,
@@ -134,7 +134,10 @@ class NumpyBackend(KernelBackend):
     once per iteration it is active, so every active pair has taken
     ``iteration`` hops — the scalar path's per-step hop-budget check reduces
     to one counter comparison, and per-pair hop counts are written only at
-    the three termination events (arrival, drop, budget exhaustion).
+    the three termination events (arrival, drop, budget exhaustion).  The
+    loop carries the active pairs' indices, current nodes and destinations
+    already compacted, and compacts them once per hop in which some pair
+    terminates.
     """
 
     name = "numpy"
@@ -153,11 +156,11 @@ class NumpyBackend(KernelBackend):
         """Advance every pair one hop per vectorized step until all terminate."""
         n_pairs = sources.size
         hop_limit = overlay.hop_limit()
-        current = sources.copy()
         hops = np.zeros(n_pairs, dtype=np.int64)
         succeeded = np.zeros(n_pairs, dtype=bool)
         codes = np.full(n_pairs, SUCCESS_CODE, dtype=np.int8)
         active = np.arange(n_pairs, dtype=np.int64)  # end-points differ by precondition
+        cur, dst = sources, destinations
         iteration = 0
 
         while active.size:
@@ -168,22 +171,18 @@ class NumpyBackend(KernelBackend):
                 codes[active] = HOP_LIMIT_CODE
                 hops[active] = iteration
                 break
-            next_hop, ok, fail_code = state.step(
-                current[active], destinations[active], state.readers_for_hop(active.size)
-            )
-            if not ok.all():
+            cur, ok, fail_code = state.step(cur, dst, state.readers_for_hop(active.size))
+            arrived = ok & (cur == dst)
+            done = arrived | ~ok
+            if done.any():
                 dropped = active[~ok]
                 codes[dropped] = fail_code
                 hops[dropped] = iteration  # the failed hop is not counted
-                next_hop = next_hop[ok]
-                active = active[ok]
-            current[active] = next_hop
-            arrived = next_hop == destinations[active]
-            if arrived.any():
                 delivered = active[arrived]
                 succeeded[delivered] = True
                 hops[delivered] = iteration + 1
-                active = active[~arrived]
+                keep = np.flatnonzero(~done)
+                active, cur, dst = active[keep], cur[keep], dst[keep]
             iteration += 1
 
         return succeeded, hops, codes

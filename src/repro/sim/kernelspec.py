@@ -17,13 +17,12 @@ collapses the batch side of that invariant to a single declaration:
   driver reads a row's neighbours with each dead one replaced by the row's
   own identifier (:func:`dead_to_self`), so a spec sees a dead neighbour
   only as ``cur`` itself: every scan ``accept`` rejects that candidate and
-  it never beats a usable one, and a direct spec's per-neighbour
-  ``neighbor_bits`` (the hypercube's alive-neighbour bitset) gets nothing
-  from it.  Direct specs whose single next hop is looked up (tree, de
-  Bruijn) read aliveness through ``ops.alive`` instead.  These *masked
-  rows* are row-independent: a vectorized executor may compute them for
-  the rows a hop gathers, or for every row at once — the same functions
-  either way, so the two forms cannot disagree.
+  it never beats a usable one.  Direct specs, whose single next hop is
+  looked up (tree, de Bruijn), read aliveness through ``ops.alive``
+  instead.  These *masked rows* are row-independent: a vectorized
+  executor may compute them for the rows a hop gathers, or for every row
+  at once — the same functions either way, so the two forms cannot
+  disagree.
 * Every driver receives the same two constants, :func:`routing_consts`
   ``(d, 2^d - 1)``, and the overlay's own int32 neighbour table
   (:meth:`~repro.dht.network.Overlay.neighbor_array`).  Identifiers are
@@ -45,17 +44,15 @@ extension):
 
 ``kind="direct"``
     The next hop is computed directly from ``(current, destination)`` —
-    tree (correct the leftmost differing bit), hypercube (bitset
-    arithmetic), de Bruijn (shift in the next destination bit).  The spec
-    supplies ``advance(consts, table, alive, cur, dst, row) -> (next, ok)``
-    and optionally ``neighbor_bits(consts, neighbor, cur)``, which the
-    driver ORs over the masked row into the ``row`` value.
+    tree (correct the leftmost differing bit), de Bruijn (shift in the next
+    destination bit).  The spec supplies ``advance(consts, table, alive,
+    cur, dst) -> (next, ok)``.
 
 ``kind="scan"``
     The next hop minimises a per-neighbour key over the routing table —
     XOR distance (Kademlia), clockwise remaining distance (Chord,
-    Symphony).  The spec supplies an element-wise ``key`` and an ``accept``
-    predicate; the *drivers* own the masked gather and the scan itself
+    Symphony), the identifier of a bit-correcting neighbour (hypercube).
+    The spec supplies an element-wise ``key`` and an ``accept`` predicate; the *drivers* own the masked gather and the scan itself
     (vectorized ``argmin`` over the gathered rows, or a running
     first-minimum in the per-pair loop — both keep the first minimum, so
     tie-breaking is identical by construction).
@@ -64,8 +61,9 @@ extension):
     element-wise **column order**: ``first_column`` and ``next_column``
     (``d`` meaning "no column left"), such that the first column in that
     order whose candidate ``accept`` takes is the key's minimum — Chord's
-    fingers (column ``k`` at clockwise offset ``[2^(d-1-k), 2^(d-k))``)
-    and Kademlia's buckets (``entry ^ node`` in the same range) are.  The
+    fingers (column ``k`` at clockwise offset ``[2^(d-1-k), 2^(d-k))``),
+    Kademlia's buckets (``entry ^ node`` in the same range) and the
+    hypercube's bit flips (column ``k`` flips bit ``d-1-k``) are.  The
     executors then derive an *ordered scan* from the same ``key`` and
     ``accept``: the per-pair step returns at the first accepted column,
     and the vectorized step runs passes that each read one column per
@@ -170,11 +168,8 @@ class Ops(NamedTuple):
     where:
         ``where(condition, a, b)`` — element-wise select.
     bit_length:
-        ``bit_length(x)`` — position of the highest set bit (``0`` for 0).
-    highest_set_bit:
-        ``highest_set_bit(x)`` — ``x`` with only its highest set bit kept.
-        The value is **undefined at** ``x == 0`` (executors differ there);
-        callers must mask that case out with :attr:`where`.
+        ``bit_length(x)`` — position of the highest set bit (``0`` for 0),
+        for ``x >= 0``.
     alive:
         ``alive(handle, index)`` — aliveness lookup in the executor's own
         survival representation (a boolean vector for the vectorized
@@ -183,7 +178,6 @@ class Ops(NamedTuple):
 
     where: Callable
     bit_length: Callable
-    highest_set_bit: Callable
     alive: Callable
 
 
@@ -196,13 +190,6 @@ def _vector_bit_length(x):
     # exactly bit_length(x) for positive integers; exact for x < 2^53, far
     # beyond any overlay that fits in memory.
     return np.frexp(x.astype(np.float64))[1]
-
-
-def _vector_highest_set_bit(x):
-    # Undefined at x == 0 (the clamp makes it report bit 0); callers mask.
-    exponent = np.frexp(x.astype(np.float64))[1]
-    one = x.dtype.type(1)
-    return np.left_shift(one, np.maximum(exponent, 1).astype(x.dtype) - one)
 
 
 def _vector_alive(mask, index):
@@ -223,13 +210,6 @@ def _scalar_bit_length(x):
     return length
 
 
-def _scalar_highest_set_bit(x):
-    bit = x
-    while bit & (bit - 1) != 0:
-        bit &= bit - 1
-    return bit
-
-
 def _scalar_alive(words, index):
     return (words[index >> 6] >> np.uint64(index & 63)) & np.uint64(1) != np.uint64(0)
 
@@ -238,7 +218,6 @@ def _scalar_alive(words, index):
 VECTOR_OPS = Ops(
     where=_vector_where,
     bit_length=_vector_bit_length,
-    highest_set_bit=_vector_highest_set_bit,
     alive=_vector_alive,
 )
 
@@ -248,7 +227,6 @@ VECTOR_OPS = Ops(
 SCALAR_OPS = Ops(
     where=_scalar_where,
     bit_length=_scalar_bit_length,
-    highest_set_bit=_scalar_highest_set_bit,
     alive=_scalar_alive,
 )
 
@@ -299,15 +277,7 @@ class KernelSpec:
         single required neighbour is dead).
     advance:
         Direct kind only: ``advance(ops) -> fn(consts, table, alive, cur,
-        dst, row) -> (next, ok)``, element-wise.  ``row`` is the OR of
-        :attr:`neighbor_bits` over ``cur``'s masked row (unused when the
-        spec declares none).
-    neighbor_bits:
-        Direct kind, optional: ``neighbor_bits(ops) -> fn(consts, neighbor,
-        cur) -> bits``, one masked neighbour's contribution to ``row``; a
-        dead neighbour arrives as ``cur`` and must contribute ``0``.
-        Drivers evaluate the row for the rows a hop visits or, past the
-        crossover, for every row once.
+        dst) -> (next, ok)``, element-wise.
     key:
         Scan kind only: ``key(ops) -> fn(consts, neighbor, cur, dst) ->
         key``, element-wise; smaller is better.  A dead neighbour arrives
@@ -323,7 +293,7 @@ class KernelSpec:
         -> fn(consts, cur, dst) -> column``, element-wise, the first column
         of the row's scan order (``d``: none).  Declare an order only when
         the table's construction guarantees its precondition: every column
-        before ``first_column`` is rejected by ``accept``, and in order,
+        the order does not visit is rejected by ``accept``, and in order,
         the first column ``accept`` takes holds the key's minimum over the
         whole row (the executors stop there).
     next_column:
@@ -337,7 +307,6 @@ class KernelSpec:
     kind: str
     fail_code: int
     advance: Optional[Callable] = None
-    neighbor_bits: Optional[Callable] = None
     key: Optional[Callable] = None
     accept: Optional[Callable] = None
     first_column: Optional[Callable] = None
@@ -354,11 +323,6 @@ class KernelSpec:
             raise InvalidParameterError(f"direct spec {self.geometry!r} must define advance")
         if self.kind == "scan" and (self.key is None or self.accept is None):
             raise InvalidParameterError(f"scan spec {self.geometry!r} must define key and accept")
-        if self.kind == "scan" and self.neighbor_bits is not None:
-            raise InvalidParameterError(
-                f"scan spec {self.geometry!r} cannot define neighbor_bits: "
-                "its row is the masked neighbour list itself"
-            )
         if (self.first_column is None) != (self.next_column is None):
             raise InvalidParameterError(
                 f"spec {self.geometry!r} must define both first_column and next_column, or neither"
@@ -411,8 +375,7 @@ def registered_geometries() -> Tuple[str, ...]:
 def _vector_functions(spec: KernelSpec):
     """The spec's element-wise functions instantiated with the array primitives."""
     if spec.kind == "direct":
-        bits = spec.neighbor_bits
-        return spec.advance(VECTOR_OPS), None if bits is None else bits(VECTOR_OPS)
+        return spec.advance(VECTOR_OPS)
     if spec.first_column is None:
         return spec.key(VECTOR_OPS), spec.accept(VECTOR_OPS), None, None
     return (
@@ -454,12 +417,11 @@ def vector_rows(spec: KernelSpec, overlay, alive: np.ndarray) -> Optional[Callab
     The masked row of an identifier is its neighbour list, read cell-locally
     from the overlay's table, with dead entries replaced by the identifier
     itself.  Scan specs scan that ``(ids, degree)`` matrix; direct specs
-    with :attr:`~KernelSpec.neighbor_bits` read its OR-reduction; other
-    direct specs read no rows (``None``).  ``rows`` is row-independent, so
-    the NumPy backend may call it on a hop's active rows or on every
-    identifier of ``alive`` at once.
+    read no rows (``None``).  ``rows`` is row-independent, so the NumPy
+    backend may call it on a hop's active rows or on every identifier of
+    ``alive`` at once.
     """
-    if spec.kind == "direct" and spec.neighbor_bits is None:
+    if spec.kind == "direct":
         return None
     consts = routing_consts(overlay)
     table = overlay.neighbor_array()
@@ -471,15 +433,7 @@ def vector_rows(spec: KernelSpec, overlay, alive: np.ndarray) -> Optional[Callab
         neighbors += (ids - local)[:, None]
         return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids[:, None])
 
-    if spec.kind == "scan":
-        return masked
-    neighbor_bits = _vector_functions(spec)[1]
-
-    def rows(ids: np.ndarray) -> np.ndarray:
-        bits = neighbor_bits(consts, masked(ids), ids[:, None])
-        return np.bitwise_or.reduce(bits, axis=1)
-
-    return rows
+    return masked
 
 
 def vector_entries(spec: KernelSpec, overlay, alive: np.ndarray) -> Optional[Callable]:
@@ -564,12 +518,11 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
     consts = routing_consts(overlay)
     fail_code = spec.fail_code
     if spec.kind == "direct":
-        advance = _vector_functions(spec)[0]
+        advance = _vector_functions(spec)
         table = overlay.neighbor_array()
 
         def step(cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
-            row = None if readers.rows is None else readers.rows(cur)
-            next_hop, ok = advance(consts, table, alive, cur, dst, row)
+            next_hop, ok = advance(consts, table, alive, cur, dst)
             return next_hop, ok, fail_code
 
         return step
@@ -586,6 +539,8 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
     degree = consts[0]
     # The expected yield of a pass is the alive share of its pairs' cells:
     # a column's candidate is usable about as often as it is alive.
+    # One count per cell: np.count_nonzero(cells, axis=1) counts through a
+    # sum and is about 5x slower on 2^16-node cells.
     cells = alive.reshape(-1, 1 << degree)
     shares = np.array([np.count_nonzero(cell) for cell in cells]) / cells.shape[1]
     best_share = float(shares.max())
@@ -605,21 +560,24 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
     def passes(planned: int, cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
         next_hop = cur.copy()
         ok = np.zeros(cur.size, dtype=bool)
+        pending = np.arange(cur.size)
         column = first(consts, cur, dst)
-        pending = np.flatnonzero(column < degree)
-        if pending.size < cur.size:
-            cur, dst, column = cur[pending], dst[pending], column[pending]
-        for _ in range(planned):
-            if not pending.size:
+        for passes_left in range(planned, -1, -1):
+            # A pair whose order ran out has no usable column: it stays failed.
+            live = column < degree
+            if not live.all():
+                keep = np.flatnonzero(live)
+                pending, cur, dst, column = pending[keep], cur[keep], dst[keep], column[keep]
+            if not (passes_left and pending.size):
                 break
             neighbor = readers.entries(cur, column)
             accepted = accept(consts, key(consts, neighbor, cur, dst), cur, dst)
             settled = pending[accepted]
             next_hop[settled] = neighbor[accepted]
             ok[settled] = True
-            column = following(consts, cur, dst, column)
-            keep = np.flatnonzero(~accepted & (column < degree))
-            pending, cur, dst, column = pending[keep], cur[keep], dst[keep], column[keep]
+            keep = np.flatnonzero(~accepted)
+            pending, cur, dst = pending[keep], cur[keep], dst[keep]
+            column = following(consts, cur, dst, column[keep])
         if pending.size:
             next_hop[pending], ok[pending] = _scan_rows(
                 key, accept, consts, readers.rows(cur), cur, dst
@@ -634,14 +592,17 @@ def scalar_step(spec: KernelSpec, ops: Ops = SCALAR_OPS, wrap: Callable = lambda
 
     Built from the spec's functions instantiated with ``ops``; ``wrap``
     wraps every function (Numba passes an inlining ``njit``, the parity legs
-    the identity).  The step reads ``cur``'s masked row one neighbour at a
-    time at every hop — the per-pair executors never build a full masked
-    table.  The scan keeps a running strict minimum over the row — the
-    first minimum, matching the vectorized driver's ``argmin`` — so both
-    executors make the identical choice even among equal keys (which specs
-    guarantee name the same neighbour).  An ordered scan instead visits the
-    columns in the spec's order and returns at the first accepted one.
+    the identity).  A direct spec's ``advance`` is the step itself.  A scan
+    reads ``cur``'s masked row one neighbour at a time at every hop (the
+    per-pair executors never build a full masked table) and keeps a running
+    strict minimum over the row: the first minimum, matching the vectorized
+    driver's ``argmin``, so both executors make the identical choice even
+    among equal keys (which specs guarantee name the same neighbour).  An
+    ordered scan instead visits the columns in the spec's order and
+    returns at the first accepted one.
     """
+    if spec.kind == "direct":
+        return wrap(spec.advance(ops))
     substitute = wrap(dead_to_self(ops))
 
     def masked(consts, table, alive, cur, column):
@@ -649,24 +610,6 @@ def scalar_step(spec: KernelSpec, ops: Ops = SCALAR_OPS, wrap: Callable = lambda
         return substitute(alive, table[local, column] + (cur - local), cur)
 
     masked = wrap(masked)
-    if spec.kind == "direct":
-        advance = wrap(spec.advance(ops))
-        if spec.neighbor_bits is None:
-
-            def direct_step(consts, table, alive, cur, dst):
-                return advance(consts, table, alive, cur, dst, 0)
-
-            return wrap(direct_step)
-        neighbor_bits = wrap(spec.neighbor_bits(ops))
-
-        def row_step(consts, table, alive, cur, dst):
-            row = cur & 0
-            for column in range(table.shape[1]):
-                row |= neighbor_bits(consts, masked(consts, table, alive, cur, column), cur)
-            return advance(consts, table, alive, cur, dst, row)
-
-        return wrap(row_step)
-
     key = wrap(spec.key(ops))
     accept = wrap(spec.accept(ops))
     if spec.first_column is not None:

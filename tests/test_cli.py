@@ -552,6 +552,20 @@ class TestBenchReportCommand:
         assert summary["all_pass"] is True
         assert summary["gates_total"] == 1
 
+    def test_unusable_json_path_exits_2_before_evaluating(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the artifacts were evaluated before the output path was checked")
+
+        monkeypatch.setattr("repro.report.bench.evaluate_reports", refuse)
+        artifact = self._artifact(tmp_path, 2.5)
+        path = tmp_path / "missing" / "trajectory.json"
+        assert main(["bench-report", artifact, "--json", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write --json file {str(path)!r}: "
+            f"directory {str(path.parent)!r} does not exist\n"
+        )
+        assert not path.parent.exists()
+
     def test_no_artifacts_anywhere_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # empty directory: discovery finds nothing
         assert main(["bench-report"]) == 2

@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 
 from repro.dht import OVERLAY_CLASSES
+from repro.dht.can import HypercubeOverlay
 from repro.dht.chord import FINGER_MODES, ChordOverlay
 from repro.dht.failures import FAILURE_MODEL_KINDS, make_failure_model, survival_mask
 from repro.dht.kademlia import KademliaOverlay
 from repro.dht.routing import FAILURE_CODES
 from repro.exceptions import InvalidParameterError, UnknownGeometryError
 from repro.sim.backends import numpy_backend, resolve_backend
+from repro.sim.backends.base import pack_alive_words
 from repro.sim.conformance import (
     CROSSOVER_BATCHES,
     FORCED_PASS_PLANS,
@@ -49,6 +51,7 @@ from repro.sim import kernelspec
 from repro.sim.kernelspec import (
     KERNEL_SPECS,
     KernelSpec,
+    MaskedReaders,
     get_kernel_spec,
     has_kernel_spec,
     registered_geometries,
@@ -102,12 +105,12 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError):
             # scan without key/accept
             KernelSpec(geometry="x", kind="scan", fail_code=1)
-        with pytest.raises(InvalidParameterError, match="neighbor_bits"):
-            # a scan's row is the masked neighbour list itself
-            xor = KERNEL_SPECS["xor"]
+        with pytest.raises(TypeError, match="neighbor_bits"):
+            # Rows are only ever scanned: no spec reduces its masked row to
+            # bits, so the hypercube's old bitset form cannot be declared.
             KernelSpec(
-                geometry="x", kind="scan", fail_code=1, key=xor.key, accept=xor.accept,
-                neighbor_bits=KERNEL_SPECS["hypercube"].neighbor_bits,
+                geometry="x", kind="direct", fail_code=1, advance=advance,
+                neighbor_bits=lambda ops: None,
             )
 
     def test_spec_kinds_are_consistent(self, geometry_name):
@@ -126,7 +129,7 @@ def _masked_rows_geometries():
     """Geometries whose routing reads mask-derived rows (tree and de Bruijn
     look up their single next hop and have no table to build)."""
     specs = (get_kernel_spec(g) for g in registered_geometries())
-    return [spec.geometry for spec in specs if spec.kind == "scan" or spec.neighbor_bits]
+    return [spec.geometry for spec in specs if spec.kind == "scan"]
 
 
 class TestMaskedRows:
@@ -239,7 +242,7 @@ def _bucket_offsets(table: np.ndarray, offsets) -> None:
 
 
 class TestColumnOrders:
-    """Ring and XOR scans stop at the first usable column of their table's order."""
+    """Ring, XOR and hypercube scans stop at the first usable column of their table's order."""
 
     @pytest.mark.parametrize("d", range(1, 17))
     @pytest.mark.parametrize("seed", (0, 7, 2006))
@@ -258,10 +261,60 @@ class TestColumnOrders:
         table = KademliaOverlay.build(d, seed=seed).neighbor_array()
         _bucket_offsets(table, lambda entry, node: entry ^ node)
 
-    def test_only_ring_and_xor_declare_an_order(self):
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_hypercube_columns_flip_their_bit(self, d):
+        # The precondition of the hypercube order: column c flips bit d-1-c.
+        table = HypercubeOverlay.build(d).neighbor_array()
+        nodes = np.arange(1 << d)
+        for column in range(d):
+            assert np.array_equal(table[:, column], nodes ^ (1 << (d - 1 - column))), (d, column)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("q", (0.0, 0.3, 0.6))
+    def test_hypercube_order_finds_the_full_scans_minimum(self, d, q):
+        # Exhaustive over (cur, dst) at small d: the ordered per-pair step,
+        # and the vectorized step under both forced pass plans (per-hop
+        # masking and the full masked table alike), pick the full scan's
+        # first minimum, which is the oracle's min(progressing neighbours).
+        overlay = HypercubeOverlay.build(d)
+        spec = get_kernel_spec("hypercube")
+        full_scan = scalar_step(KernelSpec("x", "scan", 1, key=spec.key, accept=spec.accept))
+        ordered = scalar_step(spec)
+        consts, table = kernelspec.routing_consts(overlay), overlay.neighbor_array()
+        n = overlay.n_nodes
+        for seed in (0, 1, 2):
+            alive = survival_mask(n, q, np.random.default_rng(seed))
+            words = pack_alive_words(alive)
+            cur, dst = (grid.ravel() for grid in np.meshgrid(np.arange(n), np.arange(n)))
+            cur, dst = cur[cur != dst].astype(np.int32), dst[cur != dst].astype(np.int32)
+            expected = []
+            for source, destination in zip(cur.tolist(), dst.tolist()):
+                progressing = overlay.progressing_neighbors(source, destination, alive)
+                expected.append(min(progressing) if progressing else None)
+                for step in (full_scan, ordered):
+                    next_hop, ok = step(consts, table, words, source, destination)
+                    assert ok == bool(progressing), (d, seed, source, destination)
+                    if ok:
+                        assert next_hop == expected[-1], (d, seed, source, destination)
+            accepted = np.array([hop is not None for hop in expected])
+            chosen = np.array([-1 if hop is None else hop for hop in expected])
+            rows = vector_rows(spec, overlay, alive)
+            masked_table = numpy_backend._masked_table(rows, n)
+            readers = (
+                MaskedReaders(rows, kernelspec.vector_entries(spec, overlay, alive), False),
+                MaskedReaders(masked_table.__getitem__, numpy_backend._table_entries(masked_table), True),
+            )
+            for plan in FORCED_PASS_PLANS:
+                for reader in readers:
+                    with forced_passes(plan):
+                        next_hop, ok, _ = kernelspec.vector_step(spec, overlay, alive)(cur, dst, reader)
+                    assert np.array_equal(ok, accepted), (d, seed, plan, reader.from_table)
+                    assert np.array_equal(next_hop[ok], chosen[ok]), (d, seed, plan, reader.from_table)
+
+    def test_ring_xor_and_hypercube_alone_declare_an_order(self):
         ordered = {spec.geometry for spec in KERNEL_SPECS.values() if spec.first_column}
         # Symphony's shortcuts are unsorted: it keeps the full scan.
-        assert ordered == {"ring", "xor"}
+        assert ordered == {"ring", "xor", "hypercube"}
         for spec in KERNEL_SPECS.values():
             assert (spec.first_column is None) == (spec.next_column is None)
 
@@ -305,6 +358,7 @@ SCALE_OVERLAYS = {
     "ring-randomized": ("ring", {"finger_mode": "randomized"}),
     "ring-deterministic": ("ring", {"finger_mode": "deterministic"}),
     "xor": ("xor", {}),
+    "hypercube": ("hypercube", {}),
 }
 
 
