@@ -4,7 +4,7 @@ These track the costs a downstream user of the library actually pays:
 
 * evaluating one analytical routability value per geometry,
 * building an overlay simulator, and
-* routing messages through a failed overlay.
+* routing messages through a failed overlay with the batch engine.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import pytest
 
 from repro.core.geometry import get_geometry
 from repro.dht import OVERLAY_CLASSES, UniformNodeFailure
-from repro.sim.sampling import sample_survivor_pairs
+from repro.sim.engine import route_pairs
+from repro.sim.sampling import sample_survivor_pair_arrays
 
 GEOMETRIES = ("tree", "hypercube", "xor", "ring", "smallworld")
 
@@ -37,17 +38,18 @@ def test_overlay_construction(benchmark, geometry):
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_routing_throughput_under_failure(benchmark, geometry):
-    """Routing a batch of 200 messages through a 1024-node overlay at q = 0.2."""
+    """Routing a batch of 200 messages through a 1024-node overlay at q = 0.2.
+
+    Times the batch engine's ``route_pairs``, the path every library and
+    CLI measurement takes.
+    """
     overlay = OVERLAY_CLASSES[geometry].build(10, seed=7)
     rng = np.random.default_rng(11)
     alive = UniformNodeFailure(0.2).sample(overlay.n_nodes, rng)
-    pairs = sample_survivor_pairs(alive, 200, rng)
+    sources, destinations = sample_survivor_pair_arrays(alive, 200, rng)
 
-    def route_batch():
-        return sum(overlay.route(s, t, alive).succeeded for s, t in pairs)
-
-    delivered = benchmark(route_batch)
-    assert 0 <= delivered <= len(pairs)
+    outcome = benchmark(route_pairs, overlay, sources, destinations, alive)
+    assert 0 <= int(outcome.succeeded.sum()) <= sources.size
 
 
 def test_asymptotic_limit_estimation(benchmark):

@@ -18,9 +18,9 @@ import sys
 import numpy as np
 
 from repro import OVERLAY_CLASSES, failed_path_percent
-from repro.dht import UniformNodeFailure, summarize_routes
+from repro.dht import UniformNodeFailure
 from repro.report import render_table
-from repro.sim import sample_survivor_pairs
+from repro.sim import route_pairs, sample_survivor_pair_arrays
 
 FAILURE_PROBABILITIES = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7)
 PAIRS_PER_POINT = 1500
@@ -36,10 +36,8 @@ def measure_failed_paths(geometry: str, d: int, seed: int = 11) -> list:
         alive = failure_model.sample(overlay.n_nodes, rng)
         if int(alive.sum()) < 2:
             continue
-        pairs = sample_survivor_pairs(alive, PAIRS_PER_POINT, rng)
-        metrics = summarize_routes(
-            overlay.route(source, destination, alive) for source, destination in pairs
-        )
+        sources, destinations = sample_survivor_pair_arrays(alive, PAIRS_PER_POINT, rng)
+        metrics = route_pairs(overlay, sources, destinations, alive).to_metrics()
         rows.append(
             {
                 "q": q,

@@ -40,7 +40,7 @@ from .failures import (
 )
 from .network import OVERLAY_CLASSES, Overlay, make_rng, register_overlay
 from .routing import FailureReason, RouteResult, RouteTrace
-from .metrics import RoutingMetrics, summarize_routes, wilson_interval
+from .metrics import RoutingMetrics, summarize_routes
 
 # Importing an overlay module registers its class in OVERLAY_CLASSES and its
 # kernel spec in repro.sim.kernelspec — one self-registering file per
@@ -83,7 +83,6 @@ __all__ = [
     "RouteTrace",
     "RoutingMetrics",
     "summarize_routes",
-    "wilson_interval",
     "PlaxtonOverlay",
     "HypercubeOverlay",
     "KademliaOverlay",

@@ -7,38 +7,14 @@ the "percent of failed paths" plotted in the paper's Figure 6.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..exceptions import InvalidParameterError
 from .routing import FailureReason, RouteResult
 
-__all__ = ["RoutingMetrics", "summarize_routes", "wilson_interval"]
-
-
-def wilson_interval(successes: int, trials: int, *, z: float = 1.96) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
-
-    Used to attach confidence intervals to simulated routability estimates
-    so the experiment reports can state how tight the Monte-Carlo estimate
-    is.  Returns ``(low, high)``; for ``trials == 0`` the interval is the
-    uninformative ``(0.0, 1.0)``.
-    """
-    if trials < 0 or successes < 0 or successes > trials:
-        raise InvalidParameterError(
-            f"invalid binomial counts: successes={successes}, trials={trials}"
-        )
-    if trials == 0:
-        return (0.0, 1.0)
-    phat = successes / trials
-    denominator = 1.0 + z * z / trials
-    centre = phat + z * z / (2 * trials)
-    margin = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4 * trials * trials))
-    low = (centre - margin) / denominator
-    high = (centre + margin) / denominator
-    return (max(0.0, low), min(1.0, high))
+__all__ = ["RoutingMetrics", "summarize_routes"]
 
 
 @dataclass(frozen=True)
@@ -110,11 +86,6 @@ class RoutingMetrics:
     def failed_path_fraction_or_none(self) -> Optional[float]:
         """Failed-path fraction as a finite float, or ``None`` when nothing was measured."""
         return self.failed_path_fraction if self.measured else None
-
-    @property
-    def routability_confidence_interval(self) -> Tuple[float, float]:
-        """95% Wilson interval for the routability estimate."""
-        return wilson_interval(self.successes, self.attempts)
 
     def merged_with(self, other: "RoutingMetrics") -> "RoutingMetrics":
         """Combine two summaries (e.g. from independent failure-pattern trials)."""

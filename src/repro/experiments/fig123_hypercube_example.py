@@ -11,7 +11,8 @@ reasoning four independent ways at each probed failure probability:
 1. the closed-form routability (Eq. 3/4),
 2. the same quantity computed through the explicit absorbing Markov chain,
 3. an **exact enumeration** over all ``2^8`` survival patterns of the
-   8-node overlay simulator (the ground truth of Definition 1), and
+   8-node overlay, every ordered survivor pair of every pattern routed in
+   one batch-engine call (the ground truth of Definition 1), and
 4. a Monte-Carlo estimate from the overlay simulator.
 
 The Monte-Carlo estimate pools equal pair budgets over the non-degenerate
@@ -23,15 +24,16 @@ is what the simulated column is checked against.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.geometry import get_geometry
 from ..dht.can import HypercubeOverlay
+from ..dht.network import Overlay
 from ..markov.builders import hypercube_routing_chain, routing_success_probability
+from ..percolation.components import routable_pair_counts
 from ..sim.static_resilience import measure_routability
 from .base import Experiment, ExperimentConfig, ExperimentResult
 
@@ -43,36 +45,31 @@ PROBE_FAILURE_PROBABILITIES = (0.1, 0.3, 0.5)
 EXAMPLE_D = 3
 
 
-def enumerate_patterns(overlay: HypercubeOverlay) -> List[Tuple[int, int]]:
-    """``(survivors, routable ordered pairs)`` of every survival pattern.
+def enumerate_patterns(overlay: Overlay) -> np.ndarray:
+    """``(survivors, routable ordered pairs)`` of every survival pattern, one row each.
 
-    For the 8-node example this is 2^8 = 256 patterns, each pair routed by
-    the scalar overlay simulator.
+    The ``2^N`` patterns come in ``itertools.product((True, False), ...)``
+    order, the all-alive pattern first; their routable pairs are
+    :func:`~repro.percolation.components.routable_pair_counts` of the whole
+    stack, one batch-engine call.  For the 8-node example that is 256
+    patterns.
     """
-    outcomes = []
-    for pattern in itertools.product((True, False), repeat=overlay.n_nodes):
-        alive = np.array(pattern, dtype=bool)
-        alive_ids = np.flatnonzero(alive).tolist()
-        routable = sum(
-            overlay.route(source, destination, alive).succeeded
-            for source in alive_ids
-            for destination in alive_ids
-            if source != destination
-        )
-        outcomes.append((len(alive_ids), routable))
-    return outcomes
+    n_nodes = overlay.n_nodes
+    patterns = np.arange(2**n_nodes)[:, np.newaxis] >> np.arange(n_nodes - 1, -1, -1)
+    alive_stack = (patterns & 1) == 0
+    return np.column_stack((alive_stack.sum(axis=1), routable_pair_counts(overlay, alive_stack)))
 
 
 def _non_degenerate(
-    outcomes: Sequence[Tuple[int, int]], n_nodes: int, q: float
+    outcomes: np.ndarray, n_nodes: int, q: float
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Probability, survivor count and routable pairs of each pattern with >= 2 survivors."""
-    survivors, routable = np.array([o for o in outcomes if o[0] >= 2], dtype=float).T
+    survivors, routable = outcomes[outcomes[:, 0] >= 2].astype(float).T
     weights = (1.0 - q) ** survivors * q ** (n_nodes - survivors)
     return weights, survivors, routable
 
 
-def exact_definition_routability(outcomes: Sequence[Tuple[int, int]], n_nodes: int, q: float) -> float:
+def exact_definition_routability(outcomes: np.ndarray, n_nodes: int, q: float) -> float:
     """Definition 1 exactly: E[routable ordered pairs] / E[ordered survivor pairs]."""
     weights, survivors, routable = _non_degenerate(outcomes, n_nodes, q)
     expected_pairs = float(weights @ (survivors * (survivors - 1)))
@@ -80,7 +77,7 @@ def exact_definition_routability(outcomes: Sequence[Tuple[int, int]], n_nodes: i
 
 
 def estimator_moments(
-    outcomes: Sequence[Tuple[int, int]], n_nodes: int, q: float, pairs: int
+    outcomes: np.ndarray, n_nodes: int, q: float, pairs: int
 ) -> Tuple[float, float]:
     """Mean and variance of one non-degenerate trial's routability estimate.
 

@@ -17,8 +17,8 @@ import numpy as np
 
 from ..dht import OVERLAY_CLASSES
 from ..percolation.components import largest_component_fraction
-from ..sim.sampling import sample_survivor_pairs
-from ..dht.metrics import summarize_routes
+from ..sim.engine import route_pairs
+from ..sim.sampling import sample_survivor_pair_arrays
 from .base import Experiment, ExperimentConfig, ExperimentResult
 
 __all__ = ["PercolationVersusRoutability"]
@@ -51,10 +51,8 @@ class PercolationVersusRoutability(Experiment):
                 if int(alive.sum()) < 2:
                     continue
                 connectivity = largest_component_fraction(overlay, alive)
-                pairs = sample_survivor_pairs(alive, workload.pairs, rng)
-                metrics = summarize_routes(
-                    overlay.route(source, destination, alive) for source, destination in pairs
-                )
+                sources, destinations = sample_survivor_pair_arrays(alive, workload.pairs, rng)
+                metrics = route_pairs(overlay, sources, destinations, alive).to_metrics()
                 rows.append(
                     {
                         "geometry": geometry,

@@ -12,6 +12,7 @@ from .components import (
     empirical_routability,
     largest_component_fraction,
     reachable_component,
+    routable_pair_counts,
 )
 from .thresholds import (
     PercolationEstimate,
@@ -27,6 +28,7 @@ __all__ = [
     "empirical_routability",
     "largest_component_fraction",
     "reachable_component",
+    "routable_pair_counts",
     "PercolationEstimate",
     "estimate_critical_failure_probability",
     "giant_component_curve",

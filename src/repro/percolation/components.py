@@ -17,18 +17,25 @@ routing table (:meth:`~repro.dht.network.Overlay.neighbor_array`)
 restricted to the survival mask: the connected component is a frontier
 breadth-first search along surviving links, and the weak components come
 from min-label propagation over the surviving links taken in both
-directions.
+directions.  The routing quantities — the reachable component,
+:func:`empirical_routability` and :func:`routable_pair_counts` — route
+their pairs in one call of the batch engine
+(:func:`~repro.sim.engine.route_pairs` or
+:func:`~repro.sim.engine.route_pairs_stacked`), whose kernels the
+conformance harness checks pair for pair against the scalar
+:meth:`~repro.dht.network.Overlay.route` oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Set
+from typing import FrozenSet, Optional
 
 import numpy as np
 
 from ..dht.network import Overlay
 from ..exceptions import InvalidParameterError
+from ..sim.engine import route_pairs, route_pairs_stacked
 
 __all__ = [
     "ComponentSummary",
@@ -37,6 +44,7 @@ __all__ = [
     "component_size_distribution",
     "largest_component_fraction",
     "empirical_routability",
+    "routable_pair_counts",
 ]
 
 
@@ -80,20 +88,17 @@ def reachable_component(overlay: Overlay, root: int, alive: np.ndarray) -> Froze
 
     This is the paper's "reachable component of node *i*": every surviving
     destination is attempted with the overlay's actual routing rule under
-    the given survival mask.  The root itself is not included.
+    the given survival mask, in one :func:`~repro.sim.engine.route_pairs`
+    call.  The root itself is not included.
     """
     alive = _validated_mask(overlay, alive)
     root = overlay.space.validate(root)
     if not alive[root]:
         raise InvalidParameterError(f"root node {root} did not survive")
-    reachable: Set[int] = set()
-    for destination in np.flatnonzero(alive):
-        destination = int(destination)
-        if destination == root:
-            continue
-        if overlay.route(root, destination, alive).succeeded:
-            reachable.add(destination)
-    return frozenset(reachable)
+    destinations = np.flatnonzero(alive)
+    destinations = destinations[destinations != root]
+    outcome = route_pairs(overlay, np.full(destinations.size, root), destinations, alive)
+    return frozenset(destinations[outcome.succeeded].tolist())
 
 
 def connected_component(overlay: Overlay, root: int, alive: np.ndarray) -> FrozenSet[int]:
@@ -186,21 +191,47 @@ def empirical_routability(
     pairs among survivors divided by the number of ordered survivor pairs.
     When ``max_roots`` is given, only that many randomly chosen roots are
     expanded (an unbiased estimate); otherwise every surviving root is used.
+    The roots' pairs to every other survivor are routed in one
+    :func:`~repro.sim.engine.route_pairs` call.
 
     Only intended for small overlays — the experiments use
     :mod:`repro.sim.static_resilience` for large ones.
     """
     alive = _validated_mask(overlay, alive)
-    survivors = [int(v) for v in np.flatnonzero(alive)]
-    if len(survivors) < 2:
+    survivors = np.flatnonzero(alive)
+    if survivors.size < 2:
         raise InvalidParameterError("empirical routability needs at least two survivors")
-    roots: List[int] = survivors
-    if max_roots is not None and max_roots < len(survivors):
+    roots = survivors
+    if max_roots is not None and max_roots < survivors.size:
         generator = rng if rng is not None else np.random.default_rng()
-        chosen = generator.choice(len(survivors), size=max_roots, replace=False)
-        roots = [survivors[int(i)] for i in chosen]
-    routable_pairs = 0
-    for root in roots:
-        routable_pairs += len(reachable_component(overlay, root, alive))
-    possible_pairs = len(roots) * (len(survivors) - 1)
-    return routable_pairs / possible_pairs
+        roots = survivors[generator.choice(survivors.size, size=max_roots, replace=False)]
+    sources = np.repeat(roots, survivors.size)
+    destinations = np.tile(survivors, roots.size)
+    distinct = sources != destinations
+    outcome = route_pairs(overlay, sources[distinct], destinations[distinct], alive)
+    return int(np.count_nonzero(outcome.succeeded)) / (roots.size * (survivors.size - 1))
+
+
+def routable_pair_counts(overlay: Overlay, alive_stack: np.ndarray) -> np.ndarray:
+    """Routable ordered survivor pairs under each survival mask of a stack.
+
+    ``alive_stack`` is a ``(n_masks, n_nodes)`` boolean matrix.  Entry ``i``
+    of the result is the numerator of Definition 1 for mask ``i``: how many
+    ordered pairs of distinct survivors the overlay's routing rule delivers.
+    Every such pair of every mask is routed in one
+    :func:`~repro.sim.engine.route_pairs_stacked` call, so the cost grows
+    with ``n_masks * n_nodes^2``: an exact enumeration of all ``2^N``
+    patterns is meant for overlays of at most 16 nodes.  Nothing is
+    sampled.
+    """
+    alive_stack = np.asarray(alive_stack, dtype=bool)
+    if alive_stack.ndim != 2 or alive_stack.shape[1] != overlay.n_nodes:
+        raise InvalidParameterError(
+            f"survival mask stack has shape {alive_stack.shape}, expected (n_masks, {overlay.n_nodes})"
+        )
+    distinct = ~np.eye(overlay.n_nodes, dtype=bool)
+    cells, sources, destinations = np.nonzero(
+        alive_stack[:, :, np.newaxis] & alive_stack[:, np.newaxis, :] & distinct
+    )
+    outcome = route_pairs_stacked(overlay, sources, destinations, alive_stack, cells)
+    return np.bincount(cells[outcome.succeeded], minlength=alive_stack.shape[0])

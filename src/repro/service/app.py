@@ -201,11 +201,17 @@ class SweepService:
             "# TYPE rcm_queue_depth gauge",
             f"rcm_queue_depth {self.jobs.queue_depth()}",
             "# HELP rcm_job_duration_seconds Job wall-clock duration (acceptance to terminal state), by final state.",
-            "# TYPE rcm_job_duration_seconds gauge",
+            "# TYPE rcm_job_duration_seconds summary",
         ]
-        for state, stats in sorted(self.jobs.duration_stats().items()):
+        durations = sorted(self.jobs.duration_stats().items())
+        for state, stats in durations:
             lines.append(f'rcm_job_duration_seconds_count{{state="{state}"}} {int(stats["count"])}')
             lines.append(f'rcm_job_duration_seconds_sum{{state="{state}"}} {stats["sum"]:.6f}')
+        lines += [
+            "# HELP rcm_job_duration_seconds_max Longest job wall-clock duration, by final state.",
+            "# TYPE rcm_job_duration_seconds_max gauge",
+        ]
+        for state, stats in durations:
             lines.append(f'rcm_job_duration_seconds_max{{state="{state}"}} {stats["max"]:.6f}')
         lines += [
             "# HELP rcm_uptime_seconds Seconds since this instance started.",

@@ -50,9 +50,7 @@ _EXPORTS = {
     "SweepRequest": "request",
     "run_shard": "request",
     # sampling
-    "all_survivor_pairs": "sampling",
     "sample_survivor_pair_arrays": "sampling",
-    "sample_survivor_pairs": "sampling",
     # static resilience
     "ResilienceSweepResult": "static_resilience",
     "StaticResilienceResult": "static_resilience",

@@ -1,19 +1,20 @@
-"""Workload sampling helpers for the Monte-Carlo static-resilience simulator.
+"""Survivor-pair sampling for the Monte-Carlo static-resilience simulator.
 
-Routability is defined over *ordered pairs of surviving nodes*; these
-helpers sample such pairs uniformly given a survival mask.
+Routability is defined over *ordered pairs of surviving nodes*;
+:func:`sample_survivor_pair_arrays` samples such pairs uniformly given a
+survival mask, as the two int64 arrays the batch engine routes.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..exceptions import InvalidParameterError
 from ..validation import check_positive_int
 
-__all__ = ["sample_survivor_pairs", "sample_survivor_pair_arrays", "all_survivor_pairs"]
+__all__ = ["sample_survivor_pair_arrays"]
 
 
 def sample_survivor_pair_arrays(
@@ -26,10 +27,7 @@ def sample_survivor_pair_arrays(
     Sampling is uniform over ordered pairs of distinct surviving nodes, with
     replacement across pairs (the same pair may be drawn twice), matching how
     simulation studies such as Gummadi et al. estimate the fraction of failed
-    paths.  This is the array-native variant the batch engine consumes
-    directly; :func:`sample_survivor_pairs` wraps it into the original
-    list-of-tuples API.  Both consume the random stream identically, so
-    seeded results are interchangeable between them.
+    paths.
 
     Raises
     ------
@@ -55,35 +53,3 @@ def sample_survivor_pair_arrays(
             destination = survivors[int(rng.integers(0, survivors.size))]
         destinations[index] = destination
     return sources, destinations
-
-
-def sample_survivor_pairs(
-    alive: np.ndarray,
-    count: int,
-    rng: np.random.Generator,
-) -> List[Tuple[int, int]]:
-    """Sample ``count`` ordered (source, destination) pairs of distinct surviving nodes.
-
-    List-of-tuples view of :func:`sample_survivor_pair_arrays` (same sampling
-    rules, same random-stream consumption); kept for callers that iterate
-    pairs one at a time.
-    """
-    sources, destinations = sample_survivor_pair_arrays(alive, count, rng)
-    return list(zip(sources.tolist(), destinations.tolist()))
-
-
-def all_survivor_pairs(alive: np.ndarray, *, limit: int = 2_000_000) -> List[Tuple[int, int]]:
-    """Enumerate every ordered pair of distinct surviving nodes.
-
-    Only sensible for small overlays (exhaustive validation tests); the
-    ``limit`` guard protects against accidentally materialising billions of
-    pairs for a 2^16-node overlay.
-    """
-    alive = np.asarray(alive, dtype=bool)
-    survivors = [int(i) for i in np.flatnonzero(alive)]
-    total = len(survivors) * (len(survivors) - 1)
-    if total > limit:
-        raise InvalidParameterError(
-            f"{total} ordered pairs exceed the exhaustive-enumeration limit of {limit}"
-        )
-    return [(s, t) for s in survivors for t in survivors if s != t]

@@ -27,8 +27,8 @@ from repro.sim.conformance import (
     chunked_routing,
 )
 from repro.sim.engine import SweepCell, SweepRunner, route_pairs
+from repro.sim.sampling import sample_survivor_pair_arrays
 from repro.sim.static_resilience import measure_routability
-from repro.sim.sampling import sample_survivor_pairs
 
 from conftest import SMALL_D
 
@@ -49,8 +49,7 @@ def sampled_batch(overlay, q, count, seed):
     alive = survival_mask(overlay.n_nodes, q, rng)
     if int(alive.sum()) < 2:
         pytest.skip(f"degenerate pattern at q={q}")
-    pairs = np.asarray(sample_survivor_pairs(alive, count, rng), dtype=np.int64)
-    return alive, pairs[:, 0], pairs[:, 1]
+    return alive, *sample_survivor_pair_arrays(alive, count, rng)
 
 
 class TestFailureCodes:
@@ -106,8 +105,7 @@ class TestOracleAgreement:
         overlay = small_overlays[geometry_name]
         alive = np.ones(overlay.n_nodes, dtype=bool)
         rng = np.random.default_rng(5)
-        pairs = np.asarray(sample_survivor_pairs(alive, 100, rng), dtype=np.int64)
-        outcome = route_pairs(overlay, pairs[:, 0], pairs[:, 1], alive)
+        outcome = route_pairs(overlay, *sample_survivor_pair_arrays(alive, 100, rng), alive)
         assert outcome.succeeded.all()
         assert (outcome.failure_codes == FAILURE_CODES[FailureReason.NONE]).all()
         assert outcome.failure_reason_counts() == {}

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.dht.metrics import RoutingMetrics, summarize_routes, wilson_interval
+from repro.dht.metrics import RoutingMetrics, summarize_routes
 from repro.dht.routing import FailureReason, RouteResult
 from repro.exceptions import InvalidParameterError
 
@@ -21,29 +21,6 @@ def failure(source, destination, hops=1, reason=FailureReason.DEAD_END):
     return RouteResult(
         source=source, destination=destination, succeeded=False, path=path, failure_reason=reason
     )
-
-
-class TestWilsonInterval:
-    def test_interval_contains_point_estimate(self):
-        low, high = wilson_interval(80, 100)
-        assert low < 0.8 < high
-
-    def test_interval_bounds_are_probabilities(self):
-        low, high = wilson_interval(0, 50)
-        assert low == 0.0
-        assert 0.0 < high < 0.2
-
-    def test_zero_trials_is_uninformative(self):
-        assert wilson_interval(0, 0) == (0.0, 1.0)
-
-    def test_more_trials_tighten_the_interval(self):
-        narrow = wilson_interval(800, 1000)
-        wide = wilson_interval(8, 10)
-        assert (narrow[1] - narrow[0]) < (wide[1] - wide[0])
-
-    def test_invalid_counts_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            wilson_interval(5, 3)
 
 
 class TestSummarizeRoutes:
@@ -81,12 +58,6 @@ class TestSummarizeRoutes:
     def test_all_successes_have_nan_failed_hops(self):
         metrics = summarize_routes([success(0, 5)])
         assert math.isnan(metrics.mean_hops_failed)
-
-    def test_confidence_interval_brackets_routability(self):
-        results = [success(0, 5)] * 30 + [failure(1, 6)] * 10
-        metrics = summarize_routes(results)
-        low, high = metrics.routability_confidence_interval
-        assert low < metrics.routability < high
 
 
 class TestMerging:

@@ -6,65 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InvalidParameterError
-from repro.sim.sampling import (
-    all_survivor_pairs,
-    sample_survivor_pair_arrays,
-    sample_survivor_pairs,
-)
-
-
-class TestSampleSurvivorPairs:
-    def test_pairs_are_distinct_and_alive(self, rng):
-        alive = np.zeros(64, dtype=bool)
-        alive[[1, 5, 9, 30, 63]] = True
-        pairs = sample_survivor_pairs(alive, 200, rng)
-        assert len(pairs) == 200
-        for source, destination in pairs:
-            assert source != destination
-            assert alive[source] and alive[destination]
-
-    def test_two_survivors_always_give_the_same_pair(self, rng):
-        alive = np.zeros(16, dtype=bool)
-        alive[[3, 12]] = True
-        pairs = sample_survivor_pairs(alive, 20, rng)
-        assert set(pairs) <= {(3, 12), (12, 3)}
-
-    def test_fewer_than_two_survivors_rejected(self, rng):
-        alive = np.zeros(16, dtype=bool)
-        alive[3] = True
-        with pytest.raises(InvalidParameterError):
-            sample_survivor_pairs(alive, 5, rng)
-
-    def test_zero_count_rejected(self, rng):
-        with pytest.raises(InvalidParameterError):
-            sample_survivor_pairs(np.ones(8, dtype=bool), 0, rng)
-
-    def test_sampling_is_roughly_uniform(self, rng):
-        alive = np.ones(8, dtype=bool)
-        pairs = sample_survivor_pairs(alive, 8000, rng)
-        sources = np.array([s for s, _ in pairs])
-        counts = np.bincount(sources, minlength=8)
-        assert counts.min() > 0.7 * counts.mean()
+from repro.sim.sampling import sample_survivor_pair_arrays
 
 
 class TestSampleSurvivorPairArrays:
-    """The array variant is stream-identical to the list API by construction."""
-
-    @pytest.mark.parametrize("survivor_count", [2, 3, 17, 64])
-    def test_stream_identical_to_list_variant(self, survivor_count):
-        # Few survivors force the scalar redraw loop, many make it rare; the
-        # two variants must draw identically either way.
-        alive = np.zeros(64, dtype=bool)
-        alive[np.linspace(0, 63, survivor_count).astype(int)] = True
-        rng_arrays = np.random.default_rng(414)
-        rng_list = np.random.default_rng(414)
-        sources, destinations = sample_survivor_pair_arrays(alive, 400, rng_arrays)
-        pairs = sample_survivor_pairs(alive, 400, rng_list)
-        assert list(zip(sources.tolist(), destinations.tolist())) == pairs
-        # Both consumed the random stream draw for draw: the generators are
-        # in the same state, so any downstream sampling stays aligned.
-        assert rng_arrays.bit_generator.state == rng_list.bit_generator.state
-
     def test_returns_int64_arrays(self, rng):
         sources, destinations = sample_survivor_pair_arrays(np.ones(16, dtype=bool), 30, rng)
         assert sources.dtype == np.int64 and destinations.dtype == np.int64
@@ -77,18 +22,21 @@ class TestSampleSurvivorPairArrays:
         assert (sources != destinations).all()
         assert alive[sources].all() and alive[destinations].all()
 
+    def test_two_survivors_always_give_the_same_pair(self, rng):
+        alive = np.zeros(16, dtype=bool)
+        alive[[3, 12]] = True
+        sources, destinations = sample_survivor_pair_arrays(alive, 20, rng)
+        assert set(zip(sources.tolist(), destinations.tolist())) <= {(3, 12), (12, 3)}
+
     def test_fewer_than_two_survivors_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
             sample_survivor_pair_arrays(np.zeros(8, dtype=bool), 5, rng)
 
-
-class TestAllSurvivorPairs:
-    def test_enumerates_ordered_pairs(self):
-        alive = np.array([True, False, True, True])
-        pairs = all_survivor_pairs(alive)
-        assert set(pairs) == {(0, 2), (0, 3), (2, 0), (2, 3), (3, 0), (3, 2)}
-
-    def test_limit_guard(self):
-        alive = np.ones(2000, dtype=bool)
+    def test_zero_count_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
-            all_survivor_pairs(alive, limit=1000)
+            sample_survivor_pair_arrays(np.ones(8, dtype=bool), 0, rng)
+
+    def test_sampling_is_roughly_uniform(self, rng):
+        sources, _ = sample_survivor_pair_arrays(np.ones(8, dtype=bool), 8000, rng)
+        counts = np.bincount(sources, minlength=8)
+        assert counts.min() > 0.7 * counts.mean()

@@ -96,6 +96,42 @@ def direct_rows():
         return runner.sweep(GRID["geometries"][0], GRID["d"], GRID["q"]).as_rows()
 
 
+#: Sample-name suffixes the Prometheus text format allows per family type.
+SAMPLE_SUFFIXES = {
+    "counter": ("",),
+    "gauge": ("",),
+    "summary": ("", "_count", "_sum"),
+    "histogram": ("_bucket", "_count", "_sum"),
+}
+
+
+def prometheus_samples(text):
+    """``(family, type, sample name)`` of every sample line in exposition ``text``.
+
+    Checks the layout rules on the way: each family has one HELP and one
+    TYPE line, and its samples follow them as one group.
+    """
+    helped, typed, samples = set(), {}, []
+    family = None
+    for line in text.splitlines():
+        if line.startswith("# HELP "):
+            name = line.split()[2]
+            assert name not in helped, f"second HELP for {name}"
+            helped.add(name)
+        elif line.startswith("# TYPE "):
+            _, _, name, kind = line.split()
+            assert name not in typed, f"second TYPE for {name}"
+            assert name in helped, f"TYPE before HELP for {name}"
+            typed[name], family = kind, name
+        elif line:
+            sample = line.split("{")[0].split()[0]
+            assert family is not None and sample.startswith(family), (
+                f"sample {sample} outside its family's group (current: {family})"
+            )
+            samples.append((family, typed[family], sample))
+    return samples
+
+
 class TestEndToEndSmoke:
     def test_submit_poll_results_matches_sweeprunner_bit_for_bit(self, tmp_path):
         with running_service(tmp_path / "cells.db") as (port, _service):
@@ -143,6 +179,16 @@ class TestEndToEndSmoke:
             assert 'rcm_jobs{state="done"} 1' in metrics
             assert "rcm_cells_computed_total 4" in metrics
             assert "rcm_store_cells 4" in metrics
+
+    def test_metrics_text_is_valid_prometheus_exposition(self, tmp_path):
+        with running_service(tmp_path / "cells.db") as (port, _service):
+            _, accepted = request(port, "POST", "/v1/sweeps", body=GRID)
+            wait_for_state(port, accepted["job_id"])
+            status, metrics = request(port, "GET", "/metrics")
+        assert status == 200
+        assert 'rcm_job_duration_seconds_count{state="done"} 1' in metrics
+        for family, kind, sample in prometheus_samples(metrics):
+            assert sample[len(family):] in SAMPLE_SUFFIXES[kind], (family, kind, sample)
 
     def test_stream_replays_shards_then_ends(self, tmp_path):
         with running_service(tmp_path / "cells.db") as (port, _service):
