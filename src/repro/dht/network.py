@@ -128,8 +128,8 @@ class Overlay(abc.ABC):
         int32 holds every identifier an overlay can route: a node id is
         below ``2^d``, which int32 holds up to ``d = 31``, where the table
         alone would take at least 8 GiB, so no larger overlay is built; a
-        fused stack of several cells is capped at ``2^23`` table entries, so
-        its virtual ids stay below ``2^23``
+        fused stack of several cells is routed in sub-unions of ``2^31 >> d``
+        cells, so its virtual ids stay below ``2^31``
         (``repro.sim.engine._cells_per_union``).  Only defined for
         overlays whose nodes all have the same out-degree, which holds for
         every registered geometry.

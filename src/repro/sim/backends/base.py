@@ -90,9 +90,9 @@ class KernelBackend(abc.ABC):
         """Bind the routing state for one batch.
 
         Called once per ``(overlay, flattened mask stack)`` batch; the
-        returned opaque state is threaded into every :meth:`run` chunk, so
-        anything it builds lazily (the NumPy backend's full masked table) is
-        shared by every chunk.
+        returned opaque state (the NumPy backend's bound step, the Numba
+        backend's packed aliveness words) is threaded into every :meth:`run`
+        chunk.
         """
 
     @abc.abstractmethod

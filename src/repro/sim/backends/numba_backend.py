@@ -12,7 +12,7 @@ importable — compiles the whole chain with ``@njit``.  Each pair is then
 routed from source to termination inside one compiled loop over the
 overlay's own int32 table, with aliveness looked up in bit-packed uint64
 words: no per-hop Python dispatch, no ``(batch, degree)`` temporaries.  The loop
-masks each candidate as it reads it, so it never builds a masked table at all.
+masks each candidate as it reads it.
 
 Numba is an optional extra, and the loops are deliberately buildable
 without it: ``python_loop_backend()`` returns the *same* spec functions and

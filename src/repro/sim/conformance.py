@@ -18,16 +18,16 @@ the oracle across every execution shape the generic drivers derive:
   :func:`~repro.sim.static_resilience.measure_routability` vs the sweep
   reference (:func:`_oracle_measure_routability`);
 * **column orders** — a scan spec with a column order routes the oracle
-  batches and the crossover batches under every NumPy pass plan: the
+  batches and the density batches under every NumPy pass plan: the
   planner's own, every pass the order allows (:func:`forced_passes`
   ``"every"``) and none (``"none"``, the full scan alone), each equal to
   the oracle pair for pair;
 * **overlay variants** — the whole battery runs again on each
   :data:`OVERLAY_VARIANTS` overlay (Chord's deterministic fingers);
-* **masking crossover** — three stacked batches per geometry and backend
-  (:data:`CROSSOVER_BATCHES`): one that never reaches the NumPy
-  executor's full-masked-table crossover, one past it from hop 0, and one
-  that crosses it mid-route, each equal to the oracle pair for pair;
+* **batch density** — three stacked batches per geometry and backend
+  (:data:`DENSITY_BATCHES`): one pair per cell over many cells, and fewer
+  and more pairs than the stack has rows over two cells, each equal to
+  the oracle pair for pair;
 * **churn** — :func:`~repro.sim.churn.simulate_churn` (windows of steps
   routed as one stacked batch each) vs the churn reference
   (:func:`_oracle_churn`), per-step metrics and final RNG position alike;
@@ -97,8 +97,8 @@ __all__ = [
     "chunked_routing",
     "assert_stacked_parity",
     "assert_hop_limit_parity",
-    "crossover_batch",
-    "assert_crossover_parity",
+    "density_batch",
+    "assert_density_parity",
     "OVERLAY_VARIANTS",
     "FORCED_PASS_PLANS",
     "forced_passes",
@@ -330,20 +330,18 @@ def assert_hop_limit_parity(
     return int(sources.size)
 
 
-#: The three masking-crossover batches: ``(side, cells, pairs per cell)``.
-#: The NumPy executor masks the rows each hop gathers until the rows gathered
-#: so far plus the next hop's active set would reach the stack's row count
-#: (``cells * 2^d``), then builds the full masked table once.  ``below`` never
-#: gets there, ``above`` is there from hop 0 (pairs >= rows) and
-#: ``mid-route`` crosses after hop 0 (pairs < rows <= rows visited).
-CROSSOVER_BATCHES = (("below", 16, 1), ("above", 2, 80), ("mid-route", 2, 48))
+#: The three stacked density batches: ``(density, cells, pairs per cell)``.
+#: ``sparse`` routes far fewer pairs than its stack has rows (``cells *
+#: 2^d``), ``medium`` somewhat fewer and ``dense`` more, so hops gather
+#: scattered rows, rows that later hops revisit, and every row many times.
+DENSITY_BATCHES = (("sparse", 16, 1), ("medium", 2, 48), ("dense", 2, 80))
 
 
-def crossover_batch(overlay: Overlay, side: str):
-    """One :data:`CROSSOVER_BATCHES` stack at ``q = 0.3``:
+def density_batch(overlay: Overlay, density: str):
+    """One :data:`DENSITY_BATCHES` stack at ``q = 0.3``:
     ``(alive_stack, sources, destinations, cells)``."""
-    _, n_cells, per_cell = next(batch for batch in CROSSOVER_BATCHES if batch[0] == side)
-    rng = np.random.default_rng(_deterministic_seed(f"crossover-{overlay.geometry_name}-{side}"))
+    _, n_cells, per_cell = next(batch for batch in DENSITY_BATCHES if batch[0] == density)
+    rng = np.random.default_rng(_deterministic_seed(f"density-{overlay.geometry_name}-{density}"))
     masks, sources, destinations = [], [], []
     while len(masks) < n_cells:
         alive = survival_mask(overlay.n_nodes, 0.3, rng)
@@ -356,23 +354,13 @@ def crossover_batch(overlay: Overlay, side: str):
     return np.stack(masks), np.concatenate(sources), np.concatenate(destinations), cells
 
 
-def _rows_visited(outcome) -> int:
-    """Rows a per-hop driver gathers routing ``outcome``'s batch: one per pair
-    per hop it is active — a dropped pair's failed hop included."""
-    dropped = ~outcome.succeeded & (outcome.failure_codes != HOP_LIMIT_CODE)
-    return int(outcome.hops.sum()) + int(dropped.sum())
-
-
-def assert_crossover_parity(overlay: Overlay, backend: BackendLike) -> int:
-    """Each crossover batch equals the oracle pair for pair and lies on its side."""
+def assert_density_parity(overlay: Overlay, backend: BackendLike) -> int:
+    """Each density batch equals the oracle pair for pair."""
     checked = 0
-    for side, _, _ in CROSSOVER_BATCHES:
-        stack, sources, destinations, cells = crossover_batch(overlay, side)
+    for density, _, _ in DENSITY_BATCHES:
+        stack, sources, destinations, cells = density_batch(overlay, density)
         outcome = route_pairs_stacked(overlay, sources, destinations, stack, cells, backend=backend)
-        _assert_pairs_match_oracle(overlay, outcome, stack, cells, (overlay.geometry_name, side))
-        rows, visited = stack.size, _rows_visited(outcome)
-        landed = "above" if sources.size >= rows else "below" if visited < rows else "mid-route"
-        assert landed == side, (overlay.geometry_name, side, sources.size, visited, rows)
+        _assert_pairs_match_oracle(overlay, outcome, stack, cells, (overlay.geometry_name, density))
         checked += outcome.n_pairs
     return checked
 
@@ -387,7 +375,7 @@ def forced_passes(plan: str):
     if plan not in FORCED_PASS_PLANS:
         raise ValueError(f"unknown pass plan {plan!r}; expected one of {FORCED_PASS_PLANS}")
 
-    def planned(pending, degree, expected_yield, from_table):
+    def planned(pending, degree, expected_yield):
         return degree if plan == "every" else 0
 
     return mock.patch.object(kernelspec, "_planned_passes", planned)
@@ -397,9 +385,8 @@ def assert_column_order_parity(overlay: Overlay, backend: BackendLike) -> int:
     """Under each forced pass plan, an ordered scan equals the oracle.
 
     Routes the oracle-parity batches at every :data:`PARITY_SEVERITIES`
-    value and the three crossover batches (so passes read both the per-hop
-    masked entries and the full masked table).  Specs without a column
-    order check nothing and return ``0``.
+    value and the three density batches.  Specs without a column order
+    check nothing and return ``0``.
     """
     if get_kernel_spec(overlay.geometry_name).first_column is None:
         return 0
@@ -408,7 +395,7 @@ def assert_column_order_parity(overlay: Overlay, backend: BackendLike) -> int:
         with forced_passes(plan):
             for q in PARITY_SEVERITIES:
                 checked += assert_oracle_parity(overlay, backend, q=q)
-            checked += assert_crossover_parity(overlay, backend)
+            checked += assert_density_parity(overlay, backend)
     return checked
 
 
@@ -649,7 +636,7 @@ def run_conformance(
             checked[f"oracle[{label},q={q}]"] = assert_oracle_parity(overlay, backend, q=q)
         checked[f"stacked[{label}]"] = assert_stacked_parity(overlay, backend)
         checked[f"hop-limit[{label}]"] = assert_hop_limit_parity(overlay, backend)
-        checked[f"crossover[{label}]"] = assert_crossover_parity(overlay, backend)
+        checked[f"density[{label}]"] = assert_density_parity(overlay, backend)
     # Pass plans exist only in the NumPy executor; the per-pair loops
     # always return at the first accepted column.
     checked["column-order[numpy]"] = assert_column_order_parity(overlay, "numpy")

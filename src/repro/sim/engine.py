@@ -280,39 +280,33 @@ def route_pairs(
 #: per-hop ``(pairs,)`` state arrays of a large fused sweep and the NumPy
 #: kernels' ``(pairs, degree)`` temporaries (each hop steps its whole active
 #: set at once).  Pairs are routed independently, so the split cannot change
-#: any outcome.
-_MAX_BATCH_PAIRS = 1 << 16
+#: any outcome.  A sweep group of 8 cells of 2000 pairs fits in one chunk.
+_MAX_BATCH_PAIRS = 1 << 14
 
-#: Upper bound on the entries of one batch's full masked table (~32 MB at
-#: int32).  The NumPy backend builds that table only when a batch would visit
-#: as many rows as it has (see ``repro.sim.backends.numpy_backend``); stacks
-#: whose table could exceed the bound are routed as bounded-width sub-unions,
-#: so fused peak memory stays capped no matter how many cells are fused.
-_MAX_UNION_TABLE_ELEMENTS = 1 << 23
+#: Virtual identifiers ``cell * 2^d + node`` one disjoint union may use: the
+#: int32 range the driver hands a backend, like the overlay's own table.
+_VIRTUAL_ID_SPAN = int(np.iinfo(np.int32).max) + 1
 
 
 def _cells_per_union(overlay) -> int:
     """How many cells of ``overlay`` one disjoint union routes at most.
 
-    The widest stack whose full masked table stays within
-    :data:`_MAX_UNION_TABLE_ELEMENTS` (at least one cell): 8 cells at d=16,
-    every cell of a typical run at d=10.  The routing driver splits wider
-    stacks into sub-unions of this width.
+    The most cells whose virtual identifiers all fit in int32
+    (:data:`_VIRTUAL_ID_SPAN`), at least one: 2^15 cells at d=16.  The
+    routing driver splits wider stacks into sub-unions of this width.
     """
-    rows, degree = overlay.neighbor_array().shape
-    return max(1, _MAX_UNION_TABLE_ELEMENTS // (rows * degree))
+    return max(1, _VIRTUAL_ID_SPAN >> int(overlay.d))
 
 
-def _cells_per_window(overlay, pairs_per_cell: int) -> int:
+def _cells_per_window(pairs_per_cell: int) -> int:
     """How many cells of ``pairs_per_cell`` pairs one streamed window holds.
 
-    A window is at most a sub-union wide (:func:`_cells_per_union`) and holds
-    at most one pair chunk (:data:`_MAX_BATCH_PAIRS`), at least one cell: 8
-    cells of 2000 pairs at d=16, 32 at d=10 or below.  The churn loop
-    collects its steps into windows of this width, so a run of any length
-    at any ``d`` holds at most one window of masks and pairs.
+    A window holds at most one pair chunk (:data:`_MAX_BATCH_PAIRS`), at
+    least one cell: 8 cells of 2000 pairs.  The churn loop collects its
+    steps into windows of this width, so a run of any length holds at most
+    one window of masks and pairs.
     """
-    return max(1, min(_cells_per_union(overlay), _MAX_BATCH_PAIRS // pairs_per_cell))
+    return max(1, _MAX_BATCH_PAIRS // pairs_per_cell)
 
 
 def route_pairs_stacked(
@@ -337,11 +331,10 @@ def route_pairs_stacked(
     cell's mask; mask rows no pair references (e.g. degenerate cells) are
     simply ignored.
 
-    Memory is bounded on both axes: pairs are routed in chunks of at most
-    :data:`_MAX_BATCH_PAIRS` (the per-hop working set), and a full masked
-    table is capped at :data:`_MAX_UNION_TABLE_ELEMENTS` entries — wider
-    stacks are routed as bounded-width sub-unions.  Neither split can change
-    any outcome.
+    Pairs are routed in chunks of at most :data:`_MAX_BATCH_PAIRS`, which
+    bounds the per-hop working set, and stacks too wide for int32 virtual
+    identifiers are routed as sub-unions.  Neither split can change any
+    outcome.
 
     Raises
     ------
@@ -378,18 +371,17 @@ def _dispatch_stack(
     drops out of every same-cell difference.  So each pair follows exactly
     the trajectory it would take on the overlay under its own cell's mask,
     and no table is copied.  Stacks wider than :func:`_cells_per_union`
-    cells are split into sub-unions of that width, so a full masked table
-    stays within :data:`_MAX_UNION_TABLE_ELEMENTS` entries.  Each sub-union
-    is prepared once and its pairs are routed in chunks of at most
-    :data:`_MAX_BATCH_PAIRS` under that one state, so a full masked table
-    is built at most once per state.
+    cells are split into sub-unions of that width, so every virtual
+    identifier fits in int32.  Each sub-union is prepared once and its
+    pairs are routed in chunks of at most :data:`_MAX_BATCH_PAIRS` under
+    that one state.
     """
     n_cells = alive_stack.shape[0]
     cells_per_union = _cells_per_union(overlay)
     if n_cells > cells_per_union:
-        # Bound peak memory: route bounded-width sub-unions and scatter the
-        # per-pair results back.  Cells are independent, so the split cannot
-        # change any outcome.
+        # Keep virtual identifiers in int32: route sub-unions and scatter
+        # the per-pair results back.  Cells are independent, so the split
+        # cannot change any outcome.
         succeeded = np.empty(sources.size, dtype=bool)
         hops = np.empty(sources.size, dtype=np.int64)
         codes = np.empty(sources.size, dtype=np.int8)

@@ -19,10 +19,8 @@ collapses the batch side of that invariant to a single declaration:
   only as ``cur`` itself: every scan ``accept`` rejects that candidate and
   it never beats a usable one.  Direct specs, whose single next hop is
   looked up (tree, de Bruijn), read aliveness through ``ops.alive``
-  instead.  These *masked rows* are row-independent: a vectorized
-  executor may compute them for the rows a hop gathers, or for every row
-  at once — the same functions either way, so the two forms cannot
-  disagree.
+  instead.  A vectorized executor masks only the rows (or single
+  entries) a hop gathers.
 * Every driver receives the same two constants, :func:`routing_consts`
   ``(d, 2^d - 1)``, and the overlay's own int32 neighbour table
   (:meth:`~repro.dht.network.Overlay.neighbor_array`).  Identifiers are
@@ -31,10 +29,11 @@ collapses the batch side of that invariant to a single declaration:
   by the cell base ``cur - local``, so no offset table is needed to route
   many cells at once.
 * The generic drivers in this module derive **every execution shape** from
-  the one declaration: :func:`vector_rows` / :func:`vector_step` build the
-  vectorized masked-row and per-hop functions the NumPy backend iterates
-  (single-mask and stacked batches alike — a single mask is just a stack of
-  one), and :func:`scalar_step` / :func:`make_pair_loop` build the per-pair
+  the one declaration: :func:`vector_step` builds the vectorized per-hop
+  function the NumPy backend iterates, over the masked rows and entries of
+  :func:`vector_rows` and :func:`vector_entries` (single-mask and stacked
+  batches alike — a single mask is just a stack of one), and
+  :func:`scalar_step` / :func:`make_pair_loop` build the per-pair
   source-to-termination loop the Numba backend ``@njit``-compiles — and
   which remains callable as plain Python, so the exact code Numba compiles
   is property-tested on every CI leg.
@@ -70,9 +69,9 @@ extension):
     pending pair, over a shrinking pending set, before handing the pairs
     still pending to the full-row ``argmin``.  The number of passes is
     planned from what the executor observes (:func:`_planned_passes`: the
-    step's pair count, the alive share of their cells, which is about the
-    share of pairs a pass settles, and whether the rows come from a full
-    masked table); the plan changes speed, never a choice.
+    step's pair count and the alive share of their cells, which is about
+    the share of pairs a pass settles); the plan changes speed, never a
+    choice.
 
 With this layer in place the routing invariant has exactly **two** copies
 per geometry — the scalar oracle and the spec — property-tested against
@@ -109,7 +108,6 @@ __all__ = [
     "registered_geometries",
     "routing_consts",
     "dead_to_self",
-    "MaskedReaders",
     "vector_rows",
     "vector_entries",
     "vector_step",
@@ -128,16 +126,10 @@ FAR_KEY = 1 << 62
 #: whatever its size (the fixed cost of its few dozen array calls).  Setting
 #: up the pending set and scattering the answers back costs about one more
 #: pass.  Fitted to timings of forced pass counts (0-8 passes, ring and XOR,
-#: d=10 and d=16, with and without the full masked table, q from 0.05 to
-#: 0.8, 150-2048 pairs per step) so that no plan costs more than the full
-#: scan alone.  See :func:`_planned_passes`.
+#: d=10 and d=16, q from 0.05 to 0.8, 150-2048 pairs per step) so that no
+#: plan costs more than the full scan alone.  See :func:`_planned_passes`.
 PASS_PAIR_COLUMNS = 2
 PASS_CALL_COLUMNS = 2000
-#: How much more a pass costs, in full-scan columns, when the step reads a
-#: precomputed full masked table: the table turns each full-scan column
-#: into a plain gather, while a pass's bookkeeping stays.  Measured on
-#: d=10 fused stacks past the masking crossover.
-TABLE_PASS_COST = 2
 
 
 def routing_consts(overlay) -> Tuple[int, int]:
@@ -237,8 +229,8 @@ def dead_to_self(ops: Ops) -> Callable:
     ``substitute(alive, neighbor, cur)`` keeps an alive neighbour and
     replaces a dead one by the row's own identifier ``cur``: every scan
     ``accept`` rejects that candidate, and it never beats a usable one, so
-    no spec sees a dead neighbour any other way.  The per-hop gather, the
-    full masked table and the per-pair loops all apply this function.
+    no spec sees a dead neighbour any other way.  The vectorized row and
+    entry gathers and the per-pair loops all apply this function.
     """
     where = ops.where
     alive_at = ops.alive
@@ -389,37 +381,13 @@ def _vector_functions(spec: KernelSpec):
 _VECTOR_DEAD_TO_SELF = dead_to_self(VECTOR_OPS)
 
 
-class MaskedReaders(NamedTuple):
-    """How a vectorized step reads the masked rows of its pairs' current nodes.
-
-    Attributes
-    ----------
-    rows:
-        ``rows(ids)``: the masked-row values of :func:`vector_rows` (or a
-        gather from a table of them), ``None`` for specs that read no rows.
-    entries:
-        ``entries(ids, columns)``: single masked entries, as
-        :func:`vector_entries` reads them (or a gather from the table);
-        ``None`` unless the spec declares a column order.
-    from_table:
-        Whether both read a precomputed full masked table rather than
-        masking what they read.
-    """
-
-    rows: Optional[Callable]
-    entries: Optional[Callable]
-    from_table: bool
-
-
 def vector_rows(spec: KernelSpec, overlay, alive: np.ndarray) -> Optional[Callable]:
     """The vectorized masked-row function ``rows(ids)``, or ``None``.
 
     The masked row of an identifier is its neighbour list, read cell-locally
     from the overlay's table, with dead entries replaced by the identifier
-    itself.  Scan specs scan that ``(ids, degree)`` matrix; direct specs
-    read no rows (``None``).  ``rows`` is row-independent, so the NumPy
-    backend may call it on a hop's active rows or on every identifier of
-    ``alive`` at once.
+    itself.  Scan specs scan that ``(ids, degree)`` matrix of a hop's
+    current nodes; direct specs read no rows (``None``).
     """
     if spec.kind == "direct":
         return None
@@ -468,26 +436,22 @@ def _scan_rows(key, accept, consts, neighbors, cur, dst):
     return neighbors[positions, best], accept(consts, keys[positions, best], cur, dst)
 
 
-def _planned_passes(pending: int, degree: int, expected_yield: float, from_table: bool) -> int:
+def _planned_passes(pending: int, degree: int, expected_yield: float) -> int:
     """How many ordered passes to run before the full scan takes the pairs left.
 
     The full scan reads ``degree`` columns per pair; a pass costs
     :data:`PASS_PAIR_COLUMNS` per pending pair plus
-    :data:`PASS_CALL_COLUMNS` (both :data:`TABLE_PASS_COST` times more when
-    the step reads the full masked table), and settles the share
-    ``expected_yield`` of its pairs; running any pass costs one pass more
-    for the set-up.  The plan is the number of passes whose cost plus the
-    full scan of the pairs they leave is least: ``0`` when no pass pays for
-    itself.
+    :data:`PASS_CALL_COLUMNS`, and settles the share ``expected_yield`` of
+    its pairs; running any pass costs one pass more for the set-up.  The
+    plan is the number of passes whose cost plus the full scan of the pairs
+    they leave is least: ``0`` when no pass pays for itself.
     """
-    scale = TABLE_PASS_COST if from_table else 1
-    per_call, per_pair = scale * PASS_CALL_COLUMNS, scale * PASS_PAIR_COLUMNS
     best_cost = degree * pending
-    cost = per_call + per_pair * pending
+    cost = PASS_CALL_COLUMNS + PASS_PAIR_COLUMNS * pending
     left = float(pending)
     best = passes = 0
     while passes < degree:
-        cost += per_call + per_pair * left
+        cost += PASS_CALL_COLUMNS + PASS_PAIR_COLUMNS * left
         if cost >= best_cost:
             break
         left *= 1.0 - expected_yield
@@ -498,22 +462,20 @@ def _planned_passes(pending: int, degree: int, expected_yield: float, from_table
 
 
 def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
-    """The vectorized per-hop step ``(cur, dst, readers) -> (next, ok, fail_code)``.
+    """The vectorized per-hop step ``(cur, dst) -> (next, ok, fail_code)``.
 
-    ``readers`` (:class:`MaskedReaders`) read ``cur``'s masked rows: the
-    NumPy backend passes either the per-hop masking functions
-    (:func:`vector_rows`, :func:`vector_entries`) or gathers from its full
-    masked table.  Direct specs run their ``advance`` body element-wise
-    over the active batch.  Scan specs evaluate the key over the
-    ``(batch, degree)`` candidate matrix by broadcasting and take the
-    per-row ``argmin`` (first minimum — the same tie-break as the per-pair
-    loops' running minimum).  An ordered scan first runs passes that each
-    read one column per pending pair, in the spec's column order, and
-    settle every pair whose column is accepted or whose order runs out;
-    after the planned number of passes (:func:`_planned_passes`, from the
-    step's pair count, the alive share of their cells and the row form)
-    the pairs still pending get the full scan, which finds the same
-    winner: the first usable column holds the minimum of the key.
+    Direct specs run their ``advance`` body element-wise over the active
+    batch.  Scan specs mask ``cur``'s rows (:func:`vector_rows`), evaluate
+    the key over that ``(batch, degree)`` candidate matrix by broadcasting
+    and take the per-row ``argmin`` (first minimum — the same tie-break as
+    the per-pair loops' running minimum).  An ordered scan first runs passes that each
+    read one masked entry per pending pair (:func:`vector_entries`), in the
+    spec's column order, and settle every pair whose column is accepted or
+    whose order runs out; after the planned number of passes
+    (:func:`_planned_passes`, from the step's pair count and the alive
+    share of their cells) the pairs still pending get the full scan, which
+    finds the same winner: the first usable column holds the minimum of
+    the key.
     """
     consts = routing_consts(overlay)
     fail_code = spec.fail_code
@@ -521,16 +483,17 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
         advance = _vector_functions(spec)
         table = overlay.neighbor_array()
 
-        def step(cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
+        def step(cur: np.ndarray, dst: np.ndarray):
             next_hop, ok = advance(consts, table, alive, cur, dst)
             return next_hop, ok, fail_code
 
         return step
 
     key, accept, first, following = _vector_functions(spec)
+    rows = vector_rows(spec, overlay, alive)
 
-    def scan_step(cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
-        next_hop, ok = _scan_rows(key, accept, consts, readers.rows(cur), cur, dst)
+    def scan_step(cur: np.ndarray, dst: np.ndarray):
+        next_hop, ok = _scan_rows(key, accept, consts, rows(cur), cur, dst)
         return next_hop, ok, fail_code
 
     if first is None:
@@ -544,20 +507,21 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
     cells = alive.reshape(-1, 1 << degree)
     shares = np.array([np.count_nonzero(cell) for cell in cells]) / cells.shape[1]
     best_share = float(shares.max())
+    entries = vector_entries(spec, overlay, alive)
 
-    def ordered_step(cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
+    def ordered_step(cur: np.ndarray, dst: np.ndarray):
         # Plan at the best cell's share first: when even that plans no pass
         # (every small step, every high-q stack), the pairs' own cells
         # need not be looked up.
-        planned = _planned_passes(cur.size, degree, best_share, readers.from_table)
+        planned = _planned_passes(cur.size, degree, best_share)
         if planned and shares.size > 1:
             expected_yield = shares[cur >> degree].sum() / cur.size
-            planned = _planned_passes(cur.size, degree, expected_yield, readers.from_table)
+            planned = _planned_passes(cur.size, degree, expected_yield)
         if planned:
-            return passes(planned, cur, dst, readers)
-        return scan_step(cur, dst, readers)
+            return passes(planned, cur, dst)
+        return scan_step(cur, dst)
 
-    def passes(planned: int, cur: np.ndarray, dst: np.ndarray, readers: MaskedReaders):
+    def passes(planned: int, cur: np.ndarray, dst: np.ndarray):
         next_hop = cur.copy()
         ok = np.zeros(cur.size, dtype=bool)
         pending = np.arange(cur.size)
@@ -570,7 +534,7 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
                 pending, cur, dst, column = pending[keep], cur[keep], dst[keep], column[keep]
             if not (passes_left and pending.size):
                 break
-            neighbor = readers.entries(cur, column)
+            neighbor = entries(cur, column)
             accepted = accept(consts, key(consts, neighbor, cur, dst), cur, dst)
             settled = pending[accepted]
             next_hop[settled] = neighbor[accepted]
@@ -580,7 +544,7 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
             column = following(consts, cur, dst, column[keep])
         if pending.size:
             next_hop[pending], ok[pending] = _scan_rows(
-                key, accept, consts, readers.rows(cur), cur, dst
+                key, accept, consts, rows(cur), cur, dst
             )
         return next_hop, ok, fail_code
 
@@ -593,8 +557,8 @@ def scalar_step(spec: KernelSpec, ops: Ops = SCALAR_OPS, wrap: Callable = lambda
     Built from the spec's functions instantiated with ``ops``; ``wrap``
     wraps every function (Numba passes an inlining ``njit``, the parity legs
     the identity).  A direct spec's ``advance`` is the step itself.  A scan
-    reads ``cur``'s masked row one neighbour at a time at every hop (the
-    per-pair executors never build a full masked table) and keeps a running
+    reads ``cur``'s masked row one neighbour at a time at every hop and
+    keeps a running
     strict minimum over the row: the first minimum, matching the vectorized
     driver's ``argmin``, so both executors make the identical choice even
     among equal keys (which specs guarantee name the same neighbour).  An

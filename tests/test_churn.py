@@ -151,7 +151,9 @@ class TestChurnReferences:
 
     def test_windows_match_one_step_windows_bit_for_bit(self, overlay, config, monkeypatch):
         windowed = simulate_churn(overlay, config, seed=11)
-        monkeypatch.setattr(engine, "_MAX_UNION_TABLE_ELEMENTS", 1)  # one step per window
+        # One step per window: the pair chunk holds a single step.
+        monkeypatch.setattr(engine, "_MAX_BATCH_PAIRS", config.pairs_per_step)
+        assert engine._cells_per_window(config.pairs_per_step) == 1
         per_step = simulate_churn(overlay, config, seed=11)
         assert windowed.as_rows() == per_step.as_rows()
 
@@ -260,11 +262,10 @@ class TestChurnWindows:
     WIDTH = 3
 
     @pytest.fixture
-    def narrow_windows(self, overlay, monkeypatch):
-        # Shrink the union-table bound so that one window holds WIDTH steps.
-        rows, degree = overlay.neighbor_array().shape
-        monkeypatch.setattr(engine, "_MAX_UNION_TABLE_ELEMENTS", self.WIDTH * rows * degree)
-        assert engine._cells_per_window(overlay, 60) == self.WIDTH
+    def narrow_windows(self, monkeypatch):
+        # Shrink the pair chunk so that one window holds WIDTH steps of 60 pairs.
+        monkeypatch.setattr(engine, "_MAX_BATCH_PAIRS", self.WIDTH * 60)
+        assert engine._cells_per_window(60) == self.WIDTH
 
     @pytest.fixture
     def markov_config(self):
@@ -337,7 +338,7 @@ class TestChurnWindows:
         assert max(stacks) > 1
 
     def test_small_d_windows_hold_at_most_one_pair_chunk(self, monkeypatch):
-        # At d=4 a sub-union spans 131072 steps; the pair bound must still
+        # At d=4 a sub-union spans 2^27 steps; the pair bound must still
         # cut a long run of 2000-pair steps into windows of one chunk.
         overlay = ChordOverlay.build(4, seed=5)
         config = ChurnConfig(

@@ -12,12 +12,15 @@ for any worker count.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.dht.failures import survival_mask
 from repro.exceptions import InvalidParameterError, RoutingError
+from repro.sim import engine as engine_module
+from repro.sim.backends import NumpyBackend
 from repro.sim.churn import ChurnConfig, simulate_churn
 from repro.sim.conformance import CHUNK_PAIRS, _oracle_churn, _per_cell_reference, chunked_routing
 from repro.sim.engine import SweepCell, SweepRunner, route_pairs, route_pairs_stacked
@@ -180,14 +183,13 @@ class TestStackedRouting:
         with pytest.raises(RoutingError):
             route_pairs_stacked(overlay, [3], [3], stack, [0])
 
-    def test_union_width_cap_does_not_change_outcomes(
+    def test_sub_unions_do_not_change_outcomes(
         self, small_overlays, geometry_name, monkeypatch
     ):
-        # Stacks wider than the union-table memory cap are routed as
-        # bounded-width sub-unions; forcing a tiny cap must not change any
-        # per-pair outcome.
-        import repro.sim.engine as engine_module
-
+        # Stacks too wide for int32 virtual identifiers are routed as
+        # sub-unions.  With the identifier span lowered to two cells, every
+        # prepared state and every routed identifier must stay inside it,
+        # and no per-pair outcome may change.
         overlay = small_overlays[geometry_name]
         masks, sources, destinations = stacked_cells(overlay, self.QS, 60, seed=47)
         arguments = (
@@ -197,11 +199,43 @@ class TestStackedRouting:
             np.repeat(np.arange(len(masks), dtype=np.int64), 60),
         )
         whole = route_pairs_stacked(overlay, *arguments)
-        monkeypatch.setattr(engine_module, "_MAX_UNION_TABLE_ELEMENTS", 1)
-        split = route_pairs_stacked(overlay, *arguments)
+        span = 2 * overlay.n_nodes
+        monkeypatch.setattr(engine_module, "_VIRTUAL_ID_SPAN", span)
+        assert engine_module._cells_per_union(overlay) == 2
+        backend = _RecordingBackend()
+        split = route_pairs_stacked(overlay, *arguments, backend=backend)
+        assert len(backend.prepared) == -(-len(masks) // 2) > 1
+        assert max(backend.prepared) <= span
+        assert max(backend.highest_ids) < span
         assert np.array_equal(whole.succeeded, split.succeeded)
         assert np.array_equal(whole.hops, split.hops)
         assert np.array_equal(whole.failure_codes, split.failure_codes)
+
+
+class _RecordingBackend(NumpyBackend):
+    """The NumPy backend, recording each prepared mask's size and each chunk's highest id."""
+
+    def __init__(self):
+        self.prepared, self.highest_ids = [], []
+
+    def prepare(self, overlay, alive):
+        self.prepared.append(alive.size)
+        return super().prepare(overlay, alive)
+
+    def run(self, overlay, state, sources, destinations):
+        self.highest_ids.append(int(max(sources.max(), destinations.max())))
+        return super().run(overlay, state, sources, destinations)
+
+
+class TestVirtualIdBound:
+    """A disjoint union's virtual identifiers ``cell * 2^d + node`` fit in int32."""
+
+    @pytest.mark.parametrize("d", range(1, 25))
+    def test_a_sub_union_is_the_widest_that_fits_in_int32(self, d):
+        # _cells_per_union reads only the overlay's d, so no overlay is built.
+        cells = engine_module._cells_per_union(SimpleNamespace(d=d))
+        assert cells * 2**d <= 2**31 < (cells + 1) * 2**d
+        assert cells * 2**d - 1 <= np.iinfo(np.int32).max
 
 
 class TestFusedSweepRunner:

@@ -23,40 +23,36 @@ from repro.dht.failures import FAILURE_MODEL_KINDS, make_failure_model, survival
 from repro.dht.kademlia import KademliaOverlay
 from repro.dht.routing import FAILURE_CODES
 from repro.exceptions import InvalidParameterError, UnknownGeometryError
-from repro.sim.backends import numpy_backend, resolve_backend
+from repro.sim.backends import resolve_backend
 from repro.sim.backends.base import pack_alive_words
 from repro.sim.conformance import (
-    CROSSOVER_BATCHES,
+    DENSITY_BATCHES,
     FORCED_PASS_PLANS,
     PARITY_SEVERITIES,
     WORKER_COUNTS,
     assert_churn_parity,
     assert_column_order_parity,
-    assert_crossover_parity,
+    assert_density_parity,
     assert_failure_model_parity,
     assert_hop_limit_parity,
     assert_oracle_parity,
     assert_reference_parity,
     assert_stacked_parity,
     assert_worker_parity,
-    chunked_routing,
     conformance_backends,
     conformance_geometries,
-    crossover_batch,
     forced_passes,
     run_conformance,
 )
-from repro.sim.engine import route_pairs, route_pairs_stacked
+from repro.sim.engine import route_pairs
 from repro.sim import kernelspec
 from repro.sim.kernelspec import (
     KERNEL_SPECS,
     KernelSpec,
-    MaskedReaders,
     get_kernel_spec,
     has_kernel_spec,
     registered_geometries,
     scalar_step,
-    vector_rows,
 )
 from repro.sim.sampling import sample_survivor_pair_arrays
 
@@ -133,49 +129,12 @@ def _masked_rows_geometries():
 
 
 class TestMaskedRows:
-    """The NumPy executor builds the full masked table only past the crossover."""
-
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        calls = []
-        original = numpy_backend._masked_table
-
-        def counting(rows, n_rows):
-            calls.append(n_rows)
-            return original(rows, n_rows)
-
-        monkeypatch.setattr(numpy_backend, "_masked_table", counting)
-        return calls
+    """Only scan specs read masked rows."""
 
     def test_only_tree_and_debruijn_have_no_masked_rows(self):
         assert set(registered_geometries()) - set(_masked_rows_geometries()) == {
             "tree", "debruijn"
         }
-
-    @pytest.mark.parametrize("side, expected", [("below", 0), ("above", 1), ("mid-route", 1)])
-    def test_full_table_builds_follow_the_crossover(
-        self, small_overlays, geometry_name, builds, side, expected
-    ):
-        # Count-based, no timing: a sparse batch never builds the table, a
-        # dense one builds it exactly once across all of its chunks (the
-        # state, and so the table, is shared by every chunk).
-        overlay = small_overlays[geometry_name]
-        stack, sources, destinations, cells = crossover_batch(overlay, side)
-        with chunked_routing():
-            route_pairs_stacked(overlay, sources, destinations, stack, cells, backend="numpy")
-        has_rows = geometry_name in _masked_rows_geometries()
-        assert builds == ([stack.size] * expected if has_rows else [])
-
-    @pytest.mark.parametrize("geometry", _masked_rows_geometries())
-    def test_full_table_is_read_only(self, small_overlays, geometry):
-        # Shared by every later hop and chunk: a buggy step must fault, never corrupt.
-        overlay = small_overlays[geometry]
-        alive = np.ones(overlay.n_nodes, dtype=bool)
-        rows = vector_rows(get_kernel_spec(geometry), overlay, alive)
-        table = numpy_backend._masked_table(rows, overlay.n_nodes)
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table.reshape(-1)[:1] = 0
 
 
 class TestOracleParity:
@@ -199,13 +158,11 @@ class TestOracleParity:
         checked = assert_hop_limit_parity(small_overlays[geometry_name], _backend(backend_label))
         assert checked > 0
 
-    def test_both_sides_of_the_masking_crossover_match_the_oracle(
+    def test_sparse_medium_and_dense_stacks_match_the_oracle(
         self, small_overlays, geometry_name, backend_label
     ):
-        # Below the crossover, above it from hop 0, and crossing it
-        # mid-route: per-hop masking and the full masked table agree.
-        checked = assert_crossover_parity(small_overlays[geometry_name], _backend(backend_label))
-        assert checked == sum(cells * pairs for _, cells, pairs in CROSSOVER_BATCHES)
+        checked = assert_density_parity(small_overlays[geometry_name], _backend(backend_label))
+        assert checked == sum(cells * pairs for _, cells, pairs in DENSITY_BATCHES)
 
 
 class TestFailureModelParity:
@@ -273,9 +230,9 @@ class TestColumnOrders:
     @pytest.mark.parametrize("q", (0.0, 0.3, 0.6))
     def test_hypercube_order_finds_the_full_scans_minimum(self, d, q):
         # Exhaustive over (cur, dst) at small d: the ordered per-pair step,
-        # and the vectorized step under both forced pass plans (per-hop
-        # masking and the full masked table alike), pick the full scan's
-        # first minimum, which is the oracle's min(progressing neighbours).
+        # and the vectorized step under both forced pass plans, pick the
+        # full scan's first minimum, which is the oracle's
+        # min(progressing neighbours).
         overlay = HypercubeOverlay.build(d)
         spec = get_kernel_spec("hypercube")
         full_scan = scalar_step(KernelSpec("x", "scan", 1, key=spec.key, accept=spec.accept))
@@ -298,18 +255,11 @@ class TestColumnOrders:
                         assert next_hop == expected[-1], (d, seed, source, destination)
             accepted = np.array([hop is not None for hop in expected])
             chosen = np.array([-1 if hop is None else hop for hop in expected])
-            rows = vector_rows(spec, overlay, alive)
-            masked_table = numpy_backend._masked_table(rows, n)
-            readers = (
-                MaskedReaders(rows, kernelspec.vector_entries(spec, overlay, alive), False),
-                MaskedReaders(masked_table.__getitem__, numpy_backend._table_entries(masked_table), True),
-            )
             for plan in FORCED_PASS_PLANS:
-                for reader in readers:
-                    with forced_passes(plan):
-                        next_hop, ok, _ = kernelspec.vector_step(spec, overlay, alive)(cur, dst, reader)
-                    assert np.array_equal(ok, accepted), (d, seed, plan, reader.from_table)
-                    assert np.array_equal(next_hop[ok], chosen[ok]), (d, seed, plan, reader.from_table)
+                with forced_passes(plan):
+                    next_hop, ok, _ = kernelspec.vector_step(spec, overlay, alive)(cur, dst)
+                assert np.array_equal(ok, accepted), (d, seed, plan)
+                assert np.array_equal(next_hop[ok], chosen[ok]), (d, seed, plan)
 
     def test_ring_xor_and_hypercube_alone_declare_an_order(self):
         ordered = {spec.geometry for spec in KERNEL_SPECS.values() if spec.first_column}
@@ -348,12 +298,10 @@ class TestColumnOrders:
         assert all(count > 0 for name, count in checked.items() if name.startswith("oracle"))
 
 
-#: Batches at d=12 (4096 rows): ``(pairs, full masked table builds)``.
-#: Sparse ones stay below the masking crossover, dense ones (pairs >= rows)
-#: read the full masked table from hop 0, and mid-route ones are wide
-#: enough for the planner's own passes before the table (if any) is built.
+#: Batches at d=12 (4096 rows): pairs per batch.  Mid-route ones are wide
+#: enough for the planner's own passes; dense ones route a pair per row.
 SCALE_D = 12
-SCALE_BATCHES = {"sparse": (400, 0), "mid-route": (2000, None), "dense": (1 << SCALE_D, 1)}
+SCALE_BATCHES = {"sparse": 400, "mid-route": 2000, "dense": 1 << SCALE_D}
 SCALE_OVERLAYS = {
     "ring-randomized": ("ring", {"finger_mode": "randomized"}),
     "ring-deterministic": ("ring", {"finger_mode": "deterministic"}),
@@ -380,7 +328,7 @@ def scale_oracle(scale_overlays):
             overlay = scale_overlays[label]
             rng = np.random.default_rng(zlib.crc32(f"scale-{label}-{q}-{batch}".encode()))
             alive = survival_mask(overlay.n_nodes, q, rng)
-            sources, destinations = sample_survivor_pair_arrays(alive, SCALE_BATCHES[batch][0], rng)
+            sources, destinations = sample_survivor_pair_arrays(alive, SCALE_BATCHES[batch], rng)
             routes = [
                 overlay.route(source, destination, alive)
                 for source, destination in zip(sources.tolist(), destinations.tolist())
@@ -399,25 +347,11 @@ def scale_oracle(scale_overlays):
 class TestOrderedScanAtScale:
     """At d=12 the NumPy ordered scan equals the scalar oracle under every pass plan."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        calls = []
-        original = numpy_backend._masked_table
-
-        def counting(rows, n_rows):
-            calls.append(n_rows)
-            return original(rows, n_rows)
-
-        monkeypatch.setattr(numpy_backend, "_masked_table", counting)
-        return calls
-
     @pytest.mark.parametrize("plan", ("planner", *FORCED_PASS_PLANS))
     @pytest.mark.parametrize("batch", tuple(SCALE_BATCHES))
     @pytest.mark.parametrize("q", (0.05, 0.2, 0.5, 0.8, 0.95))
     @pytest.mark.parametrize("label", tuple(SCALE_OVERLAYS))
-    def test_outcomes_equal_the_oracle(
-        self, scale_overlays, scale_oracle, builds, label, q, batch, plan
-    ):
+    def test_outcomes_equal_the_oracle(self, scale_overlays, scale_oracle, label, q, batch, plan):
         alive, sources, destinations, succeeded, hops, codes = scale_oracle(label, q, batch)
         overlay = scale_overlays[label]
         if plan == "planner":
@@ -428,18 +362,15 @@ class TestOrderedScanAtScale:
         assert np.array_equal(outcome.succeeded, succeeded)
         assert np.array_equal(outcome.hops, hops)
         assert np.array_equal(outcome.failure_codes, codes)
-        if SCALE_BATCHES[batch][1] is not None:
-            assert len(builds) == SCALE_BATCHES[batch][1]
 
     def test_the_planner_passes_on_wide_low_q_batches(self, scale_overlays, scale_oracle, monkeypatch):
-        # Before the full table exists, at low q, the planner does run
-        # passes (or the parity above would only ever have checked the full
-        # scan under the planner's plan).
+        # At low q the planner does run passes (or the parity above would
+        # only ever have checked the full scan under the planner's plan).
         plans = []
         original = kernelspec._planned_passes
 
-        def recording(pending, degree, expected_yield, from_table):
-            plans.append(original(pending, degree, expected_yield, from_table))
+        def recording(pending, degree, expected_yield):
+            plans.append(original(pending, degree, expected_yield))
             return plans[-1]
 
         monkeypatch.setattr(kernelspec, "_planned_passes", recording)
@@ -458,8 +389,7 @@ class TestUpdateParity:
     ):
         # Walks one state through rising *and* falling severities of every
         # failure-model kind (and a fully-alive mask).  Each state is routed
-        # before it is rebound, so a full masked table built under the
-        # previous mask (60 pairs on 64 nodes cross the crossover) must not
+        # before it is rebound, so nothing bound to the previous mask may
         # leak into the next one.
         overlay = small_overlays[geometry_name]
         backend = resolve_backend(_backend(backend_label))
