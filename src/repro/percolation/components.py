@@ -47,6 +47,10 @@ __all__ = [
     "routable_pair_counts",
 ]
 
+#: Most pairs one :func:`routable_pair_counts` call routes at once: a slab of
+#: masks whose pairs, counted as if every node survived, fit this bound.
+_SLAB_PAIRS = 1 << 18
+
 
 @dataclass(frozen=True)
 class ComponentSummary:
@@ -218,10 +222,12 @@ def routable_pair_counts(overlay: Overlay, alive_stack: np.ndarray) -> np.ndarra
     ``alive_stack`` is a ``(n_masks, n_nodes)`` boolean matrix.  Entry ``i``
     of the result is the numerator of Definition 1 for mask ``i``: how many
     ordered pairs of distinct survivors the overlay's routing rule delivers.
-    Every such pair of every mask is routed in one
-    :func:`~repro.sim.engine.route_pairs_stacked` call, so the cost grows
-    with ``n_masks * n_nodes^2``: an exact enumeration of all ``2^N``
-    patterns is meant for overlays of at most 16 nodes.  Nothing is
+    Every such pair of every mask is routed through
+    :func:`~repro.sim.engine.route_pairs_stacked`, one slab of masks per
+    call, of at most :data:`_SLAB_PAIRS` pairs (or one mask's pairs, when
+    more), so memory stays bounded however many masks the stack holds.  The
+    cost grows with ``n_masks * n_nodes^2``: an exact enumeration of all
+    ``2^N`` patterns is meant for overlays of at most 16 nodes.  Nothing is
     sampled.
     """
     alive_stack = np.asarray(alive_stack, dtype=bool)
@@ -229,9 +235,17 @@ def routable_pair_counts(overlay: Overlay, alive_stack: np.ndarray) -> np.ndarra
         raise InvalidParameterError(
             f"survival mask stack has shape {alive_stack.shape}, expected (n_masks, {overlay.n_nodes})"
         )
-    distinct = ~np.eye(overlay.n_nodes, dtype=bool)
-    cells, sources, destinations = np.nonzero(
-        alive_stack[:, :, np.newaxis] & alive_stack[:, np.newaxis, :] & distinct
-    )
-    outcome = route_pairs_stacked(overlay, sources, destinations, alive_stack, cells)
-    return np.bincount(cells[outcome.succeeded], minlength=alive_stack.shape[0])
+    n_nodes = overlay.n_nodes
+    distinct = ~np.eye(n_nodes, dtype=bool)
+    slab = max(1, _SLAB_PAIRS // max(1, n_nodes * (n_nodes - 1)))
+    counts = np.zeros(alive_stack.shape[0], dtype=np.int64)
+    for start in range(0, alive_stack.shape[0], slab):
+        masks = alive_stack[start : start + slab]
+        cells, sources, destinations = np.nonzero(
+            masks[:, :, np.newaxis] & masks[:, np.newaxis, :] & distinct
+        )
+        outcome = route_pairs_stacked(overlay, sources, destinations, masks, cells)
+        counts[start : start + masks.shape[0]] = np.bincount(
+            cells[outcome.succeeded], minlength=masks.shape[0]
+        )
+    return counts

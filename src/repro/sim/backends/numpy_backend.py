@@ -10,17 +10,18 @@ pair set one hop at a time.
 
 Ring, XOR and hypercube scans are *ordered*: their specs declare a column
 order (their tables are sorted by distance bucket, or by flipped bit), so
-a hop first runs passes that read one masked entry per pending pair in
-that order and settle every pair whose column is accepted or whose order
-runs out; the pairs still pending get the full-row ``argmin`` scan.  The step plans its
+a hop first runs passes that read one raw entry per pending pair in that
+order and settle every pair whose entry is accepted and alive, or whose
+order runs out; the pairs still pending get the full-row ``argmin`` scan
+over rows with dead entries replaced by the row's own id.  The step plans its
 passes from its pair count and the alive share of their cells (see
 :func:`~repro.sim.kernelspec._planned_passes`), so at high failure rates,
 where few pairs settle per pass, and on small steps, where a pass's fixed
 cost dominates, it goes straight to the full scan.
 
-Masking costs what routing visits: each hop masks only the rows (or, in an
-ordered scan's passes, the single entries) it gathers, so a batch never
-pays for a row it does not visit.
+Masking costs what routing visits: each hop masks only the rows it gathers
+(an ordered scan's passes read single entries and their aliveness), so a
+batch never pays for a row it does not visit.
 
 Every step routes under one flat survival vector, indexed by the same
 identifiers the pairs carry: the routing driver
@@ -48,11 +49,12 @@ class NumpyBackend(KernelBackend):
     A pair is active from iteration 0 until it terminates and hops exactly
     once per iteration it is active, so every active pair has taken
     ``iteration`` hops — the scalar path's per-step hop-budget check reduces
-    to one counter comparison, and per-pair hop counts are written only at
-    the three termination events (arrival, drop, budget exhaustion).  The
-    loop carries the active pairs' indices, current nodes and destinations
-    already compacted, and compacts them once per hop in which some pair
-    terminates.
+    to one counter comparison.  The loop carries the active pairs' indices,
+    current nodes and destinations already compacted, and compacts them
+    once per hop in which some pair terminates; that hop also writes every
+    active pair's hop count, so a pair's last write is the one at its end
+    (arrival, drop or budget exhaustion).  Success is read off the failure
+    codes at the end, and an arrival's count then gains the hop it arrived by.
     """
 
     name = "numpy"
@@ -72,7 +74,6 @@ class NumpyBackend(KernelBackend):
         n_pairs = sources.size
         hop_limit = overlay.hop_limit()
         hops = np.zeros(n_pairs, dtype=np.int64)
-        succeeded = np.zeros(n_pairs, dtype=bool)
         codes = np.full(n_pairs, SUCCESS_CODE, dtype=np.int8)
         active = np.arange(n_pairs, dtype=np.int64)  # end-points differ by precondition
         cur, dst = sources, destinations
@@ -87,17 +88,16 @@ class NumpyBackend(KernelBackend):
                 hops[active] = iteration
                 break
             cur, ok, fail_code = state(cur, dst)
-            arrived = ok & (cur == dst)
-            done = arrived | ~ok
-            if done.any():
-                dropped = active[~ok]
-                codes[dropped] = fail_code
-                hops[dropped] = iteration  # the failed hop is not counted
-                delivered = active[arrived]
-                succeeded[delivered] = True
-                hops[delivered] = iteration + 1
-                keep = np.flatnonzero(~done)
-                active, cur, dst = active[keep], cur[keep], dst[keep]
+            keep = np.flatnonzero(ok & (cur != dst))
+            if keep.size < active.size:
+                # A pair's hop count is last written at the hop it ends.
+                hops[active] = iteration
+                codes[active[~ok]] = fail_code
+                active, cur, dst = active.take(keep), cur.take(keep), dst.take(keep)
             iteration += 1
 
+        # Every pair ends exactly once: arrived, dropped or out of budget.
+        # Only an arrival counts the hop it ended at.
+        succeeded = codes == SUCCESS_CODE
+        hops += succeeded
         return succeeded, hops, codes

@@ -54,6 +54,8 @@ Layered on top:
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 import zlib
 from collections import OrderedDict
@@ -521,9 +523,23 @@ def _cell_entropy(base_seed: int, purpose: str, cell_key: Tuple) -> List[int]:
 # processes (and the in-process path) cache them per build key instead of
 # rebuilding one per q cell.  The cache is a small bounded LRU: one entry
 # per overlay keeps mixed-geometry grids from thrashing rebuilds, while the
-# bound caps the memory a long-lived worker can accumulate.
+# bound caps the memory a long-lived worker can accumulate.  The service
+# runs shards in threads that share it, so every read, reorder and eviction
+# holds the lock; builds do not (two threads may build one key, and either
+# copy is the same overlay).
 _OVERLAY_CACHE: OrderedDict[Tuple, Overlay] = OrderedDict()
 _OVERLAY_CACHE_CAPACITY = 4
+_OVERLAY_CACHE_LOCK = threading.Lock()
+
+
+def _reset_overlay_cache_lock() -> None:
+    """A forked pool worker starts with a free lock, whatever other threads held."""
+    global _OVERLAY_CACHE_LOCK
+    _OVERLAY_CACHE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_overlay_cache_lock)
 
 
 def _cached_overlay(
@@ -534,21 +550,23 @@ def _cached_overlay(
     overlay_options: Tuple[Tuple[str, object], ...],
 ) -> Overlay:
     key = (geometry, d, replicate, base_seed, overlay_options)
-    overlay = _OVERLAY_CACHE.get(key)
-    if overlay is None:
-        if geometry not in OVERLAY_CLASSES:
-            raise UnknownGeometryError(
-                f"unknown geometry {geometry!r}; expected one of {sorted(OVERLAY_CLASSES)}"
-            )
-        build_rng = np.random.default_rng(
-            np.random.SeedSequence(_cell_entropy(base_seed, "overlay", (geometry, d, replicate)))
+    with _OVERLAY_CACHE_LOCK:
+        overlay = _OVERLAY_CACHE.get(key)
+        if overlay is not None:
+            _OVERLAY_CACHE.move_to_end(key)
+            return overlay
+    if geometry not in OVERLAY_CLASSES:
+        raise UnknownGeometryError(
+            f"unknown geometry {geometry!r}; expected one of {sorted(OVERLAY_CLASSES)}"
         )
-        overlay = OVERLAY_CLASSES[geometry].build(d, rng=build_rng, **dict(overlay_options))
+    build_rng = np.random.default_rng(
+        np.random.SeedSequence(_cell_entropy(base_seed, "overlay", (geometry, d, replicate)))
+    )
+    overlay = OVERLAY_CLASSES[geometry].build(d, rng=build_rng, **dict(overlay_options))
+    with _OVERLAY_CACHE_LOCK:
         _OVERLAY_CACHE[key] = overlay
         while len(_OVERLAY_CACHE) > _OVERLAY_CACHE_CAPACITY:
             _OVERLAY_CACHE.popitem(last=False)
-    else:
-        _OVERLAY_CACHE.move_to_end(key)
     return overlay
 
 

@@ -14,13 +14,15 @@ collapses the batch side of that invariant to a single declaration:
   arithmetic, bit operations, comparisons, and the :class:`Ops` primitives
   only; no data-dependent ``if``/``while``.
 * Specs hold no mask-dependent state; the **drivers own aliveness**.  A
-  driver reads a row's neighbours with each dead one replaced by the row's
-  own identifier (:func:`dead_to_self`), so a spec sees a dead neighbour
-  only as ``cur`` itself: every scan ``accept`` rejects that candidate and
-  it never beats a usable one.  Direct specs, whose single next hop is
-  looked up (tree, de Bruijn), read aliveness through ``ops.alive``
-  instead.  A vectorized executor masks only the rows (or single
-  entries) a hop gathers.
+  full-row scan and the per-pair loops read a row's neighbours with each
+  dead one replaced by the row's own identifier (:func:`dead_to_self`):
+  every scan ``accept`` rejects that candidate and it never beats a usable
+  one.  An ordered scan's vectorized passes read raw entries instead and
+  AND the entry's aliveness into ``accept``'s verdict, so ``key`` may see a
+  dead identifier there, but a dead entry is never taken.  Direct specs,
+  whose single next hop is looked up (tree, de Bruijn), read aliveness
+  through ``ops.alive``.  A vectorized executor reads only the rows (or
+  single entries) a hop gathers.
 * Every driver receives the same two constants, :func:`routing_consts`
   ``(d, 2^d - 1)``, and the overlay's own int32 neighbour table
   (:meth:`~repro.dht.network.Overlay.neighbor_array`).  Identifiers are
@@ -30,9 +32,9 @@ collapses the batch side of that invariant to a single declaration:
   many cells at once.
 * The generic drivers in this module derive **every execution shape** from
   the one declaration: :func:`vector_step` builds the vectorized per-hop
-  function the NumPy backend iterates, over the masked rows and entries of
-  :func:`vector_rows` and :func:`vector_entries` (single-mask and stacked
-  batches alike — a single mask is just a stack of one), and
+  function the NumPy backend iterates, over the masked rows of
+  :func:`vector_rows` and an ordered scan's single entries (single-mask
+  and stacked batches alike — a single mask is just a stack of one), and
   :func:`scalar_step` / :func:`make_pair_loop` build the per-pair
   source-to-termination loop the Numba backend ``@njit``-compiles — and
   which remains callable as plain Python, so the exact code Numba compiles
@@ -109,7 +111,6 @@ __all__ = [
     "routing_consts",
     "dead_to_self",
     "vector_rows",
-    "vector_entries",
     "vector_step",
     "scalar_step",
     "make_pair_loop",
@@ -127,7 +128,9 @@ FAR_KEY = 1 << 62
 #: up the pending set and scattering the answers back costs about one more
 #: pass.  Fitted to timings of forced pass counts (0-8 passes, ring and XOR,
 #: d=10 and d=16, q from 0.05 to 0.8, 150-2048 pairs per step) so that no
-#: plan costs more than the full scan alone.  See :func:`_planned_passes`.
+#: plan costs more than the full scan alone.  Re-timed on raw-entry passes
+#: (hypercube too, up to 16000 pairs): the plans cost within 5% of the best
+#: forced counts, and no refit routed churn faster.  See :func:`_planned_passes`.
 PASS_PAIR_COLUMNS = 2
 PASS_CALL_COLUMNS = 2000
 
@@ -158,7 +161,10 @@ class Ops(NamedTuple):
     Attributes
     ----------
     where:
-        ``where(condition, a, b)`` — element-wise select.
+        ``where(condition, a, b)`` — element-wise select of **integer**
+        operands.  The vectorized one is branch-free, ``b + (a - b) *
+        condition``: exact for integers, since a wrapped difference wraps
+        back, but not for floats.  Every spec selects integers.
     bit_length:
         ``bit_length(x)`` — position of the highest set bit (``0`` for 0),
         for ``x >= 0``.
@@ -174,7 +180,9 @@ class Ops(NamedTuple):
 
 
 def _vector_where(condition, a, b):
-    return np.where(condition, a, b)
+    # No branch to mispredict on random conditions, unlike np.where: several
+    # times faster on a gathered row block.  Wraparound in a - b cancels.
+    return b + (a - b) * condition
 
 
 def _vector_bit_length(x):
@@ -185,7 +193,7 @@ def _vector_bit_length(x):
 
 
 def _vector_alive(mask, index):
-    return mask[index]
+    return mask.take(index)
 
 
 def _scalar_where(condition, a, b):
@@ -228,9 +236,11 @@ def dead_to_self(ops: Ops) -> Callable:
 
     ``substitute(alive, neighbor, cur)`` keeps an alive neighbour and
     replaces a dead one by the row's own identifier ``cur``: every scan
-    ``accept`` rejects that candidate, and it never beats a usable one, so
-    no spec sees a dead neighbour any other way.  The vectorized row and
-    entry gathers and the per-pair loops all apply this function.
+    ``accept`` rejects that candidate, and it never beats a usable one.
+    The vectorized full-row gather and the per-pair loops apply this
+    function; an ordered scan's vectorized passes AND aliveness into the
+    verdict instead, which takes the same candidates because ``accept``
+    rejects ``cur``.
     """
     where = ops.where
     alive_at = ops.alive
@@ -272,9 +282,11 @@ class KernelSpec:
         dst) -> (next, ok)``, element-wise.
     key:
         Scan kind only: ``key(ops) -> fn(consts, neighbor, cur, dst) ->
-        key``, element-wise; smaller is better.  A dead neighbour arrives
-        as ``cur`` itself (:func:`dead_to_self`), and unusable candidates
-        must map to a key the ``accept`` predicate rejects.  Tie-breaking
+        key``, element-wise; smaller is better.  In a full scan a dead
+        neighbour arrives as ``cur`` itself (:func:`dead_to_self`), and
+        unusable candidates must map to a key the ``accept`` predicate
+        rejects; an ordered pass may evaluate it on a dead identifier, whose
+        verdict aliveness vetoes.  Tie-breaking
         is owned by the drivers (first minimum) and must therefore be
         immaterial: equal keys must imply the same neighbour identifier.
     accept:
@@ -397,43 +409,19 @@ def vector_rows(spec: KernelSpec, overlay, alive: np.ndarray) -> Optional[Callab
 
     def masked(ids: np.ndarray) -> np.ndarray:
         local = ids & local_mask
-        neighbors = table[local]
+        neighbors = table.take(local, axis=0)
         neighbors += (ids - local)[:, None]
         return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids[:, None])
 
     return masked
 
 
-def vector_entries(spec: KernelSpec, overlay, alive: np.ndarray) -> Optional[Callable]:
-    """The vectorized masked-entry function ``entries(ids, columns)``, or ``None``.
-
-    ``entries(ids, columns)[i]`` is column ``columns[i]`` of ``ids[i]``'s
-    masked row (see :func:`vector_rows`): one candidate per pair, which is
-    what an ordered scan's pass reads.  Only scan specs with a column order
-    read single entries; every other spec gets ``None``.
-    """
-    if spec.first_column is None:
-        return None
-    table = overlay.neighbor_array()
-    flat = table.reshape(-1)
-    degree = table.shape[1]
-    local_mask = routing_consts(overlay)[1]
-
-    def entries(ids: np.ndarray, columns: np.ndarray) -> np.ndarray:
-        local = ids & local_mask
-        neighbors = flat[local * degree + columns]
-        neighbors += ids - local
-        return _VECTOR_DEAD_TO_SELF(alive, neighbors, ids)
-
-    return entries
-
-
 def _scan_rows(key, accept, consts, neighbors, cur, dst):
     """The full scan: first minimum of the key over each masked row."""
     keys = key(consts, neighbors, cur[:, None], dst[:, None])
     best = keys.argmin(axis=1)
-    positions = np.arange(cur.size)
-    return neighbors[positions, best], accept(consts, keys[positions, best], cur, dst)
+    best += np.arange(0, keys.size, keys.shape[1])  # flat positions of the winners
+    return neighbors.reshape(-1).take(best), accept(consts, keys.reshape(-1).take(best), cur, dst)
 
 
 def _planned_passes(pending: int, degree: int, expected_yield: float) -> int:
@@ -468,14 +456,14 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
     batch.  Scan specs mask ``cur``'s rows (:func:`vector_rows`), evaluate
     the key over that ``(batch, degree)`` candidate matrix by broadcasting
     and take the per-row ``argmin`` (first minimum — the same tie-break as
-    the per-pair loops' running minimum).  An ordered scan first runs passes that each
-    read one masked entry per pending pair (:func:`vector_entries`), in the
-    spec's column order, and settle every pair whose column is accepted or
-    whose order runs out; after the planned number of passes
+    the per-pair loops' running minimum).  An ordered scan first runs
+    passes that each read one raw entry per pending pair, in the spec's
+    column order, take it when ``accept`` does and it is alive, and drop
+    every pair whose order runs out; after the planned number of passes
     (:func:`_planned_passes`, from the step's pair count and the alive
     share of their cells) the pairs still pending get the full scan, which
     finds the same winner: the first usable column holds the minimum of
-    the key.
+    the key.  ``next`` is defined only where ``ok`` holds.
     """
     consts = routing_consts(overlay)
     fail_code = spec.fail_code
@@ -499,7 +487,8 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
     if first is None:
         return scan_step
 
-    degree = consts[0]
+    degree, local_mask = consts
+    flat = overlay.neighbor_array().reshape(-1)
     # The expected yield of a pass is the alive share of its pairs' cells:
     # a column's candidate is usable about as often as it is alive.
     # One count per cell: np.count_nonzero(cells, axis=1) counts through a
@@ -507,7 +496,6 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
     cells = alive.reshape(-1, 1 << degree)
     shares = np.array([np.count_nonzero(cell) for cell in cells]) / cells.shape[1]
     best_share = float(shares.max())
-    entries = vector_entries(spec, overlay, alive)
 
     def ordered_step(cur: np.ndarray, dst: np.ndarray):
         # Plan at the best cell's share first: when even that plans no pass
@@ -515,33 +503,43 @@ def vector_step(spec: KernelSpec, overlay, alive: np.ndarray) -> Callable:
         # need not be looked up.
         planned = _planned_passes(cur.size, degree, best_share)
         if planned and shares.size > 1:
-            expected_yield = shares[cur >> degree].sum() / cur.size
+            expected_yield = shares.take(cur >> degree).sum() / cur.size
             planned = _planned_passes(cur.size, degree, expected_yield)
         if planned:
             return passes(planned, cur, dst)
         return scan_step(cur, dst)
 
     def passes(planned: int, cur: np.ndarray, dst: np.ndarray):
-        next_hop = cur.copy()
+        next_hop = np.empty_like(cur)
         ok = np.zeros(cur.size, dtype=bool)
-        pending = np.arange(cur.size)
+        pending = np.arange(cur.size, dtype=np.int32)
+        # Fixed for the hop: each pair's row offset in the flat table and its
+        # cell base.  (``take`` gathers about twice as fast as indexing.)
+        local = cur & local_mask
+        row, base = local * degree, cur - local
         column = first(consts, cur, dst)
         for passes_left in range(planned, -1, -1):
             # A pair whose order ran out has no usable column: it stays failed.
             live = column < degree
             if not live.all():
                 keep = np.flatnonzero(live)
-                pending, cur, dst, column = pending[keep], cur[keep], dst[keep], column[keep]
+                pending, cur, dst = pending.take(keep), cur.take(keep), dst.take(keep)
+                row, base, column = row.take(keep), base.take(keep), column.take(keep)
             if not (passes_left and pending.size):
                 break
-            neighbor = entries(cur, column)
-            accepted = accept(consts, key(consts, neighbor, cur, dst), cur, dst)
-            settled = pending[accepted]
-            next_hop[settled] = neighbor[accepted]
-            ok[settled] = True
+            neighbor = flat.take(row + column) + base
+            accepted = accept(consts, key(consts, neighbor, cur, dst), cur, dst) & alive.take(neighbor)
+            # Every pending pair's answer is written (a rejected one is not
+            # ok); until a pair leaves, the pending set is every pair in order.
+            if pending.size == next_hop.size:
+                next_hop, ok = neighbor, accepted
+            else:
+                next_hop[pending] = neighbor
+                ok[pending] = accepted
             keep = np.flatnonzero(~accepted)
-            pending, cur, dst = pending[keep], cur[keep], dst[keep]
-            column = following(consts, cur, dst, column[keep])
+            pending, cur, dst = pending.take(keep), cur.take(keep), dst.take(keep)
+            row, base = row.take(keep), base.take(keep)
+            column = following(consts, cur, dst, column.take(keep))
         if pending.size:
             next_hop[pending], ok[pending] = _scan_rows(
                 key, accept, consts, rows(cur), cur, dst

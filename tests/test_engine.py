@@ -11,6 +11,10 @@ range.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.sim.conformance import (
     _oracle_measure_routability,
     chunked_routing,
 )
+from repro.sim import engine
 from repro.sim.engine import SweepCell, SweepRunner, route_pairs
 from repro.sim.sampling import sample_survivor_pair_arrays
 from repro.sim.static_resilience import measure_routability
@@ -253,3 +258,76 @@ class TestSweepRunner:
         cell = SweepCell(geometry="xor", d=SMALL_D, q=0.25, replicate=0)
         assert cell == SweepCell(geometry="xor", d=SMALL_D, q=0.25, replicate=0)
         assert hash(cell) == hash(SweepCell(geometry="xor", d=SMALL_D, q=0.25, replicate=0))
+
+
+class TestOverlayCacheThreads:
+    """Service shards share the overlay LRU across threads."""
+
+    def test_an_eviction_cannot_land_between_lookup_and_reorder(self):
+        # A cache whose lookup lets another shard's thread fill it with a
+        # second overlay at capacity one, which evicts the key just looked
+        # up.  Unguarded, that thread finishes inside the lookup and the
+        # reorder that follows raises KeyError; with the lock it waits until
+        # the lookup and reorder are done.
+        hit_key = ("tree", 3, 0, 11, ())
+        other = ("tree", 3, 1, 11, ())
+        errors = []
+
+        def other_shard():
+            try:
+                engine._cached_overlay(*other)
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        class EvictingCache(OrderedDict):
+            thread = None
+
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                if value is not None and self.thread is None:
+                    self.thread = threading.Thread(target=other_shard)
+                    self.thread.start()
+                    self.thread.join(timeout=0.5)
+                return value
+
+        cache = EvictingCache()
+        with mock.patch.object(engine, "_OVERLAY_CACHE", cache), mock.patch.object(
+            engine, "_OVERLAY_CACHE_CAPACITY", 1
+        ):
+            overlay = engine._cached_overlay(*hit_key)  # a miss: built and cached
+            assert engine._cached_overlay(*hit_key) is overlay  # a hit, raced
+            cache.thread.join(timeout=30)
+            assert not cache.thread.is_alive()
+            assert list(cache) == [other]
+        assert errors == []
+
+    def test_threads_sharing_a_small_cache_never_fail(self):
+        # More threads than cores cycle more keys than the cache holds, with
+        # a short switch interval so they interleave inside every lookup.
+        keys = [("tree", 2, replicate, 5, ()) for replicate in range(3)]
+        errors = []
+
+        def shard(offset):
+            try:
+                for step in range(150):
+                    key = keys[(offset + step) % len(keys)]
+                    assert engine._cached_overlay(*key).n_nodes == 4
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(engine, "_OVERLAY_CACHE", OrderedDict()), mock.patch.object(
+                engine, "_OVERLAY_CACHE_CAPACITY", 2
+            ):
+                threads = [threading.Thread(target=shard, args=(offset,)) for offset in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(engine._OVERLAY_CACHE) <= 2
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []

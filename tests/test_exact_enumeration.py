@@ -8,6 +8,8 @@ one trial's routability estimate.  This module uses that two ways:
 * **oracle parity (d=3):** for every registered geometry, the counts over
   all 256 patterns equal the scalar ``Overlay.route`` oracle's successes
   over every ordered survivor pair of each pattern;
+* **slabs (d=3, d=4):** the stack is routed one bounded slab of masks per
+  engine call, and the counts equal those of a single call;
 * **sampler check (d=4):** on one overlay per geometry, each point of a
   seeded ``sweep_failure_probabilities`` run lies within four standard
   errors of the exact mean of its estimator (FIG1-3's
@@ -20,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.dht import OVERLAY_CLASSES
 from repro.experiments.fig123_hypercube_example import enumerate_patterns, estimator_moments
-from repro.percolation import routable_pair_counts
+from repro.percolation import components, routable_pair_counts
 from repro.sim.conformance import (
     OVERLAY_VARIANTS,
     _oracle_metrics,
@@ -79,6 +82,37 @@ class TestOracleParity:
         outcomes = enumerate_patterns(overlay)
         assert outcomes[:, 0].tolist() == alive_stack.sum(axis=1).tolist()
         assert outcomes[:, 1].tolist() == expected
+
+
+class TestSlabs:
+    """The stack is routed in slabs of at most ``components._SLAB_PAIRS`` pairs."""
+
+    SLAB_PAIRS = 4096
+
+    @pytest.mark.parametrize("d", (3, 4))
+    @pytest.mark.parametrize("geometry", conformance_geometries())
+    def test_slabbed_counts_equal_one_call(self, geometry, d):
+        overlay = build_conformance_overlay(geometry, d=d)
+        alive_stack = np.array(list(itertools.product((True, False), repeat=overlay.n_nodes)))
+        if d == 4:  # 1024 of the 2^16 patterns keep the one-call reference small
+            alive_stack = alive_stack[np.random.default_rng(d).choice(alive_stack.shape[0], 1024)]
+        calls = []
+        route_pairs_stacked = components.route_pairs_stacked
+
+        def recording(overlay, sources, *arguments):
+            calls.append(len(sources))
+            return route_pairs_stacked(overlay, sources, *arguments)
+
+        with mock.patch.object(components, "route_pairs_stacked", recording):
+            with mock.patch.object(components, "_SLAB_PAIRS", alive_stack.size * overlay.n_nodes):
+                one_call = routable_pair_counts(overlay, alive_stack)
+            assert len(calls) == 1
+            calls.clear()
+            with mock.patch.object(components, "_SLAB_PAIRS", self.SLAB_PAIRS):
+                slabbed = routable_pair_counts(overlay, alive_stack)
+        assert len(calls) > 1
+        assert max(calls) <= self.SLAB_PAIRS
+        assert slabbed.tolist() == one_call.tolist()
 
 
 class TestSamplerAgainstExactMoments:

@@ -48,6 +48,7 @@ from repro.sim.engine import route_pairs
 from repro.sim import kernelspec
 from repro.sim.kernelspec import (
     KERNEL_SPECS,
+    VECTOR_OPS,
     KernelSpec,
     get_kernel_spec,
     has_kernel_spec,
@@ -296,6 +297,85 @@ class TestColumnOrders:
         checked = run_conformance("ring", overlay_options={"finger_mode": "deterministic"})
         assert checked["column-order[numpy]"] > 0
         assert all(count > 0 for name, count in checked.items() if name.startswith("oracle"))
+
+
+class TestVectorWhere:
+    """The vectorized select is arithmetic, ``b + (a - b) * condition``: on
+    integer operands it must equal ``np.where`` element for element."""
+
+    @pytest.mark.parametrize("dtype", (np.int32, np.int64))
+    def test_arrays(self, dtype):
+        rng = np.random.default_rng(31)
+        bounds = np.iinfo(dtype)
+        a, b = (rng.integers(bounds.min, bounds.max, 4096, dtype=dtype, endpoint=True) for _ in "ab")
+        condition = rng.random(4096) < 0.5
+        selected = VECTOR_OPS.where(condition, a, b)
+        assert selected.dtype == dtype
+        assert np.array_equal(selected, np.where(condition, a, b))
+
+    @pytest.mark.parametrize("dtype", (np.int32, np.int64))
+    def test_values_near_two_to_the_31(self, dtype):
+        # a - b wraps around in int32; the sum wraps back.
+        edges = np.array([-(2**31), -(2**31) + 1, -1, 0, 1, 2**31 - 2, 2**31 - 1])
+        if dtype == np.int64:
+            edges = np.concatenate([edges, [-(2**31) - 1, 2**31, 2**32]])
+        a, b = (grid.ravel().astype(dtype) for grid in np.meshgrid(edges, edges))
+        for condition in (np.ones(a.size, bool), np.zeros(a.size, bool), np.arange(a.size) % 3 == 0):
+            assert np.array_equal(VECTOR_OPS.where(condition, a, b), np.where(condition, a, b))
+
+    def test_python_int_operands(self):
+        condition = np.random.default_rng(32).random(100) < 0.5
+        array = np.arange(-50, 50, dtype=np.int32)
+        for a, b in ((array, 7), (7, array), (5, -3), (0, array)):
+            assert np.array_equal(VECTOR_OPS.where(condition, a, b), np.where(condition, a, b))
+
+    def test_broadcast_shapes(self):
+        rng = np.random.default_rng(33)
+        rows = rng.integers(-1000, 1000, (50, 8), dtype=np.int32)
+        column = rng.integers(-1000, 1000, (50, 1), dtype=np.int32)
+        for condition in (rng.random((50, 8)) < 0.5, rng.random((50, 1)) < 0.5, rng.random(8) < 0.5):
+            for a, b in ((rows, column), (column, rows), (rows, 3), (column, rows[0])):
+                expected = np.where(condition, a, b)
+                selected = VECTOR_OPS.where(condition, a, b)
+                assert selected.shape == expected.shape
+                assert np.array_equal(selected, expected)
+
+
+#: Identifier length and severities (dense to sparse) of the pass-aliveness check.
+PASS_ALIVENESS_D = 10
+PASS_ALIVENESS_QS = (0.05, 0.3, 0.6, 0.9)
+
+
+class TestPassAliveness:
+    """Ordered passes read raw entries and AND their aliveness into the
+    verdict: a pair they settle with ``ok`` moves to a neighbour that is
+    alive in its own cell, the per-pair step's choice."""
+
+    @pytest.mark.parametrize("plan", FORCED_PASS_PLANS)
+    @pytest.mark.parametrize("geometry", ("ring", "xor", "hypercube"))
+    def test_settled_pairs_move_to_an_alive_neighbour_in_their_cell(self, geometry, plan):
+        d = PASS_ALIVENESS_D
+        overlay = OVERLAY_CLASSES[geometry].build(d, seed=10)
+        n, table, spec = overlay.n_nodes, overlay.neighbor_array(), get_kernel_spec(geometry)
+        rng = np.random.default_rng(zlib.crc32(f"pass-aliveness-{geometry}".encode()))
+        # One cell per severity, stacked: virtual ids cell * 2^d + node.
+        masks = [survival_mask(n, q, rng) for q in PASS_ALIVENESS_QS]
+        pairs = [sample_survivor_pair_arrays(mask, 400, rng) for mask in masks]
+        cur = np.concatenate([sources + cell * n for cell, (sources, _) in enumerate(pairs)])
+        dst = np.concatenate([targets + cell * n for cell, (_, targets) in enumerate(pairs)])
+        cur, dst, alive = cur.astype(np.int32), dst.astype(np.int32), np.concatenate(masks)
+        with forced_passes(plan):
+            next_hop, ok, _ = kernelspec.vector_step(spec, overlay, alive)(cur, dst)
+        assert 0 < np.count_nonzero(ok) < ok.size
+        moved, at = next_hop[ok], cur[ok]
+        assert np.array_equal(moved >> d, at >> d)
+        assert alive[moved].all()
+        assert (table[at & (n - 1)] == (moved & (n - 1))[:, None]).any(axis=1).all()
+        step = scalar_step(spec)
+        consts, words = kernelspec.routing_consts(overlay), pack_alive_words(alive)
+        expected = [step(consts, table, words, c, t) for c, t in zip(cur.tolist(), dst.tolist())]
+        assert ok.tolist() == [bool(verdict) for _, verdict in expected]
+        assert moved.tolist() == [int(hop) for hop, verdict in expected if verdict]
 
 
 #: Batches at d=12 (4096 rows): pairs per batch.  Mid-route ones are wide
