@@ -73,7 +73,7 @@ from .core.routability import compare_geometries, routability
 from .core.scalability import scalability_report
 from .dht import OVERLAY_CLASSES
 from .dht.failures import FAILURE_MODEL_KINDS
-from .exceptions import InvalidParameterError, ResultStoreError
+from .exceptions import ExperimentError, InvalidParameterError, ResultStoreError
 from .report.tables import render_table
 from .sim.backends import BACKEND_CHOICES, available_backends
 from .sim.engine import PROFILE_PHASES, SweepRunner
@@ -102,6 +102,27 @@ def _flag(path: str) -> str:
     return _FLAGS.get(field, "--" + field.rsplit(".", 1)[-1].replace("_", "-"))
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand parser that may add its flags on first use.
+
+    ``add_flags(parser)``, if given, runs just before the parser first
+    parses, so building ``rcm``'s parser never imports what one command's
+    flags alone need: ``rcm serve`` takes its defaults from
+    :class:`~repro.service.app.ServiceConfig`, and no other command may
+    load the service tier.
+    """
+
+    def __init__(self, *args, add_flags=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_flags is not None:
+            add_flags, self._add_flags = self._add_flags, None
+            add_flags(self)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed separately for tests)."""
     parser = argparse.ArgumentParser(
@@ -111,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
             "systems (reproduction of Kong et al., DSN 2006)."
         ),
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     subparsers.add_parser("list", help="list available experiments")
 
@@ -287,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero if any gate fails (the CI regression check)",
     )
 
-    serve_parser = subparsers.add_parser(
+    subparsers.add_parser(
         "serve",
         help="launch the asynchronous sweep service (HTTP API over the batch engine)",
         description=(
@@ -298,93 +319,117 @@ def build_parser() -> argparse.ArgumentParser:
             "simulated twice across requests or processes.  See docs/api.md (generated "
             "from the live route table) for the endpoint reference."
         ),
+        add_flags=_add_serve_arguments,
     )
-    serve_parser.add_argument("--host", default="127.0.0.1", help="bind address (default: %(default)s)")
-    serve_parser.add_argument("--port", type=int, default=8642, help="bind port (default: %(default)s)")
-    serve_parser.add_argument(
+    return parser
+
+
+def _add_serve_arguments(parser: argparse.ArgumentParser) -> None:
+    """``rcm serve``'s flags; each default is the :class:`ServiceConfig` field's."""
+    from .service.app import ServiceConfig
+
+    parser.add_argument(
+        "--host", default=ServiceConfig.host, help="bind address (default: %(default)s)"
+    )
+    parser.add_argument(
+        "--port", type=int, default=ServiceConfig.port, help="bind port (default: %(default)s)"
+    )
+    parser.add_argument(
         "--store",
         metavar="PATH",
         default="rcm_sweeps.db",
         help="persistent result store shared by every job (default: %(default)s)",
     )
-    serve_parser.add_argument(
-        "--pairs", type=int, default=2000, help="default pairs per cell for submissions that omit it"
+    parser.add_argument(
+        "--pairs",
+        type=int,
+        default=ServiceConfig.pairs,
+        help="default pairs per cell for submissions that omit it",
     )
-    serve_parser.add_argument(
-        "--trials", type=int, default=3, help="default failure patterns per point (replicates)"
+    parser.add_argument(
+        "--trials",
+        type=int,
+        default=ServiceConfig.trials,
+        help="default failure patterns per point (replicates)",
     )
-    serve_parser.add_argument(
-        "--seed", type=int, default=PairWorkload().seed, help="default base random seed"
+    parser.add_argument(
+        "--seed", type=int, default=ServiceConfig.seed, help="default base random seed"
     )
-    serve_parser.add_argument(
-        "--workers", type=int, default=1, help="engine worker processes per sweep shard"
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=ServiceConfig.workers,
+        help="engine worker processes per sweep shard",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--backend",
         choices=BACKEND_CHOICES,
-        default="auto",
+        default=ServiceConfig.backend,
         help="kernel backend for the sweep engine (execution shape only; never changes results)",
     )
-    serve_parser.add_argument(
-        "--max-jobs", type=int, default=2, help="jobs executing concurrently; further submissions queue"
+    parser.add_argument(
+        "--max-jobs",
+        type=int,
+        default=ServiceConfig.max_jobs,
+        help="jobs executing concurrently; further submissions queue",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--max-queued",
         type=int,
-        default=16,
+        default=ServiceConfig.max_queued,
         help="submission queue bound; beyond it submissions answer 503 with Retry-After (default: %(default)s)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--rate-limit",
         type=float,
-        default=None,
+        default=ServiceConfig.rate_limit,
         metavar="PER_SECOND",
         help="sustained submissions accepted per second; beyond it submissions answer 429 (default: unlimited)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--shard-timeout",
         type=float,
-        default=300.0,
+        default=ServiceConfig.shard_timeout,
         metavar="SECONDS",
         help=(
             "wall-clock budget per shard attempt; a timed-out shard is recorded failed and the "
             "job continues with the rest (default: %(default)s, 0 disables)"
         ),
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--shard-retries",
         type=int,
-        default=2,
+        default=ServiceConfig.shard_retries,
         help="extra attempts per shard after a transient failure, with exponential backoff (default: %(default)s)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--job-ttl",
         type=float,
-        default=3600.0,
+        default=ServiceConfig.job_ttl,
         metavar="SECONDS",
         help="finished jobs older than this are evicted from the in-memory registry (default: %(default)s, 0 disables)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--max-retained-jobs",
         type=int,
-        default=512,
+        default=ServiceConfig.max_retained_jobs,
         help="finished jobs retained at most; the oldest are evicted first (default: %(default)s)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--request-timeout",
         type=float,
-        default=30.0,
+        default=ServiceConfig.request_timeout,
         metavar="SECONDS",
         help="per-connection read/write budget of the stdlib HTTP frontend (default: %(default)s)",
     )
-    serve_parser.add_argument(
+    parser.add_argument(
         "--drain-timeout",
         type=float,
-        default=5.0,
+        default=ServiceConfig.drain_timeout,
         metavar="SECONDS",
         help="on SIGTERM, running jobs get this long to finish before being cancelled (default: %(default)s)",
     )
-    dump = serve_parser.add_mutually_exclusive_group()
+    dump = parser.add_mutually_exclusive_group()
     dump.add_argument(
         "--dump-openapi",
         action="store_true",
@@ -395,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the docs/api.md endpoint reference generated from the live route table and exit",
     )
-    return parser
 
 
 def _add_engine_arguments(parser: argparse.ArgumentParser, workers_default: Optional[int] = 1) -> None:
@@ -725,9 +769,9 @@ def _command_serve(arguments: argparse.Namespace) -> Optional[str]:
         max_jobs=arguments.max_jobs,
         max_queued=arguments.max_queued,
         rate_limit=arguments.rate_limit,
-        job_ttl=arguments.job_ttl if arguments.job_ttl > 0 else None,
+        job_ttl=arguments.job_ttl or None,
         max_retained_jobs=arguments.max_retained_jobs,
-        shard_timeout=arguments.shard_timeout if arguments.shard_timeout > 0 else None,
+        shard_timeout=arguments.shard_timeout or None,
         shard_retries=arguments.shard_retries,
         request_timeout=arguments.request_timeout,
         drain_timeout=arguments.drain_timeout,
@@ -776,7 +820,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {arguments.command!r}")
             return 2
-    except (InvalidParameterError, ResultStoreError) as error:
+    except (ExperimentError, InvalidParameterError, ResultStoreError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:

@@ -33,6 +33,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .. import __version__
+from ..exceptions import InvalidParameterError
+from ..sim.backends import check_backend
+from ..validation import check_non_negative_int, check_positive_int
 from ..workloads.generators import DEFAULT_BASE_SEED
 from .faults import FaultRegistry
 from .jobs import JobManager
@@ -68,12 +71,22 @@ _STATUS_PHRASES = {
 class ServiceConfig:
     """Launch-time configuration of one service instance.
 
+    This is the one home of every service setting and its default: the
+    job manager reads its settings from here, and the ``rcm serve`` flags
+    take their defaults from these fields.  Construction rejects a
+    setting no server could use with
+    :class:`~repro.exceptions.InvalidParameterError`: ``pairs``,
+    ``trials``, ``workers``, ``max_jobs`` and ``max_retained_jobs`` must be
+    at least 1; ``seed``, ``max_queued``, ``shard_retries`` and
+    ``retry_backoff`` at least 0; ``backend`` must name a kernel backend;
+    and no timeout, TTL or rate may be negative.
+
     ``pairs``/``trials``/``seed`` are the *defaults* a submission inherits
     when it omits them; a request may override any of the three (each
-    distinct combination gets its own runner and persistent-store key
-    space).  ``workers`` and ``backend`` are execution-shape knobs: they
-    tune throughput but can never change a measured number (pair chunking
-    is fixed inside the routing driver).
+    distinct combination has its own persistent-store key space).
+    ``workers`` and ``backend`` are execution-shape knobs for the runner
+    each shard attempt builds: they tune throughput but can never change a
+    measured number (pair chunking is fixed inside the routing driver).
 
     The failure-policy knobs are likewise shape-only: ``shard_timeout`` /
     ``shard_retries`` bound how long one shard may run and how often a
@@ -83,7 +96,10 @@ class ServiceConfig:
     how long one HTTP connection may dribble its request in or block the
     response out (slow-loris protection), and ``drain_timeout`` is how
     long a SIGTERM-triggered drain waits for running jobs before
-    cancelling them.
+    cancelling them.  ``rate_limit``, ``job_ttl`` and ``shard_timeout``
+    may be ``None``: no rate limit, no TTL eviction, no shard timeout
+    (``0`` means the same for ``rate_limit`` and ``shard_timeout``; a
+    ``job_ttl`` of ``0`` evicts a job as soon as it finishes).
     """
 
     store_path: str
@@ -93,7 +109,7 @@ class ServiceConfig:
     trials: int = 3
     seed: int = DEFAULT_BASE_SEED
     workers: int = 1
-    backend: Optional[str] = None
+    backend: Optional[str] = "auto"
     max_jobs: int = 2
     max_queued: int = 16
     rate_limit: Optional[float] = None
@@ -104,6 +120,25 @@ class ServiceConfig:
     retry_backoff: float = 0.05
     request_timeout: float = 30.0
     drain_timeout: float = 5.0
+
+    def __post_init__(self) -> None:
+        for name in ("pairs", "trials", "workers", "max_jobs", "max_retained_jobs"):
+            check_positive_int(getattr(self, name), name)
+        for name in ("seed", "max_queued", "shard_retries"):
+            check_non_negative_int(getattr(self, name), name)
+        if self.backend is not None:
+            check_backend(self.backend)
+        for name in (
+            "retry_backoff",
+            "rate_limit",
+            "job_ttl",
+            "shard_timeout",
+            "request_timeout",
+            "drain_timeout",
+        ):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise InvalidParameterError(f"{name} must not be negative, got {value!r}")
 
 
 class SweepService:
@@ -127,23 +162,7 @@ class SweepService:
         self.store = (
             store if store is not None else ResultStore.open(config.store_path, faults=faults)
         )
-        self.jobs = JobManager(
-            self.store,
-            pairs=config.pairs,
-            trials=config.trials,
-            seed=config.seed,
-            workers=config.workers,
-            backend=config.backend,
-            max_jobs=config.max_jobs,
-            max_queued=config.max_queued,
-            rate_limit=config.rate_limit,
-            job_ttl=config.job_ttl,
-            max_retained_jobs=config.max_retained_jobs,
-            shard_timeout=config.shard_timeout,
-            shard_retries=config.shard_retries,
-            retry_backoff=config.retry_backoff,
-            faults=faults,
-        )
+        self.jobs = JobManager(self.store, config, faults=faults)
         self.routes = build_routes(self)
         self._started = time.monotonic()
 

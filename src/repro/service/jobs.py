@@ -30,12 +30,14 @@ advance an RNG stream or change a cell key, so a shard that succeeds on
 retry is byte-identical to one that succeeds first try (chaos-tested in
 ``tests/test_service_faults.py``).
 
-Runners are recycled across jobs: the manager keeps a small LRU of
-:class:`~repro.sim.engine.SweepRunner` instances keyed by the run
-parameters that pin cell identity (``pairs``, ``trials``, ``seed``), each
-wired to the shared persistent :class:`~repro.service.store.ResultStore`
-and guarded by a **per-runner lock** — shards on different runners execute
-concurrently; only shards sharing a runner serialize.
+Each static shard attempt builds its own
+:class:`~repro.sim.engine.SweepRunner`, wired to the shared persistent
+:class:`~repro.service.store.ResultStore`, and closes it (with its worker
+pool, if ``workers > 1`` started one) when the attempt ends.  No runner
+outlives its attempt and none is shared, so shards never wait on each
+other's runner and a timed-out attempt's thread holds nothing another
+attempt needs.  A cell that an earlier shard or job computed is still
+never recomputed: the store answers it.
 
 This module is deliberately HTTP-free (plain threads and locks) so the job
 lifecycle is testable without a server; :mod:`repro.service.routes` maps it
@@ -50,7 +52,7 @@ import uuid
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..exceptions import (
     InvalidParameterError,
@@ -61,8 +63,10 @@ from ..exceptions import (
 )
 from ..sim.engine import SweepRunner, SweepRunStats
 from ..sim.request import SweepRequest, run_shard
-from ..workloads.generators import DEFAULT_BASE_SEED
 from .faults import NO_FAULTS, FaultRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - the config's module imports this one
+    from .app import ServiceConfig
 
 __all__ = [
     "JOB_STATES",
@@ -372,63 +376,35 @@ class SweepJob:
 class JobManager:
     """Accepts sweep submissions and executes them with explicit failure policy.
 
+    Every setting comes from ``config``
+    (:class:`~repro.service.app.ServiceConfig`, which validated it):
     ``max_jobs`` bounds how many jobs *execute* at once; ``max_queued``
     bounds how many accepted jobs may wait for a slot (beyond that,
     submissions are refused with
     :class:`~repro.exceptions.ServiceUnavailableError` → HTTP 503), and an
-    optional token-bucket ``rate_limit`` (submissions/second) answers
-    sustained overload with
+    optional token-bucket ``rate_limit`` (submissions/second; ``None`` or
+    ``0`` is unlimited) answers sustained overload with
     :class:`~repro.exceptions.ServiceOverloadedError` → HTTP 429.
     Terminal jobs are evicted after ``job_ttl`` seconds (and the retained
     set is capped at ``max_retained_jobs``), so the job table cannot grow
     without bound under sustained traffic.
 
     Within a job, shards run sequentially with per-shard retries and a
-    watchdog-enforced ``shard_timeout``; across jobs, shards on different
-    runners (different ``(pairs, trials, seed)``) execute concurrently —
-    each runner has its own lock, there is no global runner lock.
+    watchdog-enforced ``shard_timeout`` (``None`` or ``0`` is unbounded);
+    each attempt runs on a runner of its own, so shards of concurrent jobs
+    share nothing but the store.
     """
 
     def __init__(
-        self,
-        store,
-        *,
-        pairs: int = 2000,
-        trials: int = 3,
-        seed: int = DEFAULT_BASE_SEED,
-        workers: int = 1,
-        backend: Optional[str] = None,
-        max_jobs: int = 2,
-        max_runners: int = 4,
-        max_queued: int = 16,
-        rate_limit: Optional[float] = None,
-        job_ttl: Optional[float] = 3600.0,
-        max_retained_jobs: int = 512,
-        shard_timeout: Optional[float] = 300.0,
-        shard_retries: int = 2,
-        retry_backoff: float = 0.05,
-        faults: Optional[FaultRegistry] = None,
+        self, store, config: "ServiceConfig", *, faults: Optional[FaultRegistry] = None
     ) -> None:
         self._store = store
-        self._default_pairs = pairs
-        self._default_trials = trials
-        self._default_seed = seed
-        self._workers = workers
-        self._backend = backend
-        self._max_runners = max_runners
-        self._max_queued = max(0, int(max_queued))
-        self._rate = float(rate_limit) if rate_limit else None
-        self._job_ttl = float(job_ttl) if job_ttl is not None else None
-        self._max_retained_jobs = max(1, int(max_retained_jobs))
-        self._shard_timeout = float(shard_timeout) if shard_timeout else None
-        self._shard_retries = max(0, int(shard_retries))
-        self._retry_backoff = max(0.0, float(retry_backoff))
+        self._config = config
+        self._rate = config.rate_limit or None
+        self._shard_timeout = config.shard_timeout or None
         self._faults = faults if faults is not None else NO_FAULTS
         self._jobs: "OrderedDict[str, SweepJob]" = OrderedDict()
         self._jobs_lock = threading.Lock()
-        self._runners: "OrderedDict[Tuple[int, int, int], SweepRunner]" = OrderedDict()
-        self._runner_locks: Dict[Tuple[int, int, int], threading.Lock] = {}
-        self._registry_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._rejected = {reason: 0 for reason in REJECTION_REASONS}
         self._totals = dict.fromkeys(
@@ -446,7 +422,7 @@ class JobManager:
         self._tokens = max(1.0, self._rate) if self._rate else 0.0
         self._bucket_updated = time.monotonic()
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, int(max_jobs)), thread_name_prefix="rcm-sweep-job"
+            max_workers=config.max_jobs, thread_name_prefix="rcm-sweep-job"
         )
         self._closed = False
 
@@ -478,23 +454,24 @@ class JobManager:
     def _evict_expired_jobs(self) -> None:
         """Drop terminal jobs past their TTL and cap the retained set."""
         now = time.monotonic()
+        ttl, retained = self._config.job_ttl, self._config.max_retained_jobs
         with self._jobs_lock:
-            if self._job_ttl is not None:
+            if ttl is not None:
                 expired = [
                     job_id
                     for job_id, job in self._jobs.items()
                     if job.state in TERMINAL_STATES
                     and job.finished_monotonic() is not None
-                    and now - job.finished_monotonic() > self._job_ttl
+                    and now - job.finished_monotonic() > ttl
                 ]
                 for job_id in expired:
                     del self._jobs[job_id]
-            if len(self._jobs) > self._max_retained_jobs:
+            if len(self._jobs) > retained:
                 # Oldest-first, terminal-only: live jobs are never evicted.
                 removable = [
                     job_id for job_id, job in self._jobs.items() if job.state in TERMINAL_STATES
                 ]
-                excess = len(self._jobs) - self._max_retained_jobs
+                excess = len(self._jobs) - retained
                 for job_id in removable[:excess]:
                     del self._jobs[job_id]
 
@@ -518,14 +495,11 @@ class JobManager:
         :class:`~repro.exceptions.BackpressureError` subclass (429/503 with
         ``Retry-After``).
         """
+        config = self._config
         try:
             request = SweepRequest.from_mapping(
                 payload,
-                defaults={
-                    "pairs": self._default_pairs,
-                    "trials": self._default_trials,
-                    "seed": self._default_seed,
-                },
+                defaults={"pairs": config.pairs, "trials": config.trials, "seed": config.seed},
             )
         except InvalidParameterError as error:
             raise ServiceError(f"invalid sweep request: {error}") from error
@@ -536,10 +510,10 @@ class JobManager:
             )
         self._evict_expired_jobs()
         self._check_rate_limit()
-        if self.queue_depth() >= self._max_queued:
+        if self.queue_depth() >= config.max_queued:
             self._reject("queue_full")
             raise ServiceUnavailableError(
-                f"submission queue is full ({self._max_queued} queued jobs); retry later",
+                f"submission queue is full ({config.max_queued} queued jobs); retry later",
                 retry_after=2,
             )
         job = SweepJob(uuid.uuid4().hex[:12], request)
@@ -610,52 +584,6 @@ class JobManager:
     # ------------------------------------------------------------------ #
     # execution
     # ------------------------------------------------------------------ #
-    def _acquire_runner(
-        self, request: SweepRequest
-    ) -> Tuple[Tuple[int, int, int], SweepRunner, threading.Lock]:
-        """The (possibly recycled) runner matching the request's cell identity,
-        plus the per-runner lock serializing ``sweep`` calls on it.
-
-        Evicted runners release their worker pools only when idle; a busy
-        runner is dropped from the LRU and cleans itself up when its last
-        shard finishes.  Memoized cells survive in the persistent store
-        either way.
-        """
-        self._faults.fire("worker-pool")
-        key = (request.pairs, request.trials, request.seed)
-        with self._registry_lock:
-            runner = self._runners.get(key)
-            if runner is None:
-                runner = SweepRunner(
-                    pairs=request.pairs,
-                    replicates=request.trials,
-                    base_seed=request.seed,
-                    workers=self._workers,
-                    backend=self._backend,
-                    cell_store=self._store,
-                )
-                self._runners[key] = runner
-                self._runner_locks[key] = threading.Lock()
-                while len(self._runners) > self._max_runners:
-                    evicted_key, evicted = self._runners.popitem(last=False)
-                    evicted_lock = self._runner_locks.pop(evicted_key)
-                    if evicted_lock.acquire(blocking=False):
-                        evicted.close()
-                        evicted_lock.release()
-                    # else: a shard is mid-sweep on it; the shard's own
-                    # reference keeps it alive and __del__ releases the pool.
-            else:
-                self._runners.move_to_end(key)
-            return key, runner, self._runner_locks[key]
-
-    def _poison_runner(self, key: Tuple[int, int, int]) -> None:
-        """Drop a runner whose shard timed out: its lock may be held by the
-        hung attempt thread forever, so subsequent shards on this key get a
-        fresh runner and lock instead of blocking behind the zombie."""
-        with self._registry_lock:
-            self._runners.pop(key, None)
-            self._runner_locks.pop(key, None)
-
     def _attempt_shard(self, job: SweepJob, geometry: str, model: str, outcome: Dict) -> None:
         """One shard attempt (runs on a dedicated watchdog-supervised thread).
 
@@ -665,17 +593,24 @@ class JobManager:
         """
         try:
             self._faults.fire("shard-execute")
-            if job.request.churn is not None:
+            request, backend = job.request, self._config.backend
+            if request.churn is not None:
                 # Churn shards bypass the runner: no grid to fan out and no
                 # cell cache; the trace is regenerated from the request seed.
-                result = run_shard(job.request, geometry, model, None, self._backend)
+                result = run_shard(request, geometry, model, None, backend)
                 steps = len(result["rows"])
                 stats = SweepRunStats(requested=steps, memo_hits=0, store_hits=0, computed=steps)
             else:
-                key, runner, lock = self._acquire_runner(job.request)
-                outcome["runner_key"] = key
-                with lock:
-                    result = run_shard(job.request, geometry, model, runner, self._backend)
+                self._faults.fire("worker-pool")
+                with SweepRunner(
+                    pairs=request.pairs,
+                    replicates=request.trials,
+                    base_seed=request.seed,
+                    workers=self._config.workers,
+                    backend=backend,
+                    cell_store=self._store,
+                ) as runner:
+                    result = run_shard(request, geometry, model, runner, backend)
                     stats = runner.last_run_stats
             outcome["result"] = result
             outcome["stats"] = stats
@@ -685,7 +620,7 @@ class JobManager:
     def _run_shard(self, job: SweepJob, index: int, geometry: str, model: str) -> None:
         """Run one shard to a terminal state: bounded retries with exponential
         backoff for transient errors, a wall-clock timeout per attempt."""
-        attempts_allowed = 1 + self._shard_retries
+        attempts_allowed = 1 + self._config.shard_retries
         for attempt in range(1, attempts_allowed + 1):
             job._shard_attempt(index)
             if attempt > 1:
@@ -700,12 +635,8 @@ class JobManager:
             worker.start()
             worker.join(self._shard_timeout)
             if worker.is_alive():
-                # Timed out.  The attempt thread may be wedged holding its
-                # runner's lock: retire that runner so the rest of the job
-                # (and other jobs on the same key) proceed on a fresh one.
-                key = outcome.get("runner_key")
-                if key is not None:
-                    self._poison_runner(key)
+                # Timed out.  The attempt thread keeps only its own runner,
+                # so the rest of the job proceeds without it.
                 job._shard_failed(
                     index,
                     f"shard ({geometry}, {model}) timed out after {self._shard_timeout:g}s",
@@ -726,7 +657,7 @@ class JobManager:
             if attempt >= attempts_allowed or not _is_transient(error):
                 job._shard_failed(index, f"{type(error).__name__}: {error}")
                 return
-            backoff = self._retry_backoff * (2 ** (attempt - 1))
+            backoff = self._config.retry_backoff * (2 ** (attempt - 1))
             if backoff > 0 and job.cancel_wait(backoff):
                 job._shard_cancelled(index)
                 return
@@ -764,7 +695,7 @@ class JobManager:
                 job.request_cancel()
 
     def close(self, *, drain_timeout: Optional[float] = None) -> None:
-        """Stop accepting submissions and release runners.
+        """Stop accepting submissions and wait for the job threads.
 
         Without ``drain_timeout`` (library/test usage) running jobs are
         awaited to completion, as before.  With it (the SIGTERM path),
@@ -783,12 +714,3 @@ class JobManager:
             for job in self.jobs():
                 job.request_cancel()
         self._executor.shutdown(wait=True)
-        with self._registry_lock:
-            for key, runner in self._runners.items():
-                lock = self._runner_locks.get(key)
-                if lock is None or lock.acquire(blocking=False):
-                    runner.close()
-                    if lock is not None:
-                        lock.release()
-            self._runners.clear()
-            self._runner_locks.clear()

@@ -57,18 +57,16 @@ def paper_failure_probabilities(*, fast: bool = False) -> Tuple[float, ...]:
     return failure_probability_grid(0.0, 0.9, 0.05)
 
 
-def system_size_grid(min_exponent: int, max_exponent: int, *, points_per_decade: int = 1) -> Tuple[int, ...]:
+def system_size_grid(min_exponent: int, max_exponent: int) -> Tuple[int, ...]:
     """Power-of-two system sizes ``2^min_exponent .. 2^max_exponent``.
 
-    ``points_per_decade`` is accepted for interface symmetry but the grid is
-    always exact powers of two (the paper assumes fully populated spaces);
-    pass a denser exponent range for more points.
+    The grid is always exact powers of two (the paper assumes fully
+    populated spaces).
     """
     min_exponent = check_identifier_length(min_exponent)
     max_exponent = check_identifier_length(max_exponent)
     if max_exponent < min_exponent:
         raise InvalidParameterError("max_exponent must not be smaller than min_exponent")
-    check_positive_int(points_per_decade, "points_per_decade")
     return tuple(1 << e for e in range(min_exponent, max_exponent + 1))
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import cli
@@ -109,6 +111,23 @@ class TestCommands:
         ) == 0
         output = capsys.readouterr().out
         assert output.splitlines()[0].startswith("n_nodes")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "NOPE"], "error: unknown experiment 'NOPE'"),
+            (
+                ["run", "TAB-SCAL", "--csv", "nosuchtable", "--pairs", "50", "--trials", "1"],
+                "error: experiment TAB-SCAL has no table 'nosuchtable'",
+            ),
+        ],
+    )
+    def test_run_errors_exit_2_with_one_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
 
 
 class TestFailureModelOption:
@@ -323,12 +342,33 @@ class TestJsonExport:
 
 class TestServeParser:
     def test_serve_defaults(self):
+        from repro.service.app import ServiceConfig
+
         arguments = build_parser().parse_args(["serve"])
         assert arguments.command == "serve"
         assert arguments.host == "127.0.0.1"
         assert arguments.port == 8642
         assert arguments.store == "rcm_sweeps.db"
         assert arguments.max_jobs == 2
+        # Every flag but --store (the config's required field) defaults to
+        # the ServiceConfig field of the same name; retry_backoff has no flag.
+        defaults = {
+            field.name: field.default
+            for field in dataclasses.fields(ServiceConfig)
+            if field.default is not dataclasses.MISSING
+        }
+        flags = {
+            name: value
+            for name, value in vars(arguments).items()
+            if name not in ("command", "store", "dump_openapi", "dump_api_markdown")
+        }
+        assert flags == {name: defaults[name] for name in flags if name in defaults}
+        assert set(defaults) - set(flags) == {"retry_backoff"}
+
+    def test_unusable_setting_exits_2_with_one_line(self, capsys):
+        assert main(["serve", "--pairs", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: pairs must be positive, got 0\n"
 
     def test_dump_flags_are_mutually_exclusive(self):
         with pytest.raises(SystemExit):

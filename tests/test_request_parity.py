@@ -32,8 +32,14 @@ STATIC = {"geometries": ["ring"], "d": D, "q": Q}
 
 @pytest.fixture(scope="module")
 def jobs(tmp_path_factory):
-    store = ResultStore.open(tmp_path_factory.mktemp("parity") / "cells.db")
-    manager = JobManager(store, pairs=PAIRS, trials=TRIALS, seed=SEED)
+    config = ServiceConfig(
+        store_path=str(tmp_path_factory.mktemp("parity") / "cells.db"),
+        pairs=PAIRS,
+        trials=TRIALS,
+        seed=SEED,
+    )
+    store = ResultStore.open(config.store_path)
+    manager = JobManager(store, config)
     yield manager
     manager.close()
     store.close()

@@ -12,15 +12,18 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import gc
 import http.client
 import json
 import logging
+import multiprocessing
 import threading
 import time
+import weakref
 
 import pytest
 
-from repro.exceptions import ServiceError
+from repro.exceptions import InvalidParameterError, ServiceError
 from repro.service.app import ServiceConfig, SweepService, create_asgi_app
 from repro.service.routes import Request
 from repro.sim.backends import default_backend_name
@@ -594,3 +597,84 @@ class TestAdaptiveSubmissions:
             status, payload = request(port, "POST", "/v1/sweeps", body=body)
             assert status == 400
             assert "cannot be combined with 'churn'" in payload["error"]
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pairs", 0),
+            ("trials", 0),
+            ("workers", 0),
+            ("max_jobs", 0),
+            ("max_retained_jobs", 0),
+            ("seed", -1),
+            ("max_queued", -1),
+            ("shard_retries", -1),
+            ("retry_backoff", -0.5),
+            ("rate_limit", -1.0),
+            ("job_ttl", -1.0),
+            ("shard_timeout", -1.0),
+            ("request_timeout", -1.0),
+            ("drain_timeout", -1.0),
+        ],
+    )
+    def test_unusable_setting_is_rejected(self, tmp_path, field, value):
+        with pytest.raises(InvalidParameterError, match=f"^{field} must"):
+            _config(tmp_path / "cells.db", **{field: value})
+
+    def test_unknown_backend_is_rejected(self, tmp_path):
+        with pytest.raises(InvalidParameterError, match="unknown kernel backend 'nope'"):
+            _config(tmp_path / "cells.db", backend="nope")
+
+    def test_zero_and_none_settings_are_accepted(self, tmp_path):
+        zeros = dict.fromkeys(
+            (
+                "seed",
+                "max_queued",
+                "shard_retries",
+                "retry_backoff",
+                "rate_limit",
+                "job_ttl",
+                "shard_timeout",
+                "request_timeout",
+                "drain_timeout",
+            ),
+            0,
+        )
+        _config(tmp_path / "cells.db", **zeros)
+        _config(tmp_path / "cells.db", rate_limit=None, job_ttl=None, shard_timeout=None)
+
+
+class TestShardRunnerLifecycle:
+    def test_pooled_job_leaves_no_runner_or_worker_process_behind(self, tmp_path, monkeypatch):
+        """A shard whose groups fan out over a worker pool returns the direct
+        runner's rows, and once its job is done neither the runner built
+        for it nor the pool's processes outlive it, though the service
+        keeps running."""
+        from repro.service import jobs as jobs_module
+
+        built, pool_sizes = [], []
+
+        class RecordingRunner(SweepRunner):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                built.append(weakref.ref(self))
+
+            def _ensure_pool(self, task_count):
+                pool = super()._ensure_pool(task_count)
+                pool_sizes.append(self._pool_size)
+                return pool
+
+        monkeypatch.setattr(jobs_module, "SweepRunner", RecordingRunner)
+        with SweepService(_config(tmp_path / "cells.db", workers=2)) as service:
+            job = service.jobs.submit(GRID)
+            deadline = time.monotonic() + 60
+            while job.state not in ("done", "failed") and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert job.state == "done", job.status_payload()["error"]
+            assert pool_sizes == [2]  # TRIALS groups: the pool really ran
+            gc.collect()
+            assert built and all(ref() is None for ref in built)
+            assert multiprocessing.active_children() == []
+            assert job.results_payload()["results"][0]["rows"] == direct_rows()

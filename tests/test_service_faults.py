@@ -78,12 +78,11 @@ def faults():
 @contextlib.contextmanager
 def manager(tmp_path, faults=None, **overrides):
     """A JobManager over a fresh store, tuned for fast chaos runs."""
-    settings = dict(
-        pairs=PAIRS, trials=TRIALS, seed=SEED, retry_backoff=0.001, shard_timeout=30.0
-    )
+    settings = dict(retry_backoff=0.001, shard_timeout=30.0)
     settings.update(overrides)
-    store = ResultStore.open(tmp_path / "cells.db")
-    jobs = JobManager(store, faults=faults, **settings)
+    config = _config(tmp_path / "cells.db", **settings)
+    store = ResultStore.open(config.store_path)
+    jobs = JobManager(store, config, faults=faults)
     try:
         yield jobs
     finally:
@@ -724,6 +723,12 @@ class TestBackpressureExceptionTypes:
                 jobs.submit(GRID)
             assert info.value.status == 429
             wait_terminal(job)
+
+    def test_zero_rate_limit_and_shard_timeout_mean_unbounded(self, tmp_path):
+        with manager(tmp_path, rate_limit=0, shard_timeout=0) as jobs:
+            submitted = [jobs.submit(GRID) for _ in range(3)]
+            assert [wait_terminal(job) for job in submitted] == ["done"] * 3
+            assert jobs.rejected_counts()["rate_limit"] == 0
 
     def test_job_ttl_evicts_terminal_jobs(self, tmp_path):
         with manager(tmp_path, job_ttl=0.05) as jobs:
