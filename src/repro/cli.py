@@ -144,9 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="run at paper scale (N = 2^16 simulations, full sweeps) instead of fast mode",
     )
     run_parser.add_argument("--csv", metavar="TABLE", help="emit one named table as CSV instead of text")
-    run_parser.add_argument("--pairs", type=int, default=2000, help="Monte-Carlo pairs per trial")
-    run_parser.add_argument("--trials", type=int, default=3, help="failure patterns per point")
-    run_parser.add_argument("--seed", type=int, default=PairWorkload().seed, help="base random seed")
+    run_parser.add_argument(
+        "--pairs", type=int, default=PairWorkload.pairs, help="Monte-Carlo pairs per trial"
+    )
+    run_parser.add_argument(
+        "--trials", type=int, default=PairWorkload.trials, help="failure patterns per point"
+    )
+    run_parser.add_argument("--seed", type=int, default=PairWorkload.seed, help="base random seed")
     _add_engine_arguments(run_parser)
 
     routability_parser = subparsers.add_parser(

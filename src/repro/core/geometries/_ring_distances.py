@@ -13,7 +13,7 @@ import numpy as np
 
 from ...validation import check_identifier_length
 
-__all__ = ["log_ring_distance_distribution", "ring_distance_distribution"]
+__all__ = ["log_ring_distance_distribution"]
 
 LN2 = math.log(2.0)
 
@@ -23,8 +23,3 @@ def log_ring_distance_distribution(d: int) -> np.ndarray:
     d = check_identifier_length(d)
     h = np.arange(1, d + 1, dtype=float)
     return (h - 1.0) * LN2
-
-
-def ring_distance_distribution(d: int) -> np.ndarray:
-    """``n(h) = 2^(h-1)`` for ``h = 1 .. d``."""
-    return np.exp(log_ring_distance_distribution(d))

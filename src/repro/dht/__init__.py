@@ -31,7 +31,6 @@ from .failures import (
     FailureModel,
     PrefixSubtreeFailure,
     RegionalFailure,
-    TargetedNodeFailure,
     UniformNodeFailure,
     check_failure_model_kind,
     make_failure_model,
@@ -65,7 +64,6 @@ __all__ = [
     "xor_distance",
     "FailureModel",
     "UniformNodeFailure",
-    "TargetedNodeFailure",
     "DegreeTargetedFailure",
     "RegionalFailure",
     "PrefixSubtreeFailure",

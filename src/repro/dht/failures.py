@@ -8,8 +8,8 @@ node is alive.
 
 Beyond the paper's uniform model, this module ships a scenario library of
 adversarial and correlated failure models — degree-targeted
-(:class:`DegreeTargetedFailure` / :class:`TargetedNodeFailure`), contiguous
-ring regions (:class:`RegionalFailure`), aligned identifier subtrees
+(:class:`DegreeTargetedFailure`), contiguous ring regions
+(:class:`RegionalFailure`), aligned identifier subtrees
 (:class:`PrefixSubtreeFailure`) and compositions (:class:`CompositeFailure`)
 — all runnable through the same measurement stack (``failure_model=`` /
 ``failure_models=`` arguments, ``rcm simulate --failure-model`` and the
@@ -26,17 +26,16 @@ Two invariants every model must honour:
   function of the bound model and the stream.
 * Models are plain picklable values; anything overlay-dependent (e.g. the
   in-degree ranking behind the targeted model) is resolved by
-  :meth:`FailureModel.bind`, which the measurement drivers call once per
-  overlay before sampling.
+  :meth:`FailureModel.bind`, which the measurement drivers call before
+  sampling a cell.
 """
 
 from __future__ import annotations
 
 import abc
-import copy
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from ..validation import check_failure_probability, check_node_count
 __all__ = [
     "FailureModel",
     "UniformNodeFailure",
-    "TargetedNodeFailure",
     "DegreeTargetedFailure",
     "RegionalFailure",
     "PrefixSubtreeFailure",
@@ -110,15 +108,10 @@ class FailureModel(abc.ABC):
         Most models are overlay-independent and return ``self``; models that
         need structural information (e.g. :class:`DegreeTargetedFailure`
         needs the overlay's in-degree ranking) return a concrete bound
-        model.  The measurement drivers call this once per overlay before
-        sampling, so the model objects handed to them stay picklable.
+        model.  The measurement drivers call this before sampling a cell, so
+        the model objects handed to them stay picklable.
         """
         return self
-
-    @property
-    @abc.abstractmethod
-    def description(self) -> str:
-        """Short human-readable description used in experiment reports."""
 
 
 @dataclass(frozen=True)
@@ -134,93 +127,12 @@ class UniformNodeFailure(FailureModel):
         """One survival mask: each node survives independently with probability ``1 - q``."""
         return survival_mask(n_nodes, self.q, rng)
 
-    @property
-    def description(self) -> str:
-        """Report label: uniform failure at this ``q``."""
-        return f"uniform node failure, q={self.q:g}"
-
-
-@dataclass(frozen=True)
-class TargetedNodeFailure(FailureModel):
-    """Fail a fixed *fraction* of nodes chosen by an external ranking.
-
-    The ranking (e.g. descending overlay in-degree — see
-    :class:`DegreeTargetedFailure` for the overlay-bound convenience) is
-    supplied at construction and validated once there; the top ``fraction``
-    of ranked nodes are removed.  Sampling is deterministic and consumes no
-    randomness.
-    """
-
-    fraction: float
-    ranking: Sequence[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fraction", check_failure_probability(self.fraction))
-        if len(self.ranking) == 0:
-            raise InvalidParameterError("ranking must not be empty")
-        try:
-            array = np.asarray(self.ranking, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidParameterError(
-                "ranking must be a sequence of integer identifiers"
-            ) from exc
-        if array.ndim != 1:
-            raise InvalidParameterError("ranking must be one-dimensional")
-        if (array < 0).any():
-            raise InvalidParameterError(
-                f"ranking contains invalid identifier {int(array.min())}"
-            )
-        if np.unique(array).size != array.size:
-            raise InvalidParameterError("ranking must not contain duplicate identifiers")
-        array.setflags(write=False)
-        # The dataclass field stays a hashable tuple (cells and model specs
-        # are used as dict keys and travel through pickling); the validated
-        # array is what sampling indexes with, and the precomputed maximum
-        # makes the per-sample range check O(1).
-        object.__setattr__(self, "ranking", tuple(int(r) for r in array))
-        object.__setattr__(self, "_ranking_array", array)
-        object.__setattr__(self, "_ranking_max", int(array.max()))
-
-    def with_fraction(self, fraction: float) -> "TargetedNodeFailure":
-        """The same, already validated ranking at another ``fraction``.
-
-        Skips re-validating and re-converting the ranking, which costs
-        O(n log n) per call; :meth:`DegreeTargetedFailure.bind` uses it so an
-        overlay's ranking is validated once for all severities.
-        """
-        model = copy.copy(self)
-        object.__setattr__(model, "fraction", check_failure_probability(fraction))
-        return model
-
-    def sample(self, n_nodes: int, rng: np.random.Generator) -> np.ndarray:
-        """Fail the top ``fraction`` of ranked nodes; deterministic, consumes no randomness."""
-        n_nodes = check_node_count(n_nodes)
-        ranking: np.ndarray = self._ranking_array
-        if ranking.size != n_nodes:
-            raise InvalidParameterError(
-                f"ranking has {ranking.size} entries but the overlay has {n_nodes} nodes"
-            )
-        if self._ranking_max >= n_nodes:
-            raise InvalidParameterError(
-                f"ranking contains invalid identifier {self._ranking_max}"
-            )
-        mask = np.ones(n_nodes, dtype=bool)
-        to_fail = int(round(self.fraction * n_nodes))
-        mask[ranking[:to_fail]] = False
-        return mask
-
-    @property
-    def description(self) -> str:
-        """Report label: targeted removal of the top ranked fraction."""
-        return f"targeted failure of the top {self.fraction:.0%} ranked nodes"
-
 
 @dataclass(frozen=True)
 class DegreeTargetedFailure(FailureModel):
     """Adversarial model: fail the top ``fraction`` of nodes by overlay in-degree.
 
-    This is the overlay-bound convenience over :class:`TargetedNodeFailure`:
-    :meth:`bind` derives the ranking from the overlay's per-node in-degrees
+    :meth:`bind` reads the ranking from the overlay's per-node in-degrees
     (:meth:`repro.dht.network.Overlay.in_degree_ranking`), so the model can
     travel through sweep grids and worker processes as a plain
     ``(kind, severity)`` value and still target the structurally most
@@ -233,18 +145,8 @@ class DegreeTargetedFailure(FailureModel):
         object.__setattr__(self, "fraction", check_failure_probability(self.fraction))
 
     def bind(self, overlay) -> FailureModel:
-        """Derive the concrete ranking from ``overlay``'s per-node in-degrees.
-
-        The ranking is validated and converted once per overlay (cached on
-        it, like the ranking itself); every severity reuses it.
-        """
-        validated = getattr(overlay, "_targeted_failure_cache", None)
-        if validated is None:
-            validated = TargetedNodeFailure(
-                fraction=self.fraction, ranking=overlay.in_degree_ranking()
-            )
-            overlay._targeted_failure_cache = validated
-        return validated.with_fraction(self.fraction)
+        """Target ``overlay``'s own (cached, read-only) in-degree ranking."""
+        return _RankedFailure(self.fraction, overlay.in_degree_ranking())
 
     def sample(self, n_nodes: int, rng: np.random.Generator) -> np.ndarray:
         """Unbound models cannot sample — :meth:`bind` an overlay first."""
@@ -253,10 +155,32 @@ class DegreeTargetedFailure(FailureModel):
             "(the measurement drivers do this automatically)"
         )
 
-    @property
-    def description(self) -> str:
-        """Report label: in-degree-targeted removal."""
-        return f"targeted failure of the top {self.fraction:.0%} nodes by overlay in-degree"
+
+# eq=False: the ranking is an array (no value equality), and a bound model
+# is sampled, never used as a cell or cache key.
+@dataclass(frozen=True, eq=False)
+class _RankedFailure(FailureModel):
+    """A :class:`DegreeTargetedFailure` bound to one overlay's ranking.
+
+    ``ranking`` lists node identifiers most-referenced first; the top
+    ``fraction`` of them fail.  Sampling is deterministic and consumes no
+    randomness.
+    """
+
+    fraction: float
+    ranking: np.ndarray
+
+    def sample(self, n_nodes: int, rng: np.random.Generator) -> np.ndarray:
+        """Fail the top ``fraction`` of ranked nodes."""
+        n_nodes = check_node_count(n_nodes)
+        if self.ranking.size != n_nodes:
+            raise InvalidParameterError(
+                f"ranking has {self.ranking.size} entries but the overlay has {n_nodes} nodes"
+            )
+        mask = np.ones(n_nodes, dtype=bool)
+        to_fail = int(round(self.fraction * n_nodes))
+        mask[self.ranking[:to_fail]] = False
+        return mask
 
 
 @dataclass(frozen=True)
@@ -287,11 +211,6 @@ class RegionalFailure(FailureModel):
         indices = (start + np.arange(region)) % n_nodes
         mask[indices] = False
         return mask
-
-    @property
-    def description(self) -> str:
-        """Report label: contiguous identifier-region outage."""
-        return f"regional failure of a contiguous {self.fraction:.0%} of the identifier ring"
 
 
 @dataclass(frozen=True)
@@ -328,14 +247,6 @@ class PrefixSubtreeFailure(FailureModel):
         mask[block * size : (block + 1) * size] = False
         return mask
 
-    @property
-    def description(self) -> str:
-        """Report label: aligned-subtree outage."""
-        return (
-            f"failure of one aligned identifier subtree "
-            f"(~{self.fraction:.0%} of the space)"
-        )
-
 
 @dataclass(frozen=True)
 class CompositeFailure(FailureModel):
@@ -370,11 +281,6 @@ class CompositeFailure(FailureModel):
     def bind(self, overlay) -> FailureModel:
         """Bind every component model to ``overlay``."""
         return CompositeFailure(tuple(model.bind(overlay) for model in self.models))
-
-    @property
-    def description(self) -> str:
-        """Report label: the components' labels joined with ``+``."""
-        return " + ".join(model.description for model in self.models)
 
 
 # --------------------------------------------------------------------- #

@@ -251,10 +251,6 @@ class MarkovChain:
         result = reduced.absorption_analysis(start)
         return float(sum(result.probability_of(t) for t in target_set))
 
-    def expected_steps_to_absorption(self, start: State) -> float:
-        """Expected number of transitions before absorption, starting from ``start``."""
-        return self.absorption_analysis(start).expected_steps
-
     def step_distribution(self, start: State, steps: int) -> Dict[State, float]:
         """State distribution after exactly ``steps`` transitions from ``start``."""
         if steps < 0:

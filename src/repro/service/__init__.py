@@ -4,10 +4,9 @@ This package turns the library/CLI-only sweep engine into a long-running
 service tier (ROADMAP north star: *serve heavy traffic*):
 
 * :mod:`~repro.service.store` — :class:`ResultStore`, the persistent
-  on-disk cell cache keyed by each cell's deterministic identity; the
-  in-memory :class:`~repro.sim.engine.SweepRunner` memo generalised across
-  processes and requests, so an identical cell is **never** simulated
-  twice.
+  on-disk cell cache keyed by each cell's deterministic identity, shared
+  across processes and requests, so an identical cell is **never**
+  simulated twice.
 * :mod:`~repro.service.jobs` — submissions, the ``queued → running → done
   | done_with_errors | failed | cancelled`` lifecycle, per-shard execution
   units with bounded retries, watchdog timeouts and cooperative
@@ -19,8 +18,7 @@ service tier (ROADMAP north star: *serve heavy traffic*):
 * :mod:`~repro.service.routes` / :mod:`~repro.service.app` — the route
   table (submit → job id → poll/stream/results, plus ``/healthz``,
   ``/metrics`` and ``/openapi.json``) served by a dependency-free stdlib
-  asyncio HTTP server (``rcm serve``) or any ASGI server via
-  :func:`create_asgi_app`.
+  asyncio HTTP server (``rcm serve``).
 * :mod:`~repro.service.apidocs` — the OpenAPI document and the generated
   endpoint reference ``docs/api.md``, both derived from the live route
   table (drift is regression-tested).
@@ -59,7 +57,6 @@ _EXPORTS = {
     "match_route": "routes",
     "ServiceConfig": "app",
     "SweepService": "app",
-    "create_asgi_app": "app",
     "serve": "app",
     "generate_openapi": "apidocs",
     "generate_api_markdown": "apidocs",

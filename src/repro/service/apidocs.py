@@ -129,7 +129,7 @@ def generate_api_markdown(routes: List[Route]) -> str:
         "  submission rate limit (`--rate-limit`) are rejected with `503`/`429` and a",
         "  `Retry-After` header rather than queued unboundedly.",
         "* **running** — shards execute; one shard per `(geometry, failure_model)`",
-        "  pair, each a single fused sweep on the engine's persistent worker pool.",
+        "  pair, each a single fused sweep.",
         "  Each shard is an independent execution unit with its own",
         "  `pending → running → done | failed | cancelled` lifecycle: transient faults",
         "  are retried with exponential backoff (`--shard-retries`), and a shard that",

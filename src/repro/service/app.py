@@ -1,18 +1,11 @@
-"""The sweep service application: config, HTTP frontends, lifecycle.
+"""The sweep service application: config, HTTP frontend, lifecycle.
 
 The :class:`SweepService` object owns the persistent result store and the
-job manager and exposes two frontends over the same route table
-(:mod:`repro.service.routes`):
-
-* a **standard-library asyncio HTTP server** (:meth:`SweepService.serve`,
-  launched by ``rcm serve``) — a deliberately small HTTP/1.1 implementation
-  with zero dependencies beyond ``asyncio``, sufficient for the API's
-  JSON + NDJSON responses; and
-* an **ASGI adapter** (:func:`create_asgi_app`) so the identical service
-  can be mounted under any ASGI server (uvicorn, hypercorn) or framework
-  (e.g. behind a Starlette/FastAPI gateway) when one is installed — the
-  same graceful-enhancement pattern as the optional numba backend: nothing
-  here imports an ASGI server, the adapter merely speaks the protocol.
+job manager and serves the route table (:mod:`repro.service.routes`)
+through a **standard-library asyncio HTTP server**
+(:meth:`SweepService.serve`, launched by ``rcm serve``) — a deliberately
+small HTTP/1.1 implementation with zero dependencies beyond ``asyncio``,
+sufficient for the API's JSON + NDJSON responses.
 
 Deploy behind a gateway (Kong, nginx) by pointing an upstream at
 ``rcm serve``'s host/port; ``/healthz`` is the upstream probe and
@@ -42,7 +35,7 @@ from .jobs import JobManager
 from .routes import Request, Response, build_routes, match_route
 from .store import ResultStore
 
-__all__ = ["ServiceConfig", "SweepService", "create_asgi_app", "serve"]
+__all__ = ["ServiceConfig", "SweepService", "serve"]
 
 #: Server-side log of handler crashes (the client only sees the error type).
 _LOG = logging.getLogger("repro.service")
@@ -198,7 +191,7 @@ class SweepService:
             "# HELP rcm_cells_computed_total Sweep cells actually simulated.",
             "# TYPE rcm_cells_computed_total counter",
             f"rcm_cells_computed_total {totals['cells_computed']}",
-            "# HELP rcm_store_hits_total Sweep cells recalled from the persistent result store (cache hits minus in-memory memo hits).",
+            "# HELP rcm_store_hits_total Sweep cells recalled from the persistent result store.",
             "# TYPE rcm_store_hits_total counter",
             f"rcm_store_hits_total {totals['store_hits']}",
             "# HELP rcm_adaptive_trials_saved_total Trials adaptive allocation avoided versus the uniform grid.",
@@ -439,89 +432,6 @@ async def _write_http_response(
         async for chunk in response.stream:
             writer.write(chunk)
             await _drain()
-
-
-def create_asgi_app(service: SweepService):
-    """An ASGI 3 application over ``service`` (for uvicorn/hypercorn/gateways).
-
-    The adapter speaks raw ASGI, so no ASGI framework or server is imported
-    — install one (e.g. ``uvicorn``) only if you want to serve through it:
-    ``uvicorn --factory yourmodule:app`` where ``app`` returns
-    ``create_asgi_app(SweepService(config))``.
-    """
-
-    async def app(scope, receive, send) -> None:
-        if scope["type"] == "lifespan":
-            while True:
-                message = await receive()
-                if message["type"] == "lifespan.startup":
-                    await send({"type": "lifespan.startup.complete"})
-                elif message["type"] == "lifespan.shutdown":
-                    await send({"type": "lifespan.shutdown.complete"})
-                    return
-        if scope["type"] != "http":  # pragma: no cover - websockets are out of scope
-            raise RuntimeError(f"unsupported ASGI scope type {scope['type']!r}")
-        for name, value in scope.get("headers") or []:
-            if name.lower() == b"content-length":
-                try:
-                    length = int(value.decode("latin-1").strip())
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    # Same contract as the stdlib frontend: a malformed
-                    # Content-Length is a clean 400, never a dropped request.
-                    await _asgi_send_response(
-                        send,
-                        Response(
-                            status=400,
-                            payload={"error": f"invalid Content-Length header {value!r}"},
-                        ),
-                    )
-                    return
-        raw_body = b""
-        while True:
-            message = await receive()
-            raw_body += message.get("body", b"")
-            if not message.get("more_body"):
-                break
-        body: Optional[object] = None
-        if raw_body:
-            try:
-                body = json.loads(raw_body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                await _asgi_send_response(
-                    send, Response(status=400, payload={"error": f"request body is not valid JSON: {error}"})
-                )
-                return
-        query = {
-            key: values[-1]
-            for key, values in urllib.parse.parse_qs(scope.get("query_string", b"").decode("latin-1")).items()
-        }
-        request = Request(
-            method=scope["method"].upper(), path=scope["path"], query=query, body=body
-        )
-        response = await service.dispatch(request)
-        await _asgi_send_response(send, response)
-
-    return app
-
-
-async def _asgi_send_response(send, response: Response) -> None:
-    headers = [(b"content-type", response.media_type.encode("latin-1"))]
-    headers += [
-        (name.lower().encode("latin-1"), value.encode("latin-1"))
-        for name, value in response.headers.items()
-    ]
-    if response.stream is None:
-        body = response.body_bytes()
-        headers.append((b"content-length", str(len(body)).encode("latin-1")))
-        await send({"type": "http.response.start", "status": response.status, "headers": headers})
-        await send({"type": "http.response.body", "body": body})
-    else:
-        await send({"type": "http.response.start", "status": response.status, "headers": headers})
-        async for chunk in response.stream:
-            await send({"type": "http.response.body", "body": chunk, "more_body": True})
-        await send({"type": "http.response.body", "body": b""})
 
 
 async def serve(config: ServiceConfig) -> None:

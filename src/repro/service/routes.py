@@ -12,9 +12,9 @@ schemas).  The same table drives three consumers:
   --dump-api-markdown``), regression-tested against the checked-in file so
   the docs cannot drift from the code.
 
-Handlers are small async functions over the framework-neutral
-:class:`Request`/:class:`Response` pair, so the same table serves both the
-stdlib asyncio server and the ASGI adapter in :mod:`repro.service.app`.
+Handlers are small async functions over the :class:`Request`/:class:`Response`
+pair, which the stdlib asyncio server in :mod:`repro.service.app` parses and
+writes.
 """
 
 from __future__ import annotations
@@ -244,7 +244,7 @@ def build_routes(service) -> List[Route]:
             description=(
                 "Expands the request into a (geometry × failure-model × severity × replicate) "
                 "cell grid, shards it by (geometry, failure model), and executes it "
-                "asynchronously on the engine's persistent worker pool.  Cells whose "
+                "asynchronously, each shard as one fused sweep.  Cells whose "
                 "deterministic identity is already in the shared result cache are served "
                 "without any kernel execution; only novel cells are simulated.  Responds "
                 "202 with the job id and links to the status, results and stream routes.  "
@@ -284,7 +284,7 @@ def build_routes(service) -> List[Route]:
                 "counts and errors — a shard that exhausts its retries or hits the "
                 "wall-clock timeout is failed without aborting the job) plus per-job "
                 "cell accounting: cached counts cells served from the persistent result "
-                "store or runner memo (zero kernel executions), computed counts cells "
+                "store (zero kernel executions), computed counts cells "
                 "actually simulated.  404 for unknown job ids."
             ),
             handler=job_status,

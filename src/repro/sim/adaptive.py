@@ -223,11 +223,6 @@ class AdaptiveReport:
         return self.trials_uniform - self.trials_allocated
 
     @property
-    def attempts_total(self) -> int:
-        """Routed pair attempts actually consumed across every point."""
-        return sum(allocation.attempts for allocation in self.allocations)
-
-    @property
     def max_halfwidth(self) -> Optional[float]:
         """The widest pooled CI half-width across measured points (``None`` if
         every point was degenerate)."""

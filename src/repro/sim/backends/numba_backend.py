@@ -117,11 +117,6 @@ class NumbaBackend(KernelBackend):
             # Honest metadata: results are identical, but speed is not.
             self.name = "numba-python"
 
-    @property
-    def jit_enabled(self) -> bool:
-        """True when the loops run compiled (False only for the test-only variant)."""
-        return self._jit
-
     def _loop_for(self, spec: KernelSpec):
         loop = self._loops.get(spec)
         if loop is None:

@@ -587,32 +587,12 @@ def _cell_routing_rng(base_seed: int, cell: SweepCell) -> np.random.Generator:
     )
 
 
-def _bound_failure_model(overlay, kind: str, severity: float):
-    """The bound model for ``(kind, severity)``, memoized on the overlay.
-
-    Binding can be expensive relative to a cell's sampling work (the
-    targeted model validates a full in-degree ranking), and a sweep grid
-    revisits the same ``(kind, severity)`` for every replicate of an
-    overlay; the cache lives on the overlay object so it expires with the
-    bounded overlay LRU.
-    """
-    cache = getattr(overlay, "_bound_model_cache", None)
-    if cache is None:
-        cache = overlay._bound_model_cache = {}
-    key = (kind, severity)
-    model = cache.get(key)
-    if model is None:
-        model = make_failure_model(kind, severity).bind(overlay)
-        cache[key] = model
-    return model
-
-
 def _sample_cell(
     overlay, cell: SweepCell, pairs: int, base_seed: int
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Sample one cell's survival mask and pairs; ``None`` marks a degenerate cell."""
     rng = _cell_routing_rng(base_seed, cell)
-    model = _bound_failure_model(overlay, cell.model, cell.q)
+    model = make_failure_model(cell.model, cell.q).bind(overlay)
     alive = model.sample(overlay.n_nodes, rng)
     if np.count_nonzero(alive) < 2:
         return None

@@ -8,12 +8,15 @@ uses, plus scaled-down "fast" variants for CI and benchmarking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from ..exceptions import InvalidParameterError
-from ..validation import check_failure_probability, check_identifier_length, check_positive_int
+from ..validation import (
+    check_failure_probability,
+    check_identifier_length,
+    check_non_negative_int,
+    check_positive_int,
+)
 
 __all__ = [
     "failure_probability_grid",
@@ -101,7 +104,7 @@ class PairWorkload:
     def __post_init__(self) -> None:
         check_positive_int(self.pairs, "pairs")
         check_positive_int(self.trials, "trials")
-        check_positive_int(self.seed, "seed")
+        check_non_negative_int(self.seed, "seed")
 
     def derived_seed(self, label: str) -> int:
         """A deterministic per-label seed derived from the base seed."""

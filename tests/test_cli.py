@@ -8,6 +8,7 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.workloads.generators import PairWorkload
 
 
 class TestParser:
@@ -33,6 +34,15 @@ class TestParser:
             ["simulate", "--geometry", "ring", "--q", "0.1", "0.3", "--d", "8"]
         )
         assert arguments.q == [0.1, 0.3]
+
+    def test_run_defaults_come_from_pair_workload(self):
+        arguments = build_parser().parse_args(["run", "FIG6A"])
+        defaults = PairWorkload()
+        assert (arguments.pairs, arguments.trials, arguments.seed) == (
+            defaults.pairs,
+            defaults.trials,
+            defaults.seed,
+        )
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -111,6 +121,16 @@ class TestCommands:
         ) == 0
         output = capsys.readouterr().out
         assert output.splitlines()[0].startswith("n_nodes")
+
+    def test_run_accepts_seed_zero(self, capsys):
+        # Seed 0 is a valid base seed everywhere else (rcm simulate, the
+        # service); rcm run must not reject it.
+        assert main(
+            ["run", "FIG7B", "--pairs", "50", "--trials", "1", "--seed", "0"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "fig7b_routability_percent" in captured.out
 
     @pytest.mark.parametrize(
         "argv, message",

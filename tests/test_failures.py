@@ -9,9 +9,9 @@ from repro.dht.failures import (
     FAILURE_MODEL_KINDS,
     CompositeFailure,
     DegreeTargetedFailure,
+    FailureModel,
     PrefixSubtreeFailure,
     RegionalFailure,
-    TargetedNodeFailure,
     UniformNodeFailure,
     check_failure_model_kind,
     in_degree_ranking_from_table,
@@ -20,6 +20,21 @@ from repro.dht.failures import (
     surviving_identifiers,
 )
 from repro.exceptions import InvalidParameterError
+
+
+class _RankedOverlay:
+    """Stands in for an overlay whose in-degree ranking is ``ranking``."""
+
+    def __init__(self, ranking):
+        self._ranking = np.asarray(ranking, dtype=np.int64)
+
+    def in_degree_ranking(self):
+        return self._ranking
+
+
+def bound_targeted(fraction, ranking):
+    """The degree-targeted model at ``fraction``, bound to ``ranking``."""
+    return DegreeTargetedFailure(fraction).bind(_RankedOverlay(ranking))
 
 
 class TestSurvivalMask:
@@ -56,39 +71,25 @@ class TestUniformNodeFailure:
         assert mask.shape == (64,)
         assert mask.dtype == np.bool_
 
-    def test_description_mentions_q(self):
-        assert "0.25" in UniformNodeFailure(0.25).description
-
     def test_rejects_invalid_q(self):
         with pytest.raises(InvalidParameterError):
             UniformNodeFailure(-0.1)
 
 
-class TestTargetedNodeFailure:
+class TestBoundTargetedFailure:
     def test_fails_top_ranked_nodes(self, rng):
         ranking = list(range(10))  # nodes 0..9 ranked most to least important
-        model = TargetedNodeFailure(fraction=0.3, ranking=ranking)
-        mask = model.sample(10, rng)
+        mask = bound_targeted(0.3, ranking).sample(10, rng)
         assert not mask[0] and not mask[1] and not mask[2]
         assert mask[3:].all()
 
     def test_zero_fraction_keeps_everyone(self, rng):
-        model = TargetedNodeFailure(fraction=0.0, ranking=list(range(10)))
-        assert model.sample(10, rng).all()
+        assert bound_targeted(0.0, list(range(10))).sample(10, rng).all()
 
     def test_rejects_mismatched_ranking_length(self, rng):
-        model = TargetedNodeFailure(fraction=0.5, ranking=[0, 1, 2])
+        model = bound_targeted(0.5, [0, 1, 2])
         with pytest.raises(InvalidParameterError):
             model.sample(10, rng)
-
-    def test_rejects_invalid_ranking_entries(self, rng):
-        model = TargetedNodeFailure(fraction=1.0, ranking=[0, 99])
-        with pytest.raises(InvalidParameterError):
-            model.sample(2, rng)
-
-    def test_rejects_empty_ranking(self):
-        with pytest.raises(InvalidParameterError):
-            TargetedNodeFailure(fraction=0.5, ranking=[])
 
 
 class TestRegionalFailure:
@@ -109,12 +110,9 @@ class TestRegionalFailure:
         model = RegionalFailure(fraction=0.0)
         assert model.sample(32, rng).all()
 
-    def test_description_mentions_region(self):
-        assert "contiguous" in RegionalFailure(fraction=0.1).description
-
 
 def legacy_targeted_sample(fraction, ranking, n_nodes):
-    """The pre-vectorization per-entry loop of TargetedNodeFailure.sample,
+    """The pre-vectorization per-entry loop of the targeted model's sample,
     kept verbatim as the reference the fancy-indexing rewrite must match."""
     mask = np.ones(n_nodes, dtype=bool)
     to_fail = int(round(fraction * n_nodes))
@@ -130,28 +128,14 @@ class TestTargetedVectorization:
     def test_matches_legacy_loop(self, fraction):
         for seed in range(5):
             ranking = np.random.default_rng(seed).permutation(64)
-            model = TargetedNodeFailure(fraction=fraction, ranking=ranking)
+            model = bound_targeted(fraction, ranking)
             expected = legacy_targeted_sample(fraction, ranking, 64)
             assert np.array_equal(
                 model.sample(64, np.random.default_rng(0)), expected
             ), (fraction, seed)
 
-    def test_ranking_validated_once_at_construction(self):
-        with pytest.raises(InvalidParameterError):
-            TargetedNodeFailure(fraction=0.5, ranking=[0, -1, 2])
-        with pytest.raises(InvalidParameterError):
-            TargetedNodeFailure(fraction=0.5, ranking=[0, 1, 1])
-        with pytest.raises(InvalidParameterError):
-            TargetedNodeFailure(fraction=0.5, ranking=["a", "b"])
-
-    def test_equal_models_hash_equal(self):
-        a = TargetedNodeFailure(fraction=0.5, ranking=np.array([2, 0, 1]))
-        b = TargetedNodeFailure(fraction=0.5, ranking=[2, 0, 1])
-        assert a == b
-        assert hash(a) == hash(b)
-
     def test_sample_consumes_no_randomness(self, rng):
-        model = TargetedNodeFailure(fraction=0.5, ranking=list(range(16)))
+        model = bound_targeted(0.5, list(range(16)))
         before = rng.bit_generator.state
         model.sample(16, rng)
         assert rng.bit_generator.state == before
@@ -175,15 +159,11 @@ class TestPrefixSubtreeFailure:
     def test_full_fraction_kills_everyone(self, rng):
         assert not PrefixSubtreeFailure(fraction=1.0).sample(64, rng).any()
 
-    def test_description_mentions_subtree(self):
-        assert "subtree" in PrefixSubtreeFailure(fraction=0.2).description
-
 
 class TestDegreeTargetedFailure:
     def test_bind_targets_highest_in_degree_nodes(self, small_overlays):
         overlay = small_overlays["smallworld"]
         model = DegreeTargetedFailure(fraction=0.25).bind(overlay)
-        assert isinstance(model, TargetedNodeFailure)
         mask = model.sample(overlay.n_nodes, np.random.default_rng(0))
         in_degrees = np.bincount(
             overlay.neighbor_array().ravel(), minlength=overlay.n_nodes
@@ -192,42 +172,20 @@ class TestDegreeTargetedFailure:
         assert in_degrees[~mask].min() >= in_degrees[mask].max()
         assert int((~mask).sum()) == round(0.25 * overlay.n_nodes)
 
-    def test_two_severities_on_one_overlay_validate_the_ranking_once(self, monkeypatch):
-        from repro.dht import OVERLAY_CLASSES
-
-        overlay = OVERLAY_CLASSES["xor"].build(7, seed=11)  # fresh: nothing cached yet
-        validations = []
-        validate = TargetedNodeFailure.__post_init__
-
-        def counting(model):
-            validations.append(model.fraction)
-            validate(model)
-
-        monkeypatch.setattr(TargetedNodeFailure, "__post_init__", counting)
-        bound = {q: DegreeTargetedFailure(fraction=q).bind(overlay) for q in (0.1, 0.4)}
-        assert len(validations) == 1
-        for q, model in bound.items():
-            # What binding built before the ranking was cached per overlay.
-            expected = TargetedNodeFailure(fraction=q, ranking=overlay.in_degree_ranking())
-            assert model == expected
+    def test_bind_reads_the_overlays_own_ranking(self, small_overlays):
+        overlay = small_overlays["xor"]
+        ranking = overlay.in_degree_ranking()
+        for fraction in (0.1, 0.4):
+            bound = DegreeTargetedFailure(fraction=fraction).bind(overlay)
+            assert bound.ranking is ranking  # the overlay's read-only cache, not a copy
             np.testing.assert_array_equal(
-                model.sample(overlay.n_nodes, np.random.default_rng(0)),
-                expected.sample(overlay.n_nodes, np.random.default_rng(0)),
+                bound.sample(overlay.n_nodes, np.random.default_rng(0)),
+                legacy_targeted_sample(fraction, ranking, overlay.n_nodes),
             )
-
-    def test_with_fraction_validates_the_new_fraction(self):
-        model = TargetedNodeFailure(fraction=0.1, ranking=[2, 0, 1])
-        assert model.with_fraction(0.5).fraction == 0.5
-        assert model.fraction == 0.1
-        with pytest.raises(InvalidParameterError):
-            model.with_fraction(1.5)
 
     def test_sample_without_bind_is_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
             DegreeTargetedFailure(fraction=0.2).sample(64, rng)
-
-    def test_description_mentions_in_degree(self):
-        assert "in-degree" in DegreeTargetedFailure(fraction=0.2).description
 
 
 class TestInDegreeRanking:
@@ -264,18 +222,12 @@ class TestCompositeFailure:
         with pytest.raises(InvalidParameterError):
             CompositeFailure((UniformNodeFailure(0.1), "regional"))
 
-    def test_description_joins_components(self):
-        description = CompositeFailure(
-            (UniformNodeFailure(0.1), RegionalFailure(0.2))
-        ).description
-        assert "uniform" in description and "regional" in description
-
 
 class TestModelRegistry:
     def test_every_kind_instantiates(self):
         for kind in FAILURE_MODEL_KINDS:
             model = make_failure_model(kind, 0.3)
-            assert model.description
+            assert isinstance(model, FailureModel)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -299,24 +251,22 @@ class TestSampleIsAFunctionOfTheStream:
     trial's own stream, so the mask must depend on nothing but the model and
     the stream's state (no global RNG, no state carried between calls)."""
 
-    MODELS = [
-        UniformNodeFailure(0.0),
-        UniformNodeFailure(0.37),
-        UniformNodeFailure(1.0),
-        TargetedNodeFailure(fraction=0.3, ranking=list(range(64))),
-        RegionalFailure(0.0),
-        RegionalFailure(0.28),
-        RegionalFailure(1.0),
-        PrefixSubtreeFailure(0.0),
-        PrefixSubtreeFailure(0.25),
-        PrefixSubtreeFailure(1.0),
-        CompositeFailure((UniformNodeFailure(0.2), RegionalFailure(0.15))),
-        make_failure_model("uniform+regional", 0.5),
-    ]
+    MODELS = {
+        "uniform-0": UniformNodeFailure(0.0),
+        "uniform-0.37": UniformNodeFailure(0.37),
+        "uniform-1": UniformNodeFailure(1.0),
+        "targeted-0.3": bound_targeted(0.3, list(range(64))),
+        "regional-0": RegionalFailure(0.0),
+        "regional-0.28": RegionalFailure(0.28),
+        "regional-1": RegionalFailure(1.0),
+        "subtree-0": PrefixSubtreeFailure(0.0),
+        "subtree-0.25": PrefixSubtreeFailure(0.25),
+        "subtree-1": PrefixSubtreeFailure(1.0),
+        "composite-0.2+0.15": CompositeFailure((UniformNodeFailure(0.2), RegionalFailure(0.15))),
+        "uniform+regional-0.5": make_failure_model("uniform+regional", 0.5),
+    }
 
-    @pytest.mark.parametrize(
-        "model", MODELS, ids=[type(m).__name__ + "-" + m.description for m in MODELS]
-    )
+    @pytest.mark.parametrize("model", MODELS.values(), ids=MODELS.keys())
     def test_equal_streams_give_equal_masks_and_positions(self, model):
         first_rng, second_rng = np.random.default_rng(99), np.random.default_rng(99)
         first = model.sample(64, first_rng)

@@ -24,7 +24,7 @@ import weakref
 import pytest
 
 from repro.exceptions import InvalidParameterError, ServiceError
-from repro.service.app import ServiceConfig, SweepService, create_asgi_app
+from repro.service.app import ServiceConfig, SweepService
 from repro.service.routes import Request
 from repro.sim.backends import default_backend_name
 from repro.sim.engine import SweepRunner
@@ -444,71 +444,6 @@ class TestErrorPaths:
         service.close()
         with pytest.raises(ServiceError, match="shutting down"):
             service.jobs.submit(GRID)
-
-
-class TestAsgiAdapter:
-    """The ASGI 3 frontend, driven directly (no ASGI server dependency)."""
-
-    @staticmethod
-    def _call(app, method, path, body=None):
-        sent = []
-
-        async def receive():
-            return {"type": "http.request", "body": body or b"", "more_body": False}
-
-        async def send(message):
-            sent.append(message)
-
-        scope = {"type": "http", "method": method, "path": path, "query_string": b""}
-        asyncio.run(app(scope, receive, send))
-        status = sent[0]["status"]
-        payload = b"".join(message.get("body", b"") for message in sent[1:])
-        return status, payload
-
-    def test_health_and_submit_through_asgi(self, tmp_path):
-        with SweepService(_config(tmp_path / "cells.db")) as service:
-            app = create_asgi_app(service)
-            status, payload = self._call(app, "GET", "/healthz")
-            assert status == 200
-            assert json.loads(payload)["status"] == "ok"
-
-            status, payload = self._call(
-                app, "POST", "/v1/sweeps", body=json.dumps(GRID).encode()
-            )
-            assert status == 202
-            job_id = json.loads(payload)["job_id"]
-            deadline = time.monotonic() + 60
-            while service.jobs.get(job_id).state not in ("done", "failed"):
-                assert time.monotonic() < deadline
-                time.sleep(0.05)
-            assert service.jobs.get(job_id).state == "done"
-
-    def test_asgi_rejects_malformed_json(self, tmp_path):
-        with SweepService(_config(tmp_path / "cells.db")) as service:
-            app = create_asgi_app(service)
-            status, payload = self._call(app, "POST", "/v1/sweeps", body=b"{broken")
-            assert status == 400
-            assert "not valid JSON" in json.loads(payload)["error"]
-
-    def test_asgi_lifespan_protocol(self, tmp_path):
-        with SweepService(_config(tmp_path / "cells.db")) as service:
-            app = create_asgi_app(service)
-            messages = iter(
-                [{"type": "lifespan.startup"}, {"type": "lifespan.shutdown"}]
-            )
-            sent = []
-
-            async def receive():
-                return next(messages)
-
-            async def send(message):
-                sent.append(message)
-
-            asyncio.run(app({"type": "lifespan"}, receive, send))
-            assert [message["type"] for message in sent] == [
-                "lifespan.startup.complete",
-                "lifespan.shutdown.complete",
-            ]
 
 
 class TestAdaptiveSubmissions:

@@ -88,6 +88,11 @@ class TestPairWorkload:
             PairWorkload(pairs=0)
         with pytest.raises(InvalidParameterError):
             PairWorkload(trials=-1)
+        with pytest.raises(InvalidParameterError):
+            PairWorkload(seed=-1)
+
+    def test_seed_zero_is_accepted(self):
+        assert PairWorkload(seed=0).seed == 0
 
     def test_derived_seed_is_deterministic_and_label_dependent(self):
         workload = PairWorkload(seed=1234)
