@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro import (
     PAPER_GEOMETRIES,
-    compare_geometries,
     routability,
     scalability_report,
     simulate_geometry,

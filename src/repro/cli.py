@@ -76,7 +76,7 @@ from .dht.failures import FAILURE_MODEL_KINDS
 from .exceptions import ExperimentError, InvalidParameterError, ResultStoreError
 from .report.tables import render_table
 from .sim.backends import BACKEND_CHOICES, available_backends
-from .sim.engine import PROFILE_PHASES, SweepRunner
+from .sim.engine import PROFILE_PHASES
 from .workloads.generators import PairWorkload
 
 __all__ = ["build_parser", "main"]
@@ -512,10 +512,10 @@ def _command_compare(arguments: argparse.Namespace) -> str:
     )
 
 
-def _profile_rows(profile, known=PROFILE_PHASES) -> list:
+def _profile_rows(profile) -> list:
     """Per-phase profile rows in canonical phase order (known phases first)."""
-    ordered = [phase for phase in known if phase in profile]
-    ordered += sorted(set(profile) - set(known))
+    ordered = [phase for phase in PROFILE_PHASES if phase in profile]
+    ordered += sorted(set(profile) - set(PROFILE_PHASES))
     total = sum(profile.values()) or 1.0
     return [
         {
@@ -629,63 +629,47 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
         if getattr(arguments, option):
             _check_writable(getattr(arguments, option), _flag(option))
     ((geometry, model),) = request.shards
+    workers = 1 if arguments.workers is None else arguments.workers
+    store = None
+    if arguments.store:
+        from .service.store import ResultStore
+
+        store = ResultStore.open(arguments.store)
+    try:
+        # Each cell samples from its own stream, so the printed numbers are
+        # identical for every --workers value and equal simulate_geometry's rows.
+        shard = run_shard(
+            request, geometry, model, backend=arguments.backend, workers=workers, store=store
+        )
+    finally:
+        if store is not None:
+            store.close()
+    document, report = shard.document, shard.adaptive_report
     sections = []
     if request.churn is not None:
-        from .sim.churn import CHURN_PROFILE_PHASES as phases
-
         # The trace dictates the join/leave events; windows of steps are
         # routed as one stacked batch each.
-        profile = {} if arguments.profile else None
-        document = run_shard(request, geometry, model, None, arguments.backend, profile=profile)
         title = (
             f"Trace-driven churn: {geometry} overlay, N=2^{request.d}, "
             f"{request.trace.n_events} events over {request.trace.n_steps} steps"
         )
-        run_context = {"churn_trace": arguments.churn_trace, "profile": profile}
+        run_context = {"churn_trace": arguments.churn_trace}
     else:
-        phases = PROFILE_PHASES
-        workers = 1 if arguments.workers is None else arguments.workers
-        # Each cell samples from its own stream, so the printed numbers are
-        # identical for every --workers value and equal simulate_geometry's rows.
-        cell_store = None
-        if arguments.store:
-            from .service.store import ResultStore
-
-            cell_store = ResultStore.open(arguments.store)
-        with SweepRunner(
-            pairs=request.pairs,
-            replicates=request.trials,
-            workers=workers,
-            base_seed=request.seed,
-            backend=arguments.backend,
-            cell_store=cell_store,
-        ) as runner:
-            document = run_shard(request, geometry, model, runner, arguments.backend)
-            profile = runner.profile
-            report = runner.last_adaptive_report
-            if report is not None:
-                mode = "replayed" if report.replayed else "adaptive"
-                print(
-                    f"[{mode}] {report.trials_allocated} of {report.trials_uniform} uniform "
-                    f"trials allocated over {report.rounds} round(s); {report.trials_saved} saved",
-                    file=sys.stderr,
-                )
-                if arguments.allocation_out:
-                    runner.last_allocation_ledger().save(arguments.allocation_out)
-                    print(
-                        f"[{mode}] allocation ledger written to {arguments.allocation_out}",
-                        file=sys.stderr,
-                    )
-            if cell_store is not None:
-                stats = runner.last_run_stats
-                print(
-                    f"[store] {stats.cached} of {stats.requested} cells served from "
-                    f"{arguments.store} ({stats.computed} computed)",
-                    file=sys.stderr,
-                )
-                cell_store.close()
-        title = f"Measured routability: {geometry} overlay, N=2^{request.d}, {model} failures"
         if report is not None:
+            mode = "replayed" if report.replayed else "adaptive"
+            print(
+                f"[{mode}] {report.trials_allocated} of {report.trials_uniform} uniform "
+                f"trials allocated over {report.rounds} round(s); {report.trials_saved} saved",
+                file=sys.stderr,
+            )
+            if arguments.allocation_out:
+                report.ledger(pairs=request.pairs, base_seed=request.seed).save(
+                    arguments.allocation_out
+                )
+                print(
+                    f"[{mode}] allocation ledger written to {arguments.allocation_out}",
+                    file=sys.stderr,
+                )
             config = report.config
             allocation_title = (
                 "[adaptive] per-point trial allocation "
@@ -693,10 +677,19 @@ def _command_simulate(arguments: argparse.Namespace) -> str:
             )
             sections += ["", render_table(report.as_rows(), title=allocation_title)]
             document["adaptive"].update(replayed=report.replayed, **asdict(config))
-        run_context = {"workers": workers, "profile": profile}
+        if store is not None:
+            stats = shard.stats
+            print(
+                f"[store] {stats.cached} of {stats.requested} cells served from "
+                f"{arguments.store} ({stats.computed} computed)",
+                file=sys.stderr,
+            )
+        title = f"Measured routability: {geometry} overlay, N=2^{request.d}, {model} failures"
+        run_context = {"workers": workers}
+    run_context["profile"] = shard.profile
     sections.insert(0, render_table(document["rows"], title=title))
-    if arguments.profile and profile:
-        profile_rows = _profile_rows(profile, known=phases)
+    if arguments.profile and shard.profile:
+        profile_rows = _profile_rows(shard.profile)
         sections += ["", render_table(profile_rows, title="[profile] per-phase wall time")]
     if arguments.json:
         import json

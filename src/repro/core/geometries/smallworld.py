@@ -28,7 +28,6 @@ import math
 
 import numpy as np
 
-from ...exceptions import InvalidParameterError
 from ...validation import check_failure_probability, check_identifier_length, check_positive_int
 from ..geometry import RoutingGeometry, ScalabilityVerdict, register_geometry
 from ._ring_distances import log_ring_distance_distribution

@@ -16,8 +16,6 @@ scaling to millions of nodes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ...validation import check_failure_probability, check_identifier_length, check_positive_int

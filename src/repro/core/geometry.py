@@ -26,7 +26,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 

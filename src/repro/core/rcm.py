@@ -4,17 +4,20 @@
 step, producing an :class:`RCMAnalysis` that records every intermediate
 quantity (the distance distribution, the per-distance success
 probabilities, the expected reachable-component size and the routability).
-The convenience functions in :mod:`repro.core.routability` are thin wrappers
-around this class; the experiments and the worked-example harness (FIG1-3)
-use it directly so the reproduction's numbers can be traced back to the
-paper's steps.
+Each step reads the :class:`~repro.core.geometry.RoutingGeometry` it was
+given, so the analysis is the same number the geometry's own
+``routability`` (and :mod:`repro.core.routability`, which wraps it)
+computes, laid out step by step; ``tests/test_rcm.py`` checks that the two
+agree.  It is part of the public API for tracing a number back to the
+paper's steps; the experiments read the geometries directly or through
+:mod:`repro.core.routability`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Union
 
 import numpy as np
 

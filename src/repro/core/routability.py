@@ -1,7 +1,6 @@
 """High-level routability functions — the library's main analytical entry points.
 
-These wrap :mod:`repro.core.geometry` / :mod:`repro.core.rcm` into the
-one-liners most users need::
+These wrap :mod:`repro.core.geometry` into the one-liners most users need::
 
     from repro import routability, failed_path_percent
 

@@ -20,7 +20,7 @@ converges.  This module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..exceptions import ConvergenceError, InvalidParameterError

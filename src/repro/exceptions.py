@@ -71,11 +71,11 @@ class BackpressureError(ServiceError):
     """A submission was refused to protect the service, not because it was
     malformed.
 
-    Carries the HTTP status the frontends should answer with and a
+    Carries the HTTP status the service should answer with and a
     ``Retry-After`` hint (seconds); see the two concrete subclasses.
     """
 
-    #: HTTP status code the frontends answer with.
+    #: HTTP status code the service answers with.
     status = 503
 
     def __init__(self, message: str, *, retry_after: float = 1.0) -> None:

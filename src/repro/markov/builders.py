@@ -29,7 +29,7 @@ only for modest ``h`` — the state count of the ring chain grows as
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Tuple
 
 from ..exceptions import InvalidParameterError
 from ..validation import check_failure_probability, check_positive_int

@@ -8,7 +8,7 @@ table with a column per geometry — the textual equivalent of the figure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..core.routability import GeometryCurve
 from ..exceptions import InvalidParameterError

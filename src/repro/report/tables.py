@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..exceptions import InvalidParameterError
 

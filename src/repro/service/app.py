@@ -29,7 +29,7 @@ from .. import __version__
 from ..exceptions import InvalidParameterError
 from ..sim.backends import check_backend
 from ..validation import check_non_negative_int, check_positive_int
-from ..workloads.generators import DEFAULT_BASE_SEED
+from ..workloads.generators import PairWorkload
 from .faults import FaultRegistry
 from .jobs import JobManager
 from .routes import Request, Response, build_routes, match_route
@@ -98,9 +98,9 @@ class ServiceConfig:
     store_path: str
     host: str = "127.0.0.1"
     port: int = 8642
-    pairs: int = 2000
-    trials: int = 3
-    seed: int = DEFAULT_BASE_SEED
+    pairs: int = PairWorkload.pairs
+    trials: int = PairWorkload.trials
+    seed: int = PairWorkload.seed
     workers: int = 1
     backend: Optional[str] = "auto"
     max_jobs: int = 2
@@ -233,7 +233,7 @@ class SweepService:
         return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------------ #
-    # dispatch (shared by both frontends)
+    # dispatch (the route table behind the HTTP server)
     # ------------------------------------------------------------------ #
     async def dispatch(self, request: Request) -> Response:
         """Route one parsed request to its handler; maps misses onto 404/405

@@ -38,11 +38,10 @@ __all__ = [
     "NO_FAULTS",
 ]
 
-#: The named injection points the service tier exposes, in call-stack
-#: order: the persistent store's read and write paths, one shard's
-#: execution attempt, and the runner/worker-pool acquisition that
-#: precedes it.
-FAULT_SITES = ("store-read", "store-write", "shard-execute", "worker-pool")
+#: The named injection points the service tier exposes: the persistent
+#: store's read and write paths, and the start of one shard's execution
+#: attempt.
+FAULT_SITES = ("store-read", "store-write", "shard-execute")
 
 #: Supported fault behaviours.  ``raise-once``/``raise-n`` raise the
 #: armed exception on the next 1/n invocations; ``hang`` parks the

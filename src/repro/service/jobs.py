@@ -30,13 +30,13 @@ advance an RNG stream or change a cell key, so a shard that succeeds on
 retry is byte-identical to one that succeeds first try (chaos-tested in
 ``tests/test_service_faults.py``).
 
-Each static shard attempt builds its own
-:class:`~repro.sim.engine.SweepRunner`, wired to the shared persistent
-:class:`~repro.service.store.ResultStore`, and closes it (with its worker
-pool, if ``workers > 1`` started one) when the attempt ends.  No runner
-outlives its attempt and none is shared, so shards never wait on each
-other's runner and a timed-out attempt's thread holds nothing another
-attempt needs.  A cell that an earlier shard or job computed is still
+Each shard attempt is one :func:`~repro.sim.request.run_shard` call, which
+builds a :class:`~repro.sim.engine.SweepRunner` for a static shard, wired
+to the shared persistent :class:`~repro.service.store.ResultStore`, and
+closes it (with its worker pool, if ``workers > 1`` started one) before it
+returns.  No runner outlives its attempt and none is shared, so shards
+never wait on each other's runner and a timed-out attempt's thread holds
+nothing another attempt needs.  A cell that an earlier shard or job computed is still
 never recomputed: the store answers it.
 
 This module is deliberately HTTP-free (plain threads and locks) so the job
@@ -61,7 +61,7 @@ from ..exceptions import (
     ServiceOverloadedError,
     ServiceUnavailableError,
 )
-from ..sim.engine import SweepRunner, SweepRunStats
+from ..sim.engine import SweepRunStats
 from ..sim.request import SweepRequest, run_shard
 from .faults import NO_FAULTS, FaultRegistry
 
@@ -587,33 +587,18 @@ class JobManager:
     def _attempt_shard(self, job: SweepJob, geometry: str, model: str, outcome: Dict) -> None:
         """One shard attempt (runs on a dedicated watchdog-supervised thread).
 
-        Fills ``outcome`` with either ``result``/``stats`` or ``error``;
+        Fills ``outcome`` with either ``shard`` (the
+        :class:`~repro.sim.request.ShardResult`) or ``error``;
         a timed-out attempt's outcome dict is abandoned by the watchdog, so
         a zombie completing late can never corrupt a live job.
         """
         try:
             self._faults.fire("shard-execute")
-            request, backend = job.request, self._config.backend
-            if request.churn is not None:
-                # Churn shards bypass the runner: no grid to fan out and no
-                # cell cache; the trace is regenerated from the request seed.
-                result = run_shard(request, geometry, model, None, backend)
-                steps = len(result["rows"])
-                stats = SweepRunStats(requested=steps, memo_hits=0, store_hits=0, computed=steps)
-            else:
-                self._faults.fire("worker-pool")
-                with SweepRunner(
-                    pairs=request.pairs,
-                    replicates=request.trials,
-                    base_seed=request.seed,
-                    workers=self._config.workers,
-                    backend=backend,
-                    cell_store=self._store,
-                ) as runner:
-                    result = run_shard(request, geometry, model, runner, backend)
-                    stats = runner.last_run_stats
-            outcome["result"] = result
-            outcome["stats"] = stats
+            config = self._config
+            outcome["shard"] = run_shard(
+                job.request, geometry, model,
+                backend=config.backend, workers=config.workers, store=self._store,
+            )
         except BaseException as error:  # classified by the watchdog, not here
             outcome["error"] = error
 
@@ -644,7 +629,8 @@ class JobManager:
                 return
             error = outcome.get("error")
             if error is None:
-                result, stats = outcome["result"], outcome["stats"]
+                shard = outcome["shard"]
+                result, stats = shard.document, shard.stats
                 job._shard_done(index, result, stats)
                 self._add_to_totals(
                     cells_requested=stats.requested,

@@ -33,7 +33,7 @@ __all__ = ["Request", "Response", "Route", "build_routes", "match_route"]
 
 @dataclass
 class Request:
-    """One parsed HTTP request, independent of the serving frontend."""
+    """One parsed HTTP request, as the route handlers receive it."""
 
     method: str
     path: str
@@ -47,7 +47,7 @@ class Response:
     """One response: a JSON payload, plain text, or an async byte stream.
 
     ``headers`` carries extra response headers (e.g. ``Retry-After`` on
-    backpressure refusals); both frontends emit them verbatim.
+    backpressure refusals); the HTTP server emits them verbatim.
     """
 
     status: int = 200

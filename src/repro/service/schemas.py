@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Dict
 
 from ..sim.request import SWEEP_REQUEST_SCHEMA, validate_payload
+from .jobs import JOB_STATES, SHARD_STATES
 
 __all__ = [
     "SWEEP_REQUEST_SCHEMA",
@@ -28,12 +29,6 @@ __all__ = [
     "METRICS_TEXT_SCHEMA",
     "validate_payload",
 ]
-
-#: Every job lifecycle state (mirrors ``repro.service.jobs.JOB_STATES``).
-_JOB_STATE_ENUM = ["queued", "running", "done", "done_with_errors", "failed", "cancelled"]
-
-#: Every per-shard state (mirrors ``repro.service.jobs.SHARD_STATES``).
-_SHARD_STATE_ENUM = ["pending", "running", "done", "failed", "cancelled"]
 
 #: Per-shard execution summary embedded in status and results documents.
 SHARDS_SCHEMA: Dict = {
@@ -55,7 +50,7 @@ SHARDS_SCHEMA: Dict = {
                 "properties": {
                     "geometry": {"type": "string"},
                     "failure_model": {"type": "string"},
-                    "state": {"type": "string", "enum": _SHARD_STATE_ENUM},
+                    "state": {"type": "string", "enum": list(SHARD_STATES)},
                     "attempts": {"type": "integer"},
                     "error": {"type": ["string", "null"]},
                 },
@@ -70,7 +65,7 @@ JOB_ACCEPTED_SCHEMA: Dict = {
     "required": ["job_id", "state", "links"],
     "properties": {
         "job_id": {"type": "string"},
-        "state": {"type": "string", "enum": _JOB_STATE_ENUM},
+        "state": {"type": "string", "enum": list(JOB_STATES)},
         "links": {
             "type": "object",
             "properties": {
@@ -88,7 +83,7 @@ JOB_STATUS_SCHEMA: Dict = {
     "required": ["job_id", "state", "request", "cells", "shards"],
     "properties": {
         "job_id": {"type": "string"},
-        "state": {"type": "string", "enum": _JOB_STATE_ENUM},
+        "state": {"type": "string", "enum": list(JOB_STATES)},
         "request": {"type": "object", "description": "The submitted sweep request, normalised."},
         "cells": {
             "type": "object",

@@ -20,8 +20,8 @@ oracle/KernelSpec invariant, see ``docs/architecture.md``), so results
 cached under one execution shape are valid for every other.
 
 The store is the backing layer of the sweep service (:mod:`repro.service`)
-and of ``rcm simulate --store``; hook it into a runner directly with
-``SweepRunner(cell_store=ResultStore.open(path))``.
+and of ``rcm simulate --store``; hook it into a runner directly by passing
+``ResultStore.open(path)`` as the runner's ``cell_store``.
 """
 
 from __future__ import annotations

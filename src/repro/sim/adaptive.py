@@ -33,10 +33,10 @@ The allocator preserves the repo's determinism discipline end to end:
 
 The allocator itself is execution-agnostic: :func:`run_allocation` drives
 any ``run_cells`` callback that maps :class:`~repro.sim.engine.SweepCell`
-lists to results, so :class:`~repro.sim.engine.SweepRunner` (fused dispatch,
-worker pools, persistent store) and the overlay-level
-:func:`~repro.sim.static_resilience.sweep_failure_probabilities` path share
-one allocation loop.
+lists to results.  Its one production driver is
+:meth:`SweepRunner.sweep <repro.sim.engine.SweepRunner.sweep>` (fused
+dispatch, worker pools, persistent store), behind both ``rcm simulate
+--adaptive`` and the service's ``adaptive`` submissions.
 """
 
 from __future__ import annotations

@@ -87,17 +87,9 @@ __all__ = [
     "ChurnConfig",
     "ChurnStepResult",
     "ChurnSimulationResult",
-    "CHURN_PROFILE_PHASES",
     "effective_failure_probability",
     "simulate_churn",
 ]
-
-#: Wall-clock phases of one churn run, in reporting order, named as in
-#: ``repro.sim.engine.PROFILE_PHASES``: the churn trajectory (usable masks
-#: and pair sampling), advancing the hop kernels, and reducing per-pair
-#: outcomes to metrics.
-CHURN_PROFILE_PHASES = ("mask_generation", "kernel_hops", "reduction")
-
 
 @dataclass(frozen=True)
 class ChurnConfig:
@@ -334,9 +326,11 @@ def simulate_churn(
     the windows change the measured numbers — see the module docstring for
     the exact per-step RNG contract.
 
-    ``profile`` optionally accumulates per-phase wall-clock seconds
-    (:data:`CHURN_PROFILE_PHASES`) into the given mapping — the churn
-    counterpart of the sweep profiler behind ``rcm simulate --profile``.
+    ``profile`` optionally accumulates per-phase wall-clock seconds into
+    the given mapping under three of the sweep profiler's
+    :data:`~repro.sim.engine.PROFILE_PHASES` names: ``mask_generation``
+    (the churn trajectory: usable masks and pair sampling),
+    ``kernel_hops`` and ``reduction``.
     """
     generator = make_rng(rng, seed)
     resolved = resolve_backend(backend)

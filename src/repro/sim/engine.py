@@ -70,7 +70,7 @@ from ..dht.metrics import RoutingMetrics, summarize_routes
 from ..dht.routing import FAILURE_CODES, FailureReason, failure_reason_from_code
 from ..exceptions import InvalidParameterError, RoutingError, UnknownGeometryError
 from ..validation import check_failure_probability, check_non_negative_int, check_positive_int
-from ..workloads.generators import DEFAULT_BASE_SEED
+from ..workloads.generators import PairWorkload
 from .backends import (
     BACKEND_CHOICES,
     KernelBackend,
@@ -781,10 +781,10 @@ class SweepRunner:
     def __init__(
         self,
         *,
-        pairs: int = 2000,
-        replicates: int = 3,
+        pairs: int = PairWorkload.pairs,
+        replicates: int = PairWorkload.trials,
         workers: int = 1,
-        base_seed: int = DEFAULT_BASE_SEED,
+        base_seed: int = PairWorkload.seed,
         backend: BackendLike = None,
         overlay_options: Optional[Mapping[str, object]] = None,
         cell_store=None,
@@ -826,11 +826,6 @@ class SweepRunner:
     def backend_name(self) -> str:
         """Name of the resolved kernel backend every dispatch routes through."""
         return self._backend_name
-
-    @property
-    def cell_store(self):
-        """The attached persistent cell store, or ``None``."""
-        return self._cell_store
 
     @property
     def last_run_stats(self) -> SweepRunStats:

@@ -7,10 +7,11 @@ to replay, or trace-driven churn instead of the static ``q`` sweep.  Both
 doors share the body schema (:data:`SWEEP_REQUEST_SCHEMA`, embedded verbatim
 in the service's generated API reference), one validator
 (:meth:`SweepRequest.from_mapping`) and one shard executor
-(:func:`run_shard`), which returns the shard's result document.  The CLI
-passes the flags that were given plus the objects only it may read from
-disk (a churn trace, an allocation ledger); the service passes its JSON
-body, which can never name a file.
+(:func:`run_shard`), which owns a shard from start to end and returns its
+result document, cell accounting, phase profile and adaptive report as one
+:class:`ShardResult`.  The CLI passes the flags that were given plus the
+objects only it may read from disk (a churn trace, an allocation ledger);
+the service passes its JSON body, which can never name a file.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from ..dht import OVERLAY_CLASSES
 from ..dht.failures import FAILURE_MODEL_KINDS
 from ..exceptions import InvalidParameterError
+from .engine import SweepRunner, SweepRunStats
 
-__all__ = ["SWEEP_REQUEST_SCHEMA", "SweepRequest", "run_shard", "validate_payload"]
+__all__ = ["SWEEP_REQUEST_SCHEMA", "ShardResult", "SweepRequest", "run_shard", "validate_payload"]
 
 #: Body of ``POST /v1/sweeps``.  ``q`` values are interpreted by the chosen
 #: failure model (failure probability for ``uniform``, severity otherwise),
@@ -415,38 +417,68 @@ class SweepRequest:
         return [(geometry, model) for geometry in self.geometries for model in self.failure_models]
 
 
+@dataclass(frozen=True)
+class ShardResult:
+    """What one :func:`run_shard` call produced.
+
+    ``document`` is the shard's result document, ``stats`` its cell
+    accounting (a churn shard computes one cell per step and caches none),
+    ``profile`` its per-phase wall time, keyed by
+    :data:`~repro.sim.engine.PROFILE_PHASES` names, and ``adaptive_report``
+    the :class:`~repro.sim.adaptive.AdaptiveReport` of an adaptive or
+    replayed sweep (``None`` otherwise).
+    """
+
+    document: Dict[str, object]
+    stats: SweepRunStats
+    profile: Dict[str, float]
+    adaptive_report: Optional[object] = None
+
+
 def run_shard(
     request: SweepRequest,
     geometry: str,
     model: str,
-    runner,
-    backend: Optional[str],
     *,
-    profile: Optional[Dict[str, float]] = None,
-) -> Dict[str, object]:
-    """Run one ``(geometry, failure model)`` shard of ``request``; return its result document.
+    backend: Optional[str],
+    workers: int = 1,
+    store=None,
+) -> ShardResult:
+    """Run one ``(geometry, failure model)`` shard of ``request`` from start to end.
 
-    A static shard is one ``runner.sweep`` call (uniform, adaptive or
-    replayed, as the request says) and documents ``geometry``, ``system``,
-    ``d``, ``failure_model``, ``backend`` and ``rows``, plus an ``adaptive``
-    block (the allocation's rounds, trial totals, widest CI half-width and
-    per-point ``points``) when trials were allocated.  A churn shard builds
-    the overlay, replays the request's trace (or the one its generator
-    describes) through ``simulate_churn`` on ``backend``, which routes
-    windows of steps as one stacked batch each, and documents ``geometry``, ``d``,
-    ``failure_model`` (``"churn"``), ``backend``, ``churn``,
-    ``repair_every`` and ``rows``; ``profile``, if given, receives its
-    phase timings (a static shard's timings accumulate in ``runner.profile``).
+    A static shard builds a :class:`~repro.sim.engine.SweepRunner` over
+    ``workers`` processes (wired to the persistent cell ``store`` when one
+    is given), makes one ``runner.sweep`` call (uniform, adaptive or
+    replayed, as the request says) and closes the runner, with its worker
+    pool, before returning.  Its document holds ``geometry``, ``system``,
+    ``d``, ``failure_model``, ``backend`` and ``rows``, plus an
+    ``adaptive`` block (the allocation's rounds, trial totals, widest CI
+    half-width and per-point ``points``) when trials were allocated.
+
+    A churn shard builds the overlay, replays the request's trace (or the
+    one its generator describes) through ``simulate_churn`` on
+    ``backend``, which routes windows of steps as one stacked batch each,
+    and documents ``geometry``, ``d``, ``failure_model`` (``"churn"``),
+    ``backend``, ``churn``, ``repair_every`` and ``rows``; it uses neither
+    ``workers`` nor ``store``.
     """
     if request.churn is None:
-        sweep = runner.sweep(
-            geometry,
-            request.d,
-            list(request.q),
-            model,
-            adaptive=request.adaptive,
-            replay_allocation=request.ledger,
-        )
+        with SweepRunner(
+            pairs=request.pairs,
+            replicates=request.trials,
+            workers=workers,
+            base_seed=request.seed,
+            backend=backend,
+            cell_store=store,
+        ) as runner:
+            sweep = runner.sweep(
+                geometry,
+                request.d,
+                list(request.q),
+                model,
+                adaptive=request.adaptive,
+                replay_allocation=request.ledger,
+            )
         document: Dict[str, object] = {
             "geometry": sweep.geometry,
             "system": sweep.system,
@@ -465,7 +497,7 @@ def run_shard(
                 "max_ci_halfwidth": report.max_halfwidth,
                 "points": report.as_rows(),
             }
-        return document
+        return ShardResult(document, runner.last_run_stats, runner.profile, report)
 
     # Looked up at call time, so a wrapped simulate_churn (tracing) is the one called.
     from . import churn as churn_module
@@ -485,10 +517,11 @@ def run_shard(
         trace=trace,
         repair_every=churn.get("repair_every"),
     )
+    profile: Dict[str, float] = {}
     result = churn_module.simulate_churn(
         overlay, config, seed=request.seed, backend=backend, profile=profile
     )
-    return {
+    document = {
         "geometry": result.geometry,
         "d": result.d,
         "failure_model": "churn",
@@ -497,3 +530,6 @@ def run_shard(
         "repair_every": config.repair_every,
         "rows": result.as_rows(),
     }
+    steps = len(result.steps)
+    stats = SweepRunStats(requested=steps, memo_hits=0, store_hits=0, computed=steps)
+    return ShardResult(document, stats, profile)

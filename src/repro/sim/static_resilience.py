@@ -42,8 +42,15 @@ from ..validation import (
     check_non_negative_int,
     check_positive_int,
 )
-from ..workloads.generators import DEFAULT_BASE_SEED
-from .engine import BackendLike, SweepCellResult, SweepRunner, _measure_cells, resolve_backend
+from ..workloads.generators import PairWorkload
+from .engine import (
+    BackendLike,
+    SweepCell,
+    SweepCellResult,
+    SweepRunner,
+    _measure_cells,
+    resolve_backend,
+)
 
 __all__ = [
     "StaticResilienceResult",
@@ -242,15 +249,15 @@ def _model_kind(failure_model: str) -> str:
 
 def _base_seed(seed: Optional[int]) -> int:
     """The base seed of every cell stream; ``None`` is the runner's default."""
-    return DEFAULT_BASE_SEED if seed is None else check_non_negative_int(seed, "seed")
+    return PairWorkload.seed if seed is None else check_non_negative_int(seed, "seed")
 
 
 def measure_routability(
     overlay: Overlay,
     q: float,
     *,
-    pairs: int = 2000,
-    trials: int = 3,
+    pairs: int = PairWorkload.pairs,
+    trials: int = PairWorkload.trials,
     seed: Optional[int] = None,
     failure_model: str = "uniform",
     backend: BackendLike = None,
@@ -295,12 +302,11 @@ def sweep_failure_probabilities(
     overlay: Overlay,
     failure_probabilities: Sequence[float],
     *,
-    pairs: int = 2000,
-    trials: int = 3,
+    pairs: int = PairWorkload.pairs,
+    trials: int = PairWorkload.trials,
     seed: Optional[int] = None,
     failure_models: str = "uniform",
     backend: BackendLike = None,
-    adaptive=None,
 ) -> ResilienceSweepResult:
     """Measure routability of ``overlay`` across a sweep of failure probabilities.
 
@@ -311,17 +317,9 @@ def sweep_failure_probabilities(
     measures exactly what the same replicates of a
     :class:`~repro.sim.engine.SweepRunner` sweep measure on the same overlay
     build.  ``failure_models`` is one registry kind for every point.
-
-    ``adaptive`` optionally switches to variance-adaptive trial allocation
-    (an :class:`~repro.sim.adaptive.AdaptiveConfig`): ``trials`` then acts
-    as the per-point budget cap and each point freezes once its pooled
-    routability CI half-width reaches the target.  The allocator requests
-    the same cells, so a point that consumed ``k`` trials is byte-equal to
-    the first ``k`` trials of the uniform call.
+    Adaptive trial allocation is :meth:`SweepRunner.sweep
+    <repro.sim.engine.SweepRunner.sweep>`'s.
     """
-    # Imported here so that ``import repro`` does not load the allocator.
-    from .adaptive import AdaptiveConfig, SweepPoint, run_allocation
-
     if len(failure_probabilities) == 0:
         raise InvalidParameterError("failure_probabilities must not be empty")
     kind = _model_kind(failure_models)
@@ -329,27 +327,12 @@ def sweep_failure_probabilities(
     trials = check_positive_int(trials, "trials")
     base_seed = _base_seed(seed)
     resolved_backend = resolve_backend(backend)
-    points = [
-        SweepPoint(overlay.geometry_name, overlay.d, check_failure_probability(q), kind)
-        for q in failure_probabilities
-    ]
-
-    def measure(cells):
-        results = _measure_cells(overlay, cells, pairs, base_seed, backend=resolved_backend)
-        return dict(zip(cells, results))
-
-    if adaptive is None:
-        measured = measure([point.cell(r) for point in points for r in range(trials)])
-        results = {point: [measured[point.cell(r)] for r in range(trials)] for point in points}
-    elif isinstance(adaptive, AdaptiveConfig):
-        results, _ = run_allocation(points, measure, adaptive.resolved(trials))
-    else:
-        raise InvalidParameterError(
-            f"adaptive must be an AdaptiveConfig (got {type(adaptive).__name__})"
-        )
+    qs = [check_failure_probability(q) for q in failure_probabilities]
+    cells = [SweepCell(overlay.geometry_name, overlay.d, q, r, kind) for q in qs for r in range(trials)]
+    results = _measure_cells(overlay, cells, pairs, base_seed, backend=resolved_backend)
     return _pool_sweep(
         overlay.geometry_name, overlay.system_name, overlay.d,
-        [(point.q, results[point]) for point in points],
+        [(q, results[index * trials:(index + 1) * trials]) for index, q in enumerate(qs)],
         pairs=pairs, backend_name=resolved_backend.name, failure_model=kind,
     )
 
@@ -359,12 +342,11 @@ def simulate_geometry(
     d: int,
     failure_probabilities: Sequence[float],
     *,
-    pairs: int = 2000,
-    trials: int = 3,
+    pairs: int = PairWorkload.pairs,
+    trials: int = PairWorkload.trials,
     seed: Optional[int] = None,
     failure_models: str = "uniform",
     backend: BackendLike = None,
-    adaptive=None,
     **overlay_options,
 ) -> ResilienceSweepResult:
     """Sweep ``geometry`` over the given failure probabilities, as ``rcm simulate`` does.
@@ -372,14 +354,10 @@ def simulate_geometry(
     One in-process :class:`~repro.sim.engine.SweepRunner` sweep with
     ``seed`` as its base seed and ``trials`` replicates: each replicate
     builds its own overlay from the cell stream, so the rows equal those
-    ``rcm simulate`` prints for the same arguments.  ``adaptive`` switches
-    to variance-adaptive trial allocation (see
-    :meth:`SweepRunner.sweep <repro.sim.engine.SweepRunner.sweep>`).
+    ``rcm simulate`` prints for the same arguments.
     """
     with SweepRunner(
         pairs=pairs, replicates=trials, base_seed=_base_seed(seed),
         backend=backend, overlay_options=overlay_options,
     ) as runner:
-        return runner.sweep(
-            geometry, d, failure_probabilities, _model_kind(failure_models), adaptive=adaptive
-        )
+        return runner.sweep(geometry, d, failure_probabilities, _model_kind(failure_models))

@@ -13,7 +13,6 @@ The allocator's whole value rests on two properties this file pins down:
 
 from __future__ import annotations
 
-import math
 from statistics import NormalDist
 
 import numpy as np
@@ -25,9 +24,7 @@ from repro.exceptions import InvalidParameterError
 from repro.sim.adaptive import (
     FREEZE_REASONS,
     AdaptiveConfig,
-    AdaptiveReport,
     AllocationLedger,
-    PointAllocation,
     SweepPoint,
     run_allocation,
     wilson_halfwidth,
@@ -513,23 +510,6 @@ class TestEngineAdaptiveBehaviour:
 # overlay-level API (static_resilience)
 # --------------------------------------------------------------------- #
 class TestOverlayLevelAdaptive:
-    def test_sweep_failure_probabilities_accepts_adaptive(self):
-        from repro.sim.static_resilience import build_overlay, sweep_failure_probabilities
-
-        overlay = build_overlay(GEOMETRY, D, seed=5)
-        adaptive = sweep_failure_probabilities(
-            overlay, QS, pairs=PAIRS, trials=MAX_TRIALS, seed=123, adaptive=CONFIG
-        )
-        assert [result.q for result in adaptive.results] == QS
-        assert any(result.trials < MAX_TRIALS for result in adaptive.results)
-        # A point that froze after k trials pools exactly the uniform call's
-        # first k cells: the uniform call with trials=k measures those cells.
-        for result in adaptive.results:
-            prefix = sweep_failure_probabilities(
-                overlay, [result.q], pairs=PAIRS, trials=result.trials, seed=123
-            )
-            assert repr(result) == repr(prefix.results[0])
-
     @pytest.mark.parametrize(
         "models", [RegionalFailure(0.2), [RegionalFailure(0.1), RegionalFailure(0.3)]]
     )
@@ -540,17 +520,7 @@ class TestOverlayLevelAdaptive:
         with pytest.raises(InvalidParameterError, match="registry kinds") as raised:
             sweep_failure_probabilities(
                 overlay, [0.1, 0.3], pairs=PAIRS, trials=MAX_TRIALS, seed=3,
-                failure_models=models, adaptive=CONFIG,
+                failure_models=models,
             )
         assert "\n" not in str(raised.value)
         assert all(kind in str(raised.value) for kind in FAILURE_MODEL_KINDS)
-
-    def test_simulate_geometry_threads_adaptive_through(self):
-        from repro.sim.static_resilience import simulate_geometry
-
-        result = simulate_geometry(
-            GEOMETRY, D, QS, pairs=PAIRS, trials=MAX_TRIALS, seed=9, adaptive=CONFIG
-        )
-        assert [point.q for point in result.results] == QS
-        trials = [point.trials for point in result.results]
-        assert all(2 <= t <= MAX_TRIALS for t in trials)

@@ -43,6 +43,36 @@ class TestParser:
             defaults.trials,
             defaults.seed,
         )
+        # The library, the runner and the service take the same defaults.
+        import inspect
+
+        from repro.service.app import ServiceConfig
+        from repro.sim.engine import SweepRunner
+        from repro.sim.static_resilience import (
+            _base_seed,
+            measure_routability,
+            simulate_geometry,
+            sweep_failure_probabilities,
+        )
+
+        runner = inspect.signature(SweepRunner).parameters
+        assert (
+            runner["pairs"].default, runner["replicates"].default, runner["base_seed"].default
+        ) == (defaults.pairs, defaults.trials, defaults.seed)
+        for function in (measure_routability, sweep_failure_probabilities, simulate_geometry):
+            parameters = inspect.signature(function).parameters
+            assert (parameters["pairs"].default, parameters["trials"].default) == (
+                defaults.pairs,
+                defaults.trials,
+            )
+            assert parameters["seed"].default is None
+        assert _base_seed(None) == defaults.seed
+        config = ServiceConfig(store_path="cells.db")
+        assert (config.pairs, config.trials, config.seed) == (
+            defaults.pairs,
+            defaults.trials,
+            defaults.seed,
+        )
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -236,6 +266,23 @@ class TestChurnTraceOption:
         assert payload["churn_trace"] == trace_path
         assert len(payload["rows"]) == 6
         assert all(row["effective_q"] is None for row in payload["rows"])
+
+    def test_trace_json_records_the_measured_profile_without_the_flag(
+        self, trace_path, tmp_path, capsys
+    ):
+        import json
+
+        path = tmp_path / "churn.json"
+        assert main(
+            [
+                "simulate", "--geometry", "xor", "--d", "6",
+                "--churn-trace", trace_path, "--pairs", "40",
+                "--json", str(path),
+            ]
+        ) == 0
+        assert "[profile]" not in capsys.readouterr().out
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert set(payload["profile"]) == {"mask_generation", "kernel_hops", "reduction"}
 
     @pytest.mark.parametrize("backend", ["auto", "numpy"])
     def test_trace_json_names_the_backend_that_ran(self, trace_path, tmp_path, capsys, backend):

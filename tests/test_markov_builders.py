@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.markov import (
     FAILURE_STATE,
-    MarkovChain,
     hypercube_routing_chain,
     phase_state,
     phase_success_probability,

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.dht.metrics import RoutingMetrics, summarize_routes
+from repro.dht.metrics import summarize_routes
 from repro.dht.routing import FailureReason, RouteResult
 from repro.exceptions import InvalidParameterError
 

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.geometry import get_geometry
-from repro.core.rcm import RCMAnalysis, ReachableComponentMethod, analyze
+from repro.core.rcm import ReachableComponentMethod, analyze
 from repro.exceptions import InvalidParameterError
 
 

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.core.geometry import get_geometry
 from repro.core.scalability import (
-    ScalabilityAssessment,
     assess_scalability,
     numerical_success_limit,
     scalability_report,

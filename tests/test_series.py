@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.series import (
-    SeriesVerdict,
     diagnose_series_convergence,
     estimate_product_limit,
     knopp_product_positive,

@@ -587,7 +587,7 @@ class TestShardRunnerLifecycle:
         runner's rows, and once its job is done neither the runner built
         for it nor the pool's processes outlive it, though the service
         keeps running."""
-        from repro.service import jobs as jobs_module
+        from repro.sim import request as request_module
 
         built, pool_sizes = [], []
 
@@ -601,7 +601,7 @@ class TestShardRunnerLifecycle:
                 pool_sizes.append(self._pool_size)
                 return pool
 
-        monkeypatch.setattr(jobs_module, "SweepRunner", RecordingRunner)
+        monkeypatch.setattr(request_module, "SweepRunner", RecordingRunner)
         with SweepService(_config(tmp_path / "cells.db", workers=2)) as service:
             job = service.jobs.submit(GRID)
             deadline = time.monotonic() + 60

@@ -168,12 +168,12 @@ class TestFaultRegistry:
 
     def test_reset_disarms_and_zeroes(self):
         registry = FaultRegistry()
-        registry.arm("worker-pool", "raise-once")
+        registry.arm("shard-execute", "raise-once")
         registry.fire("store-read")
         registry.reset()
         assert registry.specs() == ()
         assert registry.hits("store-read") == 0
-        registry.fire("worker-pool")  # disarmed: passes through
+        registry.fire("shard-execute")  # disarmed: passes through
 
     def test_no_faults_default_is_a_counter_only(self):
         for site in FAULT_SITES:

@@ -12,7 +12,7 @@ from repro.dht.failures import FAILURE_MODEL_KINDS, RegionalFailure
 from repro.exceptions import InvalidParameterError, UnknownGeometryError
 from repro.sim.adaptive import AdaptiveConfig
 from repro.sim.conformance import _oracle_measure_routability
-from repro.sim.engine import _cached_overlay
+from repro.sim.engine import SweepRunner, _cached_overlay
 from repro.sim.static_resilience import (
     build_overlay,
     measure_routability,
@@ -259,8 +259,9 @@ class TestLibraryMatchesCli:
         arguments = ["--geometry", geometry_name, "--d", "6", "--q", "0.1", "0.5"]
         arguments += ["--pairs", "40", "--trials", "4", "--seed", "13"]
         arguments += ["--adaptive", "--ci-target", "0.1"]
-        library = simulate_geometry(
-            geometry_name, 6, [0.1, 0.5], pairs=40, trials=4, seed=13,
-            adaptive=AdaptiveConfig(ci_target=0.1),
-        )
+        # The library's adaptive driver is the runner simulate_geometry wraps.
+        with SweepRunner(pairs=40, replicates=4, base_seed=13) as runner:
+            library = runner.sweep(
+                geometry_name, 6, [0.1, 0.5], adaptive=AdaptiveConfig(ci_target=0.1)
+            )
         assert json.dumps(library.as_rows()) == json.dumps(_cli_rows(tmp_path, capsys, arguments))
