@@ -36,8 +36,8 @@ to the shared persistent :class:`~repro.service.store.ResultStore`, and
 closes it (with its worker pool, if ``workers > 1`` started one) before it
 returns.  No runner outlives its attempt and none is shared, so shards
 never wait on each other's runner and a timed-out attempt's thread holds
-nothing another attempt needs.  A cell that an earlier shard or job computed is still
-never recomputed: the store answers it.
+nothing another attempt needs.  A cell that an earlier shard or job
+computed is still never recomputed: the store answers it.
 
 This module is deliberately HTTP-free (plain threads and locks) so the job
 lifecycle is testable without a server; :mod:`repro.service.routes` maps it
