@@ -216,7 +216,7 @@ def test_adaptive_allocation_saves_pairs_at_matched_halfwidth(benchmark):
         iterations=1,
     )
     report = runner.last_adaptive_report
-    ledger = runner.last_allocation_ledger()
+    ledger = report.ledger(pairs=PAIRS, base_seed=SEED)
     adaptive_pairs = sum(result.metrics.attempts for result in adaptive.results)
 
     # Matched uncertainty: budget-capped points pool exactly the uniform

@@ -6,7 +6,10 @@ The package has two halves that validate each other:
 * :mod:`repro.core` — the **Reachable Component Method (RCM)**, the paper's
   analytical framework: closed-form routability ``r(N, q)`` and scalability
   verdicts for the tree (Plaxton), hypercube (CAN), XOR (Kademlia), ring
-  (Chord) and small-world (Symphony) routing geometries.
+  (Chord) and small-world (Symphony) routing geometries, plus de Bruijn
+  (Koorde).  Each geometry supplies ``n(h)`` and ``Q(m)``;
+  :class:`~repro.core.geometry.RoutingGeometry` derives ``p(h, q)``,
+  ``E[S]`` and ``r(N, q)`` from them, each in one place.
 * :mod:`repro.dht` + :mod:`repro.sim` — from-scratch overlay **simulators**
   for the same five systems (plus the de Bruijn/Koorde extension) and a
   Monte-Carlo static-resilience driver, the stand-in for the simulation
@@ -15,9 +18,12 @@ The package has two halves that validate each other:
   thin executors of those specs.
 
 Supporting subpackages: :mod:`repro.markov` (absorbing-chain engine and the
-paper's routing chains), :mod:`repro.percolation` (connected vs reachable
-components), :mod:`repro.experiments` (one harness per paper figure),
-:mod:`repro.workloads` and :mod:`repro.report`.
+paper's routing chains, the cross-check of the closed forms),
+:mod:`repro.percolation` (connected vs reachable components, exact routable
+pair counts), :mod:`repro.experiments` (one harness per paper figure),
+:mod:`repro.workloads` (sweep grids, pair budgets, churn traces),
+:mod:`repro.report` (text/CSV tables, the benchmark gate report) and
+:mod:`repro.service` (the HTTP service).
 
 Quickstart
 ----------
@@ -35,8 +41,6 @@ from .core import (
     DeBruijnGeometry,
     GeometryCurve,
     HypercubeGeometry,
-    RCMAnalysis,
-    ReachableComponentMethod,
     RingGeometry,
     RoutingGeometry,
     ScalabilityAssessment,
@@ -44,12 +48,9 @@ from .core import (
     SmallWorldGeometry,
     TreeGeometry,
     XorGeometry,
-    analyze,
     assess_scalability,
     compare_geometries,
-    expected_reachable_component,
     failed_path_curve,
-    failed_path_fraction,
     failed_path_percent,
     get_geometry,
     list_geometries,
@@ -100,20 +101,15 @@ __all__ = [
     "RoutingGeometry",
     "ScalabilityVerdict",
     "ScalabilityAssessment",
-    "RCMAnalysis",
-    "ReachableComponentMethod",
     "TreeGeometry",
     "HypercubeGeometry",
     "XorGeometry",
     "RingGeometry",
     "SmallWorldGeometry",
     "DeBruijnGeometry",
-    "analyze",
     "assess_scalability",
     "compare_geometries",
-    "expected_reachable_component",
     "failed_path_curve",
-    "failed_path_fraction",
     "failed_path_percent",
     "get_geometry",
     "list_geometries",

@@ -478,15 +478,18 @@ def _command_list() -> str:
 
 
 def _command_run(arguments: argparse.Namespace) -> str:
-    from .experiments import ExperimentConfig, run_experiment
+    from .experiments import ExperimentConfig, get_experiment
 
+    experiment = get_experiment(arguments.experiment_id)
+    if arguments.csv:
+        experiment.check_table_name(arguments.csv)
     config = ExperimentConfig(
         fast=not arguments.full,
         workload=PairWorkload(pairs=arguments.pairs, trials=arguments.trials, seed=arguments.seed),
         workers=arguments.workers,
         backend=arguments.backend,
     )
-    result = run_experiment(arguments.experiment_id, config)
+    result = experiment.run(config)
     if arguments.csv:
         return result.to_csv(arguments.csv)
     return result.render()

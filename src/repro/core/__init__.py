@@ -3,11 +3,11 @@
 Layers:
 
 * :mod:`repro.core.geometry` / :mod:`repro.core.geometries` — the
-  per-geometry ingredients ``n(h)`` and ``Q(m)`` plus everything derived
-  from them.
-* :mod:`repro.core.rcm` — the five-step method as an explicit pipeline.
-* :mod:`repro.core.routability` — one-line analytical entry points and
-  curve/sweep helpers.
+  per-geometry ingredients ``n(h)`` and ``Q(m)`` and the one engine that
+  derives every RCM quantity from them: ``p(h, q)`` (step 3), ``E[S]``
+  (step 4) and the routability ``r(N, q)`` (step 5, read from step 4).
+* :mod:`repro.core.routability` — one-line analytical entry points that
+  accept a geometry name or instance, and the curve/sweep helpers.
 * :mod:`repro.core.scalability` / :mod:`repro.core.series` — the Section 5
   scalability classification and its numerical cross-checks.
 """
@@ -19,7 +19,6 @@ from .geometry import (
     get_geometry,
     list_geometries,
     register_geometry,
-    resolve_identifier_length,
 )
 from .geometries import (
     PAPER_GEOMETRIES,
@@ -30,13 +29,10 @@ from .geometries import (
     TreeGeometry,
     XorGeometry,
 )
-from .rcm import RCMAnalysis, ReachableComponentMethod, analyze
 from .routability import (
     GeometryCurve,
     compare_geometries,
-    expected_reachable_component,
     failed_path_curve,
-    failed_path_fraction,
     failed_path_percent,
     routability,
     routability_scaling_curve,
@@ -51,11 +47,6 @@ from .series import (
     SeriesVerdict,
     diagnose_series_convergence,
     estimate_product_limit,
-    knopp_product_positive,
-    log_product_from_terms,
-    partial_products,
-    partial_sums,
-    product_from_terms,
     ratio_test,
 )
 
@@ -66,7 +57,6 @@ __all__ = [
     "get_geometry",
     "list_geometries",
     "register_geometry",
-    "resolve_identifier_length",
     "PAPER_GEOMETRIES",
     "TreeGeometry",
     "HypercubeGeometry",
@@ -74,14 +64,9 @@ __all__ = [
     "RingGeometry",
     "SmallWorldGeometry",
     "DeBruijnGeometry",
-    "RCMAnalysis",
-    "ReachableComponentMethod",
-    "analyze",
     "GeometryCurve",
     "compare_geometries",
-    "expected_reachable_component",
     "failed_path_curve",
-    "failed_path_fraction",
     "failed_path_percent",
     "routability",
     "routability_scaling_curve",
@@ -92,10 +77,5 @@ __all__ = [
     "SeriesVerdict",
     "diagnose_series_convergence",
     "estimate_product_limit",
-    "knopp_product_positive",
-    "log_product_from_terms",
-    "partial_products",
-    "partial_sums",
-    "product_from_terms",
     "ratio_test",
 ]

@@ -6,16 +6,21 @@ same Reachable Component Method pipeline, exercising the framework's
 counterpart of the simulation side's one-file
 :mod:`repro.dht.debruijn` overlay + kernel spec):
 
-* ``n(h) = 2^h`` until the space saturates — greedy de Bruijn distance is
-  ``d`` minus the longest suffix-prefix overlap, and each hop doubles the
-  set of reachable destinations (shift in either bit), so the distance-``h``
-  shell around a root holds ``2^h`` identifiers while ``2^(h+1) - 2`` is
-  still far below ``2^d``.  Near saturation the shells deplete (a root's
-  suffix self-overlaps make the per-level match events intersect); the
-  model truncates all depletion into the last shell — ``n(h) = 2^h`` for
-  ``h < d`` and ``n(d) = 1`` — which keeps the distribution summing to
-  ``2^d - 1`` exactly, matches measured shells away from saturation, and
-  only redistributes mass between the two largest distances.
+* ``n(h) = 2^h`` for ``h < d`` and ``n(d) = 1`` — greedy de Bruijn
+  distance is ``d`` minus the longest suffix-prefix overlap, and each hop
+  doubles the set of reachable destinations (shift in either bit); the one
+  identifier left over goes to the last shell, so the distribution sums to
+  ``2^d - 1`` exactly.  This is a model, not the routing's distance
+  distribution: a root's suffix self-overlaps make the shells deplete at
+  every ``h``, most near saturation.  At ``d = 8`` the exact mean shells
+  over all roots (``d`` minus
+  :func:`~repro.dht.debruijn.suffix_prefix_overlap`) are
+  ``[1.99, 3.96, 7.82, 15.23, 28.82, 51.12, 77.21, 68.84]`` against the
+  model's ``[2, 4, 8, 16, 32, 64, 128, 1]``: the last shell holds 68.84
+  destinations where the model puts 1, and every shorter shell is smaller
+  than the model's.  The model stays as it is until the routing's own
+  shells replace it (the de Bruijn distance-distribution item in
+  ``ROADMAP.md``).
 * ``Q(m) = q`` — like the tree, each hop requires one specific neighbour
   (the shuffle successor extending the overlap), so a phase fails exactly
   when that node failed.

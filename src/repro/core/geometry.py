@@ -13,8 +13,9 @@ Method needs to know about one DHT routing system:
 From these two ingredients the base class derives every quantity the paper
 reports: the per-distance success probability ``p(h, q)`` (Eq. 5), the
 expected reachable-component size ``E[S]`` (step 4 of the RCM), the
-routability ``r(N, q)`` (Eq. 1/3), and the fraction of failed paths plotted
-in Figures 6 and 7.
+routability ``r(N, q)`` (Eq. 1/3, step 5: step 4's ``E[S]`` over the
+expected number of other survivors), and the fraction of failed paths
+plotted in Figures 6 and 7.
 
 Concrete geometries (tree, hypercube, XOR, ring, small-world) live in
 :mod:`repro.core.geometries` and register themselves in :data:`REGISTRY`,
@@ -26,7 +27,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type, Union
 
 import numpy as np
 
@@ -45,7 +46,7 @@ __all__ = [
     "register_geometry",
     "get_geometry",
     "list_geometries",
-    "resolve_identifier_length",
+    "resolve_geometry",
 ]
 
 LN2 = math.log(2.0)
@@ -76,35 +77,14 @@ class ScalabilityVerdict:
     argument: str
 
 
-def resolve_identifier_length(d: Optional[int] = None, n_nodes: Optional[int] = None) -> int:
-    """Resolve an identifier length from either ``d`` or a power-of-two ``n_nodes``.
-
-    Exactly one of the two must be given.  ``n_nodes`` must be a power of
-    two because the paper assumes fully populated identifier spaces; callers
-    who want arbitrary sizes should use
-    :meth:`RoutingGeometry.routability_for_size`, which interpolates.
-    """
-    if (d is None) == (n_nodes is None):
-        raise InvalidParameterError("specify exactly one of d or n_nodes")
-    if d is not None:
-        return check_identifier_length(d)
-    n_nodes = check_node_count(n_nodes)
-    d = n_nodes.bit_length() - 1
-    if (1 << d) != n_nodes:
-        raise InvalidParameterError(
-            f"n_nodes={n_nodes} is not a power of two; use routability_for_size for arbitrary sizes"
-        )
-    return check_identifier_length(d)
-
-
 class RoutingGeometry(abc.ABC):
     """Analytical model of one DHT routing geometry under uniform node failure.
 
     Subclasses provide the two paper-specific ingredients (``n(h)`` and
     ``Q(m)``) plus a scalability verdict; everything else — ``p(h, q)``,
-    ``E[S]``, routability, failed-path percentages, asymptotic limits — is
-    derived here so that all five geometries share one code path and one set
-    of numerical safeguards.
+    ``E[S]``, routability and failed-path percentages — is derived here,
+    each quantity computed once, so that every geometry shares one code path
+    and one set of numerical safeguards.
     """
 
     #: Paper geometry label, e.g. ``"hypercube"``; set by subclasses.
@@ -140,10 +120,6 @@ class RoutingGeometry(abc.ABC):
     # ------------------------------------------------------------------ #
     # derived quantities (shared by all geometries)
     # ------------------------------------------------------------------ #
-    def max_phases(self, d: int) -> int:
-        """Largest possible routing distance in hops/phases (``d`` for all five geometries)."""
-        return check_identifier_length(d)
-
     def distance_distribution(self, d: int) -> np.ndarray:
         """``n(h)`` for ``h = 1 .. d`` (float array; exact for moderate ``d``).
 
@@ -209,19 +185,18 @@ class RoutingGeometry(abc.ABC):
         peak = combined.max()
         return float(np.log(np.sum(np.exp(combined - peak))) + peak)
 
-    def routability(self, q: float, *, d: Optional[int] = None, n_nodes: Optional[int] = None) -> float:
-        """``r(N, q)`` — the paper's routability (Eq. 1 / Eq. 3).
+    def routability(self, q: float, *, d: int) -> float:
+        """``r(N, q) = E[S] / ((1 - q) 2^d - 1)`` — the paper's routability (Eq. 1 / Eq. 3, step 5).
 
-        Exactly one of ``d`` or ``n_nodes`` (a power of two) must be given.
-        The computation works with the ratio ``n(h) / ((1-q) 2^d - 1)`` in
-        log space, so it remains accurate for the asymptotic settings of
-        Figure 7 (``d = 100`` and larger).
+        Step 5 divides step 4's ``E[S]`` by the expected number of other
+        survivors, both in log space, so it remains accurate for the
+        asymptotic settings of Figure 7 (``d = 100`` and larger).
 
         Edge cases: at ``q = 0`` routability is exactly 1; when the expected
         number of survivors ``(1 - q) 2^d`` does not exceed 1 there are no
         pairs to route between and the routability is reported as 0.
         """
-        d = resolve_identifier_length(d, n_nodes)
+        d = check_identifier_length(d)
         q = check_failure_probability(q)
         if q == 0.0:
             return 1.0
@@ -232,18 +207,15 @@ class RoutingGeometry(abc.ABC):
         if log_expected_survivors <= 0.0:
             return 0.0
         log_denominator = log_expected_survivors + math.log1p(-math.exp(-log_expected_survivors))
-        log_n = self.log_distance_distribution(d)
-        p = self.path_success_probabilities(d, q)
-        ratio = np.exp(log_n - log_denominator) * p
-        value = float(ratio.sum())
-        # Not rounding error: at small N the raw sum really exceeds 1.  Before
+        value = math.exp(self.log_expected_reachable_component(d, q) - log_denominator)
+        # Not rounding error: at small N the raw ratio really exceeds 1.  Before
         # the clamp, smallworld reads up to +2.8% at d=4 (q=0.05) and +0.6% at
         # d=8 (q=0.01), the hypercube +0.16% at d=4 and +1.0% at d=3 (q=0.1),
         # the ring +0.12% at d=4.  For the hypercube the paper's (1-q)N - 1
         # pair-count denominator, below the exact (1-q)(N-1), accounts for it;
         # smallworld stays above 1 (+2.5% at d=4) with the exact one too.  The
         # clamp reports all of these as 1.
-        return float(min(max(value, 0.0), 1.0))
+        return min(value, 1.0)
 
     def routability_for_size(self, n_nodes: int, q: float) -> float:
         """Routability for an arbitrary system size ``N``.
@@ -266,45 +238,9 @@ class RoutingGeometry(abc.ABC):
         weight = exact_d - lower
         return (1.0 - weight) * lower_value + weight * upper_value
 
-    def failed_path_fraction(self, q: float, *, d: Optional[int] = None, n_nodes: Optional[int] = None) -> float:
-        """``1 - r(N, q)`` — the fraction of failed paths (Figure 6 / 7(a) y-axis)."""
-        return 1.0 - self.routability(q, d=d, n_nodes=n_nodes)
-
-    def failed_path_percent(self, q: float, *, d: Optional[int] = None, n_nodes: Optional[int] = None) -> float:
-        """``100 * (1 - r(N, q))`` — percent of failed paths."""
-        return 100.0 * self.failed_path_fraction(q, d=d, n_nodes=n_nodes)
-
-    def asymptotic_success_probability(self, q: float, *, max_phases: int = 4096, d: Optional[int] = None) -> float:
-        """Numerical estimate of ``lim_{h -> inf} p(h, q)`` (Eq. 8's left-hand side).
-
-        ``d`` defaults to ``max_phases`` for geometries whose ``Q(m)``
-        depends on the identifier length (Symphony); the paper's asymptotic
-        argument scales ``d`` with the routing distance in the same way.
-        """
-        q = check_failure_probability(q)
-        if q == 0.0:
-            return 1.0
-        if q == 1.0:
-            return 0.0
-        horizon = d if d is not None else max_phases
-        log_p = 0.0
-        for m in range(1, max_phases + 1):
-            failure = self.phase_failure_probability(m, q, horizon)
-            if failure >= 1.0:
-                return 0.0
-            log_p += math.log1p(-failure)
-            if log_p < -745.0:
-                return 0.0
-        return math.exp(log_p)
-
-    # ------------------------------------------------------------------ #
-    # cosmetics
-    # ------------------------------------------------------------------ #
-    def describe(self) -> str:
-        """One-line description used by reports and the CLI."""
-        verdict = self.scalability()
-        kind = "scalable" if verdict.scalable else "unscalable"
-        return f"{self.name} ({self.system_name}): {kind} — {verdict.series_behaviour}"
+    def failed_path_percent(self, q: float, *, d: int) -> float:
+        """``100 * (1 - r(N, q))`` — percent of failed paths (Figure 6 / 7(a) y-axis)."""
+        return 100.0 * (1.0 - self.routability(q, d=d))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, system={self.system_name!r})"
@@ -356,3 +292,19 @@ def get_geometry(name: str, **parameters) -> RoutingGeometry:
             f"unknown geometry {name!r}; known geometries: {', '.join(list_geometries())}"
         ) from exc
     return cls(**parameters)
+
+
+def resolve_geometry(geometry: Union[str, RoutingGeometry], **parameters) -> RoutingGeometry:
+    """A geometry named by string (built with ``parameters``) or an instance as given.
+
+    Constructor parameters only make sense with a name: an instance already
+    carries its own, so passing both is an error rather than silently
+    ignored.
+    """
+    if isinstance(geometry, RoutingGeometry):
+        if parameters:
+            raise InvalidParameterError(
+                "geometry parameters can only be given when the geometry is named by string"
+            )
+        return geometry
+    return get_geometry(geometry, **parameters)

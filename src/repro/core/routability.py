@@ -15,17 +15,15 @@ plus the sweep helpers that the figure experiments are built from:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..exceptions import InvalidParameterError
 from ..validation import check_failure_probability, check_node_count
-from .geometry import RoutingGeometry, get_geometry
+from .geometry import RoutingGeometry, resolve_geometry
 
 __all__ = [
     "routability",
-    "failed_path_fraction",
     "failed_path_percent",
-    "expected_reachable_component",
     "GeometryCurve",
     "failed_path_curve",
     "routability_scaling_curve",
@@ -33,22 +31,11 @@ __all__ = [
 ]
 
 
-def _resolve(geometry: Union[str, RoutingGeometry], **parameters) -> RoutingGeometry:
-    if isinstance(geometry, RoutingGeometry):
-        if parameters:
-            raise InvalidParameterError(
-                "geometry parameters can only be given when the geometry is named by string"
-            )
-        return geometry
-    return get_geometry(geometry, **parameters)
-
-
 def routability(
     geometry: Union[str, RoutingGeometry],
     q: float,
     *,
-    d: Optional[int] = None,
-    n_nodes: Optional[int] = None,
+    d: int,
     **geometry_parameters,
 ) -> float:
     """Analytical routability ``r(N, q)`` of a DHT routing geometry (Eq. 1/3).
@@ -61,54 +48,23 @@ def routability(
         or an already-instantiated :class:`~repro.core.geometry.RoutingGeometry`.
     q:
         Uniform node-failure probability.
-    d, n_nodes:
-        System size, either as identifier length or as a power-of-two node
-        count.  Exactly one must be given.
+    d:
+        Identifier length (``N = 2^d`` nodes).
     geometry_parameters:
         Extra constructor arguments (e.g. ``near_neighbors=2`` for Symphony).
     """
-    model = _resolve(geometry, **geometry_parameters)
-    return model.routability(q, d=d, n_nodes=n_nodes)
-
-
-def failed_path_fraction(
-    geometry: Union[str, RoutingGeometry],
-    q: float,
-    *,
-    d: Optional[int] = None,
-    n_nodes: Optional[int] = None,
-    **geometry_parameters,
-) -> float:
-    """``1 - r(N, q)`` — the fraction of failed paths."""
-    return 1.0 - routability(geometry, q, d=d, n_nodes=n_nodes, **geometry_parameters)
+    return resolve_geometry(geometry, **geometry_parameters).routability(q, d=d)
 
 
 def failed_path_percent(
     geometry: Union[str, RoutingGeometry],
     q: float,
     *,
-    d: Optional[int] = None,
-    n_nodes: Optional[int] = None,
+    d: int,
     **geometry_parameters,
 ) -> float:
     """``100 (1 - r(N, q))`` — percent of failed paths, the paper's Figure 6 y-axis."""
-    return 100.0 * failed_path_fraction(geometry, q, d=d, n_nodes=n_nodes, **geometry_parameters)
-
-
-def expected_reachable_component(
-    geometry: Union[str, RoutingGeometry],
-    q: float,
-    *,
-    d: Optional[int] = None,
-    n_nodes: Optional[int] = None,
-    **geometry_parameters,
-) -> float:
-    """``E[S]`` — expected reachable-component size of a surviving root node (RCM step 4)."""
-    model = _resolve(geometry, **geometry_parameters)
-    from .geometry import resolve_identifier_length
-
-    resolved_d = resolve_identifier_length(d, n_nodes)
-    return model.expected_reachable_component(resolved_d, q)
+    return resolve_geometry(geometry, **geometry_parameters).failed_path_percent(q, d=d)
 
 
 @dataclass(frozen=True)
@@ -145,7 +101,7 @@ def failed_path_curve(
     """Percent of failed paths versus ``q`` at fixed system size — Figure 6 / 7(a) shape."""
     if len(failure_probabilities) == 0:
         raise InvalidParameterError("failure_probabilities must not be empty")
-    model = _resolve(geometry, **geometry_parameters)
+    model = resolve_geometry(geometry, **geometry_parameters)
     qs = tuple(check_failure_probability(q) for q in failure_probabilities)
     values = tuple(model.failed_path_percent(q, d=d) for q in qs)
     return GeometryCurve(
@@ -168,7 +124,7 @@ def routability_scaling_curve(
     """Routability (in percent) versus system size at fixed ``q`` — Figure 7(b) shape."""
     if len(system_sizes) == 0:
         raise InvalidParameterError("system_sizes must not be empty")
-    model = _resolve(geometry, **geometry_parameters)
+    model = resolve_geometry(geometry, **geometry_parameters)
     q = check_failure_probability(q)
     sizes = tuple(check_node_count(n) for n in system_sizes)
     values = tuple(100.0 * model.routability_for_size(n, q) for n in sizes)
@@ -198,15 +154,15 @@ def compare_geometries(
         raise InvalidParameterError("geometries must not be empty")
     rows: List[Dict[str, object]] = []
     for geometry in geometries:
-        model = _resolve(geometry)
-        verdict = model.scalability()
+        model = resolve_geometry(geometry)
+        value = model.routability(q, d=d)
         rows.append(
             {
                 "geometry": model.name,
                 "system": model.system_name,
-                "routability": model.routability(q, d=d),
-                "failed_path_percent": model.failed_path_percent(q, d=d),
-                "scalable": verdict.scalable,
+                "routability": value,
+                "failed_path_percent": 100.0 * (1.0 - value),
+                "scalable": model.scalability().scalable,
             }
         )
     return rows

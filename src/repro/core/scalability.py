@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..exceptions import ConvergenceError, InvalidParameterError
 from ..validation import check_failure_probability
-from .geometry import RoutingGeometry, ScalabilityVerdict, get_geometry
+from .geometry import RoutingGeometry, ScalabilityVerdict, resolve_geometry
 from .series import SeriesVerdict, diagnose_series_convergence, estimate_product_limit
 
 __all__ = [
@@ -117,7 +117,7 @@ def assess_scalability(
     whether that evidence matches the analytical verdict (it does for all
     five paper geometries — covered by tests).
     """
-    model = geometry if isinstance(geometry, RoutingGeometry) else get_geometry(geometry, **geometry_parameters)
+    model = resolve_geometry(geometry, **geometry_parameters)
     q = check_failure_probability(q)
     if q in (0.0, 1.0):
         raise InvalidParameterError(

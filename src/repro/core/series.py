@@ -11,9 +11,9 @@ In our setting ``a_m = Q(m)`` is the probability of failing during the
 ``p(inf, q) = prod_m (1 - Q(m))`` is positive exactly when ``sum_m Q(m)``
 converges.  This module provides:
 
-* exact evaluation of finite partial products / sums,
 * numerical convergence diagnostics for a term generator (ratio test,
-  tail-dominance test, partial-sum stabilisation), and
+  tail-dominance test, partial-sum stabilisation),
+* a numerical estimate of the limiting product, and
 * a :class:`SeriesVerdict` record used by :mod:`repro.core.scalability`.
 """
 
@@ -21,18 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from ..exceptions import ConvergenceError, InvalidParameterError
 from ..validation import check_positive_int
 
 __all__ = [
     "SeriesVerdict",
-    "partial_sums",
-    "partial_products",
-    "product_from_terms",
-    "log_product_from_terms",
-    "knopp_product_positive",
     "ratio_test",
     "diagnose_series_convergence",
     "estimate_product_limit",
@@ -67,86 +62,6 @@ class SeriesVerdict:
     partial_sum: float
     inspected_terms: int
     ratio_estimate: Optional[float] = None
-
-    @property
-    def product_positive(self) -> Optional[bool]:
-        """Knopp's theorem translation: the product ``prod (1 - a_m)`` is positive
-        iff the series converges (``None`` when the series verdict is inconclusive)."""
-        return self.converges
-
-
-def partial_sums(terms: Iterable[float]) -> List[float]:
-    """Return the running partial sums of ``terms`` as a list."""
-    sums: List[float] = []
-    total = 0.0
-    for term in terms:
-        total += float(term)
-        sums.append(total)
-    return sums
-
-
-def partial_products(terms: Iterable[float]) -> List[float]:
-    """Return the running partial products of ``terms`` as a list."""
-    products: List[float] = []
-    running = 1.0
-    for term in terms:
-        running *= float(term)
-        products.append(running)
-    return products
-
-
-def product_from_terms(failure_terms: Sequence[float]) -> float:
-    """Evaluate ``prod_m (1 - a_m)`` for a finite sequence of ``a_m``.
-
-    Each ``a_m`` must lie in ``[0, 1]``; values of exactly 1 collapse the
-    product to zero (a certain failure at that phase).
-    """
-    product = 1.0
-    for m, a in enumerate(failure_terms, start=1):
-        a = float(a)
-        if a < 0.0 or a > 1.0 or math.isnan(a):
-            raise InvalidParameterError(
-                f"failure term a_{m}={a!r} must lie in [0, 1]"
-            )
-        product *= 1.0 - a
-        if product == 0.0:
-            break
-    return product
-
-
-def log_product_from_terms(failure_terms: Sequence[float]) -> float:
-    """Evaluate ``log prod_m (1 - a_m)`` using ``log1p`` for accuracy.
-
-    Returns ``-inf`` when any term equals 1.  This is the numerically robust
-    companion of :func:`product_from_terms` for very long products.
-    """
-    total = 0.0
-    for m, a in enumerate(failure_terms, start=1):
-        a = float(a)
-        if a < 0.0 or a > 1.0 or math.isnan(a):
-            raise InvalidParameterError(
-                f"failure term a_{m}={a!r} must lie in [0, 1]"
-            )
-        if a >= 1.0:
-            return float("-inf")
-        total += math.log1p(-a)
-    return total
-
-
-def knopp_product_positive(series_converges: bool) -> bool:
-    """Direct statement of Knopp's theorem used throughout the scalability analysis.
-
-    Parameters
-    ----------
-    series_converges:
-        Whether ``sum a_m`` converges (with ``0 <= a_m < 1``).
-
-    Returns
-    -------
-    bool
-        Whether ``prod (1 - a_m)`` tends to a strictly positive limit.
-    """
-    return bool(series_converges)
 
 
 def ratio_test(

@@ -46,6 +46,7 @@ class AdaptiveSampling(Experiment):
     experiment_id = "EXT-ADAPTIVE"
     title = "Variance-adaptive trial allocation vs the uniform sweep grid"
     paper_reference = "Figure 6 estimator (Gummadi et al. simulation methodology)"
+    table_names = ("adaptive_vs_uniform_curves", "allocation_schedule", "allocation_summary")
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Measure both allocations per geometry and tabulate curves + schedule."""

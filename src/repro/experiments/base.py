@@ -124,7 +124,7 @@ class ExperimentResult:
 class Experiment(abc.ABC):
     """Base class for paper-figure experiments.
 
-    Subclasses set the three class attributes and implement :meth:`run`.
+    Subclasses set the four class attributes and implement :meth:`run`.
     """
 
     #: Identifier used in DESIGN.md, the CLI and the benchmark names.
@@ -133,6 +133,17 @@ class Experiment(abc.ABC):
     title: str = ""
     #: The paper artifact reproduced (e.g. "Figure 7(b)").
     paper_reference: str = ""
+    #: Names of the tables :meth:`run` may return; ``rcm run --csv`` checks
+    #: its argument against them before anything runs.
+    table_names: Tuple[str, ...] = ()
+
+    def check_table_name(self, name: str) -> None:
+        """Raise :class:`ExperimentError` unless this experiment declares a table ``name``."""
+        if name not in self.table_names:
+            raise ExperimentError(
+                f"experiment {self.experiment_id} has no table {name!r}; "
+                f"available: {sorted(self.table_names)}"
+            )
 
     @abc.abstractmethod
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
@@ -147,6 +158,8 @@ class Experiment(abc.ABC):
         """Helper for subclasses to assemble a result with the class metadata."""
         if not self.experiment_id:
             raise ExperimentError(f"{type(self).__name__} does not define experiment_id")
+        for name in tables:
+            self.check_table_name(name)
         return ExperimentResult(
             experiment_id=self.experiment_id,
             title=self.title,

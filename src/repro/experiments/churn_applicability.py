@@ -36,6 +36,7 @@ class ChurnApplicability(Experiment):
     experiment_id = "EXT-CHURN"
     title = "Static-resilience predictions applied to churn"
     paper_reference = "Section 1 (static model's applicability to churn, left as future work)"
+    table_names = ("churn_vs_static_prediction", "prediction_error_summary")
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Simulate routability under churn and compare against the static-q prediction."""

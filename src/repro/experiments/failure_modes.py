@@ -55,6 +55,9 @@ class FailureModeComparison(Experiment):
     experiment_id = "EXT-FAILMODES"
     title = "Static resilience under uniform, degree-targeted and regional failures"
     paper_reference = "Extension of Figure 6 (the paper measures uniform failure only)"
+    table_names = tuple(f"failed_path_percent_{model}" for model in FAILMODE_MODELS) + (
+        "model_comparison_at_reference_severity",
+    )
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Sweep every geometry under each failure model across the severity grid."""

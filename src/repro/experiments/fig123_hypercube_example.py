@@ -70,10 +70,16 @@ def _non_degenerate(
 
 
 def exact_definition_routability(outcomes: np.ndarray, n_nodes: int, q: float) -> float:
-    """Definition 1 exactly: E[routable ordered pairs] / E[ordered survivor pairs]."""
+    """Definition 1 exactly: E[routable ordered pairs] / E[ordered survivor pairs].
+
+    Both expectations are correctly rounded sums (``math.fsum``), so the
+    value does not depend on the memory layout of the columns (a dot
+    product over a strided column and over a contiguous copy can differ in
+    the last bit).
+    """
     weights, survivors, routable = _non_degenerate(outcomes, n_nodes, q)
-    expected_pairs = float(weights @ (survivors * (survivors - 1)))
-    return float(weights @ routable) / expected_pairs if expected_pairs else 0.0
+    expected_pairs = math.fsum(weights * (survivors * (survivors - 1)))
+    return math.fsum(weights * routable) / expected_pairs if expected_pairs else 0.0
 
 
 def estimator_moments(
@@ -100,6 +106,7 @@ class HypercubeWorkedExample(Experiment):
     experiment_id = "FIG1-3"
     title = "Worked hypercube example: RCM on an 8-node CAN"
     paper_reference = "Figures 1-3 and Section 4.2"
+    table_names = ("figure3_distance_table", "routability_validation")
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Walk the worked hypercube example: reachable sets, Markov chain, routability."""

@@ -35,6 +35,7 @@ class Fig6aStaticResilience(Experiment):
     experiment_id = "FIG6A"
     title = "Static resilience of tree, hypercube and XOR routing (analysis vs simulation)"
     paper_reference = "Figure 6(a)"
+    table_names = ("fig6a_failed_path_percent",)
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Compute the analytical curves and measure the simulated routability grid."""

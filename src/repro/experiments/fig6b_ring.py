@@ -30,6 +30,7 @@ class Fig6bRingBound(Experiment):
     experiment_id = "FIG6B"
     title = "Static resilience of ring (Chord) routing: analytical bound vs simulation"
     paper_reference = "Figure 6(b)"
+    table_names = ("fig6b_failed_path_percent",)
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Compute the ring's analytical curve and measure the simulated grid."""

@@ -47,6 +47,7 @@ class Fig7aAsymptoticLimit(Experiment):
     experiment_id = "FIG7A"
     title = "Failed paths vs failure probability in the asymptotic limit (N = 2^100)"
     paper_reference = "Figure 7(a)"
+    table_names = ("fig7a_failed_path_percent", "drift_vs_reference_size", "finite_size_engine_validation")
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Evaluate the asymptotic curves and anchor them at a simulable size."""

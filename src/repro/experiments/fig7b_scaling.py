@@ -30,6 +30,7 @@ class Fig7bScaling(Experiment):
     experiment_id = "FIG7B"
     title = "Routability vs system size at q = 0.1"
     paper_reference = "Figure 7(b)"
+    table_names = ("fig7b_routability_percent", "scaling_summary")
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Evaluate routability across system sizes for each geometry."""

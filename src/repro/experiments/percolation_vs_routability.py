@@ -36,6 +36,7 @@ class PercolationVersusRoutability(Experiment):
     experiment_id = "EXT-PERC"
     title = "Connected-component size vs measured routability"
     paper_reference = "Section 1 motivation (connectivity does not imply routability)"
+    table_names = ("percolation_vs_routability",)
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Compare giant-component percolation against measured routability."""

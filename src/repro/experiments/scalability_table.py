@@ -29,6 +29,7 @@ class ScalabilityClassification(Experiment):
     experiment_id = "TAB-SCAL"
     title = "Scalability classification of DHT routing geometries"
     paper_reference = "Section 5 (and the scalable/unscalable labels of Figure 7)"
+    table_names = ("scalability_classification", "numerical_evidence")
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Build the Section 5 scalability classification table."""

@@ -57,6 +57,7 @@ class SymphonySensitivity(Experiment):
     experiment_id = "EXT-SYM"
     title = "Symphony sensitivity to near-neighbour and shortcut counts"
     paper_reference = "Design remark in Sections 1, 3.5 and 6 (no figure in the paper)"
+    table_names = ("symphony_sensitivity",)
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Sweep Symphony's shortcut count and measure the sensitivity."""

@@ -50,6 +50,7 @@ class TraceChurn(Experiment):
     experiment_id = "EXT-TRACE"
     title = "Trace-driven churn workloads (Markov vs heavy-tailed sessions)"
     paper_reference = "Section 1 (dynamic situations such as churn, left as future work)"
+    table_names = ("trace_churn_timeline", "trace_summary")
 
     def _traces(self, n_nodes: int, n_steps: int, seed: int) -> Dict[str, ChurnTrace]:
         return {

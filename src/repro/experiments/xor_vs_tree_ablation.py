@@ -30,6 +30,7 @@ class XorVersusTreeAblation(Experiment):
     experiment_id = "EXT-XOR-TREE"
     title = "Ablation: tree vs XOR vs hypercube (value of routing fallbacks)"
     paper_reference = "Sections 3.1-3.3 (design comparison; no single paper figure)"
+    table_names = tuple(f"ablation_d{d}" for d in ABLATION_DS)
 
     def run(self, config: Optional[ExperimentConfig] = None) -> ExperimentResult:
         """Ablate XOR bucket flexibility down to the tree's single entry."""

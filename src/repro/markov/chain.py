@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 import numpy as np
 
@@ -146,29 +146,6 @@ class MarkovChain:
             raise InvalidParameterError(f"unknown state {source!r}")
         return self._transitions[source].get(target, 0.0)
 
-    def transition_matrix(self, order: Sequence[State] | None = None) -> np.ndarray:
-        """Dense transition matrix with rows/columns ordered by ``order``.
-
-        Absorbing states are given an explicit self-loop of probability 1 so
-        every row of the returned matrix sums to one.
-        """
-        order = tuple(order) if order is not None else self._states
-        index = {state: i for i, state in enumerate(order)}
-        if len(index) != len(order):
-            raise InvalidParameterError("state order contains duplicates")
-        missing = set(self._states) - set(index)
-        if missing:
-            raise InvalidParameterError(f"state order is missing states: {sorted(map(repr, missing))}")
-        matrix = np.zeros((len(order), len(order)), dtype=float)
-        for state, row in self._transitions.items():
-            i = index[state]
-            if not row or (len(row) == 1 and state in row):
-                matrix[i, i] = 1.0
-                continue
-            for successor, probability in row.items():
-                matrix[i, index[successor]] = probability
-        return matrix
-
     # ------------------------------------------------------------------ #
     # absorption analysis
     # ------------------------------------------------------------------ #
@@ -250,21 +227,6 @@ class MarkovChain:
         reduced = MarkovChain(modified, atol=self._atol)
         result = reduced.absorption_analysis(start)
         return float(sum(result.probability_of(t) for t in target_set))
-
-    def step_distribution(self, start: State, steps: int) -> Dict[State, float]:
-        """State distribution after exactly ``steps`` transitions from ``start``."""
-        if steps < 0:
-            raise InvalidParameterError(f"steps must be non-negative, got {steps}")
-        if start not in self._transitions:
-            raise InvalidParameterError(f"unknown state {start!r}")
-        order = self._states
-        index = {state: i for i, state in enumerate(order)}
-        distribution = np.zeros(len(order), dtype=float)
-        distribution[index[start]] = 1.0
-        matrix = self.transition_matrix(order)
-        for _ in range(steps):
-            distribution = distribution @ matrix
-        return {state: float(distribution[index[state]]) for state in order if distribution[index[state]] > 0.0}
 
     # ------------------------------------------------------------------ #
     # dunder helpers

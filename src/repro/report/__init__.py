@@ -1,13 +1,9 @@
-"""Plain-text reporting of experiment results (tables, CSV, merged series)."""
+"""Plain-text reporting of experiment results (tables and CSV)."""
 
 from .tables import format_value, render_csv, render_table
-from .series import merge_curves, render_series_table, shape_summary
 
 __all__ = [
     "format_value",
     "render_csv",
     "render_table",
-    "merge_curves",
-    "render_series_table",
-    "shape_summary",
 ]

@@ -844,14 +844,6 @@ class SweepRunner:
         was uniform."""
         return self._last_adaptive_report
 
-    def last_allocation_ledger(self):
-        """The replayable :class:`~repro.sim.adaptive.AllocationLedger` of the
-        most recent adaptive sweep, stamped with this runner's cell-identity
-        parameters; ``None`` if the last sweep was uniform."""
-        if self._last_adaptive_report is None:
-            return None
-        return self._last_adaptive_report.ledger(pairs=self._pairs, base_seed=self._base_seed)
-
     @property
     def profile(self) -> Dict[str, float]:
         """Accumulated per-phase wall time (seconds) over every dispatched task.
@@ -862,10 +854,6 @@ class SweepRunner:
         meaningful signal.  Memoized cells add nothing (no work ran).
         """
         return dict(self._profile)
-
-    def reset_profile(self) -> None:
-        """Forget the accumulated per-phase timings."""
-        self._profile = {}
 
     def _absorb_timings(self, timings: Mapping[str, float]) -> None:
         for phase, seconds in timings.items():
@@ -1037,11 +1025,11 @@ class SweepRunner:
         budget to variance-adaptive trial allocation (an
         :class:`~repro.sim.adaptive.AdaptiveConfig`): the sweep then runs in
         rounds, freezing each ``q`` point once its pooled routability CI
-        half-width reaches the target, and :attr:`last_adaptive_report` /
-        :meth:`last_allocation_ledger` record what was consumed.  Cells keep
-        their uniform entropy keys (round ``k`` is replicate ``k``), so
-        every consumed cell — and any result-store hit — is byte-equal to
-        the uniform sweep's.  ``replay_allocation`` instead replays a
+        half-width reaches the target, and :attr:`last_adaptive_report`
+        records what was consumed (its ``ledger`` is the replayable
+        record).  Cells keep their uniform entropy keys (round ``k`` is
+        replicate ``k``), so every consumed cell — and any result-store
+        hit — is byte-equal to the uniform sweep's.  ``replay_allocation`` instead replays a
         recorded :class:`~repro.sim.adaptive.AllocationLedger` exactly,
         reproducing the adaptive run's rows bit-identically.  With neither,
         behaviour (and every measured byte) is unchanged.

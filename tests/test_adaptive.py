@@ -469,7 +469,7 @@ class TestEngineAdaptiveBehaviour:
         path = tmp_path / "allocation.txt"
         with SweepRunner(pairs=PAIRS, replicates=MAX_TRIALS) as runner:
             adaptive = runner.sweep(GEOMETRY, D, QS, adaptive=CONFIG)
-            runner.last_allocation_ledger().save(path)
+            runner.last_adaptive_report.ledger(pairs=PAIRS, base_seed=DEFAULT_BASE_SEED).save(path)
         with SweepRunner(pairs=PAIRS, replicates=MAX_TRIALS) as runner:
             replayed = runner.sweep(
                 GEOMETRY, D, QS, replay_allocation=AllocationLedger.load(path)
@@ -485,7 +485,7 @@ class TestEngineAdaptiveBehaviour:
     def test_replay_rejects_mismatched_identity_parameters(self):
         with SweepRunner(pairs=PAIRS, replicates=MAX_TRIALS) as runner:
             runner.sweep(GEOMETRY, D, QS, adaptive=CONFIG)
-            ledger = runner.last_allocation_ledger()
+            ledger = runner.last_adaptive_report.ledger(pairs=PAIRS, base_seed=DEFAULT_BASE_SEED)
         with SweepRunner(pairs=PAIRS + 1, replicates=MAX_TRIALS) as runner:
             with pytest.raises(InvalidParameterError, match="bit-identical"):
                 runner.sweep(GEOMETRY, D, QS, replay_allocation=ledger)
@@ -493,16 +493,15 @@ class TestEngineAdaptiveBehaviour:
     def test_adaptive_and_replay_are_mutually_exclusive(self):
         with SweepRunner(pairs=PAIRS, replicates=MAX_TRIALS) as runner:
             runner.sweep(GEOMETRY, D, QS, adaptive=CONFIG)
-            ledger = runner.last_allocation_ledger()
+            ledger = runner.last_adaptive_report.ledger(pairs=PAIRS, base_seed=DEFAULT_BASE_SEED)
             with pytest.raises(InvalidParameterError, match="not both"):
                 runner.sweep(
                     GEOMETRY, D, QS, adaptive=CONFIG, replay_allocation=ledger
                 )
 
-    def test_ledger_accessor_is_none_after_a_uniform_sweep(self):
+    def test_adaptive_report_is_none_after_a_uniform_sweep(self):
         with SweepRunner(pairs=PAIRS, replicates=2) as runner:
             runner.sweep(GEOMETRY, D, [0.2])
-            assert runner.last_allocation_ledger() is None
             assert runner.last_adaptive_report is None
 
 

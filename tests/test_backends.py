@@ -238,11 +238,11 @@ class TestProfile:
         assert profile.get("overlay_build", 0.0) > 0.0
         assert set(profile) <= set(PROFILE_PHASES)
 
-    def test_reset_profile_clears_timings(self):
+    def test_fresh_runner_starts_with_no_timings(self):
         with SweepRunner(pairs=20, replicates=1, workers=1, base_seed=19) as runner:
             runner.sweep("tree", SMALL_D, [0.3])
             assert runner.profile
-            runner.reset_profile()
+        with SweepRunner(pairs=20, replicates=1, workers=1, base_seed=19) as runner:
             assert runner.profile == {}
 
     def test_memoized_cells_add_no_profile_time(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -177,6 +178,18 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
+    def test_unknown_csv_table_is_rejected_before_the_run(self, capsys):
+        from repro.experiments.fig6a_static_resilience import Fig6aStaticResilience
+
+        with mock.patch.object(
+            Fig6aStaticResilience, "run", side_effect=AssertionError("experiment ran")
+        ):
+            assert main(["run", "FIG6A", "--csv", "nosuchtable"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: experiment FIG6A has no table 'nosuchtable'")
         assert captured.err.count("\n") == 1
 
 

@@ -3,13 +3,15 @@
 :func:`repro.percolation.routable_pair_counts` routes every ordered survivor
 pair of every mask in a stack with one ``route_pairs_stacked`` call.  Over
 all ``2^N`` patterns of a tiny overlay it gives the exact distribution of
-one trial's routability estimate.  This module uses that two ways:
+one trial's routability estimate.  This module checks:
 
 * **oracle parity (d=3):** for every registered geometry, the counts over
   all 256 patterns equal the scalar ``Overlay.route`` oracle's successes
   over every ordered survivor pair of each pattern;
 * **slabs (d=3, d=4):** the stack is routed one bounded slab of masks per
   engine call, and the counts equal those of a single call;
+* **layout (d=3):** FIG1-3's exact Definition-1 value is the same whether
+  its columns are strided views or contiguous copies;
 * **sampler check (d=4):** on one overlay per geometry, each point of a
   seeded ``sweep_failure_probabilities`` run lies within four standard
   errors of the exact mean of its estimator (FIG1-3's
@@ -28,6 +30,8 @@ import numpy as np
 import pytest
 
 from repro.dht import OVERLAY_CLASSES
+from repro.dht.can import HypercubeOverlay
+from repro.experiments import fig123_hypercube_example as fig123
 from repro.experiments.fig123_hypercube_example import enumerate_patterns, estimator_moments
 from repro.percolation import components, routable_pair_counts
 from repro.sim.conformance import (
@@ -129,3 +133,16 @@ class TestSamplerAgainstExactMoments:
             measured_trials = point.trials - point.degenerate_trials
             z_scores[point.q] = (point.routability - mean) / math.sqrt(variance / measured_trials)
         assert all(abs(z) <= SAMPLER_MAX_Z for z in z_scores.values()), z_scores
+
+
+class TestExactDefinitionLayout:
+    @pytest.mark.parametrize("q", (0.1, 0.3, 0.5))
+    def test_strided_and_contiguous_columns_give_equal_values(self, q):
+        outcomes = enumerate_patterns(HypercubeOverlay.build(3))
+        columns = fig123._non_degenerate(outcomes, 8, q)
+        # The survivor and routable columns are strided views of one array.
+        assert not any(column.flags.c_contiguous for column in columns[1:])
+        copies = tuple(np.ascontiguousarray(column) for column in columns)
+        with mock.patch.object(fig123, "_non_degenerate", return_value=copies):
+            from_copies = fig123.exact_definition_routability(outcomes, 8, q)
+        assert fig123.exact_definition_routability(outcomes, 8, q) == from_copies

@@ -72,6 +72,15 @@ class TestResultPlumbing:
         csv_text = results["FIG7B"].to_csv("fig7b_routability_percent")
         assert csv_text.splitlines()[0].startswith("n_nodes")
 
+    def test_every_experiment_returns_exactly_its_declared_tables(self, results):
+        for experiment_id, result in results.items():
+            assert tuple(result.tables) == EXPERIMENTS[experiment_id].table_names
+
+    def test_undeclared_table_is_rejected(self):
+        experiment = get_experiment("FIG7B")
+        with pytest.raises(ExperimentError, match="has no table 'extra'"):
+            experiment._result(parameters={}, tables={"extra": [{"x": 1}]})
+
 
 class TestFig123:
     def test_distance_table_matches_figure_three(self, results):

@@ -12,7 +12,6 @@ from repro.core.geometry import (
     get_geometry,
     list_geometries,
     register_geometry,
-    resolve_identifier_length,
 )
 from repro.core.geometries import PAPER_GEOMETRIES
 from repro.exceptions import InvalidParameterError, UnknownGeometryError
@@ -46,30 +45,6 @@ class TestRegistry:
         with pytest.raises(InvalidParameterError):
             register_geometry(cls)
 
-    def test_describe_mentions_verdict(self, geometry_name):
-        description = get_geometry(geometry_name).describe()
-        assert geometry_name in description
-        assert "scalable" in description
-
-
-class TestResolveIdentifierLength:
-    def test_from_d(self):
-        assert resolve_identifier_length(d=16) == 16
-
-    def test_from_power_of_two_nodes(self):
-        assert resolve_identifier_length(n_nodes=65536) == 16
-
-    def test_rejects_non_power_of_two_nodes(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_identifier_length(n_nodes=1000)
-
-    def test_rejects_both_or_neither(self):
-        with pytest.raises(InvalidParameterError):
-            resolve_identifier_length()
-        with pytest.raises(InvalidParameterError):
-            resolve_identifier_length(d=4, n_nodes=16)
-
-
 class TestSharedDerivations:
     def test_distance_distribution_sums_to_n_minus_one(self, geometry_name):
         geometry = get_geometry(geometry_name)
@@ -99,12 +74,6 @@ class TestSharedDerivations:
         assert geometry.routability(0.0, d=12) == 1.0
         assert geometry.routability(1.0, d=12) == 0.0
 
-    def test_routability_accepts_n_nodes(self, geometry_name):
-        geometry = get_geometry(geometry_name)
-        assert geometry.routability(0.2, d=10) == pytest.approx(
-            geometry.routability(0.2, n_nodes=1024)
-        )
-
     def test_routability_is_a_probability(self, geometry_name):
         geometry = get_geometry(geometry_name)
         for q in (0.05, 0.3, 0.7, 0.95):
@@ -128,11 +97,6 @@ class TestSharedDerivations:
         assert geometry.routability_for_size(4096, 0.3) == pytest.approx(
             geometry.routability(0.3, d=12)
         )
-
-    def test_asymptotic_success_probability_edges(self, geometry_name):
-        geometry = get_geometry(geometry_name)
-        assert geometry.asymptotic_success_probability(0.0) == 1.0
-        assert geometry.asymptotic_success_probability(1.0) == 0.0
 
     def test_tiny_expected_population_reports_zero_routability(self, geometry_name):
         # With d=1 and q=0.9 the expected number of survivors is below one node:

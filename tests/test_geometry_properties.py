@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.geometry import get_geometry
+from repro.core.geometry import get_geometry, list_geometries
 from repro.core.geometries import PAPER_GEOMETRIES
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -122,3 +122,29 @@ def test_expected_reachable_component_is_bounded_by_population(name, q, d):
 def test_routability_for_size_is_a_probability(name, n_nodes, q):
     value = get_geometry(name).routability_for_size(n_nodes, q)
     assert 0.0 <= value <= 1.0
+
+
+# The RCM's step 4 and step 5 identities, on every registered geometry
+# (extensions included), at sizes where (1 - q) 2^d - 1 stays positive.
+RCM_STEP_DS = (3, 6, 9, 12)
+RCM_STEP_QS = (0.05, 0.3, 0.6, 0.85)
+
+
+@pytest.mark.parametrize("name", list_geometries())
+@pytest.mark.parametrize("d", RCM_STEP_DS)
+@pytest.mark.parametrize("q", RCM_STEP_QS)
+def test_step4_is_the_weighted_sum_of_shells_and_path_successes(name, d, q):
+    geometry = get_geometry(name)
+    weighted = float(
+        (geometry.distance_distribution(d) * geometry.path_success_probabilities(d, q)).sum()
+    )
+    assert geometry.expected_reachable_component(d, q) == pytest.approx(weighted, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", list_geometries())
+@pytest.mark.parametrize("d", RCM_STEP_DS)
+@pytest.mark.parametrize("q", RCM_STEP_QS)
+def test_step5_divides_step4_by_the_other_survivors(name, d, q):
+    geometry = get_geometry(name)
+    ratio = geometry.expected_reachable_component(d, q) / ((1 - q) * 2**d - 1)
+    assert geometry.routability(q, d=d) == pytest.approx(min(1.0, ratio), rel=1e-12)

@@ -51,26 +51,6 @@ class TestConstruction:
         assert "unknown" not in chain
 
 
-class TestTransitionMatrix:
-    def test_rows_sum_to_one(self):
-        chain = simple_success_failure_chain(0.25)
-        matrix = chain.transition_matrix()
-        assert matrix.shape == (3, 3)
-        assert matrix.sum(axis=1) == pytest.approx([1.0, 1.0, 1.0])
-
-    def test_respects_explicit_order(self):
-        chain = simple_success_failure_chain(0.25)
-        order = ("start", "success", "failure")
-        matrix = chain.transition_matrix(order)
-        assert matrix[0, 1] == pytest.approx(0.25)
-        assert matrix[0, 2] == pytest.approx(0.75)
-
-    def test_rejects_incomplete_order(self):
-        chain = simple_success_failure_chain(0.25)
-        with pytest.raises(InvalidParameterError):
-            chain.transition_matrix(["start", "success"])
-
-
 class TestAbsorption:
     def test_single_step_probabilities(self):
         chain = simple_success_failure_chain(0.7)
@@ -154,32 +134,3 @@ class TestHittingProbability:
         chain = simple_success_failure_chain(0.5)
         with pytest.raises(InvalidParameterError):
             chain.hitting_probability("start", ["nowhere"])
-
-
-class TestStepDistribution:
-    def test_zero_steps_is_point_mass(self):
-        chain = simple_success_failure_chain(0.5)
-        assert chain.step_distribution("start", 0) == {"start": 1.0}
-
-    def test_one_step_distribution(self):
-        chain = simple_success_failure_chain(0.7)
-        distribution = chain.step_distribution("start", 1)
-        assert distribution["success"] == pytest.approx(0.7)
-        assert distribution["failure"] == pytest.approx(0.3)
-
-    def test_distribution_mass_is_conserved(self):
-        chain = MarkovChain(
-            {
-                "start": {"middle": 0.9, "failure": 0.1},
-                "middle": {"success": 0.9, "failure": 0.1},
-                "success": {},
-                "failure": {},
-            }
-        )
-        distribution = chain.step_distribution("start", 5)
-        assert sum(distribution.values()) == pytest.approx(1.0)
-
-    def test_negative_steps_rejected(self):
-        chain = simple_success_failure_chain(0.5)
-        with pytest.raises(InvalidParameterError):
-            chain.step_distribution("start", -1)

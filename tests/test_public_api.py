@@ -56,12 +56,12 @@ class TestPackageSurface:
         assert repro.PAPER_GEOMETRIES == ("tree", "hypercube", "xor", "ring", "smallworld")
 
     def test_public_classes_have_docstrings(self):
-        for name in ("RoutingGeometry", "ReachableComponentMethod", "Overlay", "RouteResult"):
+        for name in ("RoutingGeometry", "Overlay", "RouteResult"):
             assert getattr(repro, name).__doc__
 
     def test_quickstart_flow(self):
         """The README quickstart must keep working verbatim."""
-        value = repro.routability("kademlia", q=0.1, n_nodes=2**16)
+        value = repro.routability("kademlia", q=0.1, d=16)
         assert 0.9 < value < 1.0
         verdicts = {row["geometry"]: row["scalable"] for row in repro.scalability_report(["tree", "xor"])}
         assert verdicts == {"tree": False, "xor": True}

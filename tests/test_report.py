@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.routability import failed_path_curve
 from repro.exceptions import InvalidParameterError
-from repro.report.series import merge_curves, render_series_table, shape_summary
 from repro.report.tables import format_value, render_csv, render_table
 
 
@@ -76,38 +74,3 @@ class TestRenderCsv:
         csv_text = render_csv([{"a": 1, "b": 2}], columns=["b"])
         assert csv_text.strip().splitlines()[0] == "b"
 
-
-class TestSeries:
-    @pytest.fixture(scope="class")
-    def curves(self):
-        qs = [0.0, 0.2, 0.4]
-        return [
-            failed_path_curve("tree", qs, d=10),
-            failed_path_curve("hypercube", qs, d=10),
-        ]
-
-    def test_merge_produces_one_row_per_x(self, curves):
-        rows = merge_curves(curves)
-        assert len(rows) == 3
-        assert set(rows[0]) == {"q", "tree", "hypercube"}
-
-    def test_merge_rejects_mismatched_grids(self, curves):
-        other = failed_path_curve("xor", [0.0, 0.3], d=10)
-        with pytest.raises(InvalidParameterError):
-            merge_curves([curves[0], other])
-
-    def test_merge_rejects_empty_input(self):
-        with pytest.raises(InvalidParameterError):
-            merge_curves([])
-
-    def test_render_series_table(self, curves):
-        text = render_series_table(curves, title="fig6-like")
-        assert "fig6-like" in text
-        assert "tree" in text and "hypercube" in text
-
-    def test_shape_summary(self, curves):
-        summary = shape_summary(curves[0])
-        assert summary["first"] == pytest.approx(0.0)
-        assert summary["last"] > summary["first"]
-        assert summary["monotone_increasing"] == 1.0
-        assert summary["monotone_decreasing"] == 0.0

@@ -8,9 +8,7 @@ from repro.core.geometry import get_geometry
 from repro.core.routability import (
     GeometryCurve,
     compare_geometries,
-    expected_reachable_component,
     failed_path_curve,
-    failed_path_fraction,
     failed_path_percent,
     routability,
     routability_scaling_curve,
@@ -31,9 +29,8 @@ class TestScalarFunctions:
         with pytest.raises(InvalidParameterError):
             routability(get_geometry("smallworld"), 0.2, d=10, near_neighbors=2)
 
-    def test_failed_path_functions_are_complements(self):
+    def test_failed_path_percent_complements_routability(self):
         value = routability("ring", 0.25, d=12)
-        assert failed_path_fraction("ring", 0.25, d=12) == pytest.approx(1 - value)
         assert failed_path_percent("ring", 0.25, d=12) == pytest.approx(100 * (1 - value))
 
     def test_unknown_geometry_raises(self):
@@ -44,10 +41,6 @@ class TestScalarFunctions:
         sparse = routability("smallworld", 0.1, d=16)
         dense = routability("smallworld", 0.1, d=16, near_neighbors=3, shortcuts=3)
         assert dense > sparse
-
-    def test_expected_reachable_component_by_size(self):
-        direct = get_geometry("hypercube").expected_reachable_component(10, 0.2)
-        assert expected_reachable_component("hypercube", 0.2, n_nodes=1024) == pytest.approx(direct)
 
 
 class TestFailedPathCurve:

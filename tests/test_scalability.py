@@ -46,6 +46,12 @@ class TestAssessScalability:
         assessment = assess_scalability(get_geometry("xor"), q=0.2)
         assert assessment.verdict.geometry == "xor"
 
+    def test_rejects_parameters_with_instances(self):
+        # An instance carries its own parameters; extra ones are an error,
+        # not silently dropped.
+        with pytest.raises(InvalidParameterError):
+            assess_scalability(get_geometry("smallworld"), near_neighbors=5)
+
     def test_rejects_degenerate_probe_probabilities(self):
         with pytest.raises(InvalidParameterError):
             assess_scalability("xor", q=0.0)

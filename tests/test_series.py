@@ -1,71 +1,15 @@
-"""Unit and property tests for the series/product tools behind Knopp's theorem."""
+"""Unit tests for the series/product tools behind Knopp's theorem."""
 
 from __future__ import annotations
 
-import math
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.series import (
     diagnose_series_convergence,
     estimate_product_limit,
-    knopp_product_positive,
-    log_product_from_terms,
-    partial_products,
-    partial_sums,
-    product_from_terms,
     ratio_test,
 )
 from repro.exceptions import ConvergenceError, InvalidParameterError
-
-
-class TestPartialSumsAndProducts:
-    def test_partial_sums(self):
-        assert partial_sums([1, 2, 3]) == [1.0, 3.0, 6.0]
-
-    def test_partial_products(self):
-        assert partial_products([2, 3, 4]) == [2.0, 6.0, 24.0]
-
-    def test_empty_inputs(self):
-        assert partial_sums([]) == []
-        assert partial_products([]) == []
-
-
-class TestProductFromTerms:
-    def test_matches_manual_product(self):
-        terms = [0.1, 0.2, 0.3]
-        expected = 0.9 * 0.8 * 0.7
-        assert product_from_terms(terms) == pytest.approx(expected)
-
-    def test_certain_failure_collapses_product(self):
-        assert product_from_terms([0.5, 1.0, 0.1]) == 0.0
-
-    def test_rejects_out_of_range_terms(self):
-        with pytest.raises(InvalidParameterError):
-            product_from_terms([0.5, 1.5])
-
-    def test_log_product_matches_linear(self):
-        terms = [0.05, 0.1, 0.2, 0.4]
-        assert math.exp(log_product_from_terms(terms)) == pytest.approx(product_from_terms(terms))
-
-    def test_log_product_returns_neg_inf_on_certain_failure(self):
-        assert log_product_from_terms([0.2, 1.0]) == float("-inf")
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=0.99), min_size=1, max_size=30))
-    @settings(max_examples=50, deadline=None)
-    def test_product_always_in_unit_interval(self, terms):
-        value = product_from_terms(terms)
-        assert 0.0 <= value <= 1.0
-
-
-class TestKnopp:
-    def test_convergent_series_gives_positive_product(self):
-        assert knopp_product_positive(True) is True
-
-    def test_divergent_series_gives_zero_product(self):
-        assert knopp_product_positive(False) is False
 
 
 class TestRatioTest:
@@ -105,10 +49,6 @@ class TestDiagnoseSeriesConvergence:
     def test_verdict_reports_partial_sum(self):
         verdict = diagnose_series_convergence(lambda m: 0.5**m, max_terms=64)
         assert verdict.partial_sum == pytest.approx(1.0, abs=1e-6)
-
-    def test_product_positive_mirrors_convergence(self):
-        verdict = diagnose_series_convergence(lambda m: 0.5**m)
-        assert verdict.product_positive is verdict.converges
 
     def test_rejects_negative_terms(self):
         with pytest.raises(InvalidParameterError):
